@@ -1,0 +1,14 @@
+"""Make the benchmark modules and the anisodiff sources importable.
+
+Run with ``python -m pytest perfbench/tests`` from the repository root.
+"""
+
+import os
+import sys
+from pathlib import Path
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+BENCH = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(BENCH), str(BENCH.parent / "src")]
