@@ -1,15 +1,13 @@
 """Command-line surface: data generation, bases, schedule fitting, training,
 sampling, verification, and schedule/subspace analysis.
 
-Exit codes: 0 success, 1 invariant failure (verify), 2 usage error.
-Every output file starts with a provenance header line.  The environment
-variable ANISO_THREADS caps internal parallelism (all current kernels are
-single-threaded, so it is recorded and enforced trivially).
+Exit codes: 0 success, 1 invariant failure (verify), 2 usage error or
+training divergence.  Every output file starts with a provenance header
+line.
 """
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -46,18 +44,8 @@ from .subspaces import (
     mds_stress,
     projector_distance,
 )
-from .training import TrainConfig, train_bilevel
+from .training import TrainConfig, TrainingDiverged, train_bilevel
 from .verify import run_checks
-
-
-def max_threads() -> int:
-    value = os.environ.get("ANISO_THREADS")
-    if value is None:
-        return 1
-    n = int(value)
-    if n < 1:
-        raise ValueError("ANISO_THREADS must be >= 1")
-    return n
 
 
 # ---------------------------------------------------------------------------
@@ -503,9 +491,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse uses its own exit codes
         return 2 if exc.code not in (0, None) else 0
     try:
-        max_threads()
         return args.handler(args)
-    except (ValueError, KeyError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, FileNotFoundError, json.JSONDecodeError,
+            TrainingDiverged) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

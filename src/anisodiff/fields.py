@@ -1,9 +1,19 @@
 """Flow-field views shared by the loss, estimator, sampler, and trainer.
 
-A flow field is anything with `__call__(x, t)`, `directional(x, t, v)`
-and `mixed(x, t, u, v)`.  `FlowModel` satisfies this directly; the
-classes here adapt the exact mixture oracle and convert between the
-flow view (M^{1/2} score) and the score view.
+A flow field has `__call__(x, t)`, `directional(x, t, v)`, `mixed(x, t,
+u, v)` and `at(x, t)`.  `at` returns the field's local *jet* at one
+batch (x, t): an object with `value()`, `directional(v)` and
+`mixed(u, v)` that share one cached computation (the noisy-mixture
+factorization and its Hessian for the oracle, the primal activations for
+`FlowModel`).  The three direct methods are `at(x, t)` followed by one
+jet call, so callers that need several quantities at the same (x, t),
+such as the schedule-gradient estimator, build one jet and ask it
+repeatedly.  Nothing is cached on the field itself: a jet's cache goes
+when the caller drops the jet.
+
+`FlowModel` satisfies this protocol directly; the classes here adapt the
+exact mixture oracle and convert between the flow view (M^{1/2} score)
+and the score view.
 """
 
 import numpy as np
@@ -11,6 +21,28 @@ import numpy as np
 from . import gmm as gmm_mod
 from .schedule import MatrixSchedule, eval_M
 from .subspaces import apply_spectral
+
+
+class SpectralJet:
+    """Jet of a field left-multiplied by a spectral matrix that is constant in x.
+
+    The matrix commutes with x-derivatives, so every jet quantity is the
+    matrix (per-subspace scalars `values`) applied to the inner one.
+    """
+
+    def __init__(self, inner, family, values):
+        self.inner = inner
+        self.family = family
+        self.values = values
+
+    def value(self):
+        return apply_spectral(self.family, self.values, self.inner.value())
+
+    def directional(self, v):
+        return apply_spectral(self.family, self.values, self.inner.directional(v))
+
+    def mixed(self, u, v):
+        return apply_spectral(self.family, self.values, self.inner.mixed(u, v))
 
 
 class OracleFlowField:
@@ -25,21 +57,19 @@ class OracleFlowField:
         self.ms = ms
         self.class_label = class_label
 
-    def _sqrt_g(self, t):
+    def at(self, x, t):
         g, _ = eval_M(self.ms, t, self.class_label)
-        return np.sqrt(g)
+        noisy = gmm_mod._NoisyMixture(self.gm, x, self.ms, t, self.class_label)
+        return SpectralJet(noisy, self.ms.family, np.sqrt(g))
 
     def __call__(self, x, t):
-        s = gmm_mod.score(self.gm, x, self.ms, t, self.class_label)
-        return apply_spectral(self.ms.family, self._sqrt_g(t), s)
+        return self.at(x, t).value()
 
     def directional(self, x, t, v):
-        d = gmm_mod.score_directional(self.gm, x, self.ms, t, v, self.class_label)
-        return apply_spectral(self.ms.family, self._sqrt_g(t), d)
+        return self.at(x, t).directional(v)
 
     def mixed(self, x, t, u, v):
-        m = gmm_mod.score_mixed_directional(self.gm, x, self.ms, t, u, v, self.class_label)
-        return apply_spectral(self.ms.family, self._sqrt_g(t), m)
+        return self.at(x, t).mixed(u, v)
 
 
 class OracleScoreField:
@@ -50,14 +80,17 @@ class OracleScoreField:
         self.ms = ms
         self.class_label = class_label
 
+    def at(self, x, t):
+        return gmm_mod._NoisyMixture(self.gm, x, self.ms, t, self.class_label)
+
     def __call__(self, x, t):
-        return gmm_mod.score(self.gm, x, self.ms, t, self.class_label)
+        return self.at(x, t).value()
 
     def directional(self, x, t, v):
-        return gmm_mod.score_directional(self.gm, x, self.ms, t, v, self.class_label)
+        return self.at(x, t).directional(v)
 
     def mixed(self, x, t, u, v):
-        return gmm_mod.score_mixed_directional(self.gm, x, self.ms, t, u, v, self.class_label)
+        return self.at(x, t).mixed(u, v)
 
 
 def scale_diagnostic(flow_field, ms: MatrixSchedule, gm, n_per_t: int = 256,
@@ -95,19 +128,15 @@ class ScoreFromFlow:
         self.ms = ms
         self.class_label = class_label
 
-    def _inv_sqrt_g(self, t):
+    def at(self, x, t):
         g, _ = eval_M(self.ms, t, self.class_label)
-        return 1.0 / np.sqrt(g)
+        return SpectralJet(self.flow_field.at(x, t), self.ms.family, 1.0 / np.sqrt(g))
 
     def __call__(self, x, t):
-        return apply_spectral(self.ms.family, self._inv_sqrt_g(t), self.flow_field(x, t))
+        return self.at(x, t).value()
 
     def directional(self, x, t, v):
-        return apply_spectral(
-            self.ms.family, self._inv_sqrt_g(t), self.flow_field.directional(x, t, v)
-        )
+        return self.at(x, t).directional(v)
 
     def mixed(self, x, t, u, v):
-        return apply_spectral(
-            self.ms.family, self._inv_sqrt_g(t), self.flow_field.mixed(x, t, u, v)
-        )
+        return self.at(x, t).mixed(u, v)

@@ -9,6 +9,7 @@ snapshots stay trivial.
 """
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -89,88 +90,92 @@ class FlowModel:
         feats = np.stack([np.log(t_arr), t_arr / self.horizon], axis=1)
         return np.concatenate([x, feats], axis=1)
 
+    def at(self, x: Array, t) -> "FlowModelJet":
+        """Local jet at the batch (x, t): one primal pass for every call on it."""
+        return FlowModelJet(self, x, t)
+
     def __call__(self, x: Array, t) -> Array:
-        scalar = np.asarray(x).ndim == 1
-        a = self._inputs(x, t)
-        layers = self.layers()
-        for w, b in layers[:-1]:
-            a = np.tanh(a @ w.T + b)
-        w, b = layers[-1]
-        out = a @ w.T + b
-        return out[0] if scalar else out
+        return self.at(x, t).value()
 
     def param_grad(self, x: Array, t, cotangent: Array) -> Array:
         """Gradient over phi of sum_i <cotangent_i, flow(x_i, t_i)>."""
-        cot = np.atleast_2d(np.asarray(cotangent, dtype=float))
-        a = self._inputs(x, t)
-        layers = self.layers()
-        acts = [a]
-        for w, b in layers[:-1]:
-            a = np.tanh(a @ w.T + b)
-            acts.append(a)
-        grads = [None] * len(layers)
-        delta = cot
-        for li in range(len(layers) - 1, -1, -1):
-            w, _ = layers[li]
-            grads[li] = (delta.T @ acts[li], delta.sum(axis=0))
-            if li > 0:
-                delta = (delta @ w) * (1.0 - acts[li] ** 2)
-        return np.concatenate([np.concatenate([gw.reshape(-1), gb]) for gw, gb in grads])
-
-    # -- forward-mode directional derivatives ---------------------------------
-
-    def _pad_tangent(self, v: Array, n: int) -> Array:
-        v = np.asarray(v, dtype=float)
-        v = np.broadcast_to(np.atleast_2d(v), (n, self.dim))
-        return np.concatenate([v, np.zeros((n, N_TIME_FEATURES))], axis=1)
+        return self.at(x, t).param_grad(cotangent)
 
     def directional(self, x: Array, t, v: Array) -> Array:
         """d/ds flow(x + s v, t) at s=0, exact forward-mode."""
-        scalar = np.asarray(x).ndim == 1
-        a = self._inputs(x, t)
-        da = self._pad_tangent(v, a.shape[0])
-        layers = self.layers()
-        for w, b in layers[:-1]:
-            z = a @ w.T + b
-            a = np.tanh(z)
-            da = (1.0 - a**2) * (da @ w.T)
-        w, _ = layers[-1]
-        out = da @ w.T
-        return out[0] if scalar else out
+        return self.at(x, t).directional(v)
 
     def mixed(self, x: Array, t, u: Array, v: Array) -> Array:
         """d^2/(dr ds) flow(x + r u + s v, t) at r=s=0, exact hyper-dual."""
-        scalar = np.asarray(x).ndim == 1
-        a = self._inputs(x, t)
-        n = a.shape[0]
-        du = self._pad_tangent(u, n)
-        dv = self._pad_tangent(v, n)
-        duv = np.zeros_like(a)
-        layers = self.layers()
-        for w, b in layers[:-1]:
-            zu, zv, zuv = du @ w.T, dv @ w.T, duv @ w.T
+        return self.at(x, t).mixed(u, v)
+
+
+class FlowModelJet:
+    """Primal activations of a FlowModel at one batch (x, t).
+
+    The value, the parameter gradient and the forward-mode derivatives
+    all start from the same activations a_l (and tanh slopes 1 - a_l^2,
+    formed on first use), so each call runs only its own output, backward
+    or tangent recursion.
+    """
+
+    def __init__(self, model: FlowModel, x: Array, t):
+        self.dim = model.dim
+        self.scalar = np.asarray(x).ndim == 1
+        self.layers = model.layers()
+        a = model._inputs(x, t)
+        self.acts = [a]
+        for w, b in self.layers[:-1]:
             a = np.tanh(a @ w.T + b)
-            s1 = 1.0 - a**2  # tanh'
-            s2 = -2.0 * a * s1  # tanh''
+            self.acts.append(a)
+
+    def _shape(self, out: Array) -> Array:
+        return out[0] if self.scalar else out
+
+    def value(self) -> Array:
+        w, b = self.layers[-1]
+        return self._shape(self.acts[-1] @ w.T + b)
+
+    def param_grad(self, cotangent: Array) -> Array:
+        """Gradient over phi of sum_i <cotangent_i, flow(x_i, t_i)>."""
+        delta = np.atleast_2d(np.asarray(cotangent, dtype=float))
+        grads = [None] * len(self.layers)
+        for li in range(len(self.layers) - 1, -1, -1):
+            w, _ = self.layers[li]
+            grads[li] = (delta.T @ self.acts[li], delta.sum(axis=0))
+            if li > 0:
+                delta = (delta @ w) * self._slopes[li - 1]
+        return np.concatenate([np.concatenate([gw.reshape(-1), gb]) for gw, gb in grads])
+
+    @cached_property
+    def _slopes(self) -> list:
+        """tanh'(z) = 1 - a^2 per hidden layer."""
+        return [1.0 - a**2 for a in self.acts[1:]]
+
+    @cached_property
+    def _curvatures(self) -> list:
+        """tanh''(z) = -2 a (1 - a^2) per hidden layer."""
+        return [-2.0 * a * s1 for a, s1 in zip(self.acts[1:], self._slopes)]
+
+    def _pad_tangent(self, v: Array) -> Array:
+        n = self.acts[0].shape[0]
+        v = np.broadcast_to(np.atleast_2d(np.asarray(v, dtype=float)), (n, self.dim))
+        return np.concatenate([v, np.zeros((n, N_TIME_FEATURES))], axis=1)
+
+    def directional(self, v: Array) -> Array:
+        """d/ds flow(x + s v, t) at s=0."""
+        da = self._pad_tangent(v)
+        for (w, _), s1 in zip(self.layers[:-1], self._slopes):
+            da = s1 * (da @ w.T)
+        return self._shape(da @ self.layers[-1][0].T)
+
+    def mixed(self, u: Array, v: Array) -> Array:
+        """d^2/(dr ds) flow(x + r u + s v, t) at r=s=0."""
+        du, dv = self._pad_tangent(u), self._pad_tangent(v)
+        duv = np.zeros_like(du)
+        for (w, _), s1, s2 in zip(self.layers[:-1], self._slopes, self._curvatures):
+            zu, zv, zuv = du @ w.T, dv @ w.T, duv @ w.T
             du = s1 * zu
             dv = s1 * zv
             duv = s2 * zu * zv + s1 * zuv
-        w, _ = layers[-1]
-        out = duv @ w.T
-        return out[0] if scalar else out
-
-
-def flow_eval(model: FlowModel, x, t):
-    return model(x, t)
-
-
-def flow_param_grad(model: FlowModel, x, t, cotangent):
-    return model.param_grad(x, t, cotangent)
-
-
-def flow_directional(model: FlowModel, x, t, v):
-    return model.directional(x, t, v)
-
-
-def flow_mixed(model: FlowModel, x, t, u, v):
-    return model.mixed(x, t, u, v)
+        return self._shape(duv @ self.layers[-1][0].T)

@@ -11,6 +11,7 @@ symmetric linear algebra throughout; it is meant for small d (<= 64).
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import logsumexp
@@ -101,7 +102,11 @@ def _dense_M(ms: MatrixSchedule, t, class_label=None) -> Array:
 
 
 class _NoisyMixture:
-    """Per-sample sufficient statistics of p_t = p_0 * N(0, M_t) at points x."""
+    """Per-sample sufficient statistics of p_t = p_0 * N(0, M_t) at points x.
+
+    Also the score field's local jet at (x, t): `value`, `directional` and
+    `mixed` share one factorization, and the Hessian is formed at most once.
+    """
 
     def __init__(self, gm: GaussianMixture, x: Array, ms: MatrixSchedule, t, class_label=None):
         x = np.asarray(x, dtype=float)
@@ -140,8 +145,11 @@ class _NoisyMixture:
         self.log_comp = log_w[None, :] - 0.5 * (d * np.log(2 * np.pi) + logdet + maha)
         self.log_z = logsumexp(self.log_comp, axis=1)
         self.resp = np.exp(self.log_comp - self.log_z[:, None])  # (n, K)
-        self.comp_score = -self.y  # per-component score s_k
-        self.diff = diff
+
+    @property
+    def comp_score(self) -> Array:
+        """Per-component score s_k = -C_k^{-1}(x - mu_k), shape (n, K, d)."""
+        return -self.y
 
     def _shape(self, arr: Array) -> Array:
         return arr[0] if self.scalar_input else arr
@@ -152,21 +160,25 @@ class _NoisyMixture:
     def score(self) -> Array:
         return self._shape(np.einsum("nk,nki->ni", self.resp, self.comp_score))
 
+    value = score  # the jet protocol's name for the field value
+
+    @cached_property
     def _hessian_batch(self) -> Array:
-        s_bar = np.einsum("nk,nki->ni", self.resp, self.comp_score)
-        outer = np.einsum("nk,nki,nkj->nij", self.resp, self.comp_score, self.comp_score)
+        s = self.comp_score
+        s_bar = np.einsum("nk,nki->ni", self.resp, s)
+        outer = np.einsum("nk,nki,nkj->nij", self.resp, s, s)
         h = -np.einsum("nk,nkij->nij", self.resp, self.cov_inv) + outer
         h -= np.einsum("ni,nj->nij", s_bar, s_bar)
         return h
 
     def hessian(self) -> Array:
         """Hessian of log p_t at each point, shape (..., d, d)."""
-        return self._shape(self._hessian_batch())
+        return self._shape(self._hessian_batch)
 
     def directional(self, v: Array) -> Array:
         """d/ds score(x + s v) at s=0, i.e. Hessian @ v."""
         v = np.atleast_2d(np.asarray(v, dtype=float))
-        return self._shape(np.einsum("nij,nj->ni", self._hessian_batch(), v))
+        return self._shape(np.einsum("nij,nj->ni", self._hessian_batch, v))
 
     def mixed(self, u: Array, v: Array) -> Array:
         """d^2/dr ds score(x + r u + s v) at r=s=0 (third log-density derivative)."""
@@ -175,7 +187,7 @@ class _NoisyMixture:
         r, s, hk = self.resp, self.comp_score, -self.cov_inv
         s_bar = np.einsum("nk,nki->ni", r, s)
         a = s - s_bar[:, None, :]  # s_k - score
-        hess = self._hessian_batch()
+        hess = self._hessian_batch
         au = np.einsum("nki,ni->nk", a, u)
         av = np.einsum("nki,ni->nk", a, v)
         hk_u = np.einsum("nkij,nj->nki", hk, u)
@@ -285,7 +297,7 @@ def posterior_sample(gm, x, ms, t, rng, class_label=None):
         cov_k = gm.covs[k]
         c_inv = noisy.cov_inv[idx, k]  # (m, d, d)
         gain = np.einsum("ij,mjk->mik", cov_k, c_inv)
-        mean = gm.means[k] + np.einsum("mij,mj->mi", gain, noisy.diff[idx, k])
+        mean = gm.means[k] + np.einsum("mij,mj->mi", gain, x2[idx] - gm.means[k])
         cc = cov_k[None] - np.einsum("mij,jk->mik", gain, cov_k)
         cc = 0.5 * (cc + np.transpose(cc, (0, 2, 1))) + 1e-14 * np.eye(d)
         chol = np.linalg.cholesky(cc)

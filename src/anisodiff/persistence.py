@@ -197,6 +197,8 @@ def save_gmm(gm: GaussianMixture, path):
 
 def load_gmm(path) -> GaussianMixture:
     payload = json.loads(Path(path).read_text())
+    if payload.get("format_version") != FORMAT_VERSION:
+        raise ValueError("unsupported mixture file version")
     return GaussianMixture(
         np.array(payload["weights"]),
         np.array(payload["means"]),

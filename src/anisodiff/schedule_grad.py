@@ -59,11 +59,12 @@ def _as_batch(x) -> tuple:
     return (np.atleast_2d(x), x.ndim == 1)
 
 
-def _sum_mixed(field, x: Array, t, apply_direction, cfg: EstimatorConfig) -> Array:
+def _sum_mixed(jet, x: Array, apply_direction, cfg: EstimatorConfig) -> Array:
     """sum_i d_r d_s field(x + r e_i + s D e_i), with D given as a map v -> D v.
 
-    In stochastic mode the basis sum is replaced by an average of
-    d_r d_s field(x + r z + s D z) over Rademacher probes z.
+    `jet` is the field's jet at the batch (x, t).  In stochastic mode the
+    basis sum is replaced by an average of d_r d_s field(x + r z + s D z)
+    over Rademacher probes z.
     """
     n, d = x.shape
     total = np.zeros_like(x)
@@ -72,27 +73,21 @@ def _sum_mixed(field, x: Array, t, apply_direction, cfg: EstimatorConfig) -> Arr
             e = np.zeros(d)
             e[i] = 1.0
             ei = np.broadcast_to(e, (n, d))
-            total += field.mixed(x, t, ei, apply_direction(ei))
+            total += jet.mixed(ei, apply_direction(ei))
         return total
     rng = np.random.default_rng(cfg.seed)
     for _ in range(cfg.probes):
         z = rng.integers(0, 2, size=(n, d)) * 2.0 - 1.0
-        total += field.mixed(x, t, z, apply_direction(z))
+        total += jet.mixed(z, apply_direction(z))
     return total / cfg.probes
-
-
-def _spectral_apply(family, values_row, x):
-    """Apply a spectral matrix (per-subspace scalars) to batched x."""
-    return apply_spectral(family, values_row, x)
 
 
 def estimate_dtheta_score(field, ms: MatrixSchedule, x, t, theta_index: int,
                           cfg: EstimatorConfig | None = None, class_label=None) -> Array:
     """Estimate d(score)/d(theta_j) from x-directional derivatives of `field`.
 
-    `field` must supply __call__(x, t), directional(x, t, v) and
-    mixed(x, t, u, v); use the exact mixture oracle or the score view of
-    a flow model.
+    `field` must supply at(x, t) (see `fields`); use the exact mixture
+    oracle or the score view of a flow model.
     """
     x, scalar = _as_batch(x)
     if cfg is None:
@@ -104,11 +99,11 @@ def estimate_dtheta_score(field, ms: MatrixSchedule, x, t, theta_index: int,
         delta = jac[:, :, theta_index]
 
     def apply_d(v):
-        return _spectral_apply(ms.family, delta, v)
+        return apply_spectral(ms.family, delta, v)
 
-    term1 = 0.5 * _sum_mixed(field, x, t, apply_d, cfg)
-    base = field(x, t)
-    term2 = field.directional(x, t, apply_d(base))
+    jet = field.at(x, t)
+    term1 = 0.5 * _sum_mixed(jet, x, apply_d, cfg)
+    term2 = jet.directional(apply_d(jet.value()))
     out = term1 + term2
     return out[0] if scalar else out
 
@@ -128,14 +123,13 @@ def estimate_dtheta_flow(flow_field, ms: MatrixSchedule, x, t, theta_index: int,
         delta = jac[:, :, theta_index]
 
     def apply_d(v):
-        return _spectral_apply(ms.family, delta, v)
+        return apply_spectral(ms.family, delta, v)
 
-    term1 = 0.5 * _sum_mixed(flow_field, x, t, apply_d, cfg)
-    flow = flow_field(x, t)
-    term2 = flow_field.directional(
-        x, t, _spectral_apply(ms.family, delta / np.sqrt(g), flow)
-    )
-    term3 = 0.5 * _spectral_apply(ms.family, delta / g, flow)
+    jet = flow_field.at(x, t)
+    term1 = 0.5 * _sum_mixed(jet, x, apply_d, cfg)
+    flow = jet.value()
+    term2 = jet.directional(apply_spectral(ms.family, delta / np.sqrt(g), flow))
+    term3 = 0.5 * apply_spectral(ms.family, delta / g, flow)
     out = term1 + term2 + term3
     return out[0] if scalar else out
 
@@ -151,16 +145,16 @@ class OuterGradient:
     total: Array  # explicit + implicit
 
 
-def _per_subspace_flow_grads(flow_field, ms, x, t, g, cfg, class_label=None):
+def _per_subspace_flow_grads(jet, ms, x, flow, g, cfg):
     """d(flow)/d(theta) responses to D = P_j, one (n, d) array per subspace.
 
-    All estimator terms are linear in D, so these J basis responses are
+    `jet` is the flow field's jet at (x, t) and `flow` its value.  All
+    estimator terms are linear in D, so these J basis responses are
     contracted against the knot Jacobian instead of re-running the
     estimator once per parameter.
     """
     n = x.shape[0]
     nsub = ms.family.n_subspaces
-    flow = flow_field(x, t)
     grads = []
     for j in range(nsub):
         unit = np.zeros(nsub)
@@ -168,15 +162,13 @@ def _per_subspace_flow_grads(flow_field, ms, x, t, g, cfg, class_label=None):
         unit_rows = np.broadcast_to(unit, (n, nsub))
 
         def apply_pj(v, _rows=unit_rows):
-            return _spectral_apply(ms.family, _rows, v)
+            return apply_spectral(ms.family, _rows, v)
 
-        term1 = 0.5 * _sum_mixed(flow_field, x, t, apply_pj, cfg)
-        term2 = flow_field.directional(
-            x, t, _spectral_apply(ms.family, unit_rows / np.sqrt(g), flow)
-        )
-        term3 = 0.5 * _spectral_apply(ms.family, unit_rows / g, flow)
+        term1 = 0.5 * _sum_mixed(jet, x, apply_pj, cfg)
+        term2 = jet.directional(apply_spectral(ms.family, unit_rows / np.sqrt(g), flow))
+        term3 = 0.5 * apply_spectral(ms.family, unit_rows / g, flow)
         grads.append(term1 + term2 + term3)
-    return flow, grads
+    return grads
 
 
 def outer_gradient(ms: MatrixSchedule, flow_field, batch: LossSample,
@@ -200,10 +192,11 @@ def outer_gradient(ms: MatrixSchedule, flow_field, batch: LossSample,
     g, _ = eval_M(ms, t, label)  # (n, J)
     jac = eval_M_dtheta(ms, t, label)  # (n, J, P)
     x_t = perturbed_point(ms, LossSample(x0=x0, eps=eps, t=t, class_label=label))
-    flow = flow_field(x_t, t)
+    jet = flow_field.at(x_t, t)
+    flow = jet.value()
     resid_raw = flow + eps
     w = weight_values(ms, t, label)  # (n, J)
-    cot = 2.0 * _spectral_apply(ms.family, w * w, resid_raw)
+    cot = 2.0 * apply_spectral(ms.family, w * w, resid_raw)
 
     # explicit, weight part: 2 sum_j w_j dw_j ||P_j (flow+eps)||^2
     dw = weight_theta_derivative(ms, t, label)  # (n, J, P)
@@ -218,12 +211,12 @@ def outer_gradient(ms: MatrixSchedule, flow_field, batch: LossSample,
     for j, member in enumerate(ms.family.members):
         unit = np.zeros(ms.family.n_subspaces)
         unit[j] = 1.0
-        v_j = _spectral_apply(ms.family, np.broadcast_to(unit, (n, ms.family.n_subspaces)), eps)
-        response = flow_field.directional(x_t, t, v_j)  # (n, d)
+        v_j = apply_spectral(ms.family, np.broadcast_to(unit, (n, ms.family.n_subspaces)), eps)
+        response = jet.directional(v_j)  # (n, d)
         explicit_x += dsqrt[:, j, :] * np.einsum("nd,nd->n", cot, response)[:, None]
 
     # implicit part through the optimal field
-    _, basis_grads = _per_subspace_flow_grads(flow_field, ms, x_t, t, g, cfg, label)
+    basis_grads = _per_subspace_flow_grads(jet, ms, x_t, flow, g, cfg)
     implicit = np.zeros((n, jac.shape[2]))
     for j, grad_j in enumerate(basis_grads):
         implicit += jac[:, j, :] * np.einsum("nd,nd->n", cot, grad_j)[:, None]

@@ -95,6 +95,17 @@ def test_gmm_roundtrip(tmp_path, gmm_file):
     np.testing.assert_array_equal(gm.means, gm2.means)
 
 
+def test_gmm_rejects_unknown_format_version(tmp_path, gmm_file):
+    payload = json.loads(gmm_file.read_text())
+    payload["format_version"] = "0"
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="version"):
+        load_gmm(path)
+    assert main(["gen-data", "--gmm", str(path), "--n", "5",
+                 "--out", str(tmp_path / "x.csv")]) == 2
+
+
 def test_model_roundtrip(tmp_path):
     model = FlowModel.create(2, horizon=3.0, widths=(8,), seed=4, zero_head=False)
     path = tmp_path / "m.json"
@@ -287,6 +298,31 @@ def test_train_model_mode_command(tmp_path, gmm_file):
     model = load_model(out / "model.json")
     ema = load_model(out / "model_ema.json")
     assert model.params.shape == ema.params.shape
+
+
+def test_train_divergence_exits_2(tmp_path, gmm_file, capsys):
+    config = {
+        "version": "1",
+        "gmm": gmm_file.name,
+        "family": {"kind": "axis", "dim": 2, "split": 1},
+        "schedule": {"horizon": 10.0, "knots": 5},
+        "train": {
+            "batch_size": 32,
+            "total_images": 320,
+            "warmup_images": 64,
+            "train_model": False,
+            "train_schedule": False,
+            "guard_factor": 1e-12,  # every post-warm-up loss counts as diverged
+            "guard_patience": 1,
+        },
+    }
+    cfg_path = gmm_file.parent / "run_diverge.json"
+    cfg_path.write_text(json.dumps(config))
+    out = tmp_path / "rundir"
+    assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: loss ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_run_config_rejects_unknown_keys(tmp_path, gmm_file):

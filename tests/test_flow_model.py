@@ -2,14 +2,7 @@ import numpy as np
 import pytest
 
 from anisodiff.fields import OracleFlowField, ScoreFromFlow
-from anisodiff.flow_model import (
-    FlowModel,
-    flow_directional,
-    flow_eval,
-    flow_mixed,
-    flow_param_grad,
-    n_params,
-)
+from anisodiff.flow_model import FlowModel, n_params
 from anisodiff.gmm import score, single_gaussian
 from anisodiff.schedule import eval_M, isotropic_matrix_schedule
 from anisodiff.subspaces import apply_spectral
@@ -30,14 +23,14 @@ def test_zero_head_gives_zero_flow():
     m = FlowModel.create(2, horizon=4.0, widths=(8, 8), seed=1, zero_head=True)
     rng = np.random.default_rng(2)
     x = rng.standard_normal((5, 2))
-    np.testing.assert_array_equal(flow_eval(m, x, 1.0), np.zeros((5, 2)))
+    np.testing.assert_array_equal(m(x, 1.0), np.zeros((5, 2)))
 
 
 def test_deterministic_forward():
     m = small_model()
     x = np.array([0.3, -1.2])
-    a = flow_eval(m, x, 0.7)
-    b = flow_eval(m, x, 0.7)
+    a = m(x, 0.7)
+    b = m(x, 0.7)
     np.testing.assert_array_equal(a, b)
 
 
@@ -52,7 +45,7 @@ def test_param_count_and_validation():
 def test_rejects_nonpositive_time():
     m = small_model()
     with pytest.raises(ValueError):
-        flow_eval(m, np.zeros(2), 0.0)
+        m(np.zeros(2), 0.0)
 
 
 def test_param_grad_matches_fd():
@@ -61,15 +54,15 @@ def test_param_grad_matches_fd():
     x = rng.standard_normal((3, 2))
     t = rng.uniform(0.5, 3.0, size=3)
     cot = rng.standard_normal((3, 2))
-    grad = flow_param_grad(m, x, t, cot)
+    grad = m.param_grad(x, t, cot)
     h = 1e-6
     idx = rng.choice(m.params.size, size=40, replace=False)
     for i in idx:
         up, dn = m.params.copy(), m.params.copy()
         up[i] += h
         dn[i] -= h
-        fp = np.sum(cot * flow_eval(m.with_params(up), x, t))
-        fm = np.sum(cot * flow_eval(m.with_params(dn), x, t))
+        fp = np.sum(cot * m.with_params(up)(x, t))
+        fm = np.sum(cot * m.with_params(dn)(x, t))
         assert grad[i] == pytest.approx((fp - fm) / (2 * h), rel=1e-4, abs=1e-8)
 
 
@@ -78,10 +71,10 @@ def test_param_grad_zero_cotangent_and_linearity():
     rng = np.random.default_rng(6)
     x = rng.standard_normal((4, 2))
     t = 1.1
-    np.testing.assert_array_equal(flow_param_grad(m, x, t, np.zeros((4, 2))), 0.0)
+    np.testing.assert_array_equal(m.param_grad(x, t, np.zeros((4, 2))), 0.0)
     c1, c2 = rng.standard_normal((4, 2)), rng.standard_normal((4, 2))
-    combo = flow_param_grad(m, x, t, 2.0 * c1 - 3.0 * c2)
-    parts = 2.0 * flow_param_grad(m, x, t, c1) - 3.0 * flow_param_grad(m, x, t, c2)
+    combo = m.param_grad(x, t, 2.0 * c1 - 3.0 * c2)
+    parts = 2.0 * m.param_grad(x, t, c1) - 3.0 * m.param_grad(x, t, c2)
     np.testing.assert_allclose(combo, parts, atol=1e-10)
 
 
@@ -92,9 +85,9 @@ def test_directional_matches_fd():
         x = rng.standard_normal(2)
         t = rng.uniform(0.4, 3.5)
         v = rng.standard_normal(2)
-        d = flow_directional(m, x, t, v)
+        d = m.directional(x, t, v)
         h = 1e-5
-        fd = (flow_eval(m, x + h * v, t) - flow_eval(m, x - h * v, t)) / (2 * h)
+        fd = (m(x + h * v, t) - m(x - h * v, t)) / (2 * h)
         np.testing.assert_allclose(d, fd, rtol=1e-6, atol=1e-9)
 
 
@@ -105,14 +98,14 @@ def test_mixed_matches_nested_fd_and_symmetry():
         x = rng.standard_normal(2)
         t = rng.uniform(0.4, 3.5)
         u, v = rng.standard_normal(2), rng.standard_normal(2)
-        mix = flow_mixed(m, x, t, u, v)
-        np.testing.assert_allclose(mix, flow_mixed(m, x, t, v, u), atol=1e-10)
+        mix = m.mixed(x, t, u, v)
+        np.testing.assert_allclose(mix, m.mixed(x, t, v, u), atol=1e-10)
         h = 1e-4
         fd = (
-            flow_eval(m, x + h * u + h * v, t)
-            - flow_eval(m, x + h * u - h * v, t)
-            - flow_eval(m, x - h * u + h * v, t)
-            + flow_eval(m, x - h * u - h * v, t)
+            m(x + h * u + h * v, t)
+            - m(x + h * u - h * v, t)
+            - m(x - h * u + h * v, t)
+            + m(x - h * u - h * v, t)
         ) / (4 * h * h)
         np.testing.assert_allclose(mix, fd, rtol=1e-3, atol=1e-6)
 
@@ -122,8 +115,8 @@ def test_affine_model_has_zero_mixed_derivative():
     m = FlowModel.create(2, horizon=2.0, widths=(), seed=11, zero_head=False)
     rng = np.random.default_rng(12)
     x, u, v = rng.standard_normal((3, 2))
-    np.testing.assert_allclose(flow_mixed(m, x, 1.0, u, v), 0.0, atol=1e-14)
-    d = flow_directional(m, x, 1.0, v)
+    np.testing.assert_allclose(m.mixed(x, 1.0, u, v), 0.0, atol=1e-14)
+    d = m.directional(x, 1.0, v)
     w, _ = m.layers()[0]
     np.testing.assert_allclose(d, w[:, :2] @ v, atol=1e-12)
 
@@ -135,14 +128,14 @@ def test_batched_derivatives_match_scalar():
     ts = rng.uniform(0.5, 3.0, size=5)
     us = rng.standard_normal((5, 2))
     vs = rng.standard_normal((5, 2))
-    d_batch = flow_directional(m, xs, ts, vs)
-    m_batch = flow_mixed(m, xs, ts, us, vs)
+    d_batch = m.directional(xs, ts, vs)
+    m_batch = m.mixed(xs, ts, us, vs)
     for i in range(5):
         np.testing.assert_allclose(
-            d_batch[i], flow_directional(m, xs[i], float(ts[i]), vs[i]), atol=1e-12
+            d_batch[i], m.directional(xs[i], float(ts[i]), vs[i]), atol=1e-12
         )
         np.testing.assert_allclose(
-            m_batch[i], flow_mixed(m, xs[i], float(ts[i]), us[i], vs[i]), atol=1e-12
+            m_batch[i], m.mixed(xs[i], float(ts[i]), us[i], vs[i]), atol=1e-12
         )
 
 

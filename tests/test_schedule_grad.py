@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
+from anisodiff import gmm as gmm_mod
 from anisodiff.fields import OracleFlowField, OracleScoreField, ScoreFromFlow
+from anisodiff.flow_model import FlowModel
 from anisodiff.gmm import (
     GaussianMixture,
     dtheta_score_oracle,
     score,
+    score_directional,
     score_mixed_directional,
     single_gaussian,
 )
@@ -298,3 +301,65 @@ def test_estimate_H_is_batch_mean_loss():
     assert estimate_H(ms, field, batch) == pytest.approx(
         float(np.mean(loss_sample(ms, field, batch).loss))
     )
+
+
+# ---------------------------------------------------------------------------
+# one field evaluation per (x, t)
+# ---------------------------------------------------------------------------
+
+def _count_calls(monkeypatch, cls, name):
+    calls = []
+    original = getattr(cls, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+def test_outer_gradient_factors_the_noisy_mixture_once(monkeypatch):
+    rng = np.random.default_rng(13)
+    gm = two_component_gmm()
+    ms = random_ms(rng, n_knots=4)
+    batch = draw_loss_samples(gm, ms, 16, rng)
+    built = _count_calls(monkeypatch, gmm_mod._NoisyMixture, "__init__")
+    outer_gradient(ms, OracleFlowField(gm, ms), batch, EstimatorConfig("exact-sum"))
+    assert len(built) == 1
+
+
+def test_outer_gradient_runs_one_model_primal_pass(monkeypatch):
+    rng = np.random.default_rng(14)
+    gm = two_component_gmm()
+    ms = random_ms(rng, n_knots=4)
+    batch = draw_loss_samples(gm, ms, 16, rng)
+    model = FlowModel.create(2, ms.horizon, widths=(8, 8), seed=3, zero_head=False)
+    passes = _count_calls(monkeypatch, FlowModel, "_inputs")
+    outer_gradient(ms, model, batch, EstimatorConfig("exact-sum"))
+    assert len(passes) == 1
+
+
+@pytest.mark.parametrize("per_sample_t", [False, True])
+def test_oracle_jets_match_the_oracle_functions(per_sample_t):
+    rng = np.random.default_rng(15)
+    gm = two_component_gmm()
+    ms = random_ms(rng)
+    x = rng.standard_normal((6, 2))
+    u, v = rng.standard_normal((2, 6, 2))
+    t = rng.uniform(0.2, 3.0, size=6) if per_sample_t else 1.3
+    g, _ = eval_M(ms, t)
+    score_jet = OracleScoreField(gm, ms).at(x, t)
+    flow_jet = OracleFlowField(gm, ms).at(x, t)
+    expected = {
+        "value": score(gm, x, ms, t),
+        "directional": score_directional(gm, x, ms, t, v),
+        "mixed": score_mixed_directional(gm, x, ms, t, u, v),
+    }
+    got_score = {"value": score_jet.value(), "directional": score_jet.directional(v),
+                 "mixed": score_jet.mixed(u, v)}
+    got_flow = {"value": flow_jet.value(), "directional": flow_jet.directional(v),
+                "mixed": flow_jet.mixed(u, v)}
+    for key, want in expected.items():
+        assert np.array_equal(got_score[key], want), key
+        assert np.array_equal(got_flow[key], apply_spectral(ms.family, np.sqrt(g), want)), key
