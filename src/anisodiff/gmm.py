@@ -91,14 +91,7 @@ def perturb(x0: Array, eps: Array, ms: MatrixSchedule, t, class_label=None) -> A
 
 def _dense_M(ms: MatrixSchedule, t, class_label=None) -> Array:
     """Dense M_t, shape (d, d) for scalar t or (n, d, d) for per-sample t."""
-    g, _ = eval_M(ms, t, class_label)
-    if g.ndim == 1:
-        return ms.family.dense(g)
-    d = ms.family.ambient_dim
-    out = np.zeros((g.shape[0], d, d))
-    for j, m in enumerate(ms.family.members):
-        out += g[:, j, None, None] * (m.basis @ m.basis.T)
-    return out
+    return ms.family.dense(eval_M(ms, t, class_label)[0])
 
 
 class _NoisyMixture:

@@ -104,11 +104,9 @@ def family_from_json(payload: dict) -> ProjectorFamily:
     if kind == "dct":
         return build_dct_projectors(payload["side"], payload["low_side"])
     if kind == "isotropic":
-        fam = isotropic_family(payload["dim"])
-        return ProjectorFamily(fam.members, fam.ambient_dim, meta={"kind": "isotropic"})
+        return isotropic_family(payload["dim"])
     if kind == "axis":
-        fam = axis_family(payload["dim"], payload["split"])
-        return ProjectorFamily(fam.members, fam.ambient_dim, meta={"kind": "axis", "split": payload["split"]})
+        return axis_family(payload["dim"], payload["split"])
     if kind == "explicit":
         members = tuple(Projector(np.array(b)) for b in payload["blocks"])
         meta = {"kind": "explicit"}

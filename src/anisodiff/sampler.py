@@ -30,7 +30,7 @@ class SamplerConfig:
     steps: int
     solver: str = "heun"  # "euler" | "heun"
     secondary: str = "endpoint"  # "endpoint" | "midpoint"
-    t_min: float | None = None  # defaults to the schedule floor
+    t_min: float | None = None  # defaults to ms.t_min = t_floor_fraction * horizon
     grid: str = "uniform"
     seed: int = 0
 
@@ -73,7 +73,8 @@ def euler_step(ms, flow_field, x, grid, k, class_label=None, flow_k=None):
     if not 1 <= k <= grid.size - 1:
         raise ValueError("step index out of range")
     t_k, t_prev = grid[k], grid[k - 1]
-    du = _sqrt_g(ms, t_k, class_label) - _sqrt_g(ms, t_prev, class_label)
+    u_k, u_prev = _sqrt_g(ms, np.array([t_k, t_prev]), class_label)
+    du = u_k - u_prev
     f_k = flow_field(x, t_k) if flow_k is None else flow_k
     return x + apply_spectral(ms.family, du, f_k), f_k
 
@@ -93,9 +94,7 @@ def heun_step(ms, flow_field, x, grid, k, secondary="endpoint", class_label=None
         raise ValueError("step index out of range")
     t_k, t_prev = grid[k], grid[k - 1]
     t_hat = t_prev if secondary == "endpoint" else 0.5 * (t_prev + t_k)
-    u_k = _sqrt_g(ms, t_k, class_label)
-    u_prev = _sqrt_g(ms, t_prev, class_label)
-    u_hat = _sqrt_g(ms, t_hat, class_label)
+    u_k, u_prev, u_hat = _sqrt_g(ms, np.array([t_k, t_prev, t_hat]), class_label)
     du = u_k - u_prev
     f_k = flow_field(x, t_k) if flow_k is None else flow_k
     x_hat = x + apply_spectral(ms.family, u_k - u_hat, f_k)

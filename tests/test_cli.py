@@ -6,6 +6,8 @@ import pytest
 from anisodiff.cli import load_run_config, main
 from anisodiff.gmm import GaussianMixture, single_gaussian
 from anisodiff.persistence import (
+    family_from_json,
+    family_to_json,
     load_gmm,
     load_model,
     load_points_csv,
@@ -22,7 +24,12 @@ from anisodiff.schedule import (
     eval_M,
     matrix_schedule_for_family,
 )
-from anisodiff.subspaces import axis_family, build_dct_projectors
+from anisodiff.subspaces import (
+    SeparableDCTFamily,
+    apply_spectral,
+    axis_family,
+    build_dct_projectors,
+)
 
 
 @pytest.fixture
@@ -66,6 +73,17 @@ def test_schedule_roundtrip(tmp_path):
     np.testing.assert_array_equal(g1, g2)
     np.testing.assert_array_equal(d1, d2)
     assert back.family.meta["kind"] == "dct"
+
+
+def test_separable_dct_family_roundtrip():
+    fam = build_dct_projectors(16, 6)
+    back = family_from_json(json.loads(json.dumps(family_to_json(fam))))
+    assert isinstance(back, SeparableDCTFamily)
+    assert (back.side, back.low_side, back.dims) == (16, 6, fam.dims)
+    x = np.random.default_rng(2).standard_normal((3, 256))
+    np.testing.assert_array_equal(
+        apply_spectral(back, [0.4, 2.5], x), apply_spectral(fam, [0.4, 2.5], x)
+    )
 
 
 def test_class_conditional_schedule_roundtrip(tmp_path):

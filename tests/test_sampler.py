@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from anisodiff import sampler
 from anisodiff.fields import OracleFlowField
 from anisodiff.gmm import GaussianMixture, single_gaussian
 from anisodiff.sampler import (
@@ -252,6 +253,21 @@ def test_nfe_heun_midpoint(steps):
     cfg = SamplerConfig(steps=steps, solver="heun", secondary="midpoint")
     res = sample_trajectory(ms, field, cfg, rng=0)
     assert res.nfe == 2 * steps == expected_nfe(cfg)
+
+
+@pytest.mark.parametrize("solver", ["euler", "heun"])
+def test_one_eval_M_per_step(monkeypatch, solver):
+    ms = matrix_schedule_for_family(axis_family(3, 1), 10.0)
+    calls = []
+
+    def counting_eval_M(*args, **kwargs):
+        calls.append(args[1])
+        return eval_M(*args, **kwargs)
+
+    monkeypatch.setattr(sampler, "eval_M", counting_eval_M)
+    cfg = SamplerConfig(steps=8, solver=solver, secondary="endpoint")
+    sample_trajectory(ms, lambda x, t: -x, cfg, n=4)
+    assert len(calls) == 1 + 8
 
 
 def test_scalar_reduction_euler():

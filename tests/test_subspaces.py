@@ -4,6 +4,7 @@ import pytest
 from anisodiff.subspaces import (
     Projector,
     ProjectorFamily,
+    SeparableDCTFamily,
     apply_spectral,
     axis_family,
     build_dct_basis,
@@ -195,6 +196,42 @@ def test_apply_spectral_batched_values():
         np.testing.assert_allclose(
             batched[i], apply_spectral(fam, vals[i], xs[i]), atol=1e-12
         )
+
+
+def _member_reference(fam, values, x):
+    """sum_j v_j Q_j Q_j^T x, one member at a time."""
+    return sum(
+        values[..., j, None] * ((x @ m.basis) @ m.basis.T) for j, m in enumerate(fam.members)
+    )
+
+
+FAMILIES = {
+    "dct16": lambda rng: build_dct_projectors(16, 5),
+    "dct32": lambda rng: build_dct_projectors(32),
+    "pca": lambda rng: build_pca_projectors(rng.standard_normal((40, 6)) * [3, 2, 1, 1, 0.5, 0.2], 2),
+    "axis": lambda rng: axis_family(5, 2),
+    "explicit": lambda rng: random_family(rng, 7, (2, 4, 1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_apply_spectral_matches_member_reference(name):
+    rng = np.random.default_rng(12)
+    fam = FAMILIES[name](rng)
+    assert isinstance(fam, SeparableDCTFamily) == name.startswith("dct")
+    d, n = fam.ambient_dim, 3
+    xs = rng.standard_normal((n, d))
+    shared = rng.uniform(0.1, 3.0, fam.n_subspaces)
+    per_row = rng.uniform(0.1, 3.0, (n, fam.n_subspaces))
+    cases = [(shared, xs[0]), (shared, xs), (per_row, xs)]
+    for values, x in cases:
+        want = _member_reference(fam, values, x)
+        got = apply_spectral(fam, values, x)
+        assert got.shape == x.shape
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
+    for values in (shared, per_row):
+        want = _member_reference(fam, values[..., None, :], np.eye(d))
+        np.testing.assert_allclose(fam.dense(values), want, rtol=0, atol=1e-12)
 
 
 def test_apply_spectral_length_mismatch():
