@@ -50,6 +50,7 @@ class LossValue:
     loss: Array  # scalar or (n,)
     residual: Array  # (..., d)
     cotangent: Array  # (..., d), gradient of loss w.r.t. the flow output
+    weights: Array  # (..., J), the per-subspace scalars of W_t
 
 
 def draw_loss_samples(gm, ms: MatrixSchedule, n: int, rng, class_label=None) -> LossSample:
@@ -96,15 +97,19 @@ def perturbed_point(ms: MatrixSchedule, sample: LossSample):
     return gmm_mod.perturb(sample.x0, sample.eps, ms, sample.t, sample.class_label)
 
 
-def loss_sample(ms: MatrixSchedule, flow_field, sample: LossSample) -> LossValue:
-    """Loss, weighted residual, and flow-cotangent for one sample or a batch."""
-    x_t = perturbed_point(ms, sample)
-    flow = flow_field(x_t, sample.t)
+def loss_from_flow(ms: MatrixSchedule, sample: LossSample, flow) -> LossValue:
+    """Loss, weighted residual, and flow-cotangent given the flow at the sample's x_t."""
     w = weight_values(ms, sample.t, sample.class_label)
     residual = apply_spectral(ms.family, w, flow + sample.eps)
     loss = np.sum(residual * residual, axis=-1)
     cotangent = 2.0 * apply_spectral(ms.family, w * w, flow + sample.eps)
-    return LossValue(loss=loss, residual=residual, cotangent=cotangent)
+    return LossValue(loss=loss, residual=residual, cotangent=cotangent, weights=w)
+
+
+def loss_sample(ms: MatrixSchedule, flow_field, sample: LossSample) -> LossValue:
+    """Loss, weighted residual, and flow-cotangent for one sample or a batch."""
+    flow = flow_field(perturbed_point(ms, sample), sample.t)
+    return loss_from_flow(ms, sample, flow)
 
 
 # ---------------------------------------------------------------------------

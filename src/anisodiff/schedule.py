@@ -174,16 +174,6 @@ class KnotSchedule:
         return out[0] if scalar else out
 
 
-def eval_g(schedule: KnotSchedule, t):
-    """(g(t), dg/dt); errors if t is outside [0, horizon]."""
-    return schedule.eval(t)
-
-
-def eval_g_dtheta(schedule: KnotSchedule, t):
-    """Exact analytic gradient of g(t) over theta (alpha dependence included)."""
-    return schedule.eval_dtheta(t)
-
-
 def uniform_nodes(horizon: float, n_knots: int = DEFAULT_KNOTS) -> Array:
     return np.linspace(0.0, horizon, n_knots)
 

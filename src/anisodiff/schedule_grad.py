@@ -22,10 +22,11 @@ import numpy as np
 
 from .loss import (
     LossSample,
+    LossValue,
+    loss_from_flow,
     loss_sample,
     perturbed_point,
     weight_theta_derivative,
-    weight_values,
 )
 from .schedule import MatrixSchedule, eval_M, eval_M_dtheta
 from .subspaces import apply_spectral
@@ -143,6 +144,7 @@ class OuterGradient:
     explicit: Array  # (P,) mean d L / d theta with the field held fixed
     implicit: Array  # (P,) mean <cotangent, d flow / d theta>
     total: Array  # explicit + implicit
+    value: LossValue  # the loss on the batch that was differentiated
 
 
 def _per_subspace_flow_grads(jet, ms, x, flow, g, cfg):
@@ -179,7 +181,8 @@ def outer_gradient(ms: MatrixSchedule, flow_field, batch: LossSample,
     fixed — through the weight operator and through x_t = x_0 + M^{1/2} eps.
     Implicit part: the field tracks the schedule-dependent optimum, so it
     moves by d(flow)/d(theta); estimated by the plug-in identity with
-    `flow_field` standing in for the optimal field.
+    `flow_field` standing in for the optimal field.  The loss itself comes
+    from the same field evaluation and is returned as `value`.
     """
     x0 = np.atleast_2d(batch.x0)
     eps = np.atleast_2d(batch.eps)
@@ -189,26 +192,24 @@ def outer_gradient(ms: MatrixSchedule, flow_field, batch: LossSample,
     label = class_label if class_label is not None else batch.class_label
 
     n = x0.shape[0]
+    sample = LossSample(x0=x0, eps=eps, t=t, class_label=label)
     g, _ = eval_M(ms, t, label)  # (n, J)
     jac = eval_M_dtheta(ms, t, label)  # (n, J, P)
-    x_t = perturbed_point(ms, LossSample(x0=x0, eps=eps, t=t, class_label=label))
+    x_t = perturbed_point(ms, sample)
     jet = flow_field.at(x_t, t)
     flow = jet.value()
-    resid_raw = flow + eps
-    w = weight_values(ms, t, label)  # (n, J)
-    cot = 2.0 * apply_spectral(ms.family, w * w, resid_raw)
+    value = loss_from_flow(ms, sample, flow)
+    w, cot = value.weights, value.cotangent  # (n, J), (n, d)
 
     # explicit, weight part: 2 sum_j w_j dw_j ||P_j (flow+eps)||^2
     dw = weight_theta_derivative(ms, t, label)  # (n, J, P)
-    energies = np.stack(
-        [np.sum(m.coeffs(resid_raw) ** 2, axis=1) for m in ms.family.members], axis=1
-    )  # (n, J)
+    energies = ms.family.block_energies(flow + eps)  # (n, J)
     explicit_w = 2.0 * np.einsum("nj,njp,nj->np", w, dw, energies)
 
     # explicit, x_t part: cot . directional(x_t, d(M^{1/2})/dtheta eps)
     dsqrt = jac / (2.0 * np.sqrt(g)[..., None])  # (n, J, P)
     explicit_x = np.zeros((n, jac.shape[2]))
-    for j, member in enumerate(ms.family.members):
+    for j in range(ms.family.n_subspaces):
         unit = np.zeros(ms.family.n_subspaces)
         unit[j] = 1.0
         v_j = apply_spectral(ms.family, np.broadcast_to(unit, (n, ms.family.n_subspaces)), eps)
@@ -224,7 +225,8 @@ def outer_gradient(ms: MatrixSchedule, flow_field, batch: LossSample,
     explicit = (explicit_w + explicit_x).mean(axis=0)
     implicit_mean = implicit.mean(axis=0)
     return OuterGradient(
-        explicit=explicit, implicit=implicit_mean, total=explicit + implicit_mean
+        explicit=explicit, implicit=implicit_mean, total=explicit + implicit_mean,
+        value=value,
     )
 
 

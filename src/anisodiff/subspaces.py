@@ -56,10 +56,6 @@ class Projector:
         x = np.asarray(x, dtype=float)
         return (x @ self.basis) @ self.basis.T
 
-    def coeffs(self, x: Array) -> Array:
-        """Subspace coordinates Q^T x, shape (..., k)."""
-        return np.asarray(x, dtype=float) @ self.basis
-
 
 @dataclass(frozen=True)
 class ProjectorFamily:
@@ -120,28 +116,20 @@ class ProjectorFamily:
         """Block index of each coordinate that :meth:`forward` returns."""
         return self.labels
 
-    def split(self, x: Array) -> "SpectralVector":
-        return SpectralVector(tuple(m.coeffs(x) for m in self.members))
+    def block_energies(self, x: Array) -> Array:
+        """Squared block norms ||P_j x||^2, shape (..., J)."""
+        coords = self.forward(x)
+        sq = coords * coords
+        labels = self.coord_labels
+        return np.stack(
+            [np.sum(sq[..., labels == j], axis=-1) for j in range(self.n_subspaces)], axis=-1
+        )
 
     def dense(self, values) -> Array:
         """Dense matrix sum_j values[..., j] P_j, shape (..., d, d).  Small-d oracle use only."""
         values = np.asarray(values, dtype=float)
         q = self.basis
         return (q * values[..., None, self.labels]) @ q.T
-
-
-@dataclass(frozen=True)
-class SpectralVector:
-    """Per-subspace coordinates Q_j^T x of a vector x."""
-
-    coeffs_per_subspace: tuple
-
-    def to_vector(self, family: ProjectorFamily) -> Array:
-        parts = [
-            c @ m.basis.T
-            for c, m in zip(self.coeffs_per_subspace, family.members)
-        ]
-        return sum(parts)
 
 
 def apply_spectral(family: ProjectorFamily, values, x: Array) -> Array:
@@ -237,8 +225,8 @@ class SeparableDCTFamily(ProjectorFamily):
     row-major side x side image X are C = D X D^T and X = D^T C D.
     Coordinate (p, q) belongs to the low block iff p < low_side and
     q < low_side.  The members keep the zigzag-ordered basis images of
-    :func:`build_dct_basis`; only `split`, `dense` and the members' own
-    methods use them.
+    :func:`build_dct_basis`; only `dense` and the members' own methods
+    use them.
     """
 
     side: int = field(kw_only=True)

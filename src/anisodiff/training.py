@@ -20,7 +20,7 @@ from scipy.spatial.distance import cdist, pdist
 from .fields import OracleFlowField
 from .flow_model import FlowModel
 from .gmm import GaussianMixture, sample_p0
-from .loss import LossSample, loss_sample, perturbed_point
+from .loss import LossSample, loss_from_flow, loss_sample, perturbed_point
 from .schedule import MatrixSchedule
 from .schedule_grad import (
     EstimatorConfig,
@@ -254,20 +254,20 @@ def train_bilevel(data, ms: MatrixSchedule, model: FlowModel | None, cfg: TrainC
         batch = _draw_batch(source, ms, cfg.batch_size, rng)
         label = batch.class_label
 
-        subspace_energy = np.zeros(ms.family.n_subspaces)
+        grad_theta = None
         if cfg.train_model:
+            subspace_energy = np.zeros(ms.family.n_subspaces)
             grad = np.zeros_like(params)
             losses = np.empty(cfg.batch_size)
             live = model.with_params(params)
             for i in range(cfg.micro_batches):
                 sl = slice(i * micro, (i + 1) * micro)
                 sub = LossSample(batch.x0[sl], batch.eps[sl], batch.t[sl], label)
-                x_t = perturbed_point(ms, sub)
-                value = loss_sample(ms, live, sub)
+                jet = live.at(perturbed_point(ms, sub), sub.t)
+                value = loss_from_flow(ms, sub, jet.value())
                 losses[sl] = value.loss
-                for j, member in enumerate(ms.family.members):
-                    subspace_energy[j] += np.sum(member.coeffs(value.residual) ** 2)
-                grad += live.param_grad(x_t, sub.t, value.cotangent)
+                subspace_energy += ms.family.block_energies(value.residual).sum(axis=0)
+                grad += jet.param_grad(value.cotangent)
             grad /= cfg.batch_size
             subspace_energy /= cfg.batch_size
             params, model_state = adam_step(
@@ -283,17 +283,21 @@ def train_bilevel(data, ms: MatrixSchedule, model: FlowModel | None, cfg: TrainC
             loss_mean = float(losses.mean())
             loss_se = float(losses.std() / np.sqrt(losses.size))
         else:
-            value = loss_sample(ms, field_for(ms, label), batch)
-            for j, member in enumerate(ms.family.members):
-                subspace_energy[j] = np.mean(np.sum(member.coeffs(value.residual) ** 2, axis=1))
+            field = field_for(ms, label)
+            if cfg.train_schedule:  # the step's loss is the one the outer gradient differentiates
+                grad_theta = outer_gradient(ms, field, batch, estimator_cfg, label)
+                value = grad_theta.value
+            else:
+                value = loss_sample(ms, field, batch)
+            subspace_energy = ms.family.block_energies(value.residual).mean(axis=0)
             loss_mean = float(value.loss.mean())
             loss_se = float(value.loss.std() / np.sqrt(value.loss.size))
 
         guard.observe(loss_mean)
 
-        schedule_turn = (step % cfg.model_steps_per_schedule_step == 0) or not cfg.train_model
-        if cfg.train_schedule and schedule_turn:
+        if cfg.train_model and cfg.train_schedule and step % cfg.model_steps_per_schedule_step == 0:
             grad_theta = outer_gradient(ms, field_for(ms, label), batch, estimator_cfg, label)
+        if grad_theta is not None:
             key = label
             if key not in theta_states:
                 theta_states[key] = AdamState.zeros(grad_theta.total.size)

@@ -5,7 +5,6 @@ from anisodiff.schedule import (
     KnotSchedule,
     MatrixSchedule,
     apply_M,
-    eval_g,
     eval_M,
     eval_M_dt_dtheta,
     eval_M_dtheta,

@@ -12,7 +12,7 @@ from anisodiff.gmm import (
     score_mixed_directional,
     single_gaussian,
 )
-from anisodiff.loss import draw_loss_samples
+from anisodiff.loss import draw_loss_samples, loss_sample, perturbed_point
 from anisodiff.schedule import (
     KnotSchedule,
     MatrixSchedule,
@@ -243,11 +243,7 @@ def test_outer_gradient_implicit_matches_direct_contraction():
     batch = draw_loss_samples(gm, ms, 32, rng)
     grad = outer_gradient(ms, field, batch)
     # direct per-parameter evaluation of the implicit term
-    from anisodiff.loss import loss_sample
-
     value = loss_sample(ms, field, batch)
-    from anisodiff.loss import perturbed_point
-
     x_t = perturbed_point(ms, batch)
     implicit = np.zeros(ms.n_params)
     for p in range(ms.n_params):
@@ -263,7 +259,6 @@ def test_outer_gradient_implicit_matches_analytic_oracle():
     field = OracleFlowField(gm, ms)
     batch = draw_loss_samples(gm, ms, 16, rng)
     grad = outer_gradient(ms, field, batch)
-    from anisodiff.loss import loss_sample, perturbed_point
 
     value = loss_sample(ms, field, batch)
     x_t = perturbed_point(ms, batch)
@@ -296,8 +291,6 @@ def test_estimate_H_is_batch_mean_loss():
     ms = random_ms(rng)
     field = OracleFlowField(gm, ms)
     batch = draw_loss_samples(gm, ms, 20, rng)
-    from anisodiff.loss import loss_sample
-
     assert estimate_H(ms, field, batch) == pytest.approx(
         float(np.mean(loss_sample(ms, field, batch).loss))
     )
@@ -338,6 +331,22 @@ def test_outer_gradient_runs_one_model_primal_pass(monkeypatch):
     passes = _count_calls(monkeypatch, FlowModel, "_inputs")
     outer_gradient(ms, model, batch, EstimatorConfig("exact-sum"))
     assert len(passes) == 1
+
+
+@pytest.mark.parametrize("kind", ["oracle", "model"])
+def test_outer_gradient_value_is_the_batch_loss(kind):
+    rng = np.random.default_rng(16)
+    gm = two_component_gmm()
+    ms = random_ms(rng, n_knots=4)
+    batch = draw_loss_samples(gm, ms, 16, rng)
+    if kind == "oracle":
+        field = OracleFlowField(gm, ms)
+    else:
+        field = FlowModel.create(2, ms.horizon, widths=(8, 8), seed=3, zero_head=False)
+    got = outer_gradient(ms, field, batch, EstimatorConfig("exact-sum")).value
+    want = loss_sample(ms, field, batch)
+    for key in ("loss", "residual", "cotangent", "weights"):
+        assert np.array_equal(getattr(got, key), getattr(want, key)), key
 
 
 @pytest.mark.parametrize("per_sample_t", [False, True])

@@ -232,6 +232,9 @@ def test_apply_spectral_matches_member_reference(name):
     for values in (shared, per_row):
         want = _member_reference(fam, values[..., None, :], np.eye(d))
         np.testing.assert_allclose(fam.dense(values), want, rtol=0, atol=1e-12)
+    for x in (xs[0], xs):
+        want = np.stack([np.sum((x @ m.basis) ** 2, axis=-1) for m in fam.members], axis=-1)
+        np.testing.assert_allclose(fam.block_energies(x), want, rtol=1e-12, atol=0)
 
 
 def test_apply_spectral_length_mismatch():
@@ -260,7 +263,7 @@ def test_spectral_vector_roundtrip():
     rng = np.random.default_rng(11)
     fam = random_family(rng, 6, (2, 2, 2))
     x = rng.standard_normal(6)
-    np.testing.assert_allclose(fam.split(x).to_vector(fam), x, atol=1e-10)
+    np.testing.assert_allclose(fam.inverse(fam.forward(x)), x, atol=1e-10)
 
 
 def test_family_rejects_bad_blocks():

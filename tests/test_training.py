@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
 
+from anisodiff import gmm as gmm_mod
+from anisodiff import loss as loss_mod
+from anisodiff import schedule_grad as schedule_grad_mod
+from anisodiff import training as training_mod
 from anisodiff.fields import OracleFlowField
 from anisodiff.flow_model import FlowModel
 from anisodiff.gmm import sample_p0, single_gaussian
@@ -237,6 +241,49 @@ def test_dataset_source_model_training_runs():
     assert np.all(np.isfinite(result.model.params))
     with pytest.raises(ValueError):
         train_bilevel(data, ms, None, TrainConfig(train_model=False))
+
+
+def _count_calls(monkeypatch, holder, name):
+    calls = []
+    original = getattr(holder, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(holder, name, counted)
+    return calls
+
+
+def test_oracle_mode_factors_the_noisy_mixture_once_per_step(monkeypatch):
+    gm = anisotropic_gaussian()
+    ms = matrix_schedule_for_family(axis_family(2, 1), horizon=10.0, n_knots=4)
+    cfg = TrainConfig(
+        batch_size=32, total_images=32 * 4, warmup_images=32,
+        lr_model=0.1, train_model=False, seed=0,
+    )
+    built = _count_calls(monkeypatch, gmm_mod._NoisyMixture, "__init__")
+    train_bilevel(gm, ms, None, cfg)
+    assert len(built) == 4
+
+
+def test_model_mode_evaluates_each_micro_batch_once(monkeypatch):
+    gm = anisotropic_gaussian()
+    ms = matrix_schedule_for_family(axis_family(2, 1), horizon=10.0, n_knots=4)
+    model = FlowModel.create(2, horizon=10.0, widths=(8, 8), seed=2)
+    steps, micro_batches, per_schedule_step = 4, 2, 2
+    cfg = TrainConfig(
+        batch_size=32, micro_batches=micro_batches, total_images=32 * steps,
+        warmup_images=32, model_steps_per_schedule_step=per_schedule_step,
+        train_model=True, train_schedule=True, seed=1,
+    )
+    passes = _count_calls(monkeypatch, FlowModel, "_inputs")
+    perturbs = [_count_calls(monkeypatch, module, "perturbed_point")
+                for module in (loss_mod, schedule_grad_mod, training_mod)]
+    train_bilevel(gm, ms, model, cfg)
+    expected = steps * micro_batches + steps // per_schedule_step
+    assert len(passes) == expected
+    assert sum(len(calls) for calls in perturbs) == expected
 
 
 # ---------------------------------------------------------------------------
