@@ -27,7 +27,9 @@ class SpectralJet:
     """Jet of a field left-multiplied by a spectral matrix that is constant in x.
 
     The matrix commutes with x-derivatives, so every jet quantity is the
-    matrix (per-subspace scalars `values`) applied to the inner one.
+    matrix (per-subspace scalars `values`) applied to the inner one; a
+    stacked `mixed` result (..., n, d) is scaled row by row like an
+    unstacked one.
     """
 
     def __init__(self, inner, family, values):
@@ -59,7 +61,7 @@ class OracleFlowField:
 
     def at(self, x, t):
         g, _ = eval_M(self.ms, t, self.class_label)
-        noisy = gmm_mod._NoisyMixture(self.gm, x, self.ms, t, self.class_label)
+        noisy = gmm_mod._NoisyMixture(self.gm, x, self.ms, t, self.class_label, g=g)
         return SpectralJet(noisy, self.ms.family, np.sqrt(g))
 
     def __call__(self, x, t):

@@ -17,6 +17,11 @@ Array = np.ndarray
 
 DEFAULT_WIDTHS = (64, 64)
 N_TIME_FEATURES = 2
+# Rows per hyper-dual pass of a stacked `mixed` call.  A (16, 256) stack at
+# widths (64, 64), one BLAS thread, takes 8.6 ms in 512-row passes, 13 ms in
+# 1024-row passes and 23 ms as one 4096-row pass, whose temporaries also
+# add 11 MB to peak memory (1.2 MB at 512 rows).
+MIXED_PASS_ROWS = 512
 
 
 def layer_sizes(dim: int, widths) -> list:
@@ -130,7 +135,7 @@ class FlowModelJet:
             self.acts.append(a)
 
     def _shape(self, out: Array) -> Array:
-        return out[0] if self.scalar else out
+        return out[..., 0, :] if self.scalar else out
 
     def value(self) -> Array:
         w, b = self.layers[-1]
@@ -158,9 +163,15 @@ class FlowModelJet:
         return [-2.0 * a * s1 for a, s1 in zip(self.acts[1:], self._slopes)]
 
     def _pad_tangent(self, v: Array) -> Array:
+        """Tangent (..., n, dim) with zero time-feature tangents appended.
+
+        `v` is (dim,), (n, dim) or a stack (..., n, dim) of tangents at the
+        batch's points.
+        """
         n = self.acts[0].shape[0]
-        v = np.broadcast_to(np.atleast_2d(np.asarray(v, dtype=float)), (n, self.dim))
-        return np.concatenate([v, np.zeros((n, N_TIME_FEATURES))], axis=1)
+        v = np.atleast_2d(np.asarray(v, dtype=float))
+        v = np.broadcast_to(v, v.shape[:-2] + (n, self.dim))
+        return np.concatenate([v, np.zeros(v.shape[:-1] + (N_TIME_FEATURES,))], axis=-1)
 
     def directional(self, v: Array) -> Array:
         """d/ds flow(x + s v, t) at s=0."""
@@ -170,12 +181,30 @@ class FlowModelJet:
         return self._shape(da @ self.layers[-1][0].T)
 
     def mixed(self, u: Array, v: Array) -> Array:
-        """d^2/(dr ds) flow(x + r u + s v, t) at r=s=0."""
-        du, dv = self._pad_tangent(u), self._pad_tangent(v)
+        """d^2/(dr ds) flow(x + r u + s v, t) at r=s=0.
+
+        `u` and `v` may be stacks (..., n, dim) of tangent pairs.  The stack
+        runs as hyper-dual passes of up to MIXED_PASS_ROWS rows each (at
+        least one tangent pair), so each matmul takes many pairs at once
+        while its temporaries stay cache-sized.
+        """
+        n = self.acts[0].shape[0]
+        du = self._pad_tangent(u)
+        dv = du if v is u else self._pad_tangent(v)
+        stack = du.shape[:-2]
+        du = du.reshape((-1,) + du.shape[-2:])
+        dv = dv.reshape((-1,) + dv.shape[-2:])
+        step = max(1, MIXED_PASS_ROWS // n)
+        out = np.concatenate([self._mixed_pass(du[i : i + step], dv[i : i + step], v is u)
+                              for i in range(0, du.shape[0], step)])
+        return self._shape(out.reshape(stack + (n, self.dim)))
+
+    def _mixed_pass(self, du: Array, dv: Array, same: bool) -> Array:
         duv = np.zeros_like(du)
         for (w, _), s1, s2 in zip(self.layers[:-1], self._slopes, self._curvatures):
-            zu, zv, zuv = du @ w.T, dv @ w.T, duv @ w.T
+            zu, zuv = du @ w.T, duv @ w.T
+            zv = zu if same else dv @ w.T
             du = s1 * zu
-            dv = s1 * zv
+            dv = du if same else s1 * zv
             duv = s2 * zu * zv + s1 * zuv
-        return self._shape(duv @ self.layers[-1][0].T)
+        return duv @ self.layers[-1][0].T

@@ -22,6 +22,9 @@ from .subspaces import apply_spectral
 Array = np.ndarray
 
 PROB_FLOOR = 1e-300
+# Smallest covariance eigenvalue accepted, relative to the largest magnitude
+# (at least 1): eigvalsh's own rounding error is of order 1e-16 of it.
+PSD_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -45,6 +48,9 @@ class GaussianMixture:
             raise ValueError("weights must be nonnegative and sum to 1")
         if np.max(np.abs(cov - np.transpose(cov, (0, 2, 1)))) > 1e-12:
             raise ValueError("covariances must be symmetric")
+        evals = np.linalg.eigvalsh(cov)  # (K, d), ascending
+        if np.any(evals[:, 0] < -PSD_TOL * max(1.0, np.max(np.abs(evals)))):
+            raise ValueError("covariances must be positive semidefinite")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "means", mu)
         object.__setattr__(self, "covs", cov)
@@ -89,9 +95,21 @@ def perturb(x0: Array, eps: Array, ms: MatrixSchedule, t, class_label=None) -> A
 # noisy-mixture internals
 # ---------------------------------------------------------------------------
 
-def _dense_M(ms: MatrixSchedule, t, class_label=None) -> Array:
-    """Dense M_t, shape (d, d) for scalar t or (n, d, d) for per-sample t."""
-    return ms.family.dense(eval_M(ms, t, class_label)[0])
+def _factor(cov: Array):
+    """Log-determinants and inverses of a stack of noisy covariances.
+
+    The batched Cholesky factor gives log det = 2 sum log diag L and
+    rejects a matrix that is not positive definite; the inverse is still
+    formed because the Hessian needs C_k^{-1}.
+    """
+    try:
+        chol = np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        raise np.linalg.LinAlgError(
+            "noisy covariance Sigma_k + M_t is not positive definite"
+        ) from None
+    logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
+    return logdet, np.linalg.inv(cov)
 
 
 class _NoisyMixture:
@@ -99,40 +117,40 @@ class _NoisyMixture:
 
     Also the score field's local jet at (x, t): `value`, `directional` and
     `mixed` share one factorization, and the Hessian is formed at most once.
+    `g`, the per-subspace values of M_t, saves an `eval_M` call when the
+    caller already has them.
     """
 
-    def __init__(self, gm: GaussianMixture, x: Array, ms: MatrixSchedule, t, class_label=None):
+    def __init__(self, gm: GaussianMixture, x: Array, ms: MatrixSchedule, t, class_label=None,
+                 g=None):
         x = np.asarray(x, dtype=float)
         self.scalar_input = x.ndim == 1
         x = np.atleast_2d(x)
         n, d = x.shape
         if d != gm.dim:
             raise ValueError(f"points have dimension {d}, mixture has {gm.dim}")
-        m_dense = _dense_M(ms, t, class_label)
+        if g is None:
+            g, _ = eval_M(ms, t, class_label)
+        m_dense = ms.family.dense(g)
         if m_dense.ndim == 2:
-            # shared M_t: factor the K component covariances once
-            small = gm.covs + m_dense[None, :, :]
-            sign, logdet_small = np.linalg.slogdet(small)
-            if np.any(sign <= 0):
-                raise np.linalg.LinAlgError("singular noisy covariance Sigma_k + M_t")
-            inv_small = np.linalg.inv(small)
-            cov = np.broadcast_to(small[None], (n, gm.n_components, d, d))
+            # shared M_t: factor the K component covariances once, and solve
+            # for all points of a component with one (n, d) @ (d, d) product
+            logdet_small, inv_small = _factor(gm.covs + m_dense[None, :, :])
             cov_inv = np.broadcast_to(inv_small[None], (n, gm.n_components, d, d))
             logdet = np.broadcast_to(logdet_small[None], (n, gm.n_components))
+            diff = x[None, :, :] - gm.means[:, None, :]  # (K, n, d)
+            y = diff @ np.swapaxes(inv_small, 1, 2)
+            diff, y = diff.transpose(1, 0, 2), y.transpose(1, 0, 2)
         else:
             if m_dense.shape[0] != n:
                 raise ValueError("per-sample t must match the batch size")
-            cov = gm.covs[None, :, :, :] + m_dense[:, None, :, :]
-            sign, logdet = np.linalg.slogdet(cov)
-            if np.any(sign <= 0):
-                raise np.linalg.LinAlgError("singular noisy covariance Sigma_k + M_t")
-            cov_inv = np.linalg.inv(cov)
+            logdet, cov_inv = _factor(gm.covs[None, :, :, :] + m_dense[:, None, :, :])
+            diff = x[:, None, :] - gm.means[None, :, :]  # (n, K, d)
+            y = np.einsum("nkij,nkj->nki", cov_inv, diff)
         self.x = x
         self.gm = gm
-        self.cov = cov
         self.cov_inv = cov_inv
-        diff = x[:, None, :] - gm.means[None, :, :]  # (n, K, d)
-        self.y = np.einsum("nkij,nkj->nki", self.cov_inv, diff)  # C^{-1}(x - mu)
+        self.y = y  # C^{-1}(x - mu), (n, K, d)
         maha = np.einsum("nki,nki->nk", diff, self.y)
         log_w = np.log(np.maximum(gm.weights, PROB_FLOOR))
         self.log_comp = log_w[None, :] - 0.5 * (d * np.log(2 * np.pi) + logdet + maha)
@@ -174,25 +192,30 @@ class _NoisyMixture:
         return self._shape(np.einsum("nij,nj->ni", self._hessian_batch, v))
 
     def mixed(self, u: Array, v: Array) -> Array:
-        """d^2/dr ds score(x + r u + s v) at r=s=0 (third log-density derivative)."""
+        """d^2/dr ds score(x + r u + s v) at r=s=0 (third log-density derivative).
+
+        `u` and `v` are (n, d) or stacks (..., n, d) of tangent pairs at the
+        same points; a stack gives the stacked results in one pass.
+        """
+        same = v is u
         u = np.atleast_2d(np.asarray(u, dtype=float))
-        v = np.atleast_2d(np.asarray(v, dtype=float))
+        v = u if same else np.atleast_2d(np.asarray(v, dtype=float))
         r, s, hk = self.resp, self.comp_score, -self.cov_inv
         s_bar = np.einsum("nk,nki->ni", r, s)
         a = s - s_bar[:, None, :]  # s_k - score
         hess = self._hessian_batch
-        au = np.einsum("nki,ni->nk", a, u)
-        av = np.einsum("nki,ni->nk", a, v)
-        hk_u = np.einsum("nkij,nj->nki", hk, u)
-        hk_v = np.einsum("nkij,nj->nki", hk, v)
-        hess_u = np.einsum("nij,nj->ni", hess, u)
+        au = np.einsum("nki,...ni->...nk", a, u)
+        hk_u = np.einsum("nkij,...nj->...nki", hk, u)
+        av = au if same else np.einsum("nki,...ni->...nk", a, v)
+        hk_v = hk_u if same else np.einsum("nkij,...nj->...nki", hk, v)
+        hess_u = np.einsum("nij,...nj->...ni", hess, u)
         # <H_k u - Hess u, v> per component
-        cross = np.einsum("nki,ni->nk", hk_u, v) - np.einsum("ni,ni->n", hess_u, v)[:, None]
-        out = np.einsum("nk,nk,nk,nki->ni", r, au, av, s)
-        out += np.einsum("nk,nk,nki->ni", r, cross, s)
-        out += np.einsum("nk,nk,nki->ni", r, av, hk_u)
-        out += np.einsum("nk,nk,nki->ni", r, au, hk_v)
-        return self._shape(out)
+        cross = (np.einsum("...nki,...ni->...nk", hk_u, v)
+                 - np.einsum("...ni,...ni->...n", hess_u, v)[..., None])
+        out = np.einsum("...nk,nki->...ni", r * (au * av + cross), s)
+        out += np.einsum("...nk,...nki->...ni", r * av, hk_u)
+        out += np.einsum("...nk,...nki->...ni", r * au, hk_v)
+        return out[..., 0, :] if self.scalar_input else out
 
     def posterior_mean(self) -> Array:
         """E[x_0 | x_t = x] by joint-Gaussian conditioning per component."""

@@ -8,6 +8,7 @@ no projection step is ever needed during training.
 """
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -61,7 +62,9 @@ class KnotSchedule:
     horizon: float = 1.0
 
     def __post_init__(self):
-        theta = np.atleast_1d(np.asarray(self.theta, dtype=float))
+        # a read-only copy, so the cached log-nodes cannot go stale
+        theta = np.array(self.theta, dtype=float, ndmin=1)
+        theta.flags.writeable = False
         nodes = np.asarray(self.nodes, dtype=float)
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "nodes", nodes)
@@ -85,8 +88,9 @@ class KnotSchedule:
     def with_theta(self, theta: Array) -> "KnotSchedule":
         return replace(self, theta=np.asarray(theta, dtype=float))
 
-    # -- log-node machinery -------------------------------------------------
+    # -- log-node machinery (cached per instance; theta is read-only) -------
 
+    @cached_property
     def _log_nodes(self):
         """Node log-values ell_j and the increment scale alpha."""
         s = softplus(self.theta)
@@ -95,6 +99,7 @@ class KnotSchedule:
         ell = np.concatenate(([np.log(self.floor)], np.log(self.floor) + alpha * np.cumsum(s)))
         return ell, alpha, s
 
+    @cached_property
     def _log_node_grads(self):
         """d ell_j / d theta_m, shape (K, K-1); endpoints have zero rows."""
         s = softplus(self.theta)
@@ -127,7 +132,7 @@ class KnotSchedule:
         t_arr = np.asarray(t, dtype=float)
         scalar = t_arr.ndim == 0
         t_arr = np.atleast_1d(t_arr)
-        ell, _, _ = self._log_nodes()
+        ell, _, _ = self._log_nodes
         j = self._locate(t_arr)
         left, right = self.nodes[j - 1], self.nodes[j]
         width = right - left
@@ -146,8 +151,8 @@ class KnotSchedule:
         """Gradient of g(t) w.r.t. theta; shape (..., n_params)."""
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
         scalar = np.asarray(t, dtype=float).ndim == 0
-        ell, _, _ = self._log_nodes()
-        grads = self._log_node_grads()
+        ell, _, _ = self._log_nodes
+        grads = self._log_node_grads
         j = self._locate(t_arr)
         left, right = self.nodes[j - 1], self.nodes[j]
         p = ((t_arr - left) / (right - left))[:, None]
@@ -160,8 +165,8 @@ class KnotSchedule:
         """Gradient of dg/dt w.r.t. theta; shape (..., n_params)."""
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
         scalar = np.asarray(t, dtype=float).ndim == 0
-        ell, _, _ = self._log_nodes()
-        grads = self._log_node_grads()
+        ell, _, _ = self._log_nodes
+        grads = self._log_node_grads
         j = self._locate(t_arr)
         left, right = self.nodes[j - 1], self.nodes[j]
         width = right - left

@@ -10,10 +10,15 @@ derivatives of the field only:
                        + d_s score(x + s D score(x)),          D = d_theta M_t,
 
 with a flow-form variant carrying an extra 1/2 M^{-1} D flow term.  The
-exact sum over i can be replaced by Rademacher probes (unbiased since
-E[z z^T] = I).  Every term is linear in D, so for spectral schedules the
-estimator is evaluated once per subspace and contracted against the
-knot-parameter Jacobian.
+sum over i is a trace, so any orthonormal basis gives it.  In the
+family's own basis q_i, P_j q_i is q_i inside block j and 0 outside it,
+so D q_i = delta_j q_i and the sum is sum_j delta_j T_j with the block
+traces T_j = sum_{i in block j} d_r d_s score(x + r q_i + s q_i).  All d
+tangents q_i go through the field's jet as one stacked `mixed` call, and
+the same J traces serve every D.  The exact sum can be replaced by
+Rademacher probes (unbiased since E[z z^T] = I).  Every term is linear
+in D, so for spectral schedules the estimator is evaluated once per
+subspace and contracted against the knot-parameter Jacobian.
 """
 
 from dataclasses import dataclass
@@ -60,26 +65,42 @@ def _as_batch(x) -> tuple:
     return (np.atleast_2d(x), x.ndim == 1)
 
 
-def _sum_mixed(jet, x: Array, apply_direction, cfg: EstimatorConfig) -> Array:
-    """sum_i d_r d_s field(x + r e_i + s D e_i), with D given as a map v -> D v.
+def _block_traces(jet, family, n: int) -> Array:
+    """T_j = sum_{i in block j} d_r d_s field(x + r q_i + s q_i), shape (J, n, d).
 
-    `jet` is the field's jet at the batch (x, t).  In stochastic mode the
-    basis sum is replaced by an average of d_r d_s field(x + r z + s D z)
-    over Rademacher probes z.
+    The q_i are the columns of the family's orthonormal basis.  P_j q_i is
+    q_i inside block j and 0 outside it, so for any D = sum_j delta_j P_j
+    the exact sum, a trace that any orthonormal basis gives, is
+    sum_j delta_j T_j.  All d tangents go through the jet as one stack.
     """
-    n, d = x.shape
-    total = np.zeros_like(x)
+    q = family.basis
+    d = q.shape[0]
+    tangents = np.broadcast_to(q.T[:, None, :], (d, n, d))  # tangents[i] = q_i
+    # the same stack in both slots lets a jet do the tangent work once
+    per_column = jet.mixed(tangents, tangents)  # (d, n, d)
+    return np.stack([per_column[family.labels == j].sum(axis=0)
+                     for j in range(family.n_subspaces)])
+
+
+def _mixed_sums(jet, family, deltas: Array, cfg: EstimatorConfig) -> Array:
+    """sum_i d_r d_s field(x + r e_i + s D_k e_i) for each D_k, shape (k, n, d).
+
+    `jet` is the field's jet at the batch (x, t); `deltas` (k, n, J) holds
+    the per-point block scalars of each D_k = sum_j deltas[k, :, j] P_j.
+    Exact mode contracts the block traces; stochastic mode replaces the
+    basis sum by an average of d_r d_s field(x + r z + s D_k z) over
+    Rademacher probes z, the same probes for every k.
+    """
+    n = deltas.shape[1]
     if cfg.mode == "exact-sum":
-        for i in range(d):
-            e = np.zeros(d)
-            e[i] = 1.0
-            ei = np.broadcast_to(e, (n, d))
-            total += jet.mixed(ei, apply_direction(ei))
-        return total
+        return np.einsum("knj,jnd->knd", deltas, _block_traces(jet, family, n))
+    d = family.ambient_dim
     rng = np.random.default_rng(cfg.seed)
+    total = np.zeros(deltas.shape[:2] + (d,))
     for _ in range(cfg.probes):
         z = rng.integers(0, 2, size=(n, d)) * 2.0 - 1.0
-        total += jet.mixed(z, apply_direction(z))
+        for k, delta in enumerate(deltas):
+            total[k] += jet.mixed(z, apply_spectral(family, delta, z))
     return total / cfg.probes
 
 
@@ -99,12 +120,9 @@ def estimate_dtheta_score(field, ms: MatrixSchedule, x, t, theta_index: int,
     else:
         delta = jac[:, :, theta_index]
 
-    def apply_d(v):
-        return apply_spectral(ms.family, delta, v)
-
     jet = field.at(x, t)
-    term1 = 0.5 * _sum_mixed(jet, x, apply_d, cfg)
-    term2 = jet.directional(apply_d(jet.value()))
+    term1 = 0.5 * _mixed_sums(jet, ms.family, delta[None], cfg)[0]
+    term2 = jet.directional(apply_spectral(ms.family, delta, jet.value()))
     out = term1 + term2
     return out[0] if scalar else out
 
@@ -123,11 +141,8 @@ def estimate_dtheta_flow(flow_field, ms: MatrixSchedule, x, t, theta_index: int,
     else:
         delta = jac[:, :, theta_index]
 
-    def apply_d(v):
-        return apply_spectral(ms.family, delta, v)
-
     jet = flow_field.at(x, t)
-    term1 = 0.5 * _sum_mixed(jet, x, apply_d, cfg)
+    term1 = 0.5 * _mixed_sums(jet, ms.family, delta[None], cfg)[0]
     flow = jet.value()
     term2 = jet.directional(apply_spectral(ms.family, delta / np.sqrt(g), flow))
     term3 = 0.5 * apply_spectral(ms.family, delta / g, flow)
@@ -157,19 +172,13 @@ def _per_subspace_flow_grads(jet, ms, x, flow, g, cfg):
     """
     n = x.shape[0]
     nsub = ms.family.n_subspaces
+    units = np.broadcast_to(np.eye(nsub)[:, None, :], (nsub, n, nsub))
+    term1 = 0.5 * _mixed_sums(jet, ms.family, units, cfg)
     grads = []
-    for j in range(nsub):
-        unit = np.zeros(nsub)
-        unit[j] = 1.0
-        unit_rows = np.broadcast_to(unit, (n, nsub))
-
-        def apply_pj(v, _rows=unit_rows):
-            return apply_spectral(ms.family, _rows, v)
-
-        term1 = 0.5 * _sum_mixed(jet, x, apply_pj, cfg)
+    for j, unit_rows in enumerate(units):
         term2 = jet.directional(apply_spectral(ms.family, unit_rows / np.sqrt(g), flow))
         term3 = 0.5 * apply_spectral(ms.family, unit_rows / g, flow)
-        grads.append(term1 + term2 + term3)
+        grads.append(term1[j] + term2 + term3)
     return grads
 
 

@@ -140,7 +140,8 @@ def apply_spectral(family: ProjectorFamily, values, x: Array) -> Array:
     family : ProjectorFamily
     values : array_like
         Per-subspace scalars, shape (J,) for a shared matrix or (..., J)
-        with one row of scalars per row of x.
+        with one row of scalars per row of x.  x may carry extra leading
+        stack dimensions, which share those rows.
     x : array_like
         Vector (d,) or batch (..., d).
     """
@@ -150,7 +151,8 @@ def apply_spectral(family: ProjectorFamily, values, x: Array) -> Array:
         raise ValueError(
             f"expected {family.n_subspaces} spectral values, got {values.shape[-1]}"
         )
-    if values.ndim > 1 and values.shape[:-1] != x.shape[:-1]:
+    batch = values.shape[:-1]
+    if batch and x.shape[:-1][-len(batch):] != batch:
         raise ValueError("batched values must match the batch shape of x")
     return family.inverse(family.forward(x) * values[..., family.coord_labels])
 

@@ -124,6 +124,17 @@ def test_gmm_rejects_unknown_format_version(tmp_path, gmm_file):
                  "--out", str(tmp_path / "x.csv")]) == 2
 
 
+def test_gmm_rejects_indefinite_covariance(tmp_path, gmm_file, capsys):
+    payload = json.loads(gmm_file.read_text())
+    payload["covariances"][1] = [[-1.0, 0.0], [0.0, -1.0]]
+    path = tmp_path / "indefinite.json"
+    path.write_text(json.dumps(payload))
+    assert main(["gen-data", "--gmm", str(path), "--n", "5",
+                 "--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "positive semidefinite" in err and err.count("\n") == 1
+
+
 def test_model_roundtrip(tmp_path):
     model = FlowModel.create(2, horizon=3.0, widths=(8,), seed=4, zero_head=False)
     path = tmp_path / "m.json"

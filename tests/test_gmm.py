@@ -52,6 +52,26 @@ def test_mixture_validation():
         )
 
 
+def test_mixture_rejects_indefinite_covariance():
+    # two negative eigenvalues give a positive determinant
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        single_gaussian(np.zeros(3), np.diag([-1.0, -1.0, 1.0]))
+    # a singular covariance is still a distribution
+    single_gaussian(np.zeros(3), np.diag([0.0, 1.0, 1.0]))
+
+
+@pytest.mark.parametrize("t", [1.0, np.array([1.0, 2.0])])
+def test_noisy_mixture_rejects_non_positive_definite_covariance(t):
+    rng = np.random.default_rng(3)
+    ms = random_ms(rng)
+    gm = two_component_gmm()
+    # bypass the mixture's own check to reach the factorization
+    object.__setattr__(gm, "covs", np.stack([np.diag([-50.0, 1.0])] * 2))
+    with pytest.raises(np.linalg.LinAlgError, match="not positive definite") as info:
+        score(gm, np.zeros((2, 2)), ms, t)
+    assert "\n" not in str(info.value)
+
+
 def test_sample_p0_mean_clt():
     gm = single_gaussian(np.zeros(2), np.eye(2))
     pts = sample_p0(gm, 100_000, rng_seed=0)

@@ -136,6 +136,16 @@ def test_single_interval_schedule_is_fully_pinned():
     np.testing.assert_allclose(s.eval(ts)[0], s2.eval(ts)[0], rtol=1e-14)
 
 
+def test_theta_is_a_read_only_copy():
+    theta = np.array([0.3, -0.2, 0.5])
+    s = KnotSchedule(theta, uniform_nodes(2.0, 4), 1e-3, 2.0)
+    before = s.eval(np.array([0.5, 1.7]))[0]
+    theta[:] = 5.0  # the caller's array is not the schedule's
+    np.testing.assert_array_equal(s.eval(np.array([0.5, 1.7]))[0], before)
+    with pytest.raises(ValueError):
+        s.theta[0] = 1.0
+
+
 def test_batched_eval_matches_scalar():
     rng = np.random.default_rng(7)
     s = random_schedule(rng)

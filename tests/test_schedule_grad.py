@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from anisodiff import fields as fields_mod
+from anisodiff import flow_model
 from anisodiff import gmm as gmm_mod
 from anisodiff.fields import OracleFlowField, OracleScoreField, ScoreFromFlow
 from anisodiff.flow_model import FlowModel
@@ -31,7 +33,12 @@ from anisodiff.schedule_grad import (
     fd_outer_gradient,
     outer_gradient,
 )
-from anisodiff.subspaces import apply_spectral, axis_family
+from anisodiff.subspaces import (
+    apply_spectral,
+    axis_family,
+    build_dct_projectors,
+    build_pca_projectors,
+)
 
 
 def two_component_gmm():
@@ -372,3 +379,115 @@ def test_oracle_jets_match_the_oracle_functions(per_sample_t):
     for key, want in expected.items():
         assert np.array_equal(got_score[key], want), key
         assert np.array_equal(got_flow[key], apply_spectral(ms.family, np.sqrt(g), want)), key
+
+
+# ---------------------------------------------------------------------------
+# stacked tangents and the block-trace exact sum
+# ---------------------------------------------------------------------------
+
+def _dct16_setup(seed):
+    """Mixture, schedule and batch on the d=16 DCT family (J=2, non-axis basis)."""
+    rng = np.random.default_rng(seed)
+    fam = build_dct_projectors(4, low_side=2)
+    ms = matrix_schedule_for_family(fam, horizon=4.0, n_knots=4)
+    ms = ms.with_theta_vector(0.5 * rng.standard_normal(ms.n_params))
+    d, k = fam.ambient_dim, 3
+    rot = np.linalg.qr(rng.standard_normal((k, d, d)))[0]
+    covs = np.einsum("kij,kj,klj->kil", rot, rng.uniform(0.1, 1.0, (k, d)), rot)
+    gm = GaussianMixture(np.full(k, 1.0 / k), rng.standard_normal((k, d)), covs)
+    return rng, gm, ms
+
+
+@pytest.mark.parametrize("kind", ["score-shared-t", "flow-per-sample-t", "model"])
+@pytest.mark.parametrize("same", [False, True])
+def test_stacked_mixed_matches_a_loop(kind, same, monkeypatch):
+    rng = np.random.default_rng(17)
+    gm = two_component_gmm()
+    ms = random_ms(rng)
+    n, m = 7, 5
+    x = rng.standard_normal((n, 2))
+    t = rng.uniform(0.2, 3.0, size=n)
+    if kind == "score-shared-t":
+        jet = OracleScoreField(gm, ms).at(x, 1.3)
+    elif kind == "flow-per-sample-t":
+        jet = OracleFlowField(gm, ms).at(x, t)
+    else:
+        # passes of 2, 2 and 1 tangent pairs
+        monkeypatch.setattr(flow_model, "MIXED_PASS_ROWS", 2 * n)
+        jet = FlowModel.create(2, ms.horizon, widths=(8, 8), seed=3, zero_head=False).at(x, t)
+    u = rng.standard_normal((m, n, 2))
+    v = u if same else rng.standard_normal((m, n, 2))
+    stacked = jet.mixed(u, v)
+    assert stacked.shape == (m, n, 2)
+    for i in range(m):
+        np.testing.assert_allclose(stacked[i], jet.mixed(u[i], v[i]), rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("kind", ["oracle", "model"])
+def test_exact_sum_outer_gradient_makes_one_mixed_call(kind, monkeypatch):
+    rng, gm, ms = _dct16_setup(18)
+    batch = draw_loss_samples(gm, ms, 8, rng)
+    if kind == "oracle":
+        field, jet_cls = OracleFlowField(gm, ms), gmm_mod._NoisyMixture
+    else:
+        field = FlowModel.create(16, ms.horizon, widths=(8, 8), seed=3, zero_head=False)
+        jet_cls = flow_model.FlowModelJet
+    calls = _count_calls(monkeypatch, jet_cls, "mixed")
+    outer_gradient(ms, field, batch, EstimatorConfig("exact-sum"))
+    assert len(calls) == 1
+
+
+def _e_i_sum(jet, family, delta, d):
+    """The exact sum over the standard basis, sum_i d_r d_s f(x + r e_i + s D e_i)."""
+    total = 0.0
+    for e in np.eye(d):
+        ei = np.broadcast_to(e, delta.shape[:1] + (d,))
+        total = total + jet.mixed(ei, apply_spectral(family, delta, ei))
+    return total
+
+
+@pytest.mark.parametrize("family_kind", ["dct", "pca"])
+def test_block_trace_estimates_equal_the_standard_basis_sum(family_kind):
+    rng, gm, ms = _dct16_setup(19)
+    if family_kind == "pca":
+        fam = build_pca_projectors(rng.standard_normal((64, 16)) * np.linspace(0.5, 2, 16), 5)
+        ms = MatrixSchedule(fam, ms.per_subspace)
+    fam, n, d = ms.family, 6, 16
+    x = rng.standard_normal((n, d))
+    t = rng.uniform(0.3, 3.0, size=n)
+    g, _ = eval_M(ms, t)
+    jac = eval_M_dtheta(ms, t)
+    cfg = EstimatorConfig("exact-sum")
+    flow_field = OracleFlowField(gm, ms)
+    score_field = OracleScoreField(gm, ms)
+    for p in (0, ms.n_params - 1):
+        delta = jac[:, :, p]
+        jet = score_field.at(x, t)
+        want = 0.5 * _e_i_sum(jet, fam, delta, d)
+        want = want + jet.directional(apply_spectral(fam, delta, jet.value()))
+        got = estimate_dtheta_score(score_field, ms, x, t, p, cfg)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+        jet = flow_field.at(x, t)
+        flow = jet.value()
+        want = 0.5 * _e_i_sum(jet, fam, delta, d)
+        want = want + jet.directional(apply_spectral(fam, delta / np.sqrt(g), flow))
+        want = want + 0.5 * apply_spectral(fam, delta / g, flow)
+        got = estimate_dtheta_flow(flow_field, ms, x, t, p, cfg)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+def test_oracle_flow_jet_evaluates_the_schedule_once(monkeypatch):
+    rng = np.random.default_rng(20)
+    gm = two_component_gmm()
+    ms = random_ms(rng)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return eval_M(*args, **kwargs)
+
+    monkeypatch.setattr(fields_mod, "eval_M", counted)
+    monkeypatch.setattr(gmm_mod, "eval_M", counted)
+    OracleFlowField(gm, ms).at(rng.standard_normal((4, 2)), 1.3).value()
+    assert len(calls) == 1
