@@ -17,7 +17,7 @@ from . import __version__
 from .flow_model import FlowModel
 from .gmm import posterior_mean, sample_p0
 from .persistence import (
-    build_family,
+    family_from_json,
     fmt,
     load_gmm,
     load_model,
@@ -169,8 +169,13 @@ def load_run_config(path):
 
 def cmd_train(args) -> int:
     cfg = load_run_config(args.config)
-    family = build_family(cfg["family"])
+    try:
+        family = family_from_json(cfg["family"])
+    except KeyError as exc:
+        raise ValueError(f"family section is missing key {exc}") from None
     sched_cfg = dict(cfg["schedule"])
+    if "horizon" not in sched_cfg:
+        raise ValueError("schedule section is missing key 'horizon'")
     horizon = float(sched_cfg.pop("horizon"))
     floor = float(sched_cfg.pop("floor", 1e-4))
     knots = int(sched_cfg.pop("knots", 16))

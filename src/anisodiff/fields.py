@@ -2,14 +2,18 @@
 
 A flow field has `__call__(x, t)`, `directional(x, t, v)`, `mixed(x, t,
 u, v)` and `at(x, t)`.  `at` returns the field's local *jet* at one
-batch (x, t): an object with `value()`, `directional(v)` and
-`mixed(u, v)` that share one cached computation (the noisy-mixture
-factorization and its Hessian for the oracle, the primal activations for
-`FlowModel`).  The three direct methods are `at(x, t)` followed by one
-jet call, so callers that need several quantities at the same (x, t),
-such as the schedule-gradient estimator, build one jet and ask it
-repeatedly.  Nothing is cached on the field itself: a jet's cache goes
-when the caller drops the jet.
+batch (x, t): an object with `value()`, `directional(v)`, `mixed(u, v)`
+and `block_traces(family)` that share one cached computation (the
+noisy-mixture factorization and its Hessian for the oracle, the primal
+activations for `FlowModel`).  `block_traces(family)` returns, shape
+(J, n, d), the sums T_j = sum_{i in block j} mixed(q_i, q_i) over the
+columns q_i of the family's orthonormal basis; the oracle has them in
+closed form, `FlowModel` takes them from one stacked `mixed` call.  The
+three direct methods are `at(x, t)` followed by one jet call, so callers
+that need several quantities at the same (x, t), such as the
+schedule-gradient estimator, build one jet and ask it repeatedly.
+Nothing is cached on the field itself: a jet's cache goes when the
+caller drops the jet.
 
 `FlowModel` satisfies this protocol directly; the classes here adapt the
 exact mixture oracle and convert between the flow view (M^{1/2} score)
@@ -45,6 +49,9 @@ class SpectralJet:
 
     def mixed(self, u, v):
         return apply_spectral(self.family, self.values, self.inner.mixed(u, v))
+
+    def block_traces(self, family):
+        return apply_spectral(self.family, self.values, self.inner.block_traces(family))
 
 
 class OracleFlowField:

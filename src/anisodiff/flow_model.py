@@ -199,6 +199,20 @@ class FlowModelJet:
                               for i in range(0, du.shape[0], step)])
         return self._shape(out.reshape(stack + (n, self.dim)))
 
+    def block_traces(self, family) -> Array:
+        """T_j = sum_{i in block j} d_r d_s flow(x + r q_i + s q_i), shape (J, n, dim).
+
+        The q_i are the columns of the family's orthonormal basis; all dim
+        tangents go through `mixed` as one stack.
+        """
+        q = family.basis
+        n = self.acts[0].shape[0]
+        tangents = np.broadcast_to(q.T[:, None, :], (self.dim, n, self.dim))  # [i] = q_i
+        # the same stack in both slots does the tangent work once
+        per_column = self.mixed(tangents, tangents)
+        return np.stack([per_column[family.labels == j].sum(axis=0)
+                         for j in range(family.n_subspaces)])
+
     def _mixed_pass(self, du: Array, dv: Array, same: bool) -> Array:
         duv = np.zeros_like(du)
         for (w, _), s1, s2 in zip(self.layers[:-1], self._slopes, self._curvatures):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import logsumexp
+import scipy.linalg
 
 from .schedule import MatrixSchedule, eval_M
 from .subspaces import apply_spectral
@@ -67,6 +67,11 @@ class GaussianMixture:
     def mean(self) -> Array:
         return self.weights @ self.means
 
+    @cached_property
+    def _sampling_factors(self) -> Array:
+        """Cholesky factors of Sigma_k + 1e-15 I, (K, d, d); formed on first use."""
+        return np.linalg.cholesky(self.covs + 1e-15 * np.eye(self.dim))
+
 
 def single_gaussian(mean, cov) -> GaussianMixture:
     mean = np.atleast_1d(np.asarray(mean, dtype=float))
@@ -81,8 +86,7 @@ def sample_p0(gm: GaussianMixture, n: int, rng_seed) -> Array:
     rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
     comps = rng.choice(gm.n_components, size=n, p=gm.weights)
     z = rng.standard_normal((n, gm.dim))
-    chols = np.linalg.cholesky(gm.covs + 1e-15 * np.eye(gm.dim))
-    return gm.means[comps] + np.einsum("nij,nj->ni", chols[comps], z)
+    return gm.means[comps] + np.einsum("nij,nj->ni", gm._sampling_factors[comps], z)
 
 
 def perturb(x0: Array, eps: Array, ms: MatrixSchedule, t, class_label=None) -> Array:
@@ -98,9 +102,11 @@ def perturb(x0: Array, eps: Array, ms: MatrixSchedule, t, class_label=None) -> A
 def _factor(cov: Array):
     """Log-determinants and inverses of a stack of noisy covariances.
 
-    The batched Cholesky factor gives log det = 2 sum log diag L and
-    rejects a matrix that is not positive definite; the inverse is still
-    formed because the Hessian needs C_k^{-1}.
+    The batched Cholesky factor C = L L^T gives log det = 2 sum log diag L
+    and rejects a matrix that is not positive definite.  The inverse, which
+    the Hessian needs, is C^{-1} = X^T X with X = L^{-1} from a batched
+    triangular inverse; X^T @ X of one array is evaluated as a symmetric
+    rank-k product, so the result is exactly symmetric.
     """
     try:
         chol = np.linalg.cholesky(cov)
@@ -109,16 +115,17 @@ def _factor(cov: Array):
             "noisy covariance Sigma_k + M_t is not positive definite"
         ) from None
     logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
-    return logdet, np.linalg.inv(cov)
+    chol_inv = scipy.linalg.inv(chol, assume_a="lower triangular")
+    return logdet, np.swapaxes(chol_inv, -1, -2) @ chol_inv
 
 
 class _NoisyMixture:
     """Per-sample sufficient statistics of p_t = p_0 * N(0, M_t) at points x.
 
-    Also the score field's local jet at (x, t): `value`, `directional` and
-    `mixed` share one factorization, and the Hessian is formed at most once.
-    `g`, the per-subspace values of M_t, saves an `eval_M` call when the
-    caller already has them.
+    Also the score field's local jet at (x, t): `value`, `directional`,
+    `mixed` and `block_traces` share one factorization, and the Hessian is
+    formed at most once.  `g`, the per-subspace values of M_t, saves an
+    `eval_M` call when the caller already has them.
     """
 
     def __init__(self, gm: GaussianMixture, x: Array, ms: MatrixSchedule, t, class_label=None,
@@ -135,27 +142,38 @@ class _NoisyMixture:
         if m_dense.ndim == 2:
             # shared M_t: factor the K component covariances once, and solve
             # for all points of a component with one (n, d) @ (d, d) product
-            logdet_small, inv_small = _factor(gm.covs + m_dense[None, :, :])
-            cov_inv = np.broadcast_to(inv_small[None], (n, gm.n_components, d, d))
+            logdet_small, inv = _factor(gm.covs + m_dense[None, :, :])
             logdet = np.broadcast_to(logdet_small[None], (n, gm.n_components))
             diff = x[None, :, :] - gm.means[:, None, :]  # (K, n, d)
-            y = diff @ np.swapaxes(inv_small, 1, 2)
+            y = diff @ inv  # inv is exactly symmetric
             diff, y = diff.transpose(1, 0, 2), y.transpose(1, 0, 2)
         else:
             if m_dense.shape[0] != n:
                 raise ValueError("per-sample t must match the batch size")
-            logdet, cov_inv = _factor(gm.covs[None, :, :, :] + m_dense[:, None, :, :])
+            logdet, inv = _factor(gm.covs[None, :, :, :] + m_dense[:, None, :, :])
             diff = x[:, None, :] - gm.means[None, :, :]  # (n, K, d)
-            y = np.einsum("nkij,nkj->nki", cov_inv, diff)
+            y = np.einsum("nkij,nkj->nki", inv, diff)
         self.x = x
         self.gm = gm
-        self.cov_inv = cov_inv
+        # C_k^{-1}: (K, d, d) for a shared t, (n, K, d, d) per sample; both
+        # broadcast against (n, K, ...) operands
+        self.inv = inv
         self.y = y  # C^{-1}(x - mu), (n, K, d)
         maha = np.einsum("nki,nki->nk", diff, self.y)
         log_w = np.log(np.maximum(gm.weights, PROB_FLOOR))
+        # finite, since the weights are floored: the max shift is safe
         self.log_comp = log_w[None, :] - 0.5 * (d * np.log(2 * np.pi) + logdet + maha)
-        self.log_z = logsumexp(self.log_comp, axis=1)
-        self.resp = np.exp(self.log_comp - self.log_z[:, None])  # (n, K)
+        shift = self.log_comp.max(axis=1)
+        comp = np.exp(self.log_comp - shift[:, None])
+        total = comp.sum(axis=1)
+        self.log_z = shift + np.log(total)
+        self.resp = comp / total[:, None]  # (n, K)
+
+    @property
+    def cov_inv(self) -> Array:
+        """C_k^{-1} per point, (n, K, d, d); a broadcast view for a shared t."""
+        n, k, d = self.y.shape
+        return np.broadcast_to(self.inv, (n, k, d, d))
 
     @property
     def comp_score(self) -> Array:
@@ -168,15 +186,18 @@ class _NoisyMixture:
     def log_density(self) -> Array:
         return self._shape(self.log_z)
 
+    @cached_property
+    def _score_batch(self) -> Array:
+        return np.einsum("nk,nki->ni", self.resp, self.comp_score)
+
     def score(self) -> Array:
-        return self._shape(np.einsum("nk,nki->ni", self.resp, self.comp_score))
+        return self._shape(self._score_batch)
 
     value = score  # the jet protocol's name for the field value
 
     @cached_property
     def _hessian_batch(self) -> Array:
-        s = self.comp_score
-        s_bar = np.einsum("nk,nki->ni", self.resp, s)
+        s, s_bar = self.comp_score, self._score_batch
         outer = np.einsum("nk,nki,nkj->nij", self.resp, s, s)
         h = -np.einsum("nk,nkij->nij", self.resp, self.cov_inv) + outer
         h -= np.einsum("ni,nj->nij", s_bar, s_bar)
@@ -200,22 +221,49 @@ class _NoisyMixture:
         same = v is u
         u = np.atleast_2d(np.asarray(u, dtype=float))
         v = u if same else np.atleast_2d(np.asarray(v, dtype=float))
-        r, s, hk = self.resp, self.comp_score, -self.cov_inv
-        s_bar = np.einsum("nk,nki->ni", r, s)
-        a = s - s_bar[:, None, :]  # s_k - score
+        # H_k = -C_k^{-1}: the products with the (possibly broadcast) inverse
+        # are negated, never the inverse itself, which would copy the view
+        r, s, ci = self.resp, self.comp_score, self.cov_inv
+        a = s - self._score_batch[:, None, :]  # s_k - score
         hess = self._hessian_batch
         au = np.einsum("nki,...ni->...nk", a, u)
-        hk_u = np.einsum("nkij,...nj->...nki", hk, u)
+        ci_u = np.einsum("nkij,...nj->...nki", ci, u)
         av = au if same else np.einsum("nki,...ni->...nk", a, v)
-        hk_v = hk_u if same else np.einsum("nkij,...nj->...nki", hk, v)
+        ci_v = ci_u if same else np.einsum("nkij,...nj->...nki", ci, v)
         hess_u = np.einsum("nij,...nj->...ni", hess, u)
         # <H_k u - Hess u, v> per component
-        cross = (np.einsum("...nki,...ni->...nk", hk_u, v)
+        cross = (-np.einsum("...nki,...ni->...nk", ci_u, v)
                  - np.einsum("...ni,...ni->...n", hess_u, v)[..., None])
         out = np.einsum("...nk,nki->...ni", r * (au * av + cross), s)
-        out += np.einsum("...nk,...nki->...ni", r * av, hk_u)
-        out += np.einsum("...nk,...nki->...ni", r * au, hk_v)
+        out -= np.einsum("...nk,...nki->...ni", r * av, ci_u)
+        out -= np.einsum("...nk,...nki->...ni", r * au, ci_v)
         return out[..., 0, :] if self.scalar_input else out
+
+    def block_traces(self, family) -> Array:
+        """T_j = sum_{i in block j} d_r d_s score(x + r q_i + s q_i), shape (J, n, d).
+
+        The q_i are the columns of the family's orthonormal basis Q.  Summing
+        `mixed` over a block in closed form, with a_k = s_k - score,
+        H_k = -C_k^{-1}, c_kj = a_k^T P_j a_k + tr(P_j H_k) and
+        c_bar_j = sum_k r_k c_kj (which is tr(P_j Hess)), gives
+
+            T_j = sum_k r_k (c_kj - c_bar_j) s_k + 2 sum_k r_k H_k P_j a_k.
+
+        Both traces and products come from G = C^{-1} Q: tr(P_j C_k^{-1}) is
+        the block sum of q_i . G[:, i], and C_k^{-1} P_j a_k is G applied to
+        the coordinates of a_k in block j.
+        """
+        q = family.basis
+        onehot = np.eye(family.n_subspaces)[family.labels]  # (d, J)
+        r, s = self.resp, self.comp_score
+        gq = self.inv @ q  # column i is C_k^{-1} q_i
+        aq = (s - self._score_batch[:, None, :]) @ q  # a_k in the family basis, (n, K, d)
+        c = aq**2 @ onehot - np.einsum("di,...di->...i", q, gq) @ onehot  # (n, K, J)
+        c -= np.einsum("nk,nkj->nj", r, c)[:, None, :]
+        inv_pa = gq @ (aq[..., None] * onehot)  # C_k^{-1} P_j a_k, (n, K, d, J)
+        out = np.einsum("nkj,nki->jni", r[..., None] * c, s)
+        out -= 2.0 * np.einsum("nk,nkij->jni", r, inv_pa)
+        return out[:, 0] if self.scalar_input else out
 
     def posterior_mean(self) -> Array:
         """E[x_0 | x_t = x] by joint-Gaussian conditioning per component."""

@@ -116,11 +116,6 @@ def family_from_json(payload: dict) -> ProjectorFamily:
     raise ValueError(f"unknown family kind {kind!r}")
 
 
-def build_family(spec: dict) -> ProjectorFamily:
-    """Construct a family from a config section (same schema as family_to_json)."""
-    return family_from_json(spec)
-
-
 # ---------------------------------------------------------------------------
 # schedules
 # ---------------------------------------------------------------------------

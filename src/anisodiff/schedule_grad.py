@@ -13,12 +13,14 @@ with a flow-form variant carrying an extra 1/2 M^{-1} D flow term.  The
 sum over i is a trace, so any orthonormal basis gives it.  In the
 family's own basis q_i, P_j q_i is q_i inside block j and 0 outside it,
 so D q_i = delta_j q_i and the sum is sum_j delta_j T_j with the block
-traces T_j = sum_{i in block j} d_r d_s score(x + r q_i + s q_i).  All d
-tangents q_i go through the field's jet as one stacked `mixed` call, and
-the same J traces serve every D.  The exact sum can be replaced by
-Rademacher probes (unbiased since E[z z^T] = I).  Every term is linear
-in D, so for spectral schedules the estimator is evaluated once per
-subspace and contracted against the knot-parameter Jacobian.
+traces T_j = sum_{i in block j} d_r d_s score(x + r q_i + s q_i).  They
+come from one `jet.block_traces(family)` call, part of the jet protocol
+(see `fields`): closed form for the mixture oracle, one stacked `mixed`
+pass for `FlowModel`.  The same J traces serve every D.  The exact sum
+can be replaced by Rademacher probes (unbiased since E[z z^T] = I).
+Every term is linear in D, so for spectral schedules the estimator is
+evaluated once per subspace and contracted against the knot-parameter
+Jacobian.
 """
 
 from dataclasses import dataclass
@@ -65,36 +67,18 @@ def _as_batch(x) -> tuple:
     return (np.atleast_2d(x), x.ndim == 1)
 
 
-def _block_traces(jet, family, n: int) -> Array:
-    """T_j = sum_{i in block j} d_r d_s field(x + r q_i + s q_i), shape (J, n, d).
-
-    The q_i are the columns of the family's orthonormal basis.  P_j q_i is
-    q_i inside block j and 0 outside it, so for any D = sum_j delta_j P_j
-    the exact sum, a trace that any orthonormal basis gives, is
-    sum_j delta_j T_j.  All d tangents go through the jet as one stack.
-    """
-    q = family.basis
-    d = q.shape[0]
-    tangents = np.broadcast_to(q.T[:, None, :], (d, n, d))  # tangents[i] = q_i
-    # the same stack in both slots lets a jet do the tangent work once
-    per_column = jet.mixed(tangents, tangents)  # (d, n, d)
-    return np.stack([per_column[family.labels == j].sum(axis=0)
-                     for j in range(family.n_subspaces)])
-
-
 def _mixed_sums(jet, family, deltas: Array, cfg: EstimatorConfig) -> Array:
     """sum_i d_r d_s field(x + r e_i + s D_k e_i) for each D_k, shape (k, n, d).
 
     `jet` is the field's jet at the batch (x, t); `deltas` (k, n, J) holds
     the per-point block scalars of each D_k = sum_j deltas[k, :, j] P_j.
-    Exact mode contracts the block traces; stochastic mode replaces the
-    basis sum by an average of d_r d_s field(x + r z + s D_k z) over
+    Exact mode contracts the jet's block traces; stochastic mode replaces
+    the basis sum by an average of d_r d_s field(x + r z + s D_k z) over
     Rademacher probes z, the same probes for every k.
     """
-    n = deltas.shape[1]
     if cfg.mode == "exact-sum":
-        return np.einsum("knj,jnd->knd", deltas, _block_traces(jet, family, n))
-    d = family.ambient_dim
+        return np.einsum("knj,jnd->knd", deltas, jet.block_traces(family))
+    n, d = deltas.shape[1], family.ambient_dim
     rng = np.random.default_rng(cfg.seed)
     total = np.zeros(deltas.shape[:2] + (d,))
     for _ in range(cfg.probes):

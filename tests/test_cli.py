@@ -354,6 +354,22 @@ def test_train_divergence_exits_2(tmp_path, gmm_file, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("section, key", [("family", "dim"), ("schedule", "horizon")])
+def test_train_config_missing_key_exits_2(tmp_path, gmm_file, capsys, section, key):
+    config = {
+        "version": "1",
+        "gmm": gmm_file.name,
+        "family": {"kind": "isotropic", "dim": 2},
+        "schedule": {"horizon": 5.0},
+    }
+    del config[section][key]
+    cfg_path = gmm_file.parent / "run_missing.json"
+    cfg_path.write_text(json.dumps(config))
+    assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "rundir")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {section} section is missing key '{key}'\n"
+
+
 def test_run_config_rejects_unknown_keys(tmp_path, gmm_file):
     config = {
         "version": "1",

@@ -1,6 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from anisodiff import gmm as gmm_mod
+from anisodiff.fields import OracleScoreField
 from anisodiff.gmm import (
     GaussianMixture,
     dtheta_score_direction,
@@ -70,6 +74,68 @@ def test_noisy_mixture_rejects_non_positive_definite_covariance(t):
     with pytest.raises(np.linalg.LinAlgError, match="not positive definite") as info:
         score(gm, np.zeros((2, 2)), ms, t)
     assert "\n" not in str(info.value)
+
+
+def random_mixture(rng, k, d):
+    rot = np.linalg.qr(rng.standard_normal((k, d, d)))[0]
+    covs = np.einsum("kij,kj,klj->kil", rot, rng.uniform(0.1, 1.0, (k, d)), rot)
+    covs = 0.5 * (covs + np.swapaxes(covs, 1, 2))
+    return GaussianMixture(np.full(k, 1.0 / k), rng.standard_normal((k, d)), covs)
+
+
+@pytest.mark.parametrize("shape", [(3, 4, 4), (8, 3, 16, 16)])
+def test_factor_inverse_is_symmetric_and_matches_lu(shape):
+    rng = np.random.default_rng(4)
+    a = rng.standard_normal(shape)
+    cov = a @ np.swapaxes(a, -1, -2) / shape[-1] + 0.1 * np.eye(shape[-1])
+    logdet, inv = gmm_mod._factor(cov)
+    assert np.array_equal(inv, np.swapaxes(inv, -1, -2))
+    want = np.linalg.inv(cov)
+    assert np.abs(inv - want).max() <= 1e-13 * np.abs(want).max()
+    np.testing.assert_allclose(logdet, np.linalg.slogdet(cov)[1], rtol=1e-13, atol=1e-13)
+    cov[..., 0, 0] = -1.0
+    with pytest.raises(np.linalg.LinAlgError, match="not positive definite") as info:
+        gmm_mod._factor(cov)
+    assert "\n" not in str(info.value)
+
+
+def test_sample_p0_factors_the_covariances_once(monkeypatch):
+    rng = np.random.default_rng(5)
+    gm = random_mixture(rng, 3, 4)
+    draw = np.random.default_rng(6)
+    comps = draw.choice(3, size=50, p=gm.weights)
+    z = draw.standard_normal((50, 4))
+    chols = np.linalg.cholesky(gm.covs + 1e-15 * np.eye(4))
+    want = gm.means[comps] + np.einsum("nij,nj->ni", chols[comps], z)
+    calls = []
+    original = np.linalg.cholesky
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    assert np.array_equal(sample_p0(gm, 50, 6), want)
+    assert np.array_equal(sample_p0(gm, 50, 6), want)
+    assert len(calls) == 1
+
+
+def test_shared_t_mixed_does_not_copy_the_inverse():
+    """A shared-t jet holds C_k^{-1} once; `mixed` must not expand it to (n, K, d, d)."""
+    rng = np.random.default_rng(7)
+    n, k, d = 128, 4, 32
+    gm = random_mixture(rng, k, d)
+    ms = matrix_schedule_for_family(axis_family(d, 8), 4.0)
+    jet = OracleScoreField(gm, ms).at(rng.standard_normal((n, d)), 1.0)
+    jet.hessian()  # cached; not part of the call under test
+    u, v = rng.standard_normal((2, n, d))
+    tracemalloc.start()
+    try:
+        jet.mixed(u, v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * k * d * d * 8
 
 
 def test_sample_p0_mean_clt():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anisodiff import fields as fields_mod
 from anisodiff import flow_model
@@ -38,6 +40,7 @@ from anisodiff.subspaces import (
     axis_family,
     build_dct_projectors,
     build_pca_projectors,
+    isotropic_family,
 )
 
 
@@ -425,6 +428,8 @@ def test_stacked_mixed_matches_a_loop(kind, same, monkeypatch):
 
 @pytest.mark.parametrize("kind", ["oracle", "model"])
 def test_exact_sum_outer_gradient_makes_one_mixed_call(kind, monkeypatch):
+    """One block-trace call per exact-sum gradient: closed form for the
+    oracle (no `mixed` call), one stacked `mixed` pass for the model."""
     rng, gm, ms = _dct16_setup(18)
     batch = draw_loss_samples(gm, ms, 8, rng)
     if kind == "oracle":
@@ -432,9 +437,79 @@ def test_exact_sum_outer_gradient_makes_one_mixed_call(kind, monkeypatch):
     else:
         field = FlowModel.create(16, ms.horizon, widths=(8, 8), seed=3, zero_head=False)
         jet_cls = flow_model.FlowModelJet
-    calls = _count_calls(monkeypatch, jet_cls, "mixed")
+    mixed_calls = _count_calls(monkeypatch, jet_cls, "mixed")
+    trace_calls = _count_calls(monkeypatch, jet_cls, "block_traces")
     outer_gradient(ms, field, batch, EstimatorConfig("exact-sum"))
-    assert len(calls) == 1
+    assert len(trace_calls) == 1
+    assert len(mixed_calls) == (0 if kind == "oracle" else 1)
+
+
+def _stacked_block_traces(jet, family, n):
+    """Reference T_j: the d basis tangents q_i through one stacked `mixed` call."""
+    q = family.basis
+    d = q.shape[0]
+    tangents = np.broadcast_to(q.T[:, None, :], (d, n, d))
+    per_column = jet.mixed(tangents, tangents)
+    return np.stack([per_column[family.labels == j].sum(axis=0)
+                     for j in range(family.n_subspaces)])
+
+
+def _assert_close_to_largest(got, want, rel=1e-12, floor=0.0):
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= rel * max(np.abs(want).max(), floor)
+
+
+@pytest.mark.parametrize("family_kind", ["dct", "pca"])
+@pytest.mark.parametrize("t_kind", ["shared-t", "per-sample-t", "1-D x"])
+def test_closed_form_block_traces_equal_the_stacked_pass(family_kind, t_kind):
+    rng, gm, ms = _dct16_setup(21)
+    if family_kind == "pca":
+        fam = build_pca_projectors(rng.standard_normal((64, 16)) * np.linspace(0.5, 2, 16), 5)
+        ms = MatrixSchedule(fam, ms.per_subspace)
+    fam, n = ms.family, 6
+    x = rng.standard_normal((n, 16))
+    t = 1.3 if t_kind == "shared-t" else rng.uniform(0.3, 3.0, size=n)
+    if t_kind == "1-D x":
+        x, t, n = x[0], float(t[0]), 1
+    for field in (OracleScoreField(gm, ms), OracleFlowField(gm, ms)):
+        jet = field.at(x, t)
+        want = _stacked_block_traces(jet, fam, n)
+        assert want.shape == ((2, 16) if t_kind == "1-D x" else (2, n, 16))
+        _assert_close_to_largest(jet.block_traces(fam), want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 8), k=st.integers(1, 4),
+       conditioning=st.floats(1e-10, 1.0))
+def test_block_traces_property_random_mixtures(seed, d, k, conditioning):
+    """Closed-form traces against the stacked pass on random d <= 8 mixtures.
+
+    The smallest eigenvalue of each Sigma_k is `conditioning` times the
+    largest, down to 1e-10, and t sits at the schedule's floor t_min, where
+    M_t is smallest and C_k = Sigma_k + M_t is closest to singular.  The
+    traces cancel to exactly 0 for K=1, where the stacked pass leaves
+    rounding noise, so the tolerance is floored at the size of the terms
+    they sum, (|s_k|^2 + tr C_k^{-1}) |s_k|.
+    """
+    rng = np.random.default_rng(seed)
+    cut = int(rng.integers(0, d))  # 0: the one-block isotropic family
+    fam = build_pca_projectors(rng.standard_normal((4 * d + 4, d)), cut) if cut \
+        else isotropic_family(d)
+    ms = matrix_schedule_for_family(fam, horizon=4.0, n_knots=3)
+    ms = ms.with_theta_vector(0.5 * rng.standard_normal(ms.n_params))
+    rot = np.linalg.qr(rng.standard_normal((k, d, d)))[0]
+    eig = np.geomspace(conditioning, 1.0, d) * rng.uniform(0.5, 2.0, (k, 1))
+    covs = np.einsum("kij,kj,klj->kil", rot, eig, rot)
+    covs = 0.5 * (covs + np.swapaxes(covs, 1, 2))
+    weights = rng.dirichlet(np.ones(k))
+    gm = GaussianMixture(weights / weights.sum(), rng.standard_normal((k, d)), covs)
+    n = 5
+    x = rng.standard_normal((n, d))
+    jet = OracleScoreField(gm, ms).at(x, ms.t_min)
+    s_norm = np.linalg.norm(jet.comp_score, axis=-1)
+    terms = (s_norm**2 + np.trace(jet.cov_inv, axis1=-2, axis2=-1)) * s_norm
+    _assert_close_to_largest(jet.block_traces(fam), _stacked_block_traces(jet, fam, n),
+                             floor=terms.max())
 
 
 def _e_i_sum(jet, family, delta, d):
