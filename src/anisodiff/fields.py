@@ -23,7 +23,7 @@ and the score view.
 import numpy as np
 
 from . import gmm as gmm_mod
-from .schedule import MatrixSchedule, eval_M
+from .schedule import MatrixSchedule
 from .subspaces import apply_spectral
 
 
@@ -67,9 +67,8 @@ class OracleFlowField:
         self.class_label = class_label
 
     def at(self, x, t):
-        g, _ = eval_M(self.ms, t, self.class_label)
-        noisy = gmm_mod._NoisyMixture(self.gm, x, self.ms, t, self.class_label, g=g)
-        return SpectralJet(noisy, self.ms.family, np.sqrt(g))
+        ev = self.ms.at(t, self.class_label)
+        return SpectralJet(gmm_mod._NoisyMixture(self.gm, x, ev), ev.family, ev.sqrt_g)
 
     def __call__(self, x, t):
         return self.at(x, t).value()
@@ -90,7 +89,7 @@ class OracleScoreField:
         self.class_label = class_label
 
     def at(self, x, t):
-        return gmm_mod._NoisyMixture(self.gm, x, self.ms, t, self.class_label)
+        return gmm_mod._NoisyMixture(self.gm, x, self.ms.at(t, self.class_label))
 
     def __call__(self, x, t):
         return self.at(x, t).value()
@@ -118,10 +117,10 @@ def scale_diagnostic(flow_field, ms: MatrixSchedule, gm, n_per_t: int = 256,
     for t in ts:
         x0 = gmm_mod.sample_p0(gm, n_per_t, rng)
         eps = rng.standard_normal((n_per_t, gm.dim))
-        x_t = gmm_mod.perturb(x0, eps, ms, float(t), class_label)
+        ev = ms.at(float(t), class_label)
+        x_t = gmm_mod.perturb(x0, eps, ev)
         flow = flow_field(x_t, float(t))
-        g, _ = eval_M(ms, float(t), class_label)
-        net = apply_spectral(ms.family, 1.0 / np.sqrt(g), flow)
+        net = apply_spectral(ms.family, 1.0 / ev.sqrt_g, flow)
         flow_norms.append(float(np.mean(np.linalg.norm(flow, axis=1))))
         net_norms.append(float(np.mean(np.linalg.norm(net, axis=1))))
     flow_spread = max(flow_norms) / max(min(flow_norms), 1e-300)
@@ -138,8 +137,8 @@ class ScoreFromFlow:
         self.class_label = class_label
 
     def at(self, x, t):
-        g, _ = eval_M(self.ms, t, self.class_label)
-        return SpectralJet(self.flow_field.at(x, t), self.ms.family, 1.0 / np.sqrt(g))
+        ev = self.ms.at(t, self.class_label)
+        return SpectralJet(self.flow_field.at(x, t), ev.family, 1.0 / ev.sqrt_g)
 
     def __call__(self, x, t):
         return self.at(x, t).value()

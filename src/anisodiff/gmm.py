@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dtrtri
 
-from .schedule import MatrixSchedule, eval_M
+from .schedule import ScheduleEval
 from .subspaces import apply_spectral
 
 Array = np.ndarray
@@ -25,6 +25,7 @@ PROB_FLOOR = 1e-300
 # Smallest covariance eigenvalue accepted, relative to the largest magnitude
 # (at least 1): eigvalsh's own rounding error is of order 1e-16 of it.
 PSD_TOL = 1e-12
+NOT_POSITIVE_DEFINITE = "noisy covariance Sigma_k + M_t is not positive definite"
 
 
 @dataclass(frozen=True)
@@ -89,10 +90,9 @@ def sample_p0(gm: GaussianMixture, n: int, rng_seed) -> Array:
     return gm.means[comps] + np.einsum("nij,nj->ni", gm._sampling_factors[comps], z)
 
 
-def perturb(x0: Array, eps: Array, ms: MatrixSchedule, t, class_label=None) -> Array:
-    """x_t = x_0 + M_t^{1/2} eps, via the exact spectral square root."""
-    g, _ = eval_M(ms, t, class_label)
-    return np.asarray(x0, dtype=float) + apply_spectral(ms.family, np.sqrt(g), eps)
+def perturb(x0: Array, eps: Array, ev: ScheduleEval) -> Array:
+    """x_t = x_0 + M_t^{1/2} eps, via the exact spectral square root; `ev` = ms.at(t)."""
+    return np.asarray(x0, dtype=float) + apply_spectral(ev.family, ev.sqrt_g, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -104,18 +104,23 @@ def _factor(cov: Array):
 
     The batched Cholesky factor C = L L^T gives log det = 2 sum log diag L
     and rejects a matrix that is not positive definite.  The inverse, which
-    the Hessian needs, is C^{-1} = X^T X with X = L^{-1} from a batched
-    triangular inverse; X^T @ X of one array is evaluated as a symmetric
-    rank-k product, so the result is exactly symmetric.
+    the Hessian needs, is C^{-1} = X^T X with X = L^{-1} from LAPACK's
+    triangular inverse `dtrtri`, one factor at a time (no condition
+    estimate); X^T @ X of one array is evaluated as a symmetric rank-k
+    product, so the result is exactly symmetric.
     """
     try:
         chol = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
-        raise np.linalg.LinAlgError(
-            "noisy covariance Sigma_k + M_t is not positive definite"
-        ) from None
+        raise np.linalg.LinAlgError(NOT_POSITIVE_DEFINITE) from None
     logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
-    chol_inv = scipy.linalg.inv(chol, assume_a="lower triangular")
+    factors = chol.reshape((-1,) + chol.shape[-2:])
+    chol_inv = np.empty_like(factors)
+    for i, factor in enumerate(factors):
+        chol_inv[i], info = dtrtri(factor, lower=1)
+        if info != 0:
+            raise np.linalg.LinAlgError(NOT_POSITIVE_DEFINITE)
+    chol_inv = chol_inv.reshape(chol.shape)
     return logdet, np.swapaxes(chol_inv, -1, -2) @ chol_inv
 
 
@@ -124,21 +129,17 @@ class _NoisyMixture:
 
     Also the score field's local jet at (x, t): `value`, `directional`,
     `mixed` and `block_traces` share one factorization, and the Hessian is
-    formed at most once.  `g`, the per-subspace values of M_t, saves an
-    `eval_M` call when the caller already has them.
+    formed at most once.  `ev` is the schedule at the points' times.
     """
 
-    def __init__(self, gm: GaussianMixture, x: Array, ms: MatrixSchedule, t, class_label=None,
-                 g=None):
+    def __init__(self, gm: GaussianMixture, x: Array, ev: ScheduleEval):
         x = np.asarray(x, dtype=float)
         self.scalar_input = x.ndim == 1
         x = np.atleast_2d(x)
         n, d = x.shape
         if d != gm.dim:
             raise ValueError(f"points have dimension {d}, mixture has {gm.dim}")
-        if g is None:
-            g, _ = eval_M(ms, t, class_label)
-        m_dense = ms.family.dense(g)
+        m_dense = ev.family.dense(ev.g)
         if m_dense.ndim == 2:
             # shared M_t: factor the K component covariances once, and solve
             # for all points of a component with one (n, d) @ (d, d) product
@@ -290,36 +291,36 @@ class _NoisyMixture:
 # ---------------------------------------------------------------------------
 
 def log_density(gm, x, ms, t, class_label=None):
-    return _NoisyMixture(gm, x, ms, t, class_label).log_density()
+    return _NoisyMixture(gm, x, ms.at(t, class_label)).log_density()
 
 
 def score(gm, x, ms, t, class_label=None):
     """grad_x log p_t(x); closed form with log-sum-exp stabilized responsibilities."""
-    return _NoisyMixture(gm, x, ms, t, class_label).score()
+    return _NoisyMixture(gm, x, ms.at(t, class_label)).score()
 
 
 def posterior_mean(gm, x, ms, t, class_label=None):
     """E[x_0 | x_t = x]; satisfies score = M_t^{-1}(posterior_mean - x)."""
-    return _NoisyMixture(gm, x, ms, t, class_label).posterior_mean()
+    return _NoisyMixture(gm, x, ms.at(t, class_label)).posterior_mean()
 
 
 def score_hessian(gm, x, ms, t, class_label=None):
-    return _NoisyMixture(gm, x, ms, t, class_label).hessian()
+    return _NoisyMixture(gm, x, ms.at(t, class_label)).hessian()
 
 
 def score_directional(gm, x, ms, t, v, class_label=None):
     """First directional derivative of the score along v."""
-    return _NoisyMixture(gm, x, ms, t, class_label).directional(v)
+    return _NoisyMixture(gm, x, ms.at(t, class_label)).directional(v)
 
 
 def score_mixed_directional(gm, x, ms, t, u, v, class_label=None):
     """Mixed second directional derivative of the score along (u, v)."""
-    return _NoisyMixture(gm, x, ms, t, class_label).mixed(u, v)
+    return _NoisyMixture(gm, x, ms.at(t, class_label)).mixed(u, v)
 
 
 def dtheta_score_direction(gm, x, ms, t, direction, class_label=None):
     """Derivative of the score when M_t is perturbed along a dense matrix D."""
-    return _NoisyMixture(gm, x, ms, t, class_label).dtheta_score(direction)
+    return _NoisyMixture(gm, x, ms.at(t, class_label)).dtheta_score(direction)
 
 
 def dtheta_score_oracle(gm, x, ms, t, theta_index: int, class_label=None):
@@ -328,9 +329,7 @@ def dtheta_score_oracle(gm, x, ms, t, theta_index: int, class_label=None):
     Differentiates the closed-form mixture score in the matrix direction
     D = d M_t / d theta_j.  Reference value for estimator validation.
     """
-    from .schedule import eval_M_dtheta
-
-    jac = eval_M_dtheta(ms, t, class_label)  # (J, P)
+    jac = ms.at(t, class_label).jac  # (J, P)
     direction = ms.family.dense(jac[:, theta_index])
     return dtheta_score_direction(gm, x, ms, t, direction, class_label)
 
@@ -348,7 +347,7 @@ def dtheta_score_fd(gm, x, ms, t, theta_index: int, class_label=None, h: float =
 
 def posterior_sample(gm, x, ms, t, rng, class_label=None):
     """Draw x_0 ~ p(x_0 | x_t = x); used by Monte-Carlo identity checks."""
-    noisy = _NoisyMixture(gm, x, ms, t, class_label)
+    noisy = _NoisyMixture(gm, x, ms.at(t, class_label))
     x2 = noisy.x
     n, d = x2.shape
     rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)

@@ -9,6 +9,11 @@ which acts per subspace as dg_j / (sqrt(1+g_j) sqrt(g_j)).  The same
 quantity equals 4 ||v_learned - v_proxy||^2, the mismatch between the
 learned variance-preserving velocity and its single-sample proxy; the
 equivalence check below verifies that identity sample by sample.
+
+The batch functions (`perturbed_point`, `loss_from_flow`,
+`weight_theta_derivative`) take the schedule as one `ScheduleEval` at the
+batch's times (`ms.at(t, class_label)`), so a training step evaluates the
+schedule once however many of them it calls.
 """
 
 from dataclasses import dataclass
@@ -18,8 +23,8 @@ import numpy as np
 from . import gmm as gmm_mod
 from .schedule import (
     MatrixSchedule,
+    ScheduleEval,
     eval_M,
-    eval_M_dt_dtheta,
     matrix_function_theta_derivative,
 )
 from .subspaces import apply_spectral
@@ -62,13 +67,17 @@ def draw_loss_samples(gm, ms: MatrixSchedule, n: int, rng, class_label=None) -> 
     return LossSample(x0=x0, eps=eps, t=t, class_label=class_label)
 
 
+def _weights(ev: ScheduleEval):
+    """Per-subspace scalars of W_t at an evaluation; its t must be >= t_min."""
+    t_min = ev.ms.t_min
+    if np.any(np.asarray(ev.t, dtype=float) < t_min * (1 - 1e-12)):
+        raise ValueError(f"t below the schedule floor t_min={t_min}")
+    return ev.dg / (np.sqrt(1.0 + ev.g) * ev.sqrt_g)
+
+
 def weight_values(ms: MatrixSchedule, t, class_label=None):
     """Per-subspace scalars of W_t; shape (..., J)."""
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < ms.t_min * (1 - 1e-12)):
-        raise ValueError(f"t below the schedule floor t_min={ms.t_min}")
-    g, dg = eval_M(ms, t, class_label)
-    return dg / (np.sqrt(1.0 + g) * np.sqrt(g))
+    return _weights(ms.at(t, class_label))
 
 
 def weight_apply(ms: MatrixSchedule, t, x, class_label=None):
@@ -76,40 +85,41 @@ def weight_apply(ms: MatrixSchedule, t, x, class_label=None):
     return apply_spectral(ms.family, weight_values(ms, t, class_label), x)
 
 
-def weight_theta_derivative(ms: MatrixSchedule, t, class_label=None):
+def weight_theta_derivative(ev: ScheduleEval):
     """d w_j / d theta_p for the weight scalars w_j; shape (..., J, P).
 
     Splits into the dg/dt part and the matrix-function part
     f(g) = (1+g)^{-1/2} g^{-1/2}, the latter via the spectral calculus.
     """
-    g, dg = eval_M(ms, t, class_label)
-    f = 1.0 / (np.sqrt(1.0 + g) * np.sqrt(g))
+    f = 1.0 / (np.sqrt(1.0 + ev.g) * ev.sqrt_g)
 
     def f_prime(gv):
         return -0.5 * (1.0 + 2.0 * gv) / ((1.0 + gv) ** 1.5 * gv**1.5)
 
-    part_matrix = dg[..., None] * matrix_function_theta_derivative(ms, t, f_prime, class_label)
-    part_rate = f[..., None] * eval_M_dt_dtheta(ms, t, class_label)
+    part_matrix = ev.dg[..., None] * matrix_function_theta_derivative(ev, f_prime)
+    part_rate = f[..., None] * ev.dt_jac
     return part_matrix + part_rate
 
 
-def perturbed_point(ms: MatrixSchedule, sample: LossSample):
-    return gmm_mod.perturb(sample.x0, sample.eps, ms, sample.t, sample.class_label)
+def perturbed_point(ev: ScheduleEval, sample: LossSample):
+    """x_t of the sample; `ev` is the schedule at the sample's times."""
+    return gmm_mod.perturb(sample.x0, sample.eps, ev)
 
 
-def loss_from_flow(ms: MatrixSchedule, sample: LossSample, flow) -> LossValue:
+def loss_from_flow(ev: ScheduleEval, sample: LossSample, flow) -> LossValue:
     """Loss, weighted residual, and flow-cotangent given the flow at the sample's x_t."""
-    w = weight_values(ms, sample.t, sample.class_label)
-    residual = apply_spectral(ms.family, w, flow + sample.eps)
+    w = _weights(ev)
+    residual = apply_spectral(ev.family, w, flow + sample.eps)
     loss = np.sum(residual * residual, axis=-1)
-    cotangent = 2.0 * apply_spectral(ms.family, w * w, flow + sample.eps)
+    cotangent = 2.0 * apply_spectral(ev.family, w * w, flow + sample.eps)
     return LossValue(loss=loss, residual=residual, cotangent=cotangent, weights=w)
 
 
 def loss_sample(ms: MatrixSchedule, flow_field, sample: LossSample) -> LossValue:
     """Loss, weighted residual, and flow-cotangent for one sample or a batch."""
-    flow = flow_field(perturbed_point(ms, sample), sample.t)
-    return loss_from_flow(ms, sample, flow)
+    ev = ms.at(sample.t, sample.class_label)
+    flow = flow_field(perturbed_point(ev, sample), sample.t)
+    return loss_from_flow(ev, sample, flow)
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +157,7 @@ def velocity_proxy(ms: MatrixSchedule, x_t, x0, t, class_label=None):
 
 def loss_equivalence_check(ms: MatrixSchedule, flow_field, sample: LossSample):
     """Per sample, 4 ||v_learned - v_proxy||^2 against ||W (flow + eps)||^2."""
-    x_t = perturbed_point(ms, sample)
+    x_t = perturbed_point(ms.at(sample.t, sample.class_label), sample)
     v_bar = velocity_learned(ms, flow_field, x_t, sample.t, sample.class_label)
     v_tilde = velocity_proxy(ms, x_t, sample.x0, sample.t, sample.class_label)
     lhs = 4.0 * np.sum((v_bar - v_tilde) ** 2, axis=-1)

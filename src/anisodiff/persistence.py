@@ -73,6 +73,25 @@ def load_points_csv(path) -> np.ndarray:
     return np.array([[float(c) for c in row] for row in rows])
 
 
+class _SavedObject(dict):
+    """A JSON object of a saved file; a missing key is a one-line ValueError."""
+
+    def __init__(self, kind, items):
+        super().__init__(items)
+        self.kind = kind
+
+    def __missing__(self, key):
+        raise ValueError(f"{self.kind} file is missing key {key!r}")
+
+
+def _read_saved(path, kind) -> dict:
+    """Parse a saved `kind` file ("schedule", "mixture", "model") of the current format."""
+    payload = json.loads(Path(path).read_text(), object_hook=lambda obj: _SavedObject(kind, obj))
+    if payload.get("format_version") != FORMAT_VERSION:
+        raise ValueError(f"unsupported {kind} file version")
+    return payload
+
+
 # ---------------------------------------------------------------------------
 # projector families
 # ---------------------------------------------------------------------------
@@ -150,9 +169,7 @@ def save_schedule(ms: MatrixSchedule, path, seed=0):
 
 
 def load_schedule(path) -> MatrixSchedule:
-    payload = json.loads(Path(path).read_text())
-    if payload.get("format_version") != FORMAT_VERSION:
-        raise ValueError("unsupported schedule file version")
+    payload = _read_saved(path, "schedule")
     family = family_from_json(payload["family"])
     nodes = np.array(payload["nodes"])
     floor = payload["floor"]
@@ -189,9 +206,7 @@ def save_gmm(gm: GaussianMixture, path):
 
 
 def load_gmm(path) -> GaussianMixture:
-    payload = json.loads(Path(path).read_text())
-    if payload.get("format_version") != FORMAT_VERSION:
-        raise ValueError("unsupported mixture file version")
+    payload = _read_saved(path, "mixture")
     return GaussianMixture(
         np.array(payload["weights"]),
         np.array(payload["means"]),
@@ -211,9 +226,7 @@ def save_model(model: FlowModel, path):
 
 
 def load_model(path) -> FlowModel:
-    payload = json.loads(Path(path).read_text())
-    if payload.get("format_version") != FORMAT_VERSION:
-        raise ValueError("unsupported model file version")
+    payload = _read_saved(path, "model")
     return FlowModel(
         dim=payload["dim"],
         horizon=payload["horizon"],

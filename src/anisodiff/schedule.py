@@ -5,6 +5,12 @@ trainable parameters are mapped through softplus to strictly positive
 log-space increments, then rescaled so the endpoints are pinned exactly:
 g(0) = g_floor and g(T) = T.  Monotonicity is therefore structural and
 no projection step is ever needed during training.
+
+`MatrixSchedule.at(t, class_label)` is the schedule at one batch of
+times: a `ScheduleEval` holding g and dg/dt from one `eval_M` call, and
+sqrt(g) and the two theta-Jacobians, each formed on first use from at
+most one `eval_M_dtheta` or `eval_M_dt_dtheta` call.  The training path
+builds one per batch and hands it to every consumer.
 """
 
 from dataclasses import dataclass, field, replace
@@ -107,13 +113,10 @@ class KnotSchedule:
         total = np.sum(s)
         gap = np.log(self.horizon) - np.log(self.floor)
         cum = np.cumsum(s)  # S_j for j = 1..K-1
-        k = self.nodes.size
-        grads = np.zeros((k, self.n_params))
-        for j in range(1, k):
-            sj = cum[j - 1]
-            mask = np.arange(self.n_params) < j
-            grads[j] = gap * sp * (mask * total - sj) / total**2
-        return grads
+        # row j: theta_m enters S_j for m < j, and the total always
+        mask = np.arange(self.n_params) < np.arange(1, self.nodes.size)[:, None]
+        rows = gap * sp * (mask * total - cum[:, None]) / total**2
+        return np.concatenate((np.zeros((1, self.n_params)), rows))
 
     def _locate(self, t: Array):
         """Enclosing interval index j (interval [nodes[j-1], nodes[j]])."""
@@ -272,6 +275,10 @@ class MatrixSchedule:
     def n_params(self) -> int:
         return sum(s.n_params for s in self.per_subspace)
 
+    def at(self, t, class_label=None) -> "ScheduleEval":
+        """The schedule at the times t (scalar or (n,)), evaluated once."""
+        return ScheduleEval(self, t, class_label)
+
     def with_theta_vector(self, theta: Array, class_label=None) -> "MatrixSchedule":
         theta = np.asarray(theta, dtype=float)
         schedules = list(self.schedules_for(class_label))
@@ -282,6 +289,35 @@ class MatrixSchedule:
         table = dict(self.class_table)
         table[class_label] = tuple(schedules)
         return replace(self, class_table=table)
+
+
+class ScheduleEval:
+    """M_t at one batch of times t, for one class.
+
+    `g` and `dg` (g_j(t) and dg_j/dt, shape (..., J)) come from one
+    `eval_M` call; `sqrt_g`, the Jacobian `jac` = d g_j / d theta and
+    `dt_jac` = d (dg_j/dt) / d theta (both (..., J, P)) are formed on
+    first use, so a caller that reads neither Jacobian pays for neither.
+    """
+
+    def __init__(self, ms: MatrixSchedule, t, class_label=None):
+        self.ms = ms
+        self.family = ms.family
+        self.t = t
+        self.class_label = class_label
+        self.g, self.dg = eval_M(ms, t, class_label)
+
+    @cached_property
+    def sqrt_g(self) -> Array:
+        return np.sqrt(self.g)
+
+    @cached_property
+    def jac(self) -> Array:
+        return eval_M_dtheta(self.ms, self.t, self.class_label)
+
+    @cached_property
+    def dt_jac(self) -> Array:
+        return eval_M_dt_dtheta(self.ms, self.t, self.class_label)
 
 
 def eval_M(ms: MatrixSchedule, t, class_label=None):
@@ -323,18 +359,16 @@ def eval_M_dt_dtheta(ms: MatrixSchedule, t, class_label=None):
     return out
 
 
-def matrix_function_theta_derivative(ms, t, f_prime, class_label=None):
+def matrix_function_theta_derivative(ev: ScheduleEval, f_prime):
     """Spectral coefficients of d f(M_t) / d theta = f'(g_j) dg_j/dtheta P_j.
 
     Valid because the family is spectral with shared eigenvectors.
     `f_prime` maps per-subspace values g_j to f'(g_j).
     """
-    g, _ = eval_M(ms, t, class_label)
-    jac = eval_M_dtheta(ms, t, class_label)
-    fp = np.asarray(f_prime(g), dtype=float)
+    fp = np.asarray(f_prime(ev.g), dtype=float)
     if np.any(~np.isfinite(fp)):
         raise ValueError("f' is singular at a schedule value")
-    return fp[..., None] * jac
+    return fp[..., None] * ev.jac
 
 
 def apply_M(ms: MatrixSchedule, t, x, power: float = 1.0, class_label=None):

@@ -35,7 +35,7 @@ from .loss import (
     perturbed_point,
     weight_theta_derivative,
 )
-from .schedule import MatrixSchedule, eval_M, eval_M_dtheta
+from .schedule import MatrixSchedule
 from .subspaces import apply_spectral
 
 Array = np.ndarray
@@ -98,7 +98,7 @@ def estimate_dtheta_score(field, ms: MatrixSchedule, x, t, theta_index: int,
     x, scalar = _as_batch(x)
     if cfg is None:
         cfg = default_estimator_config(x.shape[1])
-    jac = eval_M_dtheta(ms, t, class_label)
+    jac = ms.at(t, class_label).jac
     if jac.ndim == 2:  # scalar t
         delta = np.broadcast_to(jac[:, theta_index], (x.shape[0], ms.family.n_subspaces))
     else:
@@ -117,8 +117,8 @@ def estimate_dtheta_flow(flow_field, ms: MatrixSchedule, x, t, theta_index: int,
     x, scalar = _as_batch(x)
     if cfg is None:
         cfg = default_estimator_config(x.shape[1])
-    g, _ = eval_M(ms, t, class_label)
-    jac = eval_M_dtheta(ms, t, class_label)
+    ev = ms.at(t, class_label)
+    g, jac = ev.g, ev.jac
     if jac.ndim == 2:  # scalar t
         g = np.broadcast_to(g, (x.shape[0], ms.family.n_subspaces))
         delta = np.broadcast_to(jac[:, theta_index], (x.shape[0], ms.family.n_subspaces))
@@ -146,22 +146,23 @@ class OuterGradient:
     value: LossValue  # the loss on the batch that was differentiated
 
 
-def _per_subspace_flow_grads(jet, ms, x, flow, g, cfg):
+def _per_subspace_flow_grads(jet, ev, flow, cfg):
     """d(flow)/d(theta) responses to D = P_j, one (n, d) array per subspace.
 
-    `jet` is the flow field's jet at (x, t) and `flow` its value.  All
-    estimator terms are linear in D, so these J basis responses are
-    contracted against the knot Jacobian instead of re-running the
-    estimator once per parameter.
+    `jet` is the flow field's jet at (x, t), `flow` its value and `ev` the
+    schedule at t.  All estimator terms are linear in D, so these J basis
+    responses are contracted against the knot Jacobian instead of
+    re-running the estimator once per parameter.
     """
-    n = x.shape[0]
-    nsub = ms.family.n_subspaces
+    n = flow.shape[0]
+    family = ev.family
+    nsub = family.n_subspaces
     units = np.broadcast_to(np.eye(nsub)[:, None, :], (nsub, n, nsub))
-    term1 = 0.5 * _mixed_sums(jet, ms.family, units, cfg)
+    term1 = 0.5 * _mixed_sums(jet, family, units, cfg)
     grads = []
     for j, unit_rows in enumerate(units):
-        term2 = jet.directional(apply_spectral(ms.family, unit_rows / np.sqrt(g), flow))
-        term3 = 0.5 * apply_spectral(ms.family, unit_rows / g, flow)
+        term2 = jet.directional(apply_spectral(family, unit_rows / ev.sqrt_g, flow))
+        term3 = 0.5 * apply_spectral(family, unit_rows / ev.g, flow)
         grads.append(term1[j] + term2 + term3)
     return grads
 
@@ -175,7 +176,8 @@ def outer_gradient(ms: MatrixSchedule, flow_field, batch: LossSample,
     Implicit part: the field tracks the schedule-dependent optimum, so it
     moves by d(flow)/d(theta); estimated by the plug-in identity with
     `flow_field` standing in for the optimal field.  The loss itself comes
-    from the same field evaluation and is returned as `value`.
+    from the same field evaluation and is returned as `value`.  The
+    schedule is evaluated once, as `ms.at(t, label)`, for every term.
     """
     x0 = np.atleast_2d(batch.x0)
     eps = np.atleast_2d(batch.eps)
@@ -186,21 +188,21 @@ def outer_gradient(ms: MatrixSchedule, flow_field, batch: LossSample,
 
     n = x0.shape[0]
     sample = LossSample(x0=x0, eps=eps, t=t, class_label=label)
-    g, _ = eval_M(ms, t, label)  # (n, J)
-    jac = eval_M_dtheta(ms, t, label)  # (n, J, P)
-    x_t = perturbed_point(ms, sample)
+    ev = ms.at(t, label)
+    jac = ev.jac  # (n, J, P)
+    x_t = perturbed_point(ev, sample)
     jet = flow_field.at(x_t, t)
     flow = jet.value()
-    value = loss_from_flow(ms, sample, flow)
+    value = loss_from_flow(ev, sample, flow)
     w, cot = value.weights, value.cotangent  # (n, J), (n, d)
 
     # explicit, weight part: 2 sum_j w_j dw_j ||P_j (flow+eps)||^2
-    dw = weight_theta_derivative(ms, t, label)  # (n, J, P)
+    dw = weight_theta_derivative(ev)  # (n, J, P)
     energies = ms.family.block_energies(flow + eps)  # (n, J)
     explicit_w = 2.0 * np.einsum("nj,njp,nj->np", w, dw, energies)
 
     # explicit, x_t part: cot . directional(x_t, d(M^{1/2})/dtheta eps)
-    dsqrt = jac / (2.0 * np.sqrt(g)[..., None])  # (n, J, P)
+    dsqrt = jac / (2.0 * ev.sqrt_g[..., None])  # (n, J, P)
     explicit_x = np.zeros((n, jac.shape[2]))
     for j in range(ms.family.n_subspaces):
         unit = np.zeros(ms.family.n_subspaces)
@@ -210,7 +212,7 @@ def outer_gradient(ms: MatrixSchedule, flow_field, batch: LossSample,
         explicit_x += dsqrt[:, j, :] * np.einsum("nd,nd->n", cot, response)[:, None]
 
     # implicit part through the optimal field
-    basis_grads = _per_subspace_flow_grads(jet, ms, x_t, flow, g, cfg)
+    basis_grads = _per_subspace_flow_grads(jet, ev, flow, cfg)
     implicit = np.zeros((n, jac.shape[2]))
     for j, grad_j in enumerate(basis_grads):
         implicit += jac[:, j, :] * np.einsum("nd,nd->n", cot, grad_j)[:, None]

@@ -263,8 +263,9 @@ def train_bilevel(data, ms: MatrixSchedule, model: FlowModel | None, cfg: TrainC
             for i in range(cfg.micro_batches):
                 sl = slice(i * micro, (i + 1) * micro)
                 sub = LossSample(batch.x0[sl], batch.eps[sl], batch.t[sl], label)
-                jet = live.at(perturbed_point(ms, sub), sub.t)
-                value = loss_from_flow(ms, sub, jet.value())
+                ev = ms.at(sub.t, label)
+                jet = live.at(perturbed_point(ev, sub), sub.t)
+                value = loss_from_flow(ev, sub, jet.value())
                 losses[sl] = value.loss
                 subspace_energy += ms.family.block_energies(value.residual).sum(axis=0)
                 grad += jet.param_grad(value.cotangent)

@@ -337,7 +337,7 @@ def test_criterion_12_model_mode_training():
     for t in np.geomspace(0.05, horizon, 12):
         x0 = rng.standard_normal((300, 2))
         eps = rng.standard_normal((300, 2))
-        x_t = perturb(x0, eps, ms, float(t))
+        x_t = perturb(x0, eps, ms.at(float(t)))
         o = oracle(x_t, float(t))
         m = res2.ema_model(x_t, float(t))
         num += np.sum((m - o) ** 2)

@@ -370,6 +370,27 @@ def test_train_config_missing_key_exits_2(tmp_path, gmm_file, capsys, section, k
     assert err == f"error: {section} section is missing key '{key}'\n"
 
 
+@pytest.mark.parametrize("kind, key", [
+    ("schedule", "horizon"), ("schedule", "nodes"), ("mixture", "covariances"), ("model", "widths"),
+])
+def test_saved_file_missing_key_exits_2(tmp_path, gmm_file, schedule_file, capsys, kind, key):
+    model_file = tmp_path / "model.json"
+    save_model(FlowModel.create(2, horizon=10.0, widths=(8,), seed=4), model_file)
+    broken = {"schedule": schedule_file, "mixture": gmm_file, "model": model_file}[kind]
+    payload = json.loads(broken.read_text())
+    del payload[key]
+    broken.write_text(json.dumps(payload))
+    out = str(tmp_path / "out.csv")
+    argv = {
+        "schedule": ["analyze", "schedule", str(schedule_file), "--out", str(tmp_path / "out")],
+        "mixture": ["gen-data", "--gmm", str(gmm_file), "--n", "4", "--out", out],
+        "model": ["sample", "--schedule", str(schedule_file), "--model", str(model_file),
+                  "--steps", "4", "--out", out],
+    }[kind]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {kind} file is missing key '{key}'\n"
+
+
 def test_run_config_rejects_unknown_keys(tmp_path, gmm_file):
     config = {
         "version": "1",

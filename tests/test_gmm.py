@@ -167,7 +167,7 @@ def test_perturb_zero_noise():
     rng = np.random.default_rng(2)
     ms = random_ms(rng)
     x0 = rng.standard_normal(2)
-    np.testing.assert_array_equal(perturb(x0, np.zeros(2), ms, 1.0), x0)
+    np.testing.assert_array_equal(perturb(x0, np.zeros(2), ms.at(1.0)), x0)
 
 
 def test_perturb_scalar_sqrt():
@@ -182,7 +182,7 @@ def test_perturb_scalar_sqrt():
     g, _ = eval_M(ms, 4.0)
     np.testing.assert_allclose(g, 4.0, rtol=1e-12)
     x0 = np.array([1.0, -1.0])
-    out = perturb(x0, np.array([1.0, 0.0]), ms, 4.0)
+    out = perturb(x0, np.array([1.0, 0.0]), ms.at(4.0))
     np.testing.assert_allclose(out, x0 + np.array([2.0, 0.0]), rtol=1e-12)
 
 
@@ -192,7 +192,7 @@ def test_perturb_covariance_matches_M():
     t = 2.5
     g, _ = eval_M(ms, t)
     eps = rng.standard_normal((100_000, 2))
-    deltas = perturb(np.zeros(2), eps, ms, t)
+    deltas = perturb(np.zeros(2), eps, ms.at(t))
     cov = deltas.T @ deltas / deltas.shape[0]
     target = ms.family.dense(g)
     evals_est = np.linalg.eigvalsh(cov)
@@ -407,7 +407,7 @@ def test_dtheta_componentwise_when_responsibilities_frozen():
     # responsibility-weighted sum of per-component Gaussian formulas
     from anisodiff.gmm import _NoisyMixture
 
-    noisy = _NoisyMixture(gm, x, ms, t)
+    noisy = _NoisyMixture(gm, x, ms.at(t))
     expected = np.zeros(2)
     for k in range(2):
         s_k = noisy.comp_score[0, k]

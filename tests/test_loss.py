@@ -119,7 +119,7 @@ def test_weight_theta_derivative_matches_fd():
     rng = np.random.default_rng(4)
     ms = random_ms(rng, n_knots=5)
     t = 1.9
-    deriv = weight_theta_derivative(ms, t)
+    deriv = weight_theta_derivative(ms.at(t))
     theta0 = ms.theta_vector()
     h = 1e-5
     for p in range(ms.n_params):
@@ -347,5 +347,5 @@ def test_perturbed_point_matches_gmm_perturb():
     from anisodiff.loss import perturbed_point
 
     np.testing.assert_array_equal(
-        perturbed_point(ms, batch), perturb(batch.x0, batch.eps, ms, batch.t)
+        perturbed_point(ms.at(batch.t), batch), perturb(batch.x0, batch.eps, ms.at(batch.t))
     )

@@ -276,7 +276,7 @@ def test_matrix_function_identity_reproduces_jacobian():
     ms = ms.with_theta_vector(rng.standard_normal(ms.n_params))
     t = 0.8
     np.testing.assert_allclose(
-        matrix_function_theta_derivative(ms, t, lambda g: np.ones_like(g)),
+        matrix_function_theta_derivative(ms.at(t), lambda g: np.ones_like(g)),
         eval_M_dtheta(ms, t),
         rtol=1e-13,
     )
@@ -288,7 +288,7 @@ def test_matrix_function_sqrt_matches_fd():
     ms = matrix_schedule_for_family(fam, horizon=2.0, n_knots=5)
     ms = ms.with_theta_vector(rng.standard_normal(ms.n_params))
     t = 1.1
-    deriv = matrix_function_theta_derivative(ms, t, lambda g: 0.5 / np.sqrt(g))
+    deriv = matrix_function_theta_derivative(ms.at(t), lambda g: 0.5 / np.sqrt(g))
     theta0 = ms.theta_vector()
     h = 1e-5
     for p in range(ms.n_params):
@@ -304,7 +304,7 @@ def test_matrix_function_sqrt_matches_fd():
 def test_matrix_function_constant_is_zero():
     fam = axis_family(2, 1)
     ms = matrix_schedule_for_family(fam, horizon=2.0, n_knots=4)
-    deriv = matrix_function_theta_derivative(ms, 0.5, lambda g: np.zeros_like(g))
+    deriv = matrix_function_theta_derivative(ms.at(0.5), lambda g: np.zeros_like(g))
     np.testing.assert_array_equal(deriv, 0.0)
 
 

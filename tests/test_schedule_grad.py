@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anisodiff import fields as fields_mod
 from anisodiff import flow_model
 from anisodiff import gmm as gmm_mod
+from anisodiff import schedule as schedule_mod
 from anisodiff.fields import OracleFlowField, OracleScoreField, ScoreFromFlow
 from anisodiff.flow_model import FlowModel
 from anisodiff.gmm import (
@@ -16,7 +16,7 @@ from anisodiff.gmm import (
     score_mixed_directional,
     single_gaussian,
 )
-from anisodiff.loss import draw_loss_samples, loss_sample, perturbed_point
+from anisodiff.loss import LossSample, draw_loss_samples, loss_sample, perturbed_point
 from anisodiff.schedule import (
     KnotSchedule,
     MatrixSchedule,
@@ -254,7 +254,7 @@ def test_outer_gradient_implicit_matches_direct_contraction():
     grad = outer_gradient(ms, field, batch)
     # direct per-parameter evaluation of the implicit term
     value = loss_sample(ms, field, batch)
-    x_t = perturbed_point(ms, batch)
+    x_t = perturbed_point(ms.at(batch.t), batch)
     implicit = np.zeros(ms.n_params)
     for p in range(ms.n_params):
         dflow = estimate_dtheta_flow(field, ms, x_t, batch.t, p)
@@ -271,7 +271,7 @@ def test_outer_gradient_implicit_matches_analytic_oracle():
     grad = outer_gradient(ms, field, batch)
 
     value = loss_sample(ms, field, batch)
-    x_t = perturbed_point(ms, batch)
+    x_t = perturbed_point(ms.at(batch.t), batch)
     g, _ = eval_M(ms, batch.t)
     jac = eval_M_dtheta(ms, batch.t)
     s = score(gm, x_t, ms, batch.t)
@@ -444,6 +444,32 @@ def test_exact_sum_outer_gradient_makes_one_mixed_call(kind, monkeypatch):
     assert len(mixed_calls) == (0 if kind == "oracle" else 1)
 
 
+@pytest.mark.parametrize("kind, locates", [("oracle", 8), ("model", 6)])
+def test_outer_gradient_evaluates_the_schedule_once(kind, locates, monkeypatch):
+    """One knot-interval search per knot schedule and schedule function at J=2:
+    `eval_M`, `eval_M_dtheta` and `eval_M_dt_dtheta` once each for the batch,
+    plus the oracle field's own `eval_M`."""
+    rng, gm, ms = _dct16_setup(18)
+    batch = draw_loss_samples(gm, ms, 8, rng)
+    if kind == "oracle":
+        field = OracleFlowField(gm, ms)
+    else:
+        field = FlowModel.create(16, ms.horizon, widths=(8, 8), seed=3, zero_head=False)
+    calls = _count_calls(monkeypatch, KnotSchedule, "_locate")
+    outer_gradient(ms, field, batch, EstimatorConfig("exact-sum"))
+    assert ms.n_subspaces == 2
+    assert len(calls) == locates
+
+
+def test_outer_gradient_rejects_t_below_t_min():
+    rng, gm, ms = _dct16_setup(19)
+    batch = draw_loss_samples(gm, ms, 8, rng)
+    t = batch.t.copy()
+    t[3] = 0.1 * ms.t_min
+    with pytest.raises(ValueError, match="t_min"):
+        outer_gradient(ms, OracleFlowField(gm, ms), LossSample(batch.x0, batch.eps, t))
+
+
 def _stacked_block_traces(jet, family, n):
     """Reference T_j: the d basis tangents q_i through one stacked `mixed` call."""
     q = family.basis
@@ -562,7 +588,6 @@ def test_oracle_flow_jet_evaluates_the_schedule_once(monkeypatch):
         calls.append(1)
         return eval_M(*args, **kwargs)
 
-    monkeypatch.setattr(fields_mod, "eval_M", counted)
-    monkeypatch.setattr(gmm_mod, "eval_M", counted)
+    monkeypatch.setattr(schedule_mod, "eval_M", counted)
     OracleFlowField(gm, ms).at(rng.standard_normal((4, 2)), 1.3).value()
     assert len(calls) == 1

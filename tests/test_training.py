@@ -9,7 +9,7 @@ from anisodiff.fields import OracleFlowField
 from anisodiff.flow_model import FlowModel
 from anisodiff.gmm import sample_p0, single_gaussian
 from anisodiff.loss import draw_loss_samples
-from anisodiff.schedule import matrix_schedule_for_family
+from anisodiff.schedule import KnotSchedule, matrix_schedule_for_family
 from anisodiff.schedule_grad import estimate_H
 from anisodiff.subspaces import axis_family
 from anisodiff.training import (
@@ -284,6 +284,21 @@ def test_model_mode_evaluates_each_micro_batch_once(monkeypatch):
     expected = steps * micro_batches + steps // per_schedule_step
     assert len(passes) == expected
     assert sum(len(calls) for calls in perturbs) == expected
+
+
+def test_model_mode_evaluates_the_schedule_once_per_micro_batch(monkeypatch):
+    gm = anisotropic_gaussian()
+    ms = matrix_schedule_for_family(axis_family(2, 1), horizon=10.0, n_knots=4)
+    model = FlowModel.create(2, horizon=10.0, widths=(8, 8), seed=2)
+    steps, micro_batches = 3, 2
+    cfg = TrainConfig(
+        batch_size=32, micro_batches=micro_batches, total_images=32 * steps,
+        warmup_images=32, train_model=True, train_schedule=False, seed=1,
+    )
+    locates = _count_calls(monkeypatch, KnotSchedule, "_locate")
+    train_bilevel(gm, ms, model, cfg)
+    # one eval_M per micro-batch: one interval search per knot schedule
+    assert len(locates) == steps * micro_batches * ms.n_subspaces
 
 
 # ---------------------------------------------------------------------------
