@@ -161,9 +161,13 @@ def load_run_config(path):
         raise ValueError(f"unknown train keys: {sorted(bad)}")
     base = path.parent
     resolved = dict(cfg)
-    for key in ("gmm", "data"):
-        if key in cfg:
-            resolved[key] = str((base / cfg[key]).resolve())
+    if isinstance(cfg.get("gmm"), dict):  # one mixture file per class label
+        resolved["gmm"] = {str(label): str((base / p).resolve())
+                           for label, p in cfg["gmm"].items()}
+    elif "gmm" in cfg:
+        resolved["gmm"] = str((base / cfg["gmm"]).resolve())
+    if "data" in cfg:
+        resolved["data"] = str((base / cfg["data"]).resolve())
     return resolved
 
 
@@ -180,6 +184,7 @@ def cmd_train(args) -> int:
     floor = float(sched_cfg.pop("floor", 1e-4))
     knots = int(sched_cfg.pop("knots", 16))
     classes = sched_cfg.pop("classes", None)
+    classes = sorted(str(label) for label in classes) if classes else None
     if sched_cfg:
         raise ValueError(f"unknown schedule keys: {sorted(sched_cfg)}")
     per = tuple(
@@ -189,7 +194,13 @@ def cmd_train(args) -> int:
     ms = MatrixSchedule(family, per, class_table=class_table)
 
     train_cfg = TrainConfig(**cfg.get("train", {}))
-    if "gmm" in cfg:
+    labels = sorted(cfg["gmm"]) if isinstance(cfg.get("gmm"), dict) else None
+    if labels != classes:
+        raise ValueError(f"per-class gmm labels {labels or []} do not match "
+                         f"schedule classes {classes or []}")
+    if labels is not None:
+        data = {label: load_gmm(p) for label, p in cfg["gmm"].items()}
+    elif "gmm" in cfg:
         data = load_gmm(cfg["gmm"])
     else:
         data = load_points_csv(cfg["data"])

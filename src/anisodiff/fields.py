@@ -12,8 +12,12 @@ closed form, `FlowModel` takes them from one stacked `mixed` call.  The
 three direct methods are `at(x, t)` followed by one jet call, so callers
 that need several quantities at the same (x, t), such as the
 schedule-gradient estimator, build one jet and ask it repeatedly.
-Nothing is cached on the field itself: a jet's cache goes when the
-caller drops the jet.
+A jet's cache goes when the caller drops the jet.  The one thing cached
+on a field is `OracleFlowField`'s time slice: the factored noisy
+covariances of the last scalar t, which do not depend on x and are
+reused while t, `gm`, `ms` and `class_label` stay the same, so a
+sampler's two calls at each grid time factor once.  An array t is never
+kept.
 
 `FlowModel` satisfies this protocol directly; the classes here adapt the
 exact mixture oracle and convert between the flow view (M^{1/2} score)
@@ -65,10 +69,28 @@ class OracleFlowField:
         self.gm = gm
         self.ms = ms
         self.class_label = class_label
+        self._last = None  # the noisy covariances at the last scalar t
+
+    def _covariances(self, t):
+        """Noisy covariances at t; those of the last scalar t are kept for reuse.
+
+        The kept slice is reused only while t, `gm`, `ms` and `class_label`
+        all match it, so reassigning an attribute never serves a stale one.
+        An array t is factored afresh and leaves the slice alone.
+        """
+        if np.ndim(t) != 0:
+            return gmm_mod._NoisyCovariances(self.gm, self.ms.at(t, self.class_label))
+        last = self._last
+        if (last is None or last.ev.t != t or last.gm is not self.gm
+                or last.ev.ms is not self.ms or last.ev.class_label != self.class_label):
+            last = self._last = gmm_mod._NoisyCovariances(
+                self.gm, self.ms.at(t, self.class_label))
+        return last
 
     def at(self, x, t):
-        ev = self.ms.at(t, self.class_label)
-        return SpectralJet(gmm_mod._NoisyMixture(self.gm, x, ev), ev.family, ev.sqrt_g)
+        cov = self._covariances(t)
+        ev = cov.ev
+        return SpectralJet(gmm_mod._NoisyMixture(cov, x), ev.family, ev.sqrt_g)
 
     def __call__(self, x, t):
         return self.at(x, t).value()
@@ -89,7 +111,7 @@ class OracleScoreField:
         self.class_label = class_label
 
     def at(self, x, t):
-        return gmm_mod._NoisyMixture(self.gm, x, self.ms.at(t, self.class_label))
+        return gmm_mod._noisy(self.gm, x, self.ms, t, self.class_label)
 
     def __call__(self, x, t):
         return self.at(x, t).value()

@@ -124,34 +124,54 @@ def _factor(cov: Array):
     return logdet, np.swapaxes(chol_inv, -1, -2) @ chol_inv
 
 
+class _NoisyCovariances:
+    """The part of p_t = p_0 * N(0, M_t) that does not depend on x.
+
+    The noisy covariances C_k = Sigma_k + M_t, factored once by `_factor`:
+    K of them for a shared t, n·K for per-sample times.  `ev` is the
+    schedule at those times.
+    """
+
+    def __init__(self, gm: GaussianMixture, ev: ScheduleEval):
+        self.gm = gm
+        self.ev = ev
+        m_dense = ev.family.dense(ev.g)
+        self.shared = m_dense.ndim == 2
+        if self.shared:
+            # shared M_t: factor the K component covariances once
+            self.logdet, self.inv = _factor(gm.covs + m_dense[None, :, :])
+        else:
+            self.logdet, self.inv = _factor(gm.covs[None, :, :, :] + m_dense[:, None, :, :])
+
+
 class _NoisyMixture:
     """Per-sample sufficient statistics of p_t = p_0 * N(0, M_t) at points x.
 
     Also the score field's local jet at (x, t): `value`, `directional`,
     `mixed` and `block_traces` share one factorization, and the Hessian is
-    formed at most once.  `ev` is the schedule at the points' times.
+    formed at most once.  `cov` holds the factored noisy covariances at
+    the points' times.
     """
 
-    def __init__(self, gm: GaussianMixture, x: Array, ev: ScheduleEval):
+    def __init__(self, cov: _NoisyCovariances, x: Array):
+        gm = cov.gm
         x = np.asarray(x, dtype=float)
         self.scalar_input = x.ndim == 1
         x = np.atleast_2d(x)
         n, d = x.shape
         if d != gm.dim:
             raise ValueError(f"points have dimension {d}, mixture has {gm.dim}")
-        m_dense = ev.family.dense(ev.g)
-        if m_dense.ndim == 2:
-            # shared M_t: factor the K component covariances once, and solve
-            # for all points of a component with one (n, d) @ (d, d) product
-            logdet_small, inv = _factor(gm.covs + m_dense[None, :, :])
-            logdet = np.broadcast_to(logdet_small[None], (n, gm.n_components))
+        inv = cov.inv
+        if cov.shared:
+            # solve for all points of a component with one (n, d) @ (d, d) product
+            logdet = np.broadcast_to(cov.logdet[None], (n, gm.n_components))
             diff = x[None, :, :] - gm.means[:, None, :]  # (K, n, d)
             y = diff @ inv  # inv is exactly symmetric
             diff, y = diff.transpose(1, 0, 2), y.transpose(1, 0, 2)
         else:
-            if m_dense.shape[0] != n:
+            if inv.shape[0] != n:
                 raise ValueError("per-sample t must match the batch size")
-            logdet, inv = _factor(gm.covs[None, :, :, :] + m_dense[:, None, :, :])
+            logdet = cov.logdet
             diff = x[:, None, :] - gm.means[None, :, :]  # (n, K, d)
             y = np.einsum("nkij,nkj->nki", inv, diff)
         self.x = x
@@ -290,37 +310,41 @@ class _NoisyMixture:
 # public oracle surface
 # ---------------------------------------------------------------------------
 
+def _noisy(gm, x, ms, t, class_label):
+    return _NoisyMixture(_NoisyCovariances(gm, ms.at(t, class_label)), x)
+
+
 def log_density(gm, x, ms, t, class_label=None):
-    return _NoisyMixture(gm, x, ms.at(t, class_label)).log_density()
+    return _noisy(gm, x, ms, t, class_label).log_density()
 
 
 def score(gm, x, ms, t, class_label=None):
     """grad_x log p_t(x); closed form with log-sum-exp stabilized responsibilities."""
-    return _NoisyMixture(gm, x, ms.at(t, class_label)).score()
+    return _noisy(gm, x, ms, t, class_label).score()
 
 
 def posterior_mean(gm, x, ms, t, class_label=None):
     """E[x_0 | x_t = x]; satisfies score = M_t^{-1}(posterior_mean - x)."""
-    return _NoisyMixture(gm, x, ms.at(t, class_label)).posterior_mean()
+    return _noisy(gm, x, ms, t, class_label).posterior_mean()
 
 
 def score_hessian(gm, x, ms, t, class_label=None):
-    return _NoisyMixture(gm, x, ms.at(t, class_label)).hessian()
+    return _noisy(gm, x, ms, t, class_label).hessian()
 
 
 def score_directional(gm, x, ms, t, v, class_label=None):
     """First directional derivative of the score along v."""
-    return _NoisyMixture(gm, x, ms.at(t, class_label)).directional(v)
+    return _noisy(gm, x, ms, t, class_label).directional(v)
 
 
 def score_mixed_directional(gm, x, ms, t, u, v, class_label=None):
     """Mixed second directional derivative of the score along (u, v)."""
-    return _NoisyMixture(gm, x, ms.at(t, class_label)).mixed(u, v)
+    return _noisy(gm, x, ms, t, class_label).mixed(u, v)
 
 
 def dtheta_score_direction(gm, x, ms, t, direction, class_label=None):
     """Derivative of the score when M_t is perturbed along a dense matrix D."""
-    return _NoisyMixture(gm, x, ms.at(t, class_label)).dtheta_score(direction)
+    return _noisy(gm, x, ms, t, class_label).dtheta_score(direction)
 
 
 def dtheta_score_oracle(gm, x, ms, t, theta_index: int, class_label=None):
@@ -347,7 +371,7 @@ def dtheta_score_fd(gm, x, ms, t, theta_index: int, class_label=None, h: float =
 
 def posterior_sample(gm, x, ms, t, rng, class_label=None):
     """Draw x_0 ~ p(x_0 | x_t = x); used by Monte-Carlo identity checks."""
-    noisy = _NoisyMixture(gm, x, ms.at(t, class_label))
+    noisy = _noisy(gm, x, ms, t, class_label)
     x2 = noisy.x
     n, d = x2.shape
     rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)

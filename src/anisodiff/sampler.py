@@ -10,6 +10,11 @@ subspace-wise scalings and pseudoinverses.
 Sign convention: the update direction is +flow (the corrector below
 simultaneously satisfies the Euler step, the endpoint trapezoid
 reduction, and the exact integral of the affine interpolant).
+
+`sample_trajectory` evaluates the schedule once per trajectory: one
+`eval_M` call gives sqrt(g) at every grid time (and every midpoint, for
+the midpoint secondary), and each step reads its rows.  `euler_step` and
+`heun_step` evaluate their own times and apply the same update, `_step`.
 """
 
 import time
@@ -68,25 +73,42 @@ def init_state(ms: MatrixSchedule, rng, n: int | None = None, class_label=None) 
     return apply_spectral(ms.family, _sqrt_g(ms, ms.horizon, class_label), xi)
 
 
-def euler_step(ms, flow_field, x, grid, k, class_label=None, flow_k=None):
-    """One reverse Euler step from t_k to t_{k-1}: x + Delta U_k flow(x, t_k)."""
-    if not 1 <= k <= grid.size - 1:
-        raise ValueError("step index out of range")
-    t_k, t_prev = grid[k], grid[k - 1]
-    u_k, u_prev = _sqrt_g(ms, np.array([t_k, t_prev]), class_label)
-    du = u_k - u_prev
-    f_k = flow_field(x, t_k) if flow_k is None else flow_k
-    return x + apply_spectral(ms.family, du, f_k), f_k
+def _step(family, flow_field, x, t_k, u_k, u_prev, t_hat=None, u_hat=None, flow_k=None):
+    """One reverse step from t_k to t_{k-1} given the sqrt(g) rows at its times.
 
-
-def heun_step(ms, flow_field, x, grid, k, secondary="endpoint", class_label=None, flow_k=None):
-    """One matrix Heun step from t_k to t_{k-1}.
-
+    Euler: x + Delta U f_k with Delta U = u_k - u_prev.  With a secondary
+    time t_hat (and its row u_hat) this is the matrix Heun step.
     Predictor: Euler to the secondary time.  Corrector:
     x + Delta U f_k - 1/2 (Delta U)^2 (U_hat - U_k)^+ (f_hat - f_k),
     where the pseudoinverse drops the correction on any subspace whose
     secondary increment is below 1e-12 (plain Euler there).  With the
     endpoint choice this is exactly the trapezoid update.
+
+    Returns (new_x, f_k, f_hat); f_hat is None for Euler.
+    """
+    du = u_k - u_prev
+    f_k = flow_field(x, t_k) if flow_k is None else flow_k
+    if t_hat is None:
+        return x + apply_spectral(family, du, f_k), f_k, None
+    x_hat = x + apply_spectral(family, u_k - u_hat, f_k)
+    f_hat = flow_field(x_hat, t_hat)
+    gap = u_hat - u_k
+    coef = np.where(np.abs(gap) < FLAT_INCREMENT_TOL, 0.0, -0.5 * du**2 / np.where(gap == 0, 1.0, gap))
+    new_x = x + apply_spectral(family, du, f_k) + apply_spectral(family, coef, f_hat - f_k)
+    return new_x, f_k, f_hat
+
+
+def euler_step(ms, flow_field, x, grid, k, class_label=None, flow_k=None):
+    """One reverse Euler step from t_k to t_{k-1}: x + Delta U_k flow(x, t_k)."""
+    if not 1 <= k <= grid.size - 1:
+        raise ValueError("step index out of range")
+    u_k, u_prev = _sqrt_g(ms, np.array([grid[k], grid[k - 1]]), class_label)
+    new_x, f_k, _ = _step(ms.family, flow_field, x, grid[k], u_k, u_prev, flow_k=flow_k)
+    return new_x, f_k
+
+
+def heun_step(ms, flow_field, x, grid, k, secondary="endpoint", class_label=None, flow_k=None):
+    """One matrix Heun step from t_k to t_{k-1} (see `_step`).
 
     Returns (new_x, f_k, f_hat, t_hat).
     """
@@ -95,13 +117,7 @@ def heun_step(ms, flow_field, x, grid, k, secondary="endpoint", class_label=None
     t_k, t_prev = grid[k], grid[k - 1]
     t_hat = t_prev if secondary == "endpoint" else 0.5 * (t_prev + t_k)
     u_k, u_prev, u_hat = _sqrt_g(ms, np.array([t_k, t_prev, t_hat]), class_label)
-    du = u_k - u_prev
-    f_k = flow_field(x, t_k) if flow_k is None else flow_k
-    x_hat = x + apply_spectral(ms.family, u_k - u_hat, f_k)
-    f_hat = flow_field(x_hat, t_hat)
-    gap = u_hat - u_k
-    coef = np.where(np.abs(gap) < FLAT_INCREMENT_TOL, 0.0, -0.5 * du**2 / np.where(gap == 0, 1.0, gap))
-    new_x = x + apply_spectral(ms.family, du, f_k) + apply_spectral(ms.family, coef, f_hat - f_k)
+    new_x, f_k, f_hat = _step(ms.family, flow_field, x, t_k, u_k, u_prev, t_hat, u_hat, flow_k)
     return new_x, f_k, f_hat, t_hat
 
 
@@ -119,9 +135,12 @@ def sample_trajectory(ms: MatrixSchedule, flow_field, cfg: SamplerConfig,
                       x_init: Array | None = None) -> TrajectoryResult:
     """Integrate from t = horizon down to t_min, recording every state.
 
-    Heun with the endpoint secondary reuses the last step's secondary
-    evaluation (already at t_{k-1}) as the base evaluation of the final
-    step, giving exactly 2K-1 evaluations for K >= 2 steps.
+    The schedule is evaluated once: sqrt(g) at every grid time, and at the
+    midpoints when the Heun secondary is the midpoint, in one `eval_M`
+    call; each step reads its rows.  Heun with the endpoint secondary
+    reuses the last step's secondary evaluation (already at t_{k-1}) as the
+    base evaluation of the final step, giving exactly 2K-1 evaluations for
+    K >= 2 steps.
     """
     grid = time_grid(ms, cfg)
     if x_init is None:
@@ -130,22 +149,22 @@ def sample_trajectory(ms: MatrixSchedule, flow_field, cfg: SamplerConfig,
     else:
         x = np.asarray(x_init, dtype=float)
     start = time.perf_counter()
+    heun = cfg.solver == "heun"
+    midpoint = heun and cfg.secondary == "midpoint"
+    t_hats = 0.5 * (grid[:-1] + grid[1:]) if midpoint else grid[:-1]
+    table = _sqrt_g(ms, np.concatenate((grid, t_hats)) if midpoint else grid, class_label)
+    u = table[:grid.size]
+    u_hats = table[grid.size:] if midpoint else u[:-1]
     states = [x]
     nfe = 0
-    k_steps = cfg.steps
     carried_flow = None
-    for k in range(k_steps, 0, -1):
-        if cfg.solver == "euler":
-            x, _ = euler_step(ms, flow_field, x, grid, k, class_label)
-            nfe += 1
-        else:
-            reuse = carried_flow if (cfg.secondary == "endpoint" and k == 1) else None
-            x, _, f_hat, t_hat = heun_step(
-                ms, flow_field, x, grid, k, cfg.secondary, class_label, flow_k=reuse
-            )
-            nfe += 1 if reuse is not None else 2
-            if cfg.secondary == "endpoint" and k == 2:
-                carried_flow = f_hat  # evaluated at t_1; reused by the final step
+    for k in range(cfg.steps, 0, -1):
+        reuse = carried_flow if k == 1 else None
+        t_hat, u_hat = (t_hats[k - 1], u_hats[k - 1]) if heun else (None, None)
+        x, _, f_hat = _step(ms.family, flow_field, x, grid[k], u[k], u[k - 1], t_hat, u_hat, reuse)
+        nfe += (reuse is None) + (f_hat is not None)
+        if heun and not midpoint and k == 2:
+            carried_flow = f_hat  # evaluated at t_1; reused by the final step
         states.append(x)
     return TrajectoryResult(
         times=grid,

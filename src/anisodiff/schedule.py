@@ -110,9 +110,11 @@ class KnotSchedule:
         """d ell_j / d theta_m, shape (K, K-1); endpoints have zero rows."""
         s = softplus(self.theta)
         sp = sigmoid(self.theta)  # derivative of softplus
-        total = np.sum(s)
         gap = np.log(self.horizon) - np.log(self.floor)
         cum = np.cumsum(s)  # S_j for j = 1..K-1
+        # the total is cum[-1], not np.sum(s) (pairwise, an ulp away), so the
+        # pinned last row is exactly zero
+        total = cum[-1]
         # row j: theta_m enters S_j for m < j, and the total always
         mask = np.arange(self.n_params) < np.arange(1, self.nodes.size)[:, None]
         rows = gap * sp * (mask * total - cum[:, None]) / total**2

@@ -305,6 +305,66 @@ def test_train_oracle_mode_command(tmp_path, gmm_file):
     assert len(diag_rows) == 10 * 8  # one row per (theta step, coordinate)
 
 
+def _class_conditional_config(tmp_path):
+    """Two mixtures in their own directory, named relative to the config file."""
+    data_dir = tmp_path / "mixtures"
+    data_dir.mkdir()
+    for label, shift in (("a", 1.0), ("b", -2.0)):
+        gm = GaussianMixture(np.array([1.0]), np.array([[shift, 0.5 * shift]]),
+                             np.diag([0.5, 0.8])[None])
+        save_gmm(gm, data_dir / f"{label}.json")
+    config_dir = tmp_path / "config"
+    config_dir.mkdir()
+    config = {
+        "version": "1",
+        "gmm": {"a": "../mixtures/a.json", "b": "../mixtures/b.json"},
+        "family": {"kind": "axis", "dim": 2, "split": 1},
+        "schedule": {"horizon": 10.0, "knots": 5, "classes": ["a", "b"]},
+        "train": {"batch_size": 32, "total_images": 320, "warmup_images": 64,
+                  "lr_model": 0.1, "train_model": False, "seed": 0},
+    }
+    return config_dir / "run.json", config
+
+
+def test_train_class_conditional_then_sample_and_analyze(tmp_path):
+    cfg_path, config = _class_conditional_config(tmp_path)
+    cfg_path.write_text(json.dumps(config))
+    out = tmp_path / "rundir"
+    assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 0
+    ms = load_schedule(out / "schedule.json")
+    assert sorted(ms.class_table) == ["a", "b"]
+    _, _, trace = read_csv(out / "theta_trace.csv")
+    assert {row[1] for row in trace} == {"a", "b"}  # both classes took schedule steps
+    samples = tmp_path / "samples.csv"
+    assert main(["sample", "--schedule", str(out / "schedule.json"), "--class-label", "a",
+                 "--oracle", str(tmp_path / "mixtures" / "a.json"), "--steps", "4",
+                 "--n", "8", "--out", str(samples)]) == 0
+    assert np.all(np.isfinite(load_points_csv(samples)))
+    analysis = tmp_path / "analysis"
+    assert main(["analyze", "schedule", str(out / "schedule.json"), "--out", str(analysis)]) == 0
+    _, columns, _ = read_csv(analysis / "schedule_curves.csv")
+    assert {"g1_class_a", "g2_class_a", "g1_class_b", "g2_class_b"} <= set(columns)
+    assert (analysis / "class_normalized.csv").exists()
+
+
+@pytest.mark.parametrize("labels, classes", [(["a"], ["a", "b"]), (None, ["a", "b"]),
+                                             (["a", "b"], None)])
+def test_train_class_labels_must_match_the_gmm_map(tmp_path, capsys, labels, classes):
+    cfg_path, config = _class_conditional_config(tmp_path)
+    if labels is None:
+        config["gmm"] = "../mixtures/a.json"
+    else:
+        config["gmm"] = {label: f"../mixtures/{label}.json" for label in labels}
+    config["schedule"]["classes"] = classes
+    cfg_path.write_text(json.dumps(config))
+    assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "rundir")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err == (f"error: per-class gmm labels {labels or []} do not match "
+                   f"schedule classes {classes or []}\n")
+    assert not (tmp_path / "rundir").exists()
+
+
 def test_train_model_mode_command(tmp_path, gmm_file):
     config = {
         "version": "1",

@@ -405,9 +405,9 @@ def test_dtheta_componentwise_when_responsibilities_frozen():
     x = np.array([0.3, 0.8])
     got = dtheta_score_direction(gm, x, ms, t, d_mat)
     # responsibility-weighted sum of per-component Gaussian formulas
-    from anisodiff.gmm import _NoisyMixture
+    from anisodiff.gmm import _NoisyCovariances, _NoisyMixture
 
-    noisy = _NoisyMixture(gm, x, ms.at(t))
+    noisy = _NoisyMixture(_NoisyCovariances(gm, ms.at(t)), x)
     expected = np.zeros(2)
     for k in range(2):
         s_k = noisy.comp_score[0, k]

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anisodiff import sampler
 from anisodiff.fields import OracleFlowField
@@ -14,10 +16,12 @@ from anisodiff.sampler import (
     time_grid,
 )
 from anisodiff.schedule import (
+    KnotSchedule,
     MatrixSchedule,
     eval_M,
     isotropic_matrix_schedule,
     matrix_schedule_for_family,
+    uniform_nodes,
 )
 from anisodiff.subspaces import axis_family
 
@@ -267,7 +271,54 @@ def test_one_eval_M_per_step(monkeypatch, solver):
     monkeypatch.setattr(sampler, "eval_M", counting_eval_M)
     cfg = SamplerConfig(steps=8, solver=solver, secondary="endpoint")
     sample_trajectory(ms, lambda x, t: -x, cfg, n=4)
-    assert len(calls) == 1 + 8
+    assert len(calls) == 2  # init_state, then the trajectory's sqrt(g) table
+
+
+def step_loop(ms, field, cfg, x, class_label):
+    """sample_trajectory's integration as a loop of the public step functions."""
+    grid = time_grid(ms, cfg)
+    states, carried = [x], None
+    for k in range(cfg.steps, 0, -1):
+        if cfg.solver == "euler":
+            x, _ = euler_step(ms, field, x, grid, k, class_label)
+        else:
+            reuse = carried if (cfg.secondary == "endpoint" and k == 1) else None
+            x, _, f_hat, _ = heun_step(ms, field, x, grid, k, cfg.secondary, class_label,
+                                       flow_k=reuse)
+            if cfg.secondary == "endpoint" and k == 2:
+                carried = f_hat
+        states.append(x)
+    return states
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), steps=st.integers(1, 8),
+       horizon=st.floats(1.0, 1e3),
+       rule=st.sampled_from([("euler", "endpoint"), ("heun", "endpoint"), ("heun", "midpoint")]),
+       conditional=st.booleans())
+def test_trajectory_equals_the_step_loop(seed, steps, horizon, rule, conditional):
+    # the one sqrt(g) table per trajectory gives the bits of per-step evaluations
+    rng = np.random.default_rng(seed)
+
+    def row():
+        return tuple(KnotSchedule(rng.standard_normal(4), uniform_nodes(horizon, 5),
+                                  1e-4 * horizon, horizon) for _ in range(2))
+
+    fam = axis_family(2, 1)
+    if conditional:
+        ms, label = MatrixSchedule(fam, row(), class_table={"a": row(), "b": row()}), "a"
+    else:
+        ms, label = MatrixSchedule(fam, row()), None
+    cfg = SamplerConfig(steps=steps, solver=rule[0], secondary=rule[1], seed=seed % 1000)
+    res = sample_trajectory(ms, OracleFlowField(anisotropic_gmm(), ms, label), cfg, n=3,
+                            class_label=label)
+    want = step_loop(ms, OracleFlowField(anisotropic_gmm(), ms, label), cfg,
+                     res.states[0], label)
+    assert len(res.states) == len(want) == steps + 1
+    for got, ref in zip(res.states, want):
+        assert np.array_equal(got, ref)
+    assert np.array_equal(res.final, want[-1])
+    assert res.nfe == expected_nfe(cfg)
 
 
 def test_scalar_reduction_euler():

@@ -106,6 +106,16 @@ def test_theta_gradient_zero_at_endpoints():
     np.testing.assert_allclose(s.eval_dtheta(s.horizon), 0.0, atol=1e-12)
 
 
+def test_pinned_endpoint_gradient_is_exactly_zero():
+    # g(T) = T whatever theta is, so the last log-node row and d g(T) / d theta
+    # must be exactly 0; a pairwise np.sum total left ulp-sized rows on ~20%
+    horizon = 80.0
+    for seed in range(200):
+        s = random_schedule(np.random.default_rng(seed), horizon=horizon, n_knots=16)
+        assert np.all(s._log_node_grads[-1] == 0.0)
+        assert np.all(s.eval_dtheta(horizon) == 0.0)
+
+
 def test_theta_gradient_matches_fd():
     rng = np.random.default_rng(5)
     for _ in range(20):

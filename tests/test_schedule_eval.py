@@ -97,9 +97,9 @@ def _log_node_grads_loop(s: KnotSchedule):
     """The per-node loop the broadcast `_log_node_grads` replaced."""
     sp_s = softplus(s.theta)
     sp = sigmoid(s.theta)
-    total = np.sum(sp_s)
     gap = np.log(s.horizon) - np.log(s.floor)
     cum = np.cumsum(sp_s)
+    total = cum[-1]  # the total `_log_node_grads` uses, so the last row is exactly 0
     k = s.nodes.size
     grads = np.zeros((k, s.n_params))
     for j in range(1, k):
