@@ -80,7 +80,7 @@ def cmd_basis(args) -> int:
         return 0
     samples = load_points_csv(args.data)
     family = build_pca_projectors(samples, args.k)
-    vectors = np.concatenate([m.basis.T for m in family.members], axis=0)
+    vectors = family.basis.T
     header = [
         provenance_line(vars(args), args.seed),
         f"# pca d={samples.shape[1]} k={args.k}",

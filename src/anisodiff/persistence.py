@@ -17,7 +17,6 @@ from .flow_model import FlowModel
 from .gmm import GaussianMixture
 from .schedule import KnotSchedule, MatrixSchedule
 from .subspaces import (
-    Projector,
     ProjectorFamily,
     axis_family,
     build_dct_projectors,
@@ -108,7 +107,9 @@ def family_to_json(family: ProjectorFamily) -> dict:
     payload = {
         "kind": "explicit",
         "dim": family.ambient_dim,
-        "blocks": [m.basis.tolist() for m in family.members],
+        "blocks": [
+            family.basis[:, family.labels == j].tolist() for j in range(family.n_subspaces)
+        ],
     }
     if kind == "pca":
         payload["pca_meta"] = {
@@ -127,11 +128,15 @@ def family_from_json(payload: dict) -> ProjectorFamily:
     if kind == "axis":
         return axis_family(payload["dim"], payload["split"])
     if kind == "explicit":
-        members = tuple(Projector(np.array(b)) for b in payload["blocks"])
+        dim = payload["dim"]
+        blocks = [np.array(b, dtype=float) for b in payload["blocks"]]
+        if any(b.ndim != 2 or b.shape[0] != dim for b in blocks):
+            raise ValueError(f"family blocks must be arrays with {dim} rows")
+        labels = np.repeat(np.arange(len(blocks)), [b.shape[1] for b in blocks])
         meta = {"kind": "explicit"}
         if "pca_meta" in payload:
             meta = {"kind": "pca", **payload["pca_meta"]}
-        return ProjectorFamily(members, payload["dim"], meta=meta)
+        return ProjectorFamily(np.concatenate(blocks, axis=1), labels, meta=meta)
     raise ValueError(f"unknown family kind {kind!r}")
 
 

@@ -36,7 +36,6 @@ class SamplerConfig:
     solver: str = "heun"  # "euler" | "heun"
     secondary: str = "endpoint"  # "endpoint" | "midpoint"
     t_min: float | None = None  # defaults to ms.t_min = t_floor_fraction * horizon
-    grid: str = "uniform"
     seed: int = 0
 
     def __post_init__(self):
@@ -46,8 +45,6 @@ class SamplerConfig:
             raise ValueError(f"unknown solver {self.solver!r}")
         if self.secondary not in ("endpoint", "midpoint"):
             raise ValueError(f"unknown secondary rule {self.secondary!r}")
-        if self.grid != "uniform":
-            raise ValueError(f"unknown grid strategy {self.grid!r}")
         if self.t_min is not None and self.t_min <= 0:
             raise ValueError("t_min must be positive")
 

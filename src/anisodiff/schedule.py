@@ -333,32 +333,32 @@ def eval_M(ms: MatrixSchedule, t, class_label=None):
     return g, dg
 
 
-def eval_M_dtheta(ms: MatrixSchedule, t, class_label=None):
-    """Jacobian d g_j / d theta_p, shape (..., J, P); block diagonal over j."""
+def _block_jacobian(ms: MatrixSchedule, t, class_label, method: str):
+    """Stack each knot schedule's `method` Jacobian into its block, shape (..., J, P).
+
+    The method is looked up on each schedule at call time, so a wrapper
+    bound to the `KnotSchedule` class sees every call.
+    """
     schedules = ms.schedules_for(class_label)
     slices = ms.param_slices(class_label)
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     total = sum(s.n_params for s in schedules)
     out = np.zeros((t_arr.size, len(schedules), total))
     for j, (s, sl) in enumerate(zip(schedules, slices)):
-        out[:, j, sl] = s.eval_dtheta(t_arr)
+        out[:, j, sl] = getattr(s, method)(t_arr)
     if np.asarray(t).ndim == 0:
         return out[0]
     return out
+
+
+def eval_M_dtheta(ms: MatrixSchedule, t, class_label=None):
+    """Jacobian d g_j / d theta_p, shape (..., J, P); block diagonal over j."""
+    return _block_jacobian(ms, t, class_label, "eval_dtheta")
 
 
 def eval_M_dt_dtheta(ms: MatrixSchedule, t, class_label=None):
     """Jacobian d (dg_j/dt) / d theta_p, shape (..., J, P)."""
-    schedules = ms.schedules_for(class_label)
-    slices = ms.param_slices(class_label)
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    total = sum(s.n_params for s in schedules)
-    out = np.zeros((t_arr.size, len(schedules), total))
-    for j, (s, sl) in enumerate(zip(schedules, slices)):
-        out[:, j, sl] = s.eval_dt_dtheta(t_arr)
-    if np.asarray(t).ndim == 0:
-        return out[0]
-    return out
+    return _block_jacobian(ms, t, class_label, "eval_dt_dtheta")
 
 
 def matrix_function_theta_derivative(ev: ScheduleEval, f_prime):

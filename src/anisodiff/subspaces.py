@@ -1,14 +1,14 @@
 """Orthogonal projector families, DCT/PCA bases, and subspace geometry.
 
-Projectors are stored as orthonormal basis blocks Q_j (columns span the
-subspace).  Every matrix function sum_j f(g_j) P_j of a family goes
-through :func:`apply_spectral`, which maps x to the family's own
-coordinates, scales each coordinate by the value of its block (the
-family's per-coordinate block labels) and maps back.  A generic family's
-coordinates come from one orthonormal d x d basis Q = [Q_1 ... Q_J],
-so a call costs O(n d^2).  A DCT family on side x side images with side
->= 16 uses the separable 2-D transform D X D^T instead, which costs
-O(n d^1.5).
+A family is one orthonormal d x d basis Q and the block label j of each
+of its columns; the columns labelled j span the subspace of P_j.  Every
+matrix function sum_j f(g_j) P_j of a family goes through
+:func:`apply_spectral`, which maps x to the family's own coordinates,
+scales each coordinate by the value of its block and maps back.  A
+generic family's coordinates are x Q, so a call costs O(n d^2).  A DCT
+family on side x side images with side >= 16 uses the separable 2-D
+transform D X D^T instead, which costs O(n d^1.5).  Subspace geometry
+(:func:`projector_distance`) takes raw (d, k) arrays of basis columns.
 """
 
 from dataclasses import dataclass, field
@@ -23,84 +23,50 @@ TIE_TOL = 1e-9
 
 
 def _as_basis(obj) -> Array:
-    """Accept a Projector or a raw (d, k) array of basis columns."""
-    basis = getattr(obj, "basis", obj)
-    basis = np.asarray(basis, dtype=float)
+    """A raw (d, k) array of basis columns, as float."""
+    basis = np.asarray(obj, dtype=float)
     if basis.ndim != 2:
         raise ValueError(f"basis must be 2-D (d, k), got shape {basis.shape}")
     return basis
 
 
 @dataclass(frozen=True)
-class Projector:
-    """Orthogonal projector P = Q Q^T represented by its basis columns Q."""
+class ProjectorFamily:
+    """Mutually orthogonal projectors {P_j} with sum P_j = I on R^d.
 
-    basis: Array  # shape (d, k), orthonormal columns
+    The family is one orthonormal d x d basis Q and the block index of
+    each of its columns: P_j = Q_j Q_j^T with Q_j = Q[:, labels == j].
+    """
+
+    basis: Array  # (d, d), orthonormal columns
+    labels: Array  # (d,), block index j of each column of basis
+    meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "basis", _as_basis(self.basis))
-        gram = self.basis.T @ self.basis
-        if not np.allclose(gram, np.eye(self.dim), atol=GRAM_TOL):
-            raise ValueError("projector basis columns are not orthonormal")
+        basis = np.ascontiguousarray(_as_basis(self.basis))
+        labels = np.asarray(self.labels)
+        d = basis.shape[0]
+        if basis.shape[1] != d:
+            raise ValueError(f"subspace dimensions sum to {basis.shape[1]}, expected {d}")
+        if labels.shape != (d,):
+            raise ValueError(f"expected {d} block labels, got shape {labels.shape}")
+        if not np.allclose(basis.T @ basis, np.eye(d), atol=GRAM_TOL):
+            raise ValueError("family basis columns are not orthonormal")
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "labels", labels)
 
     @property
     def ambient_dim(self) -> int:
         return self.basis.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[1]
-
-    def apply(self, x: Array) -> Array:
-        """P x for x of shape (d,) or (..., d)."""
-        x = np.asarray(x, dtype=float)
-        return (x @ self.basis) @ self.basis.T
-
-
-@dataclass(frozen=True)
-class ProjectorFamily:
-    """Mutually orthogonal projectors {P_j} with sum P_j = I on R^d."""
-
-    members: tuple
-    ambient_dim: int
-    meta: dict = field(default_factory=dict, compare=False)
-
-    def __post_init__(self):
-        members = tuple(
-            m if isinstance(m, Projector) else Projector(m) for m in self.members
-        )
-        object.__setattr__(self, "members", members)
-        d = self.ambient_dim
-        total = 0
-        for m in members:
-            if m.ambient_dim != d:
-                raise ValueError("all projectors must share the ambient dimension")
-            total += m.dim
-        if total != d:
-            raise ValueError(f"subspace dimensions sum to {total}, expected {d}")
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                cross = members[i].basis.T @ members[j].basis
-                if np.max(np.abs(cross)) > GRAM_TOL:
-                    raise ValueError(f"subspaces {i} and {j} are not orthogonal")
+    @cached_property
+    def dims(self) -> tuple:
+        """Dimension of each block, (dim P_1, ..., dim P_J)."""
+        return tuple(int(k) for k in np.bincount(self.labels))
 
     @property
     def n_subspaces(self) -> int:
-        return len(self.members)
-
-    @property
-    def dims(self) -> tuple:
-        return tuple(m.dim for m in self.members)
-
-    @cached_property
-    def basis(self) -> Array:
-        """Orthonormal d x d basis Q = [Q_1 ... Q_J], built on first use."""
-        return np.concatenate([m.basis for m in self.members], axis=1)
-
-    @cached_property
-    def labels(self) -> Array:
-        """Block index j of each column of :attr:`basis`, shape (d,)."""
-        return np.repeat(np.arange(self.n_subspaces), self.dims)
+        return len(self.dims)
 
     # The transform pair and coordinate labels used by apply_spectral.
     def forward(self, x: Array) -> Array:
@@ -159,19 +125,15 @@ def apply_spectral(family: ProjectorFamily, values, x: Array) -> Array:
 
 def isotropic_family(d: int) -> ProjectorFamily:
     """J=1 family with P_1 = I (the scalar-schedule special case)."""
-    return ProjectorFamily((Projector(np.eye(d)),), d, meta={"kind": "isotropic"})
+    return ProjectorFamily(np.eye(d), np.zeros(d, dtype=int), meta={"kind": "isotropic"})
 
 
 def axis_family(d: int, split: int) -> ProjectorFamily:
     """Two coordinate-aligned subspaces: first `split` axes vs the rest."""
     if not 1 <= split < d:
         raise ValueError("split must satisfy 1 <= split < d")
-    eye = np.eye(d)
-    return ProjectorFamily(
-        (Projector(eye[:, :split]), Projector(eye[:, split:])),
-        d,
-        meta={"kind": "axis", "split": split},
-    )
+    labels = (np.arange(d) >= split).astype(int)
+    return ProjectorFamily(np.eye(d), labels, meta={"kind": "axis", "split": split})
 
 
 # ---------------------------------------------------------------------------
@@ -226,22 +188,14 @@ class SeparableDCTFamily(ProjectorFamily):
     With D the orthonormal 1-D DCT-II matrix, the coordinates of a
     row-major side x side image X are C = D X D^T and X = D^T C D.
     Coordinate (p, q) belongs to the low block iff p < low_side and
-    q < low_side.  The members keep the zigzag-ordered basis images of
-    :func:`build_dct_basis`; only `dense` and the members' own methods
-    use them.
+    q < low_side.  The stored basis Q is the one
+    :func:`build_dct_projectors` builds; `dense` and the jets'
+    `block_traces` read it, while `apply_spectral` goes through the
+    separable :meth:`forward` and :meth:`inverse`.
     """
 
     side: int = field(kw_only=True)
     low_side: int = field(kw_only=True)
-
-    @property
-    def basis(self) -> Array:
-        """Q = [Q_1 ... Q_J], rebuilt on each use and not kept.
-
-        Only :meth:`dense` needs it here, and keeping it would double the
-        memory the members already take.
-        """
-        return np.concatenate([m.basis for m in self.members], axis=1)
 
     @cached_property
     def dct_matrix(self) -> Array:
@@ -273,7 +227,9 @@ def build_dct_projectors(side: int, low_side: int | None = None) -> ProjectorFam
     """Two-subspace DCT family: low-frequency block vs its complement.
 
     The low subspace spans the modes {(p, q) : p < low_side, q < low_side};
-    `low_side` defaults to side // 2.
+    `low_side` defaults to side // 2.  The columns of the family's basis
+    are the basis images of :func:`build_dct_basis`, low block first and
+    in zigzag order within each block.
 
     For side >= SEPARABLE_DCT_MIN_SIDE the family is a
     :class:`SeparableDCTFamily`, which applies spectral matrices through
@@ -292,13 +248,14 @@ def build_dct_projectors(side: int, low_side: int | None = None) -> ProjectorFam
         low_side = side // 2
     if not 1 <= low_side < side:
         raise ValueError("low_side must satisfy 1 <= low_side < side")
-    vectors = build_dct_basis(side)
-    is_low = np.array([p < low_side and q < low_side for p, q in dct_mode_order(side)])
-    members = (Projector(vectors[is_low].T), Projector(vectors[~is_low].T))
+    is_high = np.array([p >= low_side or q >= low_side for p, q in dct_mode_order(side)])
+    order = np.argsort(is_high, kind="stable")  # low block first, zigzag order within
+    basis = np.take(build_dct_basis(side).T, order, axis=1)
+    labels = is_high[order].astype(int)
     meta = {"kind": "dct", "side": side, "low_side": low_side}
     if side >= SEPARABLE_DCT_MIN_SIDE:
-        return SeparableDCTFamily(members, side * side, meta, side=side, low_side=low_side)
-    return ProjectorFamily(members, side * side, meta)
+        return SeparableDCTFamily(basis, labels, meta, side=side, low_side=low_side)
+    return ProjectorFamily(basis, labels, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -349,11 +306,9 @@ def build_pca_projectors(samples: Array, k: int) -> ProjectorFamily:
             evecs[:, start:stop] = evecs[:, sub]
         start = stop
     tie_at_cut = abs(evals[k - 1] - evals[k]) <= TIE_TOL * scale
-    top = Projector(evecs[:, :k])
-    rest = Projector(evecs[:, k:])
     return ProjectorFamily(
-        (top, rest),
-        d,
+        evecs,
+        np.repeat([0, 1], [k, d - k]),
         meta={"kind": "pca", "eigenvalues": evals.tolist(), "tie_at_cut": bool(tie_at_cut)},
     )
 

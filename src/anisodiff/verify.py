@@ -41,7 +41,6 @@ from .schedule import (
 )
 from .schedule_grad import estimate_dtheta_score
 from .subspaces import (
-    Projector,
     ProjectorFamily,
     apply_spectral,
     axis_family,
@@ -94,7 +93,7 @@ def _test_gmm(rng, d=2, n_components=3):
 
 def _rotated_family(rng, d=2):
     q, _ = np.linalg.qr(rng.standard_normal((d, d)))
-    return ProjectorFamily((Projector(q[:, :1]), Projector(q[:, 1:])), d)
+    return ProjectorFamily(q, np.repeat([0, 1], [1, d - 1]))
 
 
 def _three_families(rng, d=2):

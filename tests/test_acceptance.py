@@ -38,7 +38,7 @@ from anisodiff.schedule_grad import (
     fd_outer_gradient,
     outer_gradient,
 )
-from anisodiff.subspaces import Projector, ProjectorFamily, apply_spectral
+from anisodiff.subspaces import ProjectorFamily, apply_spectral
 from anisodiff.training import TrainConfig, evaluate_generation, gaussian_w2, train_bilevel
 from anisodiff.verify import (
     check_estimator_gaussian_exact,
@@ -55,12 +55,13 @@ def two_point_dct_family():
     """Frequency split of R^2: constant vector vs difference vector."""
     v1 = np.array([[1.0], [1.0]]) / np.sqrt(2.0)
     v2 = np.array([[1.0], [-1.0]]) / np.sqrt(2.0)
-    return ProjectorFamily((Projector(v1), Projector(v2)), 2)
+    return ProjectorFamily(np.hstack((v1, v2)), np.array([0, 1]))
 
 
 def anisotropic_gaussian(family):
-    cov = 4.0 * (family.members[0].basis @ family.members[0].basis.T)
-    cov += 0.25 * (family.members[1].basis @ family.members[1].basis.T)
+    q0, q1 = (family.basis[:, family.labels == j] for j in (0, 1))
+    cov = 4.0 * (q0 @ q0.T)
+    cov += 0.25 * (q1 @ q1.T)
     return single_gaussian(np.zeros(2), cov)
 
 

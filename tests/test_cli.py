@@ -25,10 +25,12 @@ from anisodiff.schedule import (
     matrix_schedule_for_family,
 )
 from anisodiff.subspaces import (
+    ProjectorFamily,
     SeparableDCTFamily,
     apply_spectral,
     axis_family,
     build_dct_projectors,
+    build_pca_projectors,
 )
 
 
@@ -84,6 +86,29 @@ def test_separable_dct_family_roundtrip():
     np.testing.assert_array_equal(
         apply_spectral(back, [0.4, 2.5], x), apply_spectral(fam, [0.4, 2.5], x)
     )
+
+
+def _explicit_family():
+    q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((5, 5)))
+    return ProjectorFamily(q, np.array([0, 0, 1, 2, 2]), meta={"kind": "explicit"})
+
+
+def _pca_family():
+    samples = np.random.default_rng(4).standard_normal((40, 4)) * [3.0, 2.0, 1.0, 0.5]
+    return build_pca_projectors(samples, 2)
+
+
+@pytest.mark.parametrize("make", [_explicit_family, _pca_family], ids=["explicit", "pca"])
+def test_explicit_and_pca_family_roundtrip(make):
+    fam = make()
+    payload = family_to_json(fam)
+    text = json.dumps(payload)
+    back = family_from_json(json.loads(text))
+    np.testing.assert_array_equal(back.basis, fam.basis)
+    np.testing.assert_array_equal(back.labels, fam.labels)
+    assert back.meta == fam.meta
+    assert json.loads(text) == payload
+    assert family_to_json(back) == payload
 
 
 def test_class_conditional_schedule_roundtrip(tmp_path):
@@ -412,6 +437,23 @@ def test_train_divergence_exits_2(tmp_path, gmm_file, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: loss ") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("blocks, message", [
+    ([[[1.0], [0.0]], [[0.6], [0.8]]], "error: family basis columns are not orthonormal\n"),
+    ([[[1.0], [0.0], [0.0]], [[0.0], [1.0], [0.0]]], "error: family blocks must be arrays with 2 rows\n"),
+], ids=["not-orthonormal", "rows"])
+def test_train_explicit_family_bad_blocks_exit_2(tmp_path, gmm_file, capsys, blocks, message):
+    config = {
+        "version": "1",
+        "gmm": gmm_file.name,
+        "family": {"kind": "explicit", "dim": 2, "blocks": blocks},
+        "schedule": {"horizon": 5.0},
+    }
+    cfg_path = gmm_file.parent / "run_blocks.json"
+    cfg_path.write_text(json.dumps(config))
+    assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "rundir")]) == 2
+    assert capsys.readouterr().err == message
 
 
 @pytest.mark.parametrize("section, key", [("family", "dim"), ("schedule", "horizon")])

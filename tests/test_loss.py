@@ -27,7 +27,7 @@ from anisodiff.schedule import (
     isotropic_matrix_schedule,
     matrix_schedule_for_family,
 )
-from anisodiff.subspaces import Projector, ProjectorFamily, axis_family
+from anisodiff.subspaces import ProjectorFamily, axis_family
 
 
 class ConstantField:
@@ -162,7 +162,7 @@ def test_loss_invariant_to_subspace_relabeling():
     theta = rng.standard_normal(ms.n_params)
     ms = ms.with_theta_vector(theta)
     # swap the two subspaces together with their schedules
-    fam_swapped = ProjectorFamily((fam.members[1], fam.members[0]), 2)
+    fam_swapped = ProjectorFamily(fam.basis, 1 - fam.labels)
     ms_swapped = MatrixSchedule(fam_swapped, (ms.per_subspace[1], ms.per_subspace[0]))
     gm = two_component_gmm()
     sample = draw_loss_samples(gm, ms, 16, rng)

@@ -14,14 +14,12 @@ from anisodiff.schedule import (
     softplus,
     uniform_nodes,
 )
-from anisodiff.subspaces import Projector, ProjectorFamily
+from anisodiff.subspaces import ProjectorFamily
 
 
 def coordinate_family(n_subspaces):
     """J coordinate blocks of R^J, one axis each."""
-    eye = np.eye(n_subspaces)
-    return ProjectorFamily(tuple(Projector(eye[:, [j]]) for j in range(n_subspaces)),
-                           n_subspaces)
+    return ProjectorFamily(np.eye(n_subspaces), np.arange(n_subspaces))
 
 
 def random_knots(rng, horizon, n_knots, floor):

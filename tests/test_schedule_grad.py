@@ -198,8 +198,9 @@ def test_third_term_confined_to_perturbed_subspace():
     flow = flow_field(x, t)
     delta = np.array([0.7, 0.0])  # support only on subspace 1
     term3 = 0.5 * apply_spectral(ms.family, delta / g, flow)
-    np.testing.assert_allclose(ms.family.members[1].apply(term3), 0.0, atol=1e-12)
-    assert np.linalg.norm(ms.family.members[0].apply(term3) - term3) < 1e-12
+    q0, q1 = (ms.family.basis[:, ms.family.labels == j] for j in (0, 1))
+    np.testing.assert_allclose((term3 @ q1) @ q1.T, 0.0, atol=1e-12)
+    assert np.linalg.norm((term3 @ q0) @ q0.T - term3) < 1e-12
 
 
 # ---------------------------------------------------------------------------

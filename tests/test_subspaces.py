@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from anisodiff.subspaces import (
-    Projector,
+    GRAM_TOL,
     ProjectorFamily,
     SeparableDCTFamily,
     apply_spectral,
@@ -22,11 +22,17 @@ def random_family(rng, d, dims):
     """Random orthogonal family with the given subspace dimensions."""
     assert sum(dims) == d
     q, _ = np.linalg.qr(rng.standard_normal((d, d)))
-    members, start = [], 0
-    for k in dims:
-        members.append(Projector(q[:, start : start + k]))
-        start += k
-    return ProjectorFamily(tuple(members), d)
+    return ProjectorFamily(q, np.repeat(np.arange(len(dims)), dims))
+
+
+def blocks(fam):
+    """The basis columns Q_j of each block j."""
+    return [fam.basis[:, fam.labels == j] for j in range(fam.n_subspaces)]
+
+
+def project(q, x):
+    """Q Q^T x for x of shape (d,) or (..., d)."""
+    return (x @ q) @ q.T
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +83,8 @@ def test_dct_projector_completeness():
     rng = np.random.default_rng(0)
     fam = build_dct_projectors(4)
     x = rng.standard_normal(16)
-    recon = fam.members[0].apply(x) + fam.members[1].apply(x)
+    q0, q1 = blocks(fam)
+    recon = project(q0, x) + project(q1, x)
     np.testing.assert_allclose(recon, x, atol=1e-10)
 
 
@@ -90,7 +97,7 @@ def test_pca_axis_concentration():
     samples = np.zeros((50, 2))
     samples[:, 0] = rng.standard_normal(50)
     fam = build_pca_projectors(samples, 1)
-    top = fam.members[0].basis[:, 0]
+    top = blocks(fam)[0][:, 0]
     np.testing.assert_allclose(np.abs(top), [1.0, 0.0], atol=1e-12)
 
 
@@ -100,9 +107,8 @@ def test_pca_isotropic_ties_still_valid_family():
     fam = build_pca_projectors(samples, 1)
     assert fam.dims == (1, 2)
     x = rng.standard_normal(3)
-    np.testing.assert_allclose(
-        fam.members[0].apply(x) + fam.members[1].apply(x), x, atol=1e-10
-    )
+    q0, q1 = blocks(fam)
+    np.testing.assert_allclose(project(q0, x) + project(q1, x), x, atol=1e-10)
 
 
 def test_pca_recovers_top_direction():
@@ -112,7 +118,7 @@ def test_pca_recovers_top_direction():
     cov_half = q @ np.diag(np.sqrt(evals)) @ q.T
     samples = rng.standard_normal((100_000, 3)) @ cov_half
     fam = build_pca_projectors(samples, 1)
-    top = fam.members[0].basis[:, 0]
+    top = blocks(fam)[0][:, 0]
     cosine = abs(top @ q[:, 0])
     assert cosine > np.cos(np.deg2rad(3.0))
 
@@ -135,9 +141,9 @@ def test_pca_sign_determinism():
     samples = rng.standard_normal((300, 4)) @ np.diag([3.0, 2.0, 1.0, 0.5])
     fam1 = build_pca_projectors(samples, 2)
     fam2 = build_pca_projectors(samples.copy(), 2)
-    np.testing.assert_array_equal(fam1.members[0].basis, fam2.members[0].basis)
-    for m in fam1.members:
-        for col in m.basis.T:
+    np.testing.assert_array_equal(blocks(fam1)[0], blocks(fam2)[0])
+    for q in blocks(fam1):
+        for col in q.T:
             lead = col[np.nonzero(np.abs(col) > 1e-12)[0][0]]
             assert lead > 0
 
@@ -199,10 +205,8 @@ def test_apply_spectral_batched_values():
 
 
 def _member_reference(fam, values, x):
-    """sum_j v_j Q_j Q_j^T x, one member at a time."""
-    return sum(
-        values[..., j, None] * ((x @ m.basis) @ m.basis.T) for j, m in enumerate(fam.members)
-    )
+    """sum_j v_j Q_j Q_j^T x, one block at a time."""
+    return sum(values[..., j, None] * project(q, x) for j, q in enumerate(blocks(fam)))
 
 
 FAMILIES = {
@@ -233,7 +237,7 @@ def test_apply_spectral_matches_member_reference(name):
         want = _member_reference(fam, values[..., None, :], np.eye(d))
         np.testing.assert_allclose(fam.dense(values), want, rtol=0, atol=1e-12)
     for x in (xs[0], xs):
-        want = np.stack([np.sum((x @ m.basis) ** 2, axis=-1) for m in fam.members], axis=-1)
+        want = np.stack([np.sum((x @ q) ** 2, axis=-1) for q in blocks(fam)], axis=-1)
         np.testing.assert_allclose(fam.block_energies(x), want, rtol=1e-12, atol=0)
 
 
@@ -249,12 +253,12 @@ def test_family_idempotence_orthogonality_completeness():
     for _ in range(100):
         x = rng.standard_normal(8)
         total = np.zeros(8)
-        for i, m in enumerate(fam.members):
-            px = m.apply(x)
-            assert np.linalg.norm(m.apply(px) - px) < 1e-10
-            for j, other in enumerate(fam.members):
+        for i, q in enumerate(blocks(fam)):
+            px = project(q, x)
+            assert np.linalg.norm(project(q, px) - px) < 1e-10
+            for j, other in enumerate(blocks(fam)):
                 if i != j:
-                    assert np.linalg.norm(other.apply(px)) < 1e-10
+                    assert np.linalg.norm(project(other, px)) < 1e-10
             total += px
         assert np.linalg.norm(total - x) < 1e-10
 
@@ -268,11 +272,44 @@ def test_spectral_vector_roundtrip():
 
 def test_family_rejects_bad_blocks():
     eye = np.eye(3)
-    with pytest.raises(ValueError):
-        ProjectorFamily((Projector(eye[:, :2]),), 3)  # incomplete
-    skew = np.array([[1.0, 0.6], [0.0, 0.8], [0.0, 0.0]])
-    with pytest.raises(ValueError):
-        Projector(skew)
+    with pytest.raises(ValueError, match="sum to 2, expected 3"):
+        ProjectorFamily(eye[:, :2], np.zeros(2, dtype=int))  # incomplete
+    with pytest.raises(ValueError, match="block labels"):
+        ProjectorFamily(eye, np.zeros(2, dtype=int))
+    skew = np.array([[1.0, 0.6, 0.0], [0.0, 0.8, 0.0], [0.0, 0.0, 1.0]])
+    with pytest.raises(ValueError, match="not orthonormal"):
+        ProjectorFamily(skew, np.array([0, 0, 1]))
+
+
+def _perturbed(d, i, j, eps):
+    """A basis R whose Gram matrix R^T R is I with eps at (i, j) and (j, i)."""
+    gram = np.eye(d)
+    gram[i, j] = gram[j, i] = eps
+    return np.linalg.cholesky(gram).T
+
+
+GRAM_EDGES = {
+    # a diagonal entry off by ~1e-5 passes through allclose's default rtol
+    "diag-1.0e-5": (np.diag([1.0, 1 + 5e-6, 1.0, 1.0]), True),
+    "diag-1.2e-5": (np.diag([1.0, 1 + 6e-6, 1.0, 1.0]), False),
+    "diag-nan": (np.diag([1.0, np.nan, 1.0, 1.0]), False),
+    "inside-0.5e-10": (_perturbed(4, 0, 1, 0.5 * GRAM_TOL), True),
+    "inside-2e-10": (_perturbed(4, 0, 1, 2 * GRAM_TOL), False),
+    "across-0.5e-10": (_perturbed(4, 1, 2, 0.5 * GRAM_TOL), True),
+    "across-2e-10": (_perturbed(4, 1, 2, 2 * GRAM_TOL), False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRAM_EDGES))
+def test_gram_check_edges(name):
+    basis, accepted = GRAM_EDGES[name]
+    labels = np.array([0, 0, 1, 1])  # "inside" perturbs block 0, "across" blocks 0 and 1
+    assert np.allclose(basis.T @ basis, np.eye(4), atol=GRAM_TOL) == accepted  # the reference
+    if accepted:
+        ProjectorFamily(basis, labels)
+    else:
+        with pytest.raises(ValueError, match="not orthonormal"):
+            ProjectorFamily(basis, labels)
 
 
 # ---------------------------------------------------------------------------
