@@ -252,6 +252,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    if args.n < 1:
+        raise ValueError("n must be >= 1")
     ms = load_schedule(args.schedule)
     if (args.model is None) == (args.oracle is None):
         raise ValueError("need exactly one of --model or --oracle")
@@ -508,9 +510,10 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.handler(args)
-    except (ValueError, KeyError, FileNotFoundError, json.JSONDecodeError,
-            TrainingDiverged) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, KeyError, OSError, json.JSONDecodeError, TrainingDiverged) as exc:
+        # str() of a KeyError is the repr of its message, quotes included
+        message = exc.args[0] if isinstance(exc, KeyError) else exc
+        print(f"error: {message}", file=sys.stderr)
         return 2
 
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg.lapack import dtrtri
 
 from .schedule import ScheduleEval
 from .subspaces import apply_spectral
@@ -107,8 +106,11 @@ def _factor(cov: Array):
     the Hessian needs, is C^{-1} = X^T X with X = L^{-1} from LAPACK's
     triangular inverse `dtrtri`, one factor at a time (no condition
     estimate); X^T @ X of one array is evaluated as a symmetric rank-k
-    product, so the result is exactly symmetric.
+    product, so the result is exactly symmetric.  SciPy is imported on
+    the first call, so importing the package loads numpy only.
     """
+    from scipy.linalg.lapack import dtrtri
+
     try:
         chol = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:

@@ -169,13 +169,21 @@ def build_dct_basis(side: int) -> Array:
     """
     if side < 1:
         raise ValueError("side length must be >= 1")
-    h = side
-    cos_table, gamma = _dct_factors(h)
-    vectors = np.empty((h * h, h * h))
-    for i, (p, q) in enumerate(dct_mode_order(h)):
-        image = gamma[p] * gamma[q] * np.outer(cos_table[p], cos_table[q])
-        vectors[i] = image.reshape(-1)
-    return vectors
+    return _dct_images(side, np.array(dct_mode_order(side))).T
+
+
+def _dct_images(side: int, modes: Array) -> Array:
+    """The vectorized basis images of the (p, q) rows of `modes`, as columns.
+
+    Each entry is (gamma_p gamma_q) (cos[p, x] cos[q, y]): the two products
+    of gamma_p * gamma_q * np.outer(cos[p], cos[q]), in the same order, so
+    the images are bit-identical to a per-mode loop.  The result is a
+    C-ordered (side^2, len(modes)) array.
+    """
+    cos_table, gamma = _dct_factors(side)
+    p, q = modes[:, 0], modes[:, 1]
+    images = cos_table[p].T[:, None, :] * cos_table[q].T[None, :, :]
+    return (gamma[p] * gamma[q]) * images.reshape(side * side, len(modes))
 
 
 SEPARABLE_DCT_MIN_SIDE = 16
@@ -248,9 +256,10 @@ def build_dct_projectors(side: int, low_side: int | None = None) -> ProjectorFam
         low_side = side // 2
     if not 1 <= low_side < side:
         raise ValueError("low_side must satisfy 1 <= low_side < side")
-    is_high = np.array([p >= low_side or q >= low_side for p, q in dct_mode_order(side)])
+    modes = np.array(dct_mode_order(side))
+    is_high = np.any(modes >= low_side, axis=1)
     order = np.argsort(is_high, kind="stable")  # low block first, zigzag order within
-    basis = np.take(build_dct_basis(side).T, order, axis=1)
+    basis = _dct_images(side, modes[order])
     labels = is_high[order].astype(int)
     meta = {"kind": "dct", "side": side, "low_side": low_side}
     if side >= SEPARABLE_DCT_MIN_SIDE:

@@ -15,7 +15,6 @@ order.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist
 
 from .fields import OracleFlowField
 from .flow_model import FlowModel
@@ -378,6 +377,8 @@ def gaussian_w2(mean_a, cov_a, mean_b, cov_b) -> float:
 
 def evaluate_generation(samples: Array, reference: Array) -> GenerationMetrics:
     """Energy distance (pairwise U-statistic) and moment-fitted Gaussian W2."""
+    from scipy.spatial.distance import cdist, pdist
+
     x = np.atleast_2d(np.asarray(samples, dtype=float))
     y = np.atleast_2d(np.asarray(reference, dtype=float))
     if x.shape[0] < 2 or y.shape[0] < 2:

@@ -435,10 +435,14 @@ CHECK_GROUPS = (
 
 
 def run_checks(name_filter: str | None = None, quick: bool = False) -> list:
-    """Run the invariant suite; `name_filter` selects matching groups only."""
-    out = []
-    for group, fn in CHECK_GROUPS:
-        if name_filter and name_filter not in group:
-            continue
-        out.extend(fn(quick))
-    return out
+    """Run the invariant suite; `name_filter` selects matching groups only.
+
+    A filter that matches no group is a ValueError, so a mistyped filter
+    does not read as a pass.
+    """
+    groups = [(group, fn) for group, fn in CHECK_GROUPS
+              if not name_filter or name_filter in group]
+    if not groups:
+        names = ", ".join(group for group, _ in CHECK_GROUPS)
+        raise ValueError(f"no check group matches {name_filter!r}; groups: {names}")
+    return [check for _, fn in groups for check in fn(quick)]

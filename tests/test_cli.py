@@ -600,6 +600,43 @@ def test_usage_errors_exit_2(tmp_path):
     assert main(["nonsense-command"]) == 2
 
 
+@pytest.mark.parametrize("case", ["out-is-dir", "gmm-is-dir", "out-under-file"])
+def test_os_errors_exit_2(tmp_path, gmm_file, capsys, case):
+    (tmp_path / "plain.csv").write_text("")
+    gmm, out = {
+        "out-is-dir": (gmm_file, tmp_path),
+        "gmm-is-dir": (tmp_path, tmp_path / "x.csv"),
+        "out-under-file": (gmm_file, tmp_path / "plain.csv" / "x.csv"),
+    }[case]
+    assert main(["gen-data", "--gmm", str(gmm), "--n", "10", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name_filter", ["nosuch", "Knots"])
+def test_verify_filter_without_match_exits_2(capsys, name_filter):
+    assert main(["verify", "--filter", name_filter]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: no check group matches '{name_filter}'; groups: "
+                            "score, estimator, loss, solver, knots, weight-map\n")
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_sample_rejects_n_below_1(tmp_path, gmm_file, schedule_file, capsys, n):
+    out = tmp_path / "x.csv"
+    assert main(["sample", "--schedule", str(schedule_file), "--oracle", str(gmm_file),
+                 "--steps", "4", "--n", n, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: n must be >= 1\n"
+    assert not out.exists()
+
+
+def test_key_error_message_prints_without_quotes(tmp_path, gmm_file, schedule_file, capsys):
+    assert main(["sample", "--schedule", str(schedule_file), "--oracle", str(gmm_file),
+                 "--steps", "4", "--class-label", "a", "--out", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err == "error: schedule is not class-conditional\n"
+
+
 def test_mutated_heun_corrector_breaks_order():
     # flipping the corrector sign must degrade the measured order to ~1
     import anisodiff.sampler as sampler_mod

@@ -70,6 +70,35 @@ def test_dct_constant_image_energy_in_lowest_mode():
     assert ratio > 1 - 1e-12
 
 
+def _dct_basis_loop(side):
+    """The per-mode reference: one weighted outer product per basis image."""
+    grid = np.arange(side)
+    cos_table = np.cos((2 * grid[None, :] + 1) * grid[:, None] * np.pi / (2 * side))
+    gamma = np.full(side, np.sqrt(2.0 / side))
+    gamma[0] = np.sqrt(1.0 / side)
+    vectors = np.empty((side * side, side * side))
+    for i, (p, q) in enumerate(dct_mode_order(side)):
+        image = gamma[p] * gamma[q] * np.outer(cos_table[p], cos_table[q])
+        vectors[i] = image.reshape(-1)
+    return vectors
+
+
+@pytest.mark.parametrize("side", range(1, 9))
+def test_dct_basis_equals_the_mode_loop(side):
+    assert np.array_equal(build_dct_basis(side), _dct_basis_loop(side))
+
+
+@pytest.mark.parametrize("side, low_side", [(8, 3), (32, 16)])
+def test_dct_projectors_equal_the_mode_loop(side, low_side):
+    modes = dct_mode_order(side)
+    is_high = np.array([p >= low_side or q >= low_side for p, q in modes])
+    order = np.argsort(is_high, kind="stable")
+    fam = build_dct_projectors(side, low_side)
+    assert np.array_equal(fam.basis, _dct_basis_loop(side)[order].T)
+    assert np.array_equal(fam.labels, is_high[order].astype(int))
+    assert fam.basis.flags.c_contiguous
+
+
 def test_dct_projector_dims():
     fam = build_dct_projectors(2, 1)
     assert fam.dims == (1, 3)
