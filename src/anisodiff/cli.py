@@ -7,6 +7,7 @@ line.
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -131,13 +132,7 @@ def cmd_schedule_fit(args) -> int:
     return 0
 
 
-_TRAIN_KEYS = {
-    "batch_size", "micro_batches", "lr_model", "lr_schedule_scale",
-    "adam_beta1", "adam_beta2", "adam_eps", "warmup_images",
-    "ema_half_life_images", "ema_rampup", "total_images",
-    "model_steps_per_schedule_step", "midpoint_decay", "train_model",
-    "train_schedule", "guard_factor", "guard_patience", "seed", "log_every",
-}
+_TRAIN_KEYS = {f.name for f in dataclasses.fields(TrainConfig)}
 
 _CONFIG_SECTIONS = {"version", "gmm", "data", "family", "schedule", "model", "train"}
 

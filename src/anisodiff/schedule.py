@@ -130,58 +130,49 @@ class KnotSchedule:
         idx = np.searchsorted(self.nodes, t, side="right")
         return np.clip(idx, 1, self.nodes.size - 1)
 
+    def _segment(self, t: Array):
+        """For 1-D t: interval index j, its width, the fraction p of t into
+        it, and g(t) = exp((1-p) ell_{j-1} + p ell_j) before endpoint pinning."""
+        j = self._locate(t)
+        left = self.nodes[j - 1]
+        width = self.nodes[j] - left
+        p = (t - left) / width
+        ell = self._log_nodes[0]
+        return j, width, p, np.exp((1 - p) * ell[j - 1] + p * ell[j])
+
     # -- evaluation ----------------------------------------------------------
 
     def eval(self, t):
         """Return (g(t), dg/dt) for scalar or array t."""
-        t_arr = np.asarray(t, dtype=float)
-        scalar = t_arr.ndim == 0
-        t_arr = np.atleast_1d(t_arr)
-        ell, _, _ = self._log_nodes
-        j = self._locate(t_arr)
-        left, right = self.nodes[j - 1], self.nodes[j]
-        width = right - left
-        p = (t_arr - left) / width
+        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+        ell = self._log_nodes[0]
+        j, width, _, g = self._segment(t_arr)
         slope = (ell[j] - ell[j - 1]) / width
-        g = np.exp((1 - p) * ell[j - 1] + p * ell[j])
         # pin endpoints exactly (exp(log x) can be off by an ulp)
         g[t_arr == 0.0] = self.floor
         g[t_arr == self.horizon] = self.horizon
         dg = g * slope
-        if scalar:
+        if np.ndim(t) == 0:
             return float(g[0]), float(dg[0])
         return g, dg
 
     def eval_dtheta(self, t):
         """Gradient of g(t) w.r.t. theta; shape (..., n_params)."""
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        scalar = np.asarray(t, dtype=float).ndim == 0
-        ell, _, _ = self._log_nodes
         grads = self._log_node_grads
-        j = self._locate(t_arr)
-        left, right = self.nodes[j - 1], self.nodes[j]
-        p = ((t_arr - left) / (right - left))[:, None]
-        g = np.exp((1 - p[:, 0]) * ell[j - 1] + p[:, 0] * ell[j])
-        dlog = (1 - p) * grads[j - 1] + p * grads[j]
-        out = g[:, None] * dlog
-        return out[0] if scalar else out
+        j, _, p, g = self._segment(np.atleast_1d(np.asarray(t, dtype=float)))
+        out = g[:, None] * ((1 - p)[:, None] * grads[j - 1] + p[:, None] * grads[j])
+        return out[0] if np.ndim(t) == 0 else out
 
     def eval_dt_dtheta(self, t):
         """Gradient of dg/dt w.r.t. theta; shape (..., n_params)."""
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        scalar = np.asarray(t, dtype=float).ndim == 0
-        ell, _, _ = self._log_nodes
+        ell = self._log_nodes[0]
         grads = self._log_node_grads
-        j = self._locate(t_arr)
-        left, right = self.nodes[j - 1], self.nodes[j]
-        width = right - left
-        p = (t_arr - left) / width
-        g = np.exp((1 - p) * ell[j - 1] + p * ell[j])
+        j, width, p, g = self._segment(np.atleast_1d(np.asarray(t, dtype=float)))
         slope = (ell[j] - ell[j - 1]) / width
         dg_dtheta = g[:, None] * ((1 - p)[:, None] * grads[j - 1] + p[:, None] * grads[j])
         dslope = (grads[j] - grads[j - 1]) / width[:, None]
         out = dg_dtheta * slope[:, None] + g[:, None] * dslope
-        return out[0] if scalar else out
+        return out[0] if np.ndim(t) == 0 else out
 
 
 def uniform_nodes(horizon: float, n_knots: int = DEFAULT_KNOTS) -> Array:
@@ -454,22 +445,6 @@ def fit_knot_schedule(
     # scale to mean 1 to keep theta well inside softplus's linear range
     s = inc * (n_knots - 1) / (np.log(horizon) - np.log(floor))
     return KnotSchedule(inverse_softplus(s), nodes, floor, horizon)
-
-
-def constant_weight_schedule(
-    horizon: float,
-    floor: float = DEFAULT_FLOOR,
-    n_knots: int = DEFAULT_KNOTS,
-) -> KnotSchedule:
-    """Knot schedule tracking g(t) = (1+T)^(t/T) - 1, the curve whose
-    squared-speed weight profile is constant in t (uniform supervision
-    across the horizon)."""
-    return fit_knot_schedule(
-        lambda t: (1.0 + horizon) ** (np.asarray(t, dtype=float) / horizon) - 1.0,
-        horizon,
-        floor,
-        n_knots,
-    )
 
 
 def sinh_squared_schedule(

@@ -88,6 +88,26 @@ def _mixed_sums(jet, family, deltas: Array, cfg: EstimatorConfig) -> Array:
     return total / cfg.probes
 
 
+def _flow_dtheta(jet, ev, flow, deltas: Array, cfg: EstimatorConfig) -> Array:
+    """Flow-form d(flow)/d(theta) responses to each D_k, shape (k, n, d).
+
+    `jet` is the flow field's jet at (x, t), `flow` its value, `ev` the
+    schedule at t and `deltas` (k, n, J) the per-point block scalars of
+    each D_k = sum_j deltas[k, :, j] P_j.  The three-term identity is
+
+        1/2 sum_i d_r d_s flow(x + r e_i + s D e_i)
+        + d_s flow(x + s M^{-1/2} D flow) + 1/2 M^{-1} D flow.
+    """
+    family = ev.family
+    term1 = 0.5 * _mixed_sums(jet, family, deltas, cfg)
+    out = np.empty_like(term1)
+    for k, delta in enumerate(deltas):
+        term2 = jet.directional(apply_spectral(family, delta / ev.sqrt_g, flow))
+        term3 = 0.5 * apply_spectral(family, delta / ev.g, flow)
+        out[k] = term1[k] + term2 + term3
+    return out
+
+
 def estimate_dtheta_score(field, ms: MatrixSchedule, x, t, theta_index: int,
                           cfg: EstimatorConfig | None = None, class_label=None) -> Array:
     """Estimate d(score)/d(theta_j) from x-directional derivatives of `field`.
@@ -118,19 +138,14 @@ def estimate_dtheta_flow(flow_field, ms: MatrixSchedule, x, t, theta_index: int,
     if cfg is None:
         cfg = default_estimator_config(x.shape[1])
     ev = ms.at(t, class_label)
-    g, jac = ev.g, ev.jac
+    jac = ev.jac
     if jac.ndim == 2:  # scalar t
-        g = np.broadcast_to(g, (x.shape[0], ms.family.n_subspaces))
         delta = np.broadcast_to(jac[:, theta_index], (x.shape[0], ms.family.n_subspaces))
     else:
         delta = jac[:, :, theta_index]
 
     jet = flow_field.at(x, t)
-    term1 = 0.5 * _mixed_sums(jet, ms.family, delta[None], cfg)[0]
-    flow = jet.value()
-    term2 = jet.directional(apply_spectral(ms.family, delta / np.sqrt(g), flow))
-    term3 = 0.5 * apply_spectral(ms.family, delta / g, flow)
-    out = term1 + term2 + term3
+    out = _flow_dtheta(jet, ev, jet.value(), delta[None], cfg)[0]
     return out[0] if scalar else out
 
 
@@ -144,27 +159,6 @@ class OuterGradient:
     implicit: Array  # (P,) mean <cotangent, d flow / d theta>
     total: Array  # explicit + implicit
     value: LossValue  # the loss on the batch that was differentiated
-
-
-def _per_subspace_flow_grads(jet, ev, flow, cfg):
-    """d(flow)/d(theta) responses to D = P_j, one (n, d) array per subspace.
-
-    `jet` is the flow field's jet at (x, t), `flow` its value and `ev` the
-    schedule at t.  All estimator terms are linear in D, so these J basis
-    responses are contracted against the knot Jacobian instead of
-    re-running the estimator once per parameter.
-    """
-    n = flow.shape[0]
-    family = ev.family
-    nsub = family.n_subspaces
-    units = np.broadcast_to(np.eye(nsub)[:, None, :], (nsub, n, nsub))
-    term1 = 0.5 * _mixed_sums(jet, family, units, cfg)
-    grads = []
-    for j, unit_rows in enumerate(units):
-        term2 = jet.directional(apply_spectral(family, unit_rows / ev.sqrt_g, flow))
-        term3 = 0.5 * apply_spectral(family, unit_rows / ev.g, flow)
-        grads.append(term1[j] + term2 + term3)
-    return grads
 
 
 def outer_gradient(ms: MatrixSchedule, flow_field, batch: LossSample,
@@ -211,8 +205,11 @@ def outer_gradient(ms: MatrixSchedule, flow_field, batch: LossSample,
         response = jet.directional(v_j)  # (n, d)
         explicit_x += dsqrt[:, j, :] * np.einsum("nd,nd->n", cot, response)[:, None]
 
-    # implicit part through the optimal field
-    basis_grads = _per_subspace_flow_grads(jet, ev, flow, cfg)
+    # implicit part through the optimal field: every estimator term is linear
+    # in D, so the responses to D = P_j are contracted against the knot Jacobian
+    nsub = ms.family.n_subspaces
+    units = np.broadcast_to(np.eye(nsub)[:, None, :], (nsub, n, nsub))
+    basis_grads = _flow_dtheta(jet, ev, flow, units, cfg)
     implicit = np.zeros((n, jac.shape[2]))
     for j, grad_j in enumerate(basis_grads):
         implicit += jac[:, j, :] * np.einsum("nd,nd->n", cot, grad_j)[:, None]

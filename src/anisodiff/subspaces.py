@@ -1,13 +1,15 @@
 """Orthogonal projector families, DCT/PCA bases, and subspace geometry.
 
-A family is one orthonormal d x d basis Q and the block label j of each
-of its columns; the columns labelled j span the subspace of P_j.  Every
+A family is an orthogonal transform pair, `forward` to the family's own
+coordinates and `inverse` back, and the block label j of each of those
+coordinates; the coordinates labelled j span the subspace of P_j.  Every
 matrix function sum_j f(g_j) P_j of a family goes through
-:func:`apply_spectral`, which maps x to the family's own coordinates,
-scales each coordinate by the value of its block and maps back.  A
-generic family's coordinates are x Q, so a call costs O(n d^2).  A DCT
-family on side x side images with side >= 16 uses the separable 2-D
-transform D X D^T instead, which costs O(n d^1.5).  Subspace geometry
+:func:`apply_spectral`, which maps x to the coordinates, scales each
+coordinate by the value of its block and maps back.  A generic family
+stores an orthonormal d x d basis Q and its coordinates are x Q, so a
+call costs O(n d^2).  A DCT family on side x side images with side >= 16
+stores only the side x side 1-D DCT matrix D and uses the separable 2-D
+transform D X D^T, which costs O(n d^1.5).  Subspace geometry
 (:func:`projector_distance`) takes raw (d, k) arrays of basis columns.
 """
 
@@ -30,12 +32,47 @@ def _as_basis(obj) -> Array:
     return basis
 
 
-@dataclass(frozen=True)
-class ProjectorFamily:
+class _BlockFamily:
     """Mutually orthogonal projectors {P_j} with sum P_j = I on R^d.
 
-    The family is one orthonormal d x d basis Q and the block index of
-    each of its columns: P_j = Q_j Q_j^T with Q_j = Q[:, labels == j].
+    A subclass supplies `labels`, the block index of each coordinate
+    that `forward` returns, the orthogonal pair `forward`/`inverse` on
+    (..., d) arrays, and `basis`, the d x d matrix Q with forward(x) = x Q.
+    P_j = Q_j Q_j^T with Q_j = Q[:, labels == j].
+    """
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.labels.shape[0]
+
+    @cached_property
+    def dims(self) -> tuple:
+        """Dimension of each block, (dim P_1, ..., dim P_J)."""
+        return tuple(int(k) for k in np.bincount(self.labels))
+
+    @property
+    def n_subspaces(self) -> int:
+        return len(self.dims)
+
+    def block_energies(self, x: Array) -> Array:
+        """Squared block norms ||P_j x||^2, shape (..., J)."""
+        coords = self.forward(x)
+        sq = coords * coords
+        return np.stack(
+            [np.sum(sq[..., self.labels == j], axis=-1) for j in range(self.n_subspaces)], axis=-1
+        )
+
+    def dense(self, values) -> Array:
+        """Dense matrix sum_j values[..., j] P_j, shape (..., d, d).  Small-d oracle use only."""
+        values = np.asarray(values, dtype=float)
+        q = self.basis
+        return (q * values[..., None, self.labels]) @ q.T
+
+
+@dataclass(frozen=True)
+class ProjectorFamily(_BlockFamily):
+    """A family stored as one orthonormal d x d basis Q and the block
+    index of each of its columns; its coordinates are x Q.
     """
 
     basis: Array  # (d, d), orthonormal columns
@@ -55,20 +92,6 @@ class ProjectorFamily:
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "labels", labels)
 
-    @property
-    def ambient_dim(self) -> int:
-        return self.basis.shape[0]
-
-    @cached_property
-    def dims(self) -> tuple:
-        """Dimension of each block, (dim P_1, ..., dim P_J)."""
-        return tuple(int(k) for k in np.bincount(self.labels))
-
-    @property
-    def n_subspaces(self) -> int:
-        return len(self.dims)
-
-    # The transform pair and coordinate labels used by apply_spectral.
     def forward(self, x: Array) -> Array:
         """Coordinates of x in the family's basis, x Q."""
         return x @ self.basis
@@ -77,33 +100,13 @@ class ProjectorFamily:
         """Vector with the given coordinates, coords Q^T."""
         return coords @ self.basis.T
 
-    @property
-    def coord_labels(self) -> Array:
-        """Block index of each coordinate that :meth:`forward` returns."""
-        return self.labels
-
-    def block_energies(self, x: Array) -> Array:
-        """Squared block norms ||P_j x||^2, shape (..., J)."""
-        coords = self.forward(x)
-        sq = coords * coords
-        labels = self.coord_labels
-        return np.stack(
-            [np.sum(sq[..., labels == j], axis=-1) for j in range(self.n_subspaces)], axis=-1
-        )
-
-    def dense(self, values) -> Array:
-        """Dense matrix sum_j values[..., j] P_j, shape (..., d, d).  Small-d oracle use only."""
-        values = np.asarray(values, dtype=float)
-        q = self.basis
-        return (q * values[..., None, self.labels]) @ q.T
-
 
 def apply_spectral(family: ProjectorFamily, values, x: Array) -> Array:
     """Apply sum_j f(g_j) P_j to x without forming any d x d matrix.
 
     Parameters
     ----------
-    family : ProjectorFamily
+    family : ProjectorFamily or SeparableDCTFamily
     values : array_like
         Per-subspace scalars, shape (J,) for a shared matrix or (..., J)
         with one row of scalars per row of x.  x may carry extra leading
@@ -120,7 +123,7 @@ def apply_spectral(family: ProjectorFamily, values, x: Array) -> Array:
     batch = values.shape[:-1]
     if batch and x.shape[:-1][-len(batch):] != batch:
         raise ValueError("batched values must match the batch shape of x")
-    return family.inverse(family.forward(x) * values[..., family.coord_labels])
+    return family.inverse(family.forward(x) * values[..., family.labels])
 
 
 def isotropic_family(d: int) -> ProjectorFamily:
@@ -190,20 +193,24 @@ SEPARABLE_DCT_MIN_SIDE = 16
 
 
 @dataclass(frozen=True)
-class SeparableDCTFamily(ProjectorFamily):
+class SeparableDCTFamily(_BlockFamily):
     """Two-block DCT family whose coordinates are the 2-D DCT-II image.
 
     With D the orthonormal 1-D DCT-II matrix, the coordinates of a
-    row-major side x side image X are C = D X D^T and X = D^T C D.
-    Coordinate (p, q) belongs to the low block iff p < low_side and
-    q < low_side.  The stored basis Q is the one
-    :func:`build_dct_projectors` builds; `dense` and the jets'
-    `block_traces` read it, while `apply_spectral` goes through the
-    separable :meth:`forward` and :meth:`inverse`.
+    row-major side x side image X are C = D X D^T and X = D^T C D, both
+    flattened row-major: coordinate p * side + q is C[p, q], and it
+    belongs to the low block iff p < low_side and q < low_side.  The
+    family stores only D; `basis` is formed on each use.
     """
 
-    side: int = field(kw_only=True)
-    low_side: int = field(kw_only=True)
+    side: int
+    low_side: int
+    meta: dict = field(default_factory=dict, compare=False)
+
+    def __post_init__(self):
+        dct = self.dct_matrix
+        if not np.allclose(dct @ dct.T, np.eye(self.side), atol=GRAM_TOL):
+            raise ValueError("DCT matrix rows are not orthonormal")
 
     @cached_property
     def dct_matrix(self) -> Array:
@@ -216,34 +223,44 @@ class SeparableDCTFamily(ProjectorFamily):
         # a C-ordered copy: batched matmul with it is faster than with the view .T
         return np.ascontiguousarray(self.dct_matrix.T)
 
+    @cached_property
+    def labels(self) -> Array:
+        """Block index of each coordinate, shape (side^2,)."""
+        high = np.arange(self.side) >= self.low_side
+        return (high[:, None] | high[None, :]).astype(int).reshape(-1)
+
+    @property
+    def basis(self) -> Array:
+        """Q = forward(I), whose column p * side + q is the basis image (p, q).
+
+        Formed on each use (d x d), for the small-d and reference paths only.
+        """
+        return self.forward(np.eye(self.ambient_dim))
+
     def forward(self, x: Array) -> Array:
         image = x.reshape(x.shape[:-1] + (self.side, self.side))
-        return self.dct_matrix @ image @ self._dct_matrix_t
+        return (self.dct_matrix @ image @ self._dct_matrix_t).reshape(x.shape)
 
     def inverse(self, coords: Array) -> Array:
-        image = self._dct_matrix_t @ coords @ self.dct_matrix
-        return image.reshape(coords.shape[:-2] + (self.ambient_dim,))
-
-    @cached_property
-    def coord_labels(self) -> Array:
-        """Block index of each DCT coefficient, shape (side, side)."""
-        p = np.arange(self.side)
-        return ((p[:, None] >= self.low_side) | (p[None, :] >= self.low_side)).astype(int)
+        image = coords.reshape(coords.shape[:-1] + (self.side, self.side))
+        return (self._dct_matrix_t @ image @ self.dct_matrix).reshape(coords.shape)
 
 
-def build_dct_projectors(side: int, low_side: int | None = None) -> ProjectorFamily:
+def build_dct_projectors(side: int,
+                         low_side: int | None = None) -> ProjectorFamily | SeparableDCTFamily:
     """Two-subspace DCT family: low-frequency block vs its complement.
 
     The low subspace spans the modes {(p, q) : p < low_side, q < low_side};
-    `low_side` defaults to side // 2.  The columns of the family's basis
-    are the basis images of :func:`build_dct_basis`, low block first and
-    in zigzag order within each block.
+    `low_side` defaults to side // 2.
 
     For side >= SEPARABLE_DCT_MIN_SIDE the family is a
-    :class:`SeparableDCTFamily`, which applies spectral matrices through
-    the separable transform; below it, through the dense rotation Q.  The
-    cut comes from the time of one `apply_spectral` call, one BLAS thread,
-    2-core x86 machine (per-subspace loop of the earlier code in brackets):
+    :class:`SeparableDCTFamily`, which stores only the 1-D DCT matrix and
+    orders its coordinates row-major in (p, q).  Below it, the family is a
+    :class:`ProjectorFamily` whose basis columns are the basis images of
+    :func:`build_dct_basis`, low block first and in zigzag order within
+    each block, applied through the dense rotation Q.  The cut comes from
+    the time of one `apply_spectral` call, one BLAS thread, 2-core x86
+    machine (per-subspace loop of the earlier code in brackets):
 
     - side 4 (n = 64 and 256): rotation 0.011-0.030 ms, separable
       0.036-0.13 ms (0.025-0.053 ms);
@@ -256,15 +273,13 @@ def build_dct_projectors(side: int, low_side: int | None = None) -> ProjectorFam
         low_side = side // 2
     if not 1 <= low_side < side:
         raise ValueError("low_side must satisfy 1 <= low_side < side")
+    meta = {"kind": "dct", "side": side, "low_side": low_side}
+    if side >= SEPARABLE_DCT_MIN_SIDE:
+        return SeparableDCTFamily(side, low_side, meta)
     modes = np.array(dct_mode_order(side))
     is_high = np.any(modes >= low_side, axis=1)
     order = np.argsort(is_high, kind="stable")  # low block first, zigzag order within
-    basis = _dct_images(side, modes[order])
-    labels = is_high[order].astype(int)
-    meta = {"kind": "dct", "side": side, "low_side": low_side}
-    if side >= SEPARABLE_DCT_MIN_SIDE:
-        return SeparableDCTFamily(basis, labels, meta, side=side, low_side=low_side)
-    return ProjectorFamily(basis, labels, meta)
+    return ProjectorFamily(_dct_images(side, modes[order]), is_high[order].astype(int), meta)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -32,6 +33,7 @@ from anisodiff.subspaces import (
     build_dct_projectors,
     build_pca_projectors,
 )
+from anisodiff.training import TrainConfig
 
 
 @pytest.fixture
@@ -510,6 +512,20 @@ def test_run_config_rejects_unknown_keys(tmp_path, gmm_file):
     path.write_text(json.dumps(config))
     with pytest.raises(ValueError, match="unknown train keys"):
         load_run_config(path)
+
+
+def test_run_config_accepts_every_train_field(tmp_path, gmm_file):
+    defaults = dataclasses.asdict(TrainConfig())
+    config = {
+        "version": "1",
+        "gmm": gmm_file.name,
+        "family": {"kind": "isotropic", "dim": 2},
+        "schedule": {"horizon": 5.0},
+        "train": defaults,
+    }
+    path = gmm_file.parent / "full.json"
+    path.write_text(json.dumps(config))
+    assert TrainConfig(**load_run_config(path)["train"]) == TrainConfig()
 
 
 def test_analyze_schedule_outputs(tmp_path, schedule_file):
