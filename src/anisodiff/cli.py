@@ -10,6 +10,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -137,10 +138,21 @@ _TRAIN_KEYS = {f.name for f in dataclasses.fields(TrainConfig)}
 _CONFIG_SECTIONS = {"version", "gmm", "data", "family", "schedule", "model", "train"}
 
 
+@contextmanager
+def _config_section(name):
+    """Report a config value of the wrong JSON type as a one-line ValueError."""
+    try:
+        yield
+    except TypeError as exc:
+        raise ValueError(f"config section '{name}': value of the wrong type ({exc})") from None
+
+
 def load_run_config(path):
     """Parse and validate a training run config; unknown keys are rejected."""
     path = Path(path)
     cfg = json.loads(path.read_text())
+    if not isinstance(cfg, dict):
+        raise ValueError("config must be a JSON object")
     unknown = set(cfg) - _CONFIG_SECTIONS
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
@@ -150,36 +162,40 @@ def load_run_config(path):
         raise ValueError("config needs exactly one of 'gmm' or 'data'")
     if "family" not in cfg or "schedule" not in cfg:
         raise ValueError("config needs 'family' and 'schedule' sections")
-    train_keys = set(cfg.get("train", {}))
-    bad = train_keys - _TRAIN_KEYS
+    with _config_section("train"):
+        bad = set(cfg.get("train", {})) - _TRAIN_KEYS
     if bad:
         raise ValueError(f"unknown train keys: {sorted(bad)}")
     base = path.parent
     resolved = dict(cfg)
-    if isinstance(cfg.get("gmm"), dict):  # one mixture file per class label
-        resolved["gmm"] = {str(label): str((base / p).resolve())
-                           for label, p in cfg["gmm"].items()}
-    elif "gmm" in cfg:
-        resolved["gmm"] = str((base / cfg["gmm"]).resolve())
-    if "data" in cfg:
-        resolved["data"] = str((base / cfg["data"]).resolve())
+    with _config_section("gmm"):
+        if isinstance(cfg.get("gmm"), dict):  # one mixture file per class label
+            resolved["gmm"] = {str(label): str((base / p).resolve())
+                               for label, p in cfg["gmm"].items()}
+        elif "gmm" in cfg:
+            resolved["gmm"] = str((base / cfg["gmm"]).resolve())
+    with _config_section("data"):
+        if "data" in cfg:
+            resolved["data"] = str((base / cfg["data"]).resolve())
     return resolved
 
 
 def cmd_train(args) -> int:
     cfg = load_run_config(args.config)
-    try:
-        family = family_from_json(cfg["family"])
-    except KeyError as exc:
-        raise ValueError(f"family section is missing key {exc}") from None
-    sched_cfg = dict(cfg["schedule"])
-    if "horizon" not in sched_cfg:
-        raise ValueError("schedule section is missing key 'horizon'")
-    horizon = float(sched_cfg.pop("horizon"))
-    floor = float(sched_cfg.pop("floor", 1e-4))
-    knots = int(sched_cfg.pop("knots", 16))
-    classes = sched_cfg.pop("classes", None)
-    classes = sorted(str(label) for label in classes) if classes else None
+    with _config_section("family"):
+        try:
+            family = family_from_json(cfg["family"])
+        except KeyError as exc:
+            raise ValueError(f"family section is missing key {exc}") from None
+    with _config_section("schedule"):
+        sched_cfg = dict(cfg["schedule"])
+        if "horizon" not in sched_cfg:
+            raise ValueError("schedule section is missing key 'horizon'")
+        horizon = float(sched_cfg.pop("horizon"))
+        floor = float(sched_cfg.pop("floor", 1e-4))
+        knots = int(sched_cfg.pop("knots", 16))
+        classes = sched_cfg.pop("classes", None)
+        classes = sorted(str(label) for label in classes) if classes else None
     if sched_cfg:
         raise ValueError(f"unknown schedule keys: {sorted(sched_cfg)}")
     per = tuple(
@@ -188,7 +204,8 @@ def cmd_train(args) -> int:
     class_table = {label: per for label in classes} if classes else None
     ms = MatrixSchedule(family, per, class_table=class_table)
 
-    train_cfg = TrainConfig(**cfg.get("train", {}))
+    with _config_section("train"):
+        train_cfg = TrainConfig(**cfg.get("train", {}))
     labels = sorted(cfg["gmm"]) if isinstance(cfg.get("gmm"), dict) else None
     if labels != classes:
         raise ValueError(f"per-class gmm labels {labels or []} do not match "
@@ -201,11 +218,12 @@ def cmd_train(args) -> int:
         data = load_points_csv(cfg["data"])
     model = None
     if "model" in cfg:
-        mc = dict(cfg["model"])
-        model = FlowModel.create(
-            family.ambient_dim, horizon,
-            widths=tuple(mc.pop("widths", (64, 64))), seed=mc.pop("seed", 0),
-        )
+        with _config_section("model"):
+            mc = dict(cfg["model"])
+            model = FlowModel.create(
+                family.ambient_dim, horizon,
+                widths=tuple(mc.pop("widths", (64, 64))), seed=mc.pop("seed", 0),
+            )
         if mc:
             raise ValueError(f"unknown model keys: {sorted(mc)}")
     elif train_cfg.train_model:
@@ -249,27 +267,25 @@ def cmd_train(args) -> int:
 def cmd_sample(args) -> int:
     if args.n < 1:
         raise ValueError("n must be >= 1")
-    ms = load_schedule(args.schedule)
+    ms = load_schedule(args.schedule).for_class(args.class_label)
     if (args.model is None) == (args.oracle is None):
         raise ValueError("need exactly one of --model or --oracle")
+    if args.denoise and args.model:
+        raise ValueError("--denoise needs the --oracle field")
     if args.model:
         field = load_model(args.model)
-        gm = None
     else:
         gm = load_gmm(args.oracle)
         from .fields import OracleFlowField
 
-        field = OracleFlowField(gm, ms, args.class_label)
+        field = OracleFlowField(gm, ms)
     cfg = SamplerConfig(
         steps=args.steps, solver=args.solver, secondary=args.secondary, seed=args.seed
     )
-    result = sample_trajectory(ms, field, cfg, n=args.n, rng=args.seed,
-                               class_label=args.class_label)
+    result = sample_trajectory(ms, field, cfg, n=args.n, rng=args.seed)
     final = result.final
     if args.denoise:
-        if gm is None:
-            raise ValueError("--denoise needs the --oracle field")
-        final = posterior_mean(gm, final, ms, result.times[0], args.class_label)
+        final = posterior_mean(gm, final, ms, result.times[0])
     header = [
         provenance_line(vars(args), args.seed),
         f"# dim={ms.family.ambient_dim} nfe={result.nfe} steps={args.steps} "
@@ -318,7 +334,7 @@ def _schedule_rows(ms, labels, points):
     ts = np.linspace(ms.t_min, ms.horizon, points)
     curves = {}
     for label in labels:
-        g, _ = eval_M(ms, ts, label)
+        g, _ = eval_M(ms.for_class(label), ts)
         curves[label] = g  # (points, J)
     return ts, curves
 

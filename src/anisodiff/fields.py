@@ -15,13 +15,12 @@ schedule-gradient estimator, build one jet and ask it repeatedly.
 A jet's cache goes when the caller drops the jet.  The one thing cached
 on a field is `OracleFlowField`'s time slice: the factored noisy
 covariances of the last scalar t, which do not depend on x and are
-reused while t, `gm`, `ms` and `class_label` stay the same, so a
-sampler's two calls at each grid time factor once.  An array t is never
-kept.
+reused while t, `gm` and the class's schedule `ms.for_class(class_label)`
+stay the same, so a sampler's two calls at each grid time factor once.
+An array t is never kept.
 
 `FlowModel` satisfies this protocol directly; the classes here adapt the
-exact mixture oracle and convert between the flow view (M^{1/2} score)
-and the score view.
+exact mixture oracle.
 """
 
 import numpy as np
@@ -74,17 +73,17 @@ class OracleFlowField:
     def _covariances(self, t):
         """Noisy covariances at t; those of the last scalar t are kept for reuse.
 
-        The kept slice is reused only while t, `gm`, `ms` and `class_label`
-        all match it, so reassigning an attribute never serves a stale one.
-        An array t is factored afresh and leaves the slice alone.
+        The kept slice is reused only while t, `gm` and the class's schedule
+        (`ms.for_class(class_label)`, one object per label) all match it, so
+        reassigning an attribute never serves a stale one.  An array t is
+        factored afresh and leaves the slice alone.
         """
+        ms = self.ms.for_class(self.class_label)
         if np.ndim(t) != 0:
-            return gmm_mod._NoisyCovariances(self.gm, self.ms.at(t, self.class_label))
+            return gmm_mod._NoisyCovariances(self.gm, ms.at(t))
         last = self._last
-        if (last is None or last.ev.t != t or last.gm is not self.gm
-                or last.ev.ms is not self.ms or last.ev.class_label != self.class_label):
-            last = self._last = gmm_mod._NoisyCovariances(
-                self.gm, self.ms.at(t, self.class_label))
+        if last is None or last.ev.t != t or last.gm is not self.gm or last.ev.ms is not ms:
+            last = self._last = gmm_mod._NoisyCovariances(self.gm, ms.at(t))
         return last
 
     def at(self, x, t):
@@ -105,62 +104,12 @@ class OracleFlowField:
 class OracleScoreField:
     """Exact score field grad log p_t with its directional derivatives."""
 
-    def __init__(self, gm, ms: MatrixSchedule, class_label=None):
+    def __init__(self, gm, ms: MatrixSchedule):
         self.gm = gm
         self.ms = ms
-        self.class_label = class_label
 
     def at(self, x, t):
-        return gmm_mod._noisy(self.gm, x, self.ms, t, self.class_label)
-
-    def __call__(self, x, t):
-        return self.at(x, t).value()
-
-    def directional(self, x, t, v):
-        return self.at(x, t).directional(v)
-
-    def mixed(self, x, t, u, v):
-        return self.at(x, t).mixed(u, v)
-
-
-def scale_diagnostic(flow_field, ms: MatrixSchedule, gm, n_per_t: int = 256,
-                     n_times: int = 12, seed: int = 0, class_label=None):
-    """Spread (max/min over t) of mean |flow| versus mean |net|.
-
-    The flow parameterization exists because |net| scales like
-    |M_t^{-1/2}|, which varies wildly across noise levels; this measures
-    both spreads on points drawn from p_t so the variance-reduction
-    motivation can be logged and eyeballed.  Returns
-    (flow_spread, net_spread).
-    """
-    rng = np.random.default_rng(seed)
-    ts = np.geomspace(max(ms.t_min, 1e-3 * ms.horizon), ms.horizon, n_times)
-    flow_norms, net_norms = [], []
-    for t in ts:
-        x0 = gmm_mod.sample_p0(gm, n_per_t, rng)
-        eps = rng.standard_normal((n_per_t, gm.dim))
-        ev = ms.at(float(t), class_label)
-        x_t = gmm_mod.perturb(x0, eps, ev)
-        flow = flow_field(x_t, float(t))
-        net = apply_spectral(ms.family, 1.0 / ev.sqrt_g, flow)
-        flow_norms.append(float(np.mean(np.linalg.norm(flow, axis=1))))
-        net_norms.append(float(np.mean(np.linalg.norm(net, axis=1))))
-    flow_spread = max(flow_norms) / max(min(flow_norms), 1e-300)
-    net_spread = max(net_norms) / max(min(net_norms), 1e-300)
-    return flow_spread, net_spread
-
-
-class ScoreFromFlow:
-    """Score view net = M_t^{-1/2} flow of a flow field."""
-
-    def __init__(self, flow_field, ms: MatrixSchedule, class_label=None):
-        self.flow_field = flow_field
-        self.ms = ms
-        self.class_label = class_label
-
-    def at(self, x, t):
-        ev = self.ms.at(t, self.class_label)
-        return SpectralJet(self.flow_field.at(x, t), ev.family, 1.0 / ev.sqrt_g)
+        return gmm_mod._noisy(self.gm, x, self.ms, t)
 
     def __call__(self, x, t):
         return self.at(x, t).value()

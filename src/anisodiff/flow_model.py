@@ -33,7 +33,7 @@ def n_params(dim: int, widths) -> int:
     return sum(sizes[i + 1] * sizes[i] + sizes[i + 1] for i in range(len(sizes) - 1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FlowModel:
     """Flow field f(x, t, phi): input (x, log t, t/T) -> R^d."""
 

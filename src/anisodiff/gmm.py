@@ -27,7 +27,7 @@ PSD_TOL = 1e-12
 NOT_POSITIVE_DEFINITE = "noisy covariance Sigma_k + M_t is not positive definite"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussianMixture:
     """Mixture sum_k w_k N(mu_k, Sigma_k) with positive weights summing to 1."""
 
@@ -312,68 +312,57 @@ class _NoisyMixture:
 # public oracle surface
 # ---------------------------------------------------------------------------
 
-def _noisy(gm, x, ms, t, class_label):
-    return _NoisyMixture(_NoisyCovariances(gm, ms.at(t, class_label)), x)
+def _noisy(gm, x, ms, t):
+    return _NoisyMixture(_NoisyCovariances(gm, ms.at(t)), x)
 
 
-def log_density(gm, x, ms, t, class_label=None):
-    return _noisy(gm, x, ms, t, class_label).log_density()
+def log_density(gm, x, ms, t):
+    return _noisy(gm, x, ms, t).log_density()
 
 
-def score(gm, x, ms, t, class_label=None):
+def score(gm, x, ms, t):
     """grad_x log p_t(x); closed form with log-sum-exp stabilized responsibilities."""
-    return _noisy(gm, x, ms, t, class_label).score()
+    return _noisy(gm, x, ms, t).score()
 
 
-def posterior_mean(gm, x, ms, t, class_label=None):
+def posterior_mean(gm, x, ms, t):
     """E[x_0 | x_t = x]; satisfies score = M_t^{-1}(posterior_mean - x)."""
-    return _noisy(gm, x, ms, t, class_label).posterior_mean()
+    return _noisy(gm, x, ms, t).posterior_mean()
 
 
-def score_hessian(gm, x, ms, t, class_label=None):
-    return _noisy(gm, x, ms, t, class_label).hessian()
+def score_hessian(gm, x, ms, t):
+    return _noisy(gm, x, ms, t).hessian()
 
 
-def score_directional(gm, x, ms, t, v, class_label=None):
+def score_directional(gm, x, ms, t, v):
     """First directional derivative of the score along v."""
-    return _noisy(gm, x, ms, t, class_label).directional(v)
+    return _noisy(gm, x, ms, t).directional(v)
 
 
-def score_mixed_directional(gm, x, ms, t, u, v, class_label=None):
+def score_mixed_directional(gm, x, ms, t, u, v):
     """Mixed second directional derivative of the score along (u, v)."""
-    return _noisy(gm, x, ms, t, class_label).mixed(u, v)
+    return _noisy(gm, x, ms, t).mixed(u, v)
 
 
-def dtheta_score_direction(gm, x, ms, t, direction, class_label=None):
+def dtheta_score_direction(gm, x, ms, t, direction):
     """Derivative of the score when M_t is perturbed along a dense matrix D."""
-    return _noisy(gm, x, ms, t, class_label).dtheta_score(direction)
+    return _noisy(gm, x, ms, t).dtheta_score(direction)
 
 
-def dtheta_score_oracle(gm, x, ms, t, theta_index: int, class_label=None):
+def dtheta_score_oracle(gm, x, ms, t, theta_index: int):
     """Analytic d score / d theta_j, NOT via the plug-in estimator.
 
     Differentiates the closed-form mixture score in the matrix direction
     D = d M_t / d theta_j.  Reference value for estimator validation.
     """
-    jac = ms.at(t, class_label).jac  # (J, P)
+    jac = ms.at(t).jac  # (J, P)
     direction = ms.family.dense(jac[:, theta_index])
-    return dtheta_score_direction(gm, x, ms, t, direction, class_label)
+    return dtheta_score_direction(gm, x, ms, t, direction)
 
 
-def dtheta_score_fd(gm, x, ms, t, theta_index: int, class_label=None, h: float = 1e-6):
-    """Central finite difference of the score over theta_j (fallback oracle)."""
-    theta = ms.theta_vector(class_label)
-    up, dn = theta.copy(), theta.copy()
-    up[theta_index] += h
-    dn[theta_index] -= h
-    s_up = score(gm, x, ms.with_theta_vector(up, class_label), t, class_label)
-    s_dn = score(gm, x, ms.with_theta_vector(dn, class_label), t, class_label)
-    return (s_up - s_dn) / (2 * h)
-
-
-def posterior_sample(gm, x, ms, t, rng, class_label=None):
+def posterior_sample(gm, x, ms, t, rng):
     """Draw x_0 ~ p(x_0 | x_t = x); used by Monte-Carlo identity checks."""
-    noisy = _noisy(gm, x, ms, t, class_label)
+    noisy = _noisy(gm, x, ms, t)
     x2 = noisy.x
     n, d = x2.shape
     rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)

@@ -12,8 +12,9 @@ equivalence check below verifies that identity sample by sample.
 
 The batch functions (`perturbed_point`, `loss_from_flow`,
 `weight_theta_derivative`) take the schedule as one `ScheduleEval` at the
-batch's times (`ms.at(t, class_label)`), so a training step evaluates the
-schedule once however many of them it calls.
+batch's times (`ms.at(t)`), so a training step evaluates the schedule
+once however many of them it calls.  Only `loss_sample` and
+`loss_equivalence_check` read a sample's class, as `ms.for_class(label)`.
 """
 
 from dataclasses import dataclass
@@ -58,13 +59,13 @@ class LossValue:
     weights: Array  # (..., J), the per-subspace scalars of W_t
 
 
-def draw_loss_samples(gm, ms: MatrixSchedule, n: int, rng, class_label=None) -> LossSample:
+def draw_loss_samples(gm, ms: MatrixSchedule, n: int, rng) -> LossSample:
     """n independent draws (x0, eps, t) with t uniform on [t_min, T]."""
     rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
     x0 = gmm_mod.sample_p0(gm, n, rng)
     eps = rng.standard_normal((n, gm.dim))
     t = rng.uniform(ms.t_min, ms.horizon, size=n)
-    return LossSample(x0=x0, eps=eps, t=t, class_label=class_label)
+    return LossSample(x0=x0, eps=eps, t=t)
 
 
 def _weights(ev: ScheduleEval):
@@ -75,14 +76,14 @@ def _weights(ev: ScheduleEval):
     return ev.dg / (np.sqrt(1.0 + ev.g) * ev.sqrt_g)
 
 
-def weight_values(ms: MatrixSchedule, t, class_label=None):
+def weight_values(ms: MatrixSchedule, t):
     """Per-subspace scalars of W_t; shape (..., J)."""
-    return _weights(ms.at(t, class_label))
+    return _weights(ms.at(t))
 
 
-def weight_apply(ms: MatrixSchedule, t, x, class_label=None):
+def weight_apply(ms: MatrixSchedule, t, x):
     """W_t x via spectral application; t must be >= t_min."""
-    return apply_spectral(ms.family, weight_values(ms, t, class_label), x)
+    return apply_spectral(ms.family, weight_values(ms, t), x)
 
 
 def weight_theta_derivative(ev: ScheduleEval):
@@ -117,7 +118,7 @@ def loss_from_flow(ev: ScheduleEval, sample: LossSample, flow) -> LossValue:
 
 def loss_sample(ms: MatrixSchedule, flow_field, sample: LossSample) -> LossValue:
     """Loss, weighted residual, and flow-cotangent for one sample or a batch."""
-    ev = ms.at(sample.t, sample.class_label)
+    ev = ms.for_class(sample.class_label).at(sample.t)
     flow = flow_field(perturbed_point(ev, sample), sample.t)
     return loss_from_flow(ev, sample, flow)
 
@@ -126,30 +127,30 @@ def loss_sample(ms: MatrixSchedule, flow_field, sample: LossSample) -> LossValue
 # velocity fields
 # ---------------------------------------------------------------------------
 
-def _velocity_scalars(ms, t, class_label=None):
-    g, dg = eval_M(ms, t, class_label)
+def _velocity_scalars(ms, t):
+    g, dg = eval_M(ms, t)
     score_coef = -0.5 * dg / np.sqrt(1.0 + g)
     drift_coef = -0.5 * dg / (1.0 + g) ** 1.5
     return g, score_coef, drift_coef
 
 
-def velocity_ideal(gm, ms: MatrixSchedule, x, t, class_label=None):
+def velocity_ideal(gm, ms: MatrixSchedule, x, t):
     """Variance-preserving drift with the exact mixture score."""
-    _, a, b = _velocity_scalars(ms, t, class_label)
-    s = gmm_mod.score(gm, x, ms, t, class_label)
+    _, a, b = _velocity_scalars(ms, t)
+    s = gmm_mod.score(gm, x, ms, t)
     return apply_spectral(ms.family, a, s) + apply_spectral(ms.family, b, x)
 
 
-def velocity_learned(ms: MatrixSchedule, flow_field, x, t, class_label=None):
+def velocity_learned(ms: MatrixSchedule, flow_field, x, t):
     """Same drift with the field's score view M^{-1/2} flow."""
-    g, a, b = _velocity_scalars(ms, t, class_label)
+    g, a, b = _velocity_scalars(ms, t)
     flow = flow_field(x, t)
     return apply_spectral(ms.family, a / np.sqrt(g), flow) + apply_spectral(ms.family, b, x)
 
 
-def velocity_proxy(ms: MatrixSchedule, x_t, x0, t, class_label=None):
+def velocity_proxy(ms: MatrixSchedule, x_t, x0, t):
     """Single-sample proxy: the score replaced by M^{-1}(x0 - x_t)."""
-    g, a, b = _velocity_scalars(ms, t, class_label)
+    g, a, b = _velocity_scalars(ms, t)
     x_t = np.asarray(x_t, dtype=float)
     diff = np.asarray(x0, dtype=float) - x_t
     return apply_spectral(ms.family, a / g, diff) + apply_spectral(ms.family, b, x_t)
@@ -157,9 +158,10 @@ def velocity_proxy(ms: MatrixSchedule, x_t, x0, t, class_label=None):
 
 def loss_equivalence_check(ms: MatrixSchedule, flow_field, sample: LossSample):
     """Per sample, 4 ||v_learned - v_proxy||^2 against ||W (flow + eps)||^2."""
-    x_t = perturbed_point(ms.at(sample.t, sample.class_label), sample)
-    v_bar = velocity_learned(ms, flow_field, x_t, sample.t, sample.class_label)
-    v_tilde = velocity_proxy(ms, x_t, sample.x0, sample.t, sample.class_label)
+    plain = ms.for_class(sample.class_label)
+    x_t = perturbed_point(plain.at(sample.t), sample)
+    v_bar = velocity_learned(plain, flow_field, x_t, sample.t)
+    v_tilde = velocity_proxy(plain, x_t, sample.x0, sample.t)
     lhs = 4.0 * np.sum((v_bar - v_tilde) ** 2, axis=-1)
     rhs = loss_sample(ms, flow_field, sample).loss
     return lhs, rhs, np.abs(lhs - rhs)

@@ -57,17 +57,17 @@ def time_grid(ms: MatrixSchedule, cfg: SamplerConfig) -> Array:
     return np.linspace(t_min, ms.horizon, cfg.steps + 1)
 
 
-def _sqrt_g(ms, t, class_label=None):
-    g, _ = eval_M(ms, t, class_label)
+def _sqrt_g(ms, t):
+    g, _ = eval_M(ms, t)
     return np.sqrt(g)
 
 
-def init_state(ms: MatrixSchedule, rng, n: int | None = None, class_label=None) -> Array:
+def init_state(ms: MatrixSchedule, rng, n: int | None = None) -> Array:
     """Initial noise x_T = M_T^{1/2} xi with xi ~ N(0, I)."""
     rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
     d = ms.family.ambient_dim
     xi = rng.standard_normal(d if n is None else (n, d))
-    return apply_spectral(ms.family, _sqrt_g(ms, ms.horizon, class_label), xi)
+    return apply_spectral(ms.family, _sqrt_g(ms, ms.horizon), xi)
 
 
 def _step(family, flow_field, x, t_k, u_k, u_prev, t_hat=None, u_hat=None, flow_k=None):
@@ -95,16 +95,16 @@ def _step(family, flow_field, x, t_k, u_k, u_prev, t_hat=None, u_hat=None, flow_
     return new_x, f_k, f_hat
 
 
-def euler_step(ms, flow_field, x, grid, k, class_label=None, flow_k=None):
+def euler_step(ms, flow_field, x, grid, k, flow_k=None):
     """One reverse Euler step from t_k to t_{k-1}: x + Delta U_k flow(x, t_k)."""
     if not 1 <= k <= grid.size - 1:
         raise ValueError("step index out of range")
-    u_k, u_prev = _sqrt_g(ms, np.array([grid[k], grid[k - 1]]), class_label)
+    u_k, u_prev = _sqrt_g(ms, np.array([grid[k], grid[k - 1]]))
     new_x, f_k, _ = _step(ms.family, flow_field, x, grid[k], u_k, u_prev, flow_k=flow_k)
     return new_x, f_k
 
 
-def heun_step(ms, flow_field, x, grid, k, secondary="endpoint", class_label=None, flow_k=None):
+def heun_step(ms, flow_field, x, grid, k, secondary="endpoint", flow_k=None):
     """One matrix Heun step from t_k to t_{k-1} (see `_step`).
 
     Returns (new_x, f_k, f_hat, t_hat).
@@ -113,7 +113,7 @@ def heun_step(ms, flow_field, x, grid, k, secondary="endpoint", class_label=None
         raise ValueError("step index out of range")
     t_k, t_prev = grid[k], grid[k - 1]
     t_hat = t_prev if secondary == "endpoint" else 0.5 * (t_prev + t_k)
-    u_k, u_prev, u_hat = _sqrt_g(ms, np.array([t_k, t_prev, t_hat]), class_label)
+    u_k, u_prev, u_hat = _sqrt_g(ms, np.array([t_k, t_prev, t_hat]))
     new_x, f_k, f_hat = _step(ms.family, flow_field, x, t_k, u_k, u_prev, t_hat, u_hat, flow_k)
     return new_x, f_k, f_hat, t_hat
 
@@ -128,7 +128,7 @@ class TrajectoryResult:
 
 
 def sample_trajectory(ms: MatrixSchedule, flow_field, cfg: SamplerConfig,
-                      n: int | None = None, rng=None, class_label=None,
+                      n: int | None = None, rng=None,
                       x_init: Array | None = None) -> TrajectoryResult:
     """Integrate from t = horizon down to t_min, recording every state.
 
@@ -142,14 +142,14 @@ def sample_trajectory(ms: MatrixSchedule, flow_field, cfg: SamplerConfig,
     grid = time_grid(ms, cfg)
     if x_init is None:
         rng = cfg.seed if rng is None else rng
-        x = init_state(ms, rng, n=n, class_label=class_label)
+        x = init_state(ms, rng, n=n)
     else:
         x = np.asarray(x_init, dtype=float)
     start = time.perf_counter()
     heun = cfg.solver == "heun"
     midpoint = heun and cfg.secondary == "midpoint"
     t_hats = 0.5 * (grid[:-1] + grid[1:]) if midpoint else grid[:-1]
-    table = _sqrt_g(ms, np.concatenate((grid, t_hats)) if midpoint else grid, class_label)
+    table = _sqrt_g(ms, np.concatenate((grid, t_hats)) if midpoint else grid)
     u = table[:grid.size]
     u_hats = table[grid.size:] if midpoint else u[:-1]
     states = [x]

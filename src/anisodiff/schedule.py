@@ -6,11 +6,13 @@ log-space increments, then rescaled so the endpoints are pinned exactly:
 g(0) = g_floor and g(T) = T.  Monotonicity is therefore structural and
 no projection step is ever needed during training.
 
-`MatrixSchedule.at(t, class_label)` is the schedule at one batch of
-times: a `ScheduleEval` holding g and dg/dt from one `eval_M` call, and
-sqrt(g) and the two theta-Jacobians, each formed on first use from at
-most one `eval_M_dtheta` or `eval_M_dt_dtheta` call.  The training path
-builds one per batch and hands it to every consumer.
+A class-conditional `MatrixSchedule` is a table of trajectories, one per
+label, and `ms.for_class(label)` is one class's plain schedule.
+`ms.at(t)` is the schedule at one batch of times: a `ScheduleEval`
+holding g and dg/dt from one `eval_M` call, and sqrt(g) and the two
+theta-Jacobians, each formed on first use from at most one
+`eval_M_dtheta` or `eval_M_dt_dtheta` call.  The training path builds one
+per batch and hands it to every consumer.
 """
 
 from dataclasses import dataclass, field, replace
@@ -50,7 +52,7 @@ def inverse_softplus(s):
     return np.log(np.expm1(s))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KnotSchedule:
     """Monotone scalar schedule g(t) pinned to g(0)=floor and g(T)=horizon.
 
@@ -197,14 +199,15 @@ def log_linear_schedule(
 # Matrix schedules
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MatrixSchedule:
     """Spectral trajectory M_t = sum_j g_j(t) P_j, optionally class-conditional.
 
     The per-subspace schedules share the family's eigenvectors, so M_t,
     its time derivative and its theta derivatives all commute by
     construction.  `class_table` maps class labels to per-subspace
-    schedule lists; when present, every evaluation must name a class.
+    schedule lists; when present, the schedule is evaluated through
+    `for_class(label)`, and evaluating it directly raises `KeyError`.
     """
 
     family: ProjectorFamily
@@ -240,26 +243,33 @@ class MatrixSchedule:
     def n_subspaces(self) -> int:
         return self.family.n_subspaces
 
-    def schedules_for(self, class_label=None) -> tuple:
+    @cached_property
+    def _class_views(self) -> dict:
+        return {label: MatrixSchedule(self.family, row, None, self.t_floor_fraction)
+                for label, row in self.class_table.items()}
+
+    def for_class(self, class_label=None) -> "MatrixSchedule":
+        """The plain schedule of one class, the same object for the same
+        label (so identity-keyed caches hold); `self` if not conditional."""
         if self.class_table is None:
             if class_label is not None:
                 raise KeyError("schedule is not class-conditional")
-            return self.per_subspace
+            return self
         if class_label is None:
             raise KeyError("class-conditional schedule requires a class label")
         if class_label not in self.class_table:
             raise KeyError(f"unknown class {class_label!r}")
-        return self.class_table[class_label]
+        return self._class_views[class_label]
 
     # -- flat parameter vector (per class) -----------------------------------
 
     def theta_vector(self, class_label=None) -> Array:
-        return np.concatenate([s.theta for s in self.schedules_for(class_label)])
+        return np.concatenate([s.theta for s in self.for_class(class_label).per_subspace])
 
-    def param_slices(self, class_label=None):
+    def param_slices(self):
         """Per-subspace slices into the flat theta vector."""
         slices, start = [], 0
-        for s in self.schedules_for(class_label):
+        for s in self.per_subspace:
             slices.append(slice(start, start + s.n_params))
             start += s.n_params
         return slices
@@ -268,24 +278,22 @@ class MatrixSchedule:
     def n_params(self) -> int:
         return sum(s.n_params for s in self.per_subspace)
 
-    def at(self, t, class_label=None) -> "ScheduleEval":
+    def at(self, t) -> "ScheduleEval":
         """The schedule at the times t (scalar or (n,)), evaluated once."""
-        return ScheduleEval(self, t, class_label)
+        return ScheduleEval(self, t)
 
     def with_theta_vector(self, theta: Array, class_label=None) -> "MatrixSchedule":
         theta = np.asarray(theta, dtype=float)
-        schedules = list(self.schedules_for(class_label))
-        for i, sl in enumerate(self.param_slices(class_label)):
-            schedules[i] = schedules[i].with_theta(theta[sl])
+        view = self.for_class(class_label)
+        schedules = tuple(s.with_theta(theta[sl])
+                          for s, sl in zip(view.per_subspace, view.param_slices()))
         if self.class_table is None:
-            return replace(self, per_subspace=tuple(schedules))
-        table = dict(self.class_table)
-        table[class_label] = tuple(schedules)
-        return replace(self, class_table=table)
+            return replace(self, per_subspace=schedules)
+        return replace(self, class_table={**self.class_table, class_label: schedules})
 
 
 class ScheduleEval:
-    """M_t at one batch of times t, for one class.
+    """M_t at one batch of times t, for a plain (not class-conditional) schedule.
 
     `g` and `dg` (g_j(t) and dg_j/dt, shape (..., J)) come from one
     `eval_M` call; `sqrt_g`, the Jacobian `jac` = d g_j / d theta and
@@ -293,12 +301,11 @@ class ScheduleEval:
     first use, so a caller that reads neither Jacobian pays for neither.
     """
 
-    def __init__(self, ms: MatrixSchedule, t, class_label=None):
+    def __init__(self, ms: MatrixSchedule, t):
         self.ms = ms
         self.family = ms.family
         self.t = t
-        self.class_label = class_label
-        self.g, self.dg = eval_M(ms, t, class_label)
+        self.g, self.dg = eval_M(ms, t)
 
     @cached_property
     def sqrt_g(self) -> Array:
@@ -306,17 +313,17 @@ class ScheduleEval:
 
     @cached_property
     def jac(self) -> Array:
-        return eval_M_dtheta(self.ms, self.t, self.class_label)
+        return eval_M_dtheta(self.ms, self.t)
 
     @cached_property
     def dt_jac(self) -> Array:
-        return eval_M_dt_dtheta(self.ms, self.t, self.class_label)
+        return eval_M_dt_dtheta(self.ms, self.t)
 
 
-def eval_M(ms: MatrixSchedule, t, class_label=None):
+def eval_M(ms: MatrixSchedule, t):
     """Per-subspace values (g_j(t), dg_j/dt); each of shape (..., J)."""
-    schedules = ms.schedules_for(class_label)
-    pairs = [s.eval(t) for s in schedules]
+    # for_class() is ms itself, or a KeyError for a class-conditional schedule
+    pairs = [s.eval(t) for s in ms.for_class().per_subspace]
     g = np.stack([np.atleast_1d(p[0]) for p in pairs], axis=-1)
     dg = np.stack([np.atleast_1d(p[1]) for p in pairs], axis=-1)
     if np.asarray(t).ndim == 0:
@@ -324,32 +331,30 @@ def eval_M(ms: MatrixSchedule, t, class_label=None):
     return g, dg
 
 
-def _block_jacobian(ms: MatrixSchedule, t, class_label, method: str):
+def _block_jacobian(ms: MatrixSchedule, t, method: str):
     """Stack each knot schedule's `method` Jacobian into its block, shape (..., J, P).
 
     The method is looked up on each schedule at call time, so a wrapper
     bound to the `KnotSchedule` class sees every call.
     """
-    schedules = ms.schedules_for(class_label)
-    slices = ms.param_slices(class_label)
+    schedules = ms.for_class().per_subspace
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    total = sum(s.n_params for s in schedules)
-    out = np.zeros((t_arr.size, len(schedules), total))
-    for j, (s, sl) in enumerate(zip(schedules, slices)):
+    out = np.zeros((t_arr.size, len(schedules), ms.n_params))
+    for j, (s, sl) in enumerate(zip(schedules, ms.param_slices())):
         out[:, j, sl] = getattr(s, method)(t_arr)
     if np.asarray(t).ndim == 0:
         return out[0]
     return out
 
 
-def eval_M_dtheta(ms: MatrixSchedule, t, class_label=None):
+def eval_M_dtheta(ms: MatrixSchedule, t):
     """Jacobian d g_j / d theta_p, shape (..., J, P); block diagonal over j."""
-    return _block_jacobian(ms, t, class_label, "eval_dtheta")
+    return _block_jacobian(ms, t, "eval_dtheta")
 
 
-def eval_M_dt_dtheta(ms: MatrixSchedule, t, class_label=None):
+def eval_M_dt_dtheta(ms: MatrixSchedule, t):
     """Jacobian d (dg_j/dt) / d theta_p, shape (..., J, P)."""
-    return _block_jacobian(ms, t, class_label, "eval_dt_dtheta")
+    return _block_jacobian(ms, t, "eval_dt_dtheta")
 
 
 def matrix_function_theta_derivative(ev: ScheduleEval, f_prime):
@@ -364,9 +369,9 @@ def matrix_function_theta_derivative(ev: ScheduleEval, f_prime):
     return fp[..., None] * ev.jac
 
 
-def apply_M(ms: MatrixSchedule, t, x, power: float = 1.0, class_label=None):
+def apply_M(ms: MatrixSchedule, t, x, power: float = 1.0):
     """Spectral application of M_t^power to x (power -1, +-1/2, etc.)."""
-    g, _ = eval_M(ms, t, class_label)
+    g, _ = eval_M(ms, t)
     return apply_spectral(ms.family, g**power, x)
 
 

@@ -109,7 +109,7 @@ def _flow_dtheta(jet, ev, flow, deltas: Array, cfg: EstimatorConfig) -> Array:
 
 
 def estimate_dtheta_score(field, ms: MatrixSchedule, x, t, theta_index: int,
-                          cfg: EstimatorConfig | None = None, class_label=None) -> Array:
+                          cfg: EstimatorConfig | None = None) -> Array:
     """Estimate d(score)/d(theta_j) from x-directional derivatives of `field`.
 
     `field` must supply at(x, t) (see `fields`); use the exact mixture
@@ -118,7 +118,7 @@ def estimate_dtheta_score(field, ms: MatrixSchedule, x, t, theta_index: int,
     x, scalar = _as_batch(x)
     if cfg is None:
         cfg = default_estimator_config(x.shape[1])
-    jac = ms.at(t, class_label).jac
+    jac = ms.at(t).jac
     if jac.ndim == 2:  # scalar t
         delta = np.broadcast_to(jac[:, theta_index], (x.shape[0], ms.family.n_subspaces))
     else:
@@ -132,12 +132,12 @@ def estimate_dtheta_score(field, ms: MatrixSchedule, x, t, theta_index: int,
 
 
 def estimate_dtheta_flow(flow_field, ms: MatrixSchedule, x, t, theta_index: int,
-                         cfg: EstimatorConfig | None = None, class_label=None) -> Array:
+                         cfg: EstimatorConfig | None = None) -> Array:
     """Flow-form estimate of d(flow)/d(theta_j) (three-term identity)."""
     x, scalar = _as_batch(x)
     if cfg is None:
         cfg = default_estimator_config(x.shape[1])
-    ev = ms.at(t, class_label)
+    ev = ms.at(t)
     jac = ev.jac
     if jac.ndim == 2:  # scalar t
         delta = np.broadcast_to(jac[:, theta_index], (x.shape[0], ms.family.n_subspaces))
@@ -171,18 +171,18 @@ def outer_gradient(ms: MatrixSchedule, flow_field, batch: LossSample,
     moves by d(flow)/d(theta); estimated by the plug-in identity with
     `flow_field` standing in for the optimal field.  The loss itself comes
     from the same field evaluation and is returned as `value`.  The
-    schedule is evaluated once, as `ms.at(t, label)`, for every term.
+    class's schedule is resolved once and evaluated once, as `ms.at(t)`.
     """
     x0 = np.atleast_2d(batch.x0)
     eps = np.atleast_2d(batch.eps)
     t = np.broadcast_to(np.asarray(batch.t, dtype=float), (x0.shape[0],))
     if cfg is None:
         cfg = default_estimator_config(x0.shape[1])
-    label = class_label if class_label is not None else batch.class_label
+    ms = ms.for_class(class_label if class_label is not None else batch.class_label)
 
     n = x0.shape[0]
-    sample = LossSample(x0=x0, eps=eps, t=t, class_label=label)
-    ev = ms.at(t, label)
+    sample = LossSample(x0=x0, eps=eps, t=t)
+    ev = ms.at(t)
     jac = ev.jac  # (n, J, P)
     x_t = perturbed_point(ev, sample)
     jet = flow_field.at(x_t, t)
@@ -224,8 +224,8 @@ def outer_gradient(ms: MatrixSchedule, flow_field, batch: LossSample,
 
 def estimate_H(ms: MatrixSchedule, flow_field, batch: LossSample, class_label=None) -> float:
     """Monte-Carlo value of the outer objective on a fixed batch."""
-    label = class_label if class_label is not None else batch.class_label
-    value = loss_sample(ms, flow_field, LossSample(batch.x0, batch.eps, batch.t, label))
+    ms = ms.for_class(class_label if class_label is not None else batch.class_label)
+    value = loss_sample(ms, flow_field, LossSample(batch.x0, batch.eps, batch.t))
     return float(np.mean(value.loss))
 
 

@@ -69,7 +69,7 @@ class _BlockFamily:
         return (q * values[..., None, self.labels]) @ q.T
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProjectorFamily(_BlockFamily):
     """A family stored as one orthonormal d x d basis Q and the block
     index of each of its columns; its coordinates are x Q.

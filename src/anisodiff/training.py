@@ -261,8 +261,8 @@ def train_bilevel(data, ms: MatrixSchedule, model: FlowModel | None, cfg: TrainC
             live = model.with_params(params)
             for i in range(cfg.micro_batches):
                 sl = slice(i * micro, (i + 1) * micro)
-                sub = LossSample(batch.x0[sl], batch.eps[sl], batch.t[sl], label)
-                ev = ms.at(sub.t, label)
+                sub = LossSample(batch.x0[sl], batch.eps[sl], batch.t[sl])
+                ev = ms.for_class(label).at(sub.t)
                 jet = live.at(perturbed_point(ev, sub), sub.t)
                 value = loss_from_flow(ev, sub, jet.value())
                 losses[sl] = value.loss

@@ -126,8 +126,8 @@ def test_class_conditional_schedule_roundtrip(tmp_path):
     save_schedule(ms, path)
     back = load_schedule(path)
     for label in ("cat", "dog"):
-        g1, _ = eval_M(ms, 2.0, label)
-        g2, _ = eval_M(back, 2.0, label)
+        g1, _ = eval_M(ms.for_class(label), 2.0)
+        g2, _ = eval_M(back.for_class(label), 2.0)
         np.testing.assert_array_equal(g1, g2)
 
 
@@ -286,6 +286,26 @@ def test_sample_requires_exactly_one_field(tmp_path, gmm_file, schedule_file):
         "--out", str(tmp_path / "x.csv"),
     ])
     assert code == 2
+
+
+def test_sample_denoise_with_model_exits_2_before_sampling(tmp_path, schedule_file, capsys,
+                                                          monkeypatch):
+    from anisodiff import cli
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sample_trajectory was called")
+
+    monkeypatch.setattr(cli, "sample_trajectory", no_sampling)
+    model_file = tmp_path / "model.json"
+    save_model(FlowModel.create(2, horizon=10.0, widths=(8,), seed=4), model_file)
+    assert main(["sample", "--schedule", str(schedule_file), "--model", str(model_file),
+                 "--steps", "4", "--denoise", "--out", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err == "error: --denoise needs the --oracle field\n"
+
+
+def test_verify_quick_solver_passes(capsys):
+    assert main(["verify", "--quick", "--filter", "solver"]) == 0
+    assert "6/6 checks passed" in capsys.readouterr().out
 
 
 def test_verify_filter_and_report(tmp_path):
@@ -472,6 +492,30 @@ def test_train_config_missing_key_exits_2(tmp_path, gmm_file, capsys, section, k
     assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "rundir")]) == 2
     err = capsys.readouterr().err
     assert err == f"error: {section} section is missing key '{key}'\n"
+
+
+@pytest.mark.parametrize("section, value", [
+    ("family", [1]),
+    ("family", {"kind": "axis", "dim": 4, "split": "2"}),
+    ("train", 5),
+    ("train", {"batch_size": "16"}),
+    ("model", {"widths": 64}),
+    ("schedule", {"horizon": 10, "knots": [3]}),
+], ids=["family-list", "family-split", "train-int", "train-batch-size", "model-widths",
+        "schedule-knots"])
+def test_train_config_value_of_wrong_type_exits_2(tmp_path, gmm_file, capsys, section, value):
+    config = {
+        "version": "1",
+        "gmm": gmm_file.name,
+        "family": {"kind": "axis", "dim": 2, "split": 1},
+        "schedule": {"horizon": 5.0},
+        section: value,
+    }
+    cfg_path = gmm_file.parent / "run_types.json"
+    cfg_path.write_text(json.dumps(config))
+    assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "rundir")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config section '{section}': ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("kind, key", [

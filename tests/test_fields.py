@@ -55,17 +55,29 @@ def count_calls(monkeypatch, module, name):
     return calls
 
 
-def test_heun_32_trajectory_factors_once_per_distinct_time(monkeypatch):
+def assert_heun_32_factors_once_per_distinct_time(monkeypatch, ms, field):
     # 63 field calls at 33 distinct times: the secondary evaluation of step k
     # and the base evaluation of step k-1 share t_{k-1}
-    _, gm, ms = random_setup(1)
-    field = OracleFlowField(gm, ms)
     factors = count_calls(monkeypatch, gmm_mod, "_factor")
     evals = count_calls(monkeypatch, schedule_mod, "eval_M")
     res = sample_trajectory(ms, field, SamplerConfig(steps=32), n=8, rng=0)
     assert res.nfe == 63
     assert len(factors) == 33
     assert len(evals) == 35  # init_state, the sqrt(g) table, one per distinct time
+
+
+def test_heun_32_trajectory_factors_once_per_distinct_time(monkeypatch):
+    _, gm, ms = random_setup(1)
+    assert_heun_32_factors_once_per_distinct_time(monkeypatch, ms, OracleFlowField(gm, ms))
+
+
+def test_heun_32_conditional_trajectory_factors_once_per_distinct_time(monkeypatch):
+    rng, gm, ms = random_setup(1)
+    table = {"a": ms.per_subspace, "b": ms.with_theta_vector(
+        rng.standard_normal(ms.n_params)).per_subspace}
+    ms = schedule_mod.MatrixSchedule(ms.family, ms.per_subspace, class_table=table)
+    field = OracleFlowField(gm, ms, "b")
+    assert_heun_32_factors_once_per_distinct_time(monkeypatch, ms.for_class("b"), field)
 
 
 def test_memoized_jet_equals_a_fresh_field():

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from anisodiff.fields import OracleFlowField, ScoreFromFlow
+from flow_views import ScoreFromFlow
+
+from anisodiff.fields import OracleFlowField
 from anisodiff.flow_model import FlowModel, n_params
-from anisodiff.gmm import score, single_gaussian
+from anisodiff.gmm import perturb, sample_p0, score, single_gaussian
 from anisodiff.schedule import eval_M, isotropic_matrix_schedule
 from anisodiff.subspaces import apply_spectral
 
@@ -166,13 +168,35 @@ def test_oracle_field_directional_matches_fd():
     np.testing.assert_allclose(field.directional(x, t, v), fd, rtol=1e-6, atol=1e-9)
 
 
+def scale_diagnostic(flow_field, ms, gm, n_per_t: int = 256, n_times: int = 12, seed: int = 0):
+    """Spread (max/min over t) of mean |flow| versus mean |net|.
+
+    The flow parameterization exists because |net| scales like
+    |M_t^{-1/2}|, which varies wildly across noise levels; this measures
+    both spreads on points drawn from p_t.  Returns (flow_spread, net_spread).
+    """
+    rng = np.random.default_rng(seed)
+    ts = np.geomspace(max(ms.t_min, 1e-3 * ms.horizon), ms.horizon, n_times)
+    flow_norms, net_norms = [], []
+    for t in ts:
+        x0 = sample_p0(gm, n_per_t, rng)
+        eps = rng.standard_normal((n_per_t, gm.dim))
+        ev = ms.at(float(t))
+        x_t = perturb(x0, eps, ev)
+        flow = flow_field(x_t, float(t))
+        net = apply_spectral(ms.family, 1.0 / ev.sqrt_g, flow)
+        flow_norms.append(float(np.mean(np.linalg.norm(flow, axis=1))))
+        net_norms.append(float(np.mean(np.linalg.norm(net, axis=1))))
+    flow_spread = max(flow_norms) / max(min(flow_norms), 1e-300)
+    net_spread = max(net_norms) / max(min(net_norms), 1e-300)
+    return flow_spread, net_spread
+
+
 def test_scale_diagnostic_logged():
     # diagnostic, not assertion-hard on exact numbers: for concentrated
     # data (variance at the schedule floor, the image-like regime) the
     # flow scale varies far less across noise levels than the score-view
     # scale, which behaves like |M^{-1/2}|
-    from anisodiff.fields import scale_diagnostic
-
     gm = single_gaussian(np.zeros(2), np.diag([1.0, 1e-4]))
     ms = isotropic_matrix_schedule(2, horizon=10.0)
     field = OracleFlowField(gm, ms)

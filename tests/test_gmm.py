@@ -8,7 +8,6 @@ from anisodiff.fields import OracleScoreField
 from anisodiff.gmm import (
     GaussianMixture,
     dtheta_score_direction,
-    dtheta_score_fd,
     dtheta_score_oracle,
     log_density,
     perturb,
@@ -372,6 +371,17 @@ def test_dtheta_direction_single_gaussian_closed_form():
     expected = np.linalg.solve(c, d_mat @ np.linalg.solve(c, x))
     got = dtheta_score_direction(gm, x, ms, t, d_mat)
     np.testing.assert_allclose(got, expected, rtol=1e-10)
+
+
+def dtheta_score_fd(gm, x, ms, t, theta_index: int, h: float = 1e-6):
+    """Central finite difference of the score over theta_j."""
+    theta = ms.theta_vector()
+    up, dn = theta.copy(), theta.copy()
+    up[theta_index] += h
+    dn[theta_index] -= h
+    s_up = score(gm, x, ms.with_theta_vector(up), t)
+    s_dn = score(gm, x, ms.with_theta_vector(dn), t)
+    return (s_up - s_dn) / (2 * h)
 
 
 def test_dtheta_oracle_matches_theta_fd():

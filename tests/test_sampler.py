@@ -274,17 +274,16 @@ def test_one_eval_M_per_step(monkeypatch, solver):
     assert len(calls) == 2  # init_state, then the trajectory's sqrt(g) table
 
 
-def step_loop(ms, field, cfg, x, class_label):
+def step_loop(ms, field, cfg, x):
     """sample_trajectory's integration as a loop of the public step functions."""
     grid = time_grid(ms, cfg)
     states, carried = [x], None
     for k in range(cfg.steps, 0, -1):
         if cfg.solver == "euler":
-            x, _ = euler_step(ms, field, x, grid, k, class_label)
+            x, _ = euler_step(ms, field, x, grid, k)
         else:
             reuse = carried if (cfg.secondary == "endpoint" and k == 1) else None
-            x, _, f_hat, _ = heun_step(ms, field, x, grid, k, cfg.secondary, class_label,
-                                       flow_k=reuse)
+            x, _, f_hat, _ = heun_step(ms, field, x, grid, k, cfg.secondary, flow_k=reuse)
             if cfg.secondary == "endpoint" and k == 2:
                 carried = f_hat
         states.append(x)
@@ -310,10 +309,10 @@ def test_trajectory_equals_the_step_loop(seed, steps, horizon, rule, conditional
     else:
         ms, label = MatrixSchedule(fam, row()), None
     cfg = SamplerConfig(steps=steps, solver=rule[0], secondary=rule[1], seed=seed % 1000)
-    res = sample_trajectory(ms, OracleFlowField(anisotropic_gmm(), ms, label), cfg, n=3,
-                            class_label=label)
-    want = step_loop(ms, OracleFlowField(anisotropic_gmm(), ms, label), cfg,
-                     res.states[0], label)
+    res = sample_trajectory(ms.for_class(label), OracleFlowField(anisotropic_gmm(), ms, label),
+                            cfg, n=3)
+    want = step_loop(ms.for_class(label), OracleFlowField(anisotropic_gmm(), ms, label), cfg,
+                     res.states[0])
     assert len(res.states) == len(want) == steps + 1
     for got, ref in zip(res.states, want):
         assert np.array_equal(got, ref)

@@ -260,19 +260,63 @@ def test_class_conditional_independence():
         "b": tuple(s.with_theta(rng.standard_normal(s.n_params)) for s in base.per_subspace),
     }
     ms = MatrixSchedule(fam, base.per_subspace, class_table=table)
-    g_b_before, _ = eval_M(ms, 1.0, "b")
+    g_b_before, _ = eval_M(ms.for_class("b"), 1.0)
     # non-uniform shift: a constant shift would be absorbed by the normalizer
     new_theta = ms.theta_vector("a") + np.linspace(-1.0, 1.0, ms.n_params)
     ms2 = ms.with_theta_vector(new_theta, "a")
-    g_b_after, _ = eval_M(ms2, 1.0, "b")
+    g_b_after, _ = eval_M(ms2.for_class("b"), 1.0)
     np.testing.assert_array_equal(g_b_before, g_b_after)
-    g_a_before, _ = eval_M(ms, 1.0, "a")
-    g_a_after, _ = eval_M(ms2, 1.0, "a")
+    g_a_before, _ = eval_M(ms.for_class("a"), 1.0)
+    g_a_after, _ = eval_M(ms2.for_class("a"), 1.0)
     assert not np.allclose(g_a_before, g_a_after)
     with pytest.raises(KeyError):
-        eval_M(ms, 1.0, "zebra")
+        ms.for_class("zebra")
     with pytest.raises(KeyError):
         eval_M(ms, 1.0)
+
+
+def test_for_class_resolves_one_view_per_label():
+    rng = np.random.default_rng(21)
+    fam = axis_family(3, 1)
+    base = matrix_schedule_for_family(fam, horizon=6.0, n_knots=5)
+    table = {label: tuple(s.with_theta(rng.standard_normal(s.n_params))
+                          for s in base.per_subspace) for label in ("a", "b")}
+    ms = MatrixSchedule(fam, base.per_subspace, class_table=table)
+    assert ms.for_class("a") is ms.for_class("a")
+    assert ms.for_class("a") is not ms.for_class("b")
+    assert base.for_class() is base
+    t = np.array([0.0, ms.t_min, 1.3, 4.5, 6.0])
+    for label in ("a", "b"):
+        view, want = ms.for_class(label), MatrixSchedule(fam, table[label])
+        assert view.class_table is None
+        ev, ref = view.at(t), want.at(t)
+        for name in ("g", "dg", "sqrt_g", "jac", "dt_jac"):
+            assert np.array_equal(getattr(ev, name), getattr(ref, name))
+        assert np.array_equal(ms.theta_vector(label), want.theta_vector())
+    with pytest.raises(KeyError, match="requires a class label"):
+        ms.for_class()
+    with pytest.raises(KeyError, match="not class-conditional"):
+        base.for_class("a")
+    with pytest.raises(KeyError, match="unknown class"):
+        ms.for_class("zebra")
+
+
+def test_value_objects_compare_and_hash_by_identity():
+    from anisodiff.flow_model import FlowModel
+    from anisodiff.gmm import single_gaussian
+
+    made = [
+        lambda: axis_family(4, 2),
+        lambda: log_linear_schedule(5.0),
+        lambda: matrix_schedule_for_family(axis_family(4, 2), 5.0),
+        lambda: single_gaussian(np.zeros(2), np.eye(2)),
+        lambda: FlowModel.create(2, 5.0, widths=(4,)),
+    ]
+    for make in made:
+        a, b = make(), make()
+        assert a == a and a != b
+        assert hash(a) == hash(a)
+        assert len({a, b}) == 2
 
 
 # ---------------------------------------------------------------------------

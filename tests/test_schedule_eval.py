@@ -58,13 +58,13 @@ def test_evaluation_equals_the_schedule_functions(seed, n_subspaces, horizon, n_
         ms, label = MatrixSchedule(family, row()), None
     t = batch_times(ms, rng, scalar_index)
 
-    ev = ms.at(t, label)
-    g, dg = eval_M(ms, t, label)
+    ev = ms.for_class(label).at(t)
+    g, dg = eval_M(ms.for_class(label), t)
     assert np.array_equal(ev.g, g)
     assert np.array_equal(ev.dg, dg)
     assert np.array_equal(ev.sqrt_g, np.sqrt(g))
-    assert np.array_equal(ev.jac, eval_M_dtheta(ms, t, label))
-    assert np.array_equal(ev.dt_jac, eval_M_dt_dtheta(ms, t, label))
+    assert np.array_equal(ev.jac, eval_M_dtheta(ms.for_class(label), t))
+    assert np.array_equal(ev.dt_jac, eval_M_dt_dtheta(ms.for_class(label), t))
     assert ev.g.shape == np.shape(t) + (n_subspaces,)
     assert ev.jac.shape == np.shape(t) + (n_subspaces, ms.n_params)
 

@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flow_views import ScoreFromFlow
+
 from anisodiff import flow_model
 from anisodiff import gmm as gmm_mod
 from anisodiff import schedule as schedule_mod
-from anisodiff.fields import OracleFlowField, OracleScoreField, ScoreFromFlow
+from anisodiff.fields import OracleFlowField, OracleScoreField
 from anisodiff.flow_model import FlowModel
 from anisodiff.gmm import (
     GaussianMixture,
