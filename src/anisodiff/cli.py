@@ -10,7 +10,6 @@ import argparse
 import dataclasses
 import json
 import sys
-from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +18,7 @@ from . import __version__
 from .flow_model import FlowModel
 from .gmm import posterior_mean, sample_p0
 from .persistence import (
+    decoding,
     family_from_json,
     fmt,
     load_gmm,
@@ -133,18 +133,30 @@ def cmd_schedule_fit(args) -> int:
     return 0
 
 
-_TRAIN_KEYS = {f.name for f in dataclasses.fields(TrainConfig)}
+_TRAIN_TYPES = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
+
+# the JSON values each TrainConfig field type accepts; a boolean is not a number
+_JSON_TYPES = {
+    bool: ("a boolean", bool), int: ("an integer", int), float: ("a number", (int, float)),
+}
 
 _CONFIG_SECTIONS = {"version", "gmm", "data", "family", "schedule", "model", "train"}
 
 
-@contextmanager
 def _config_section(name):
-    """Report a config value of the wrong JSON type as a one-line ValueError."""
-    try:
-        yield
-    except TypeError as exc:
-        raise ValueError(f"config section '{name}': value of the wrong type ({exc})") from None
+    return decoding(f"config section '{name}'")
+
+
+def _check_train_values(train: dict):
+    """Unknown keys are a ValueError, a value of the wrong JSON type a TypeError."""
+    unknown = set(train) - _TRAIN_TYPES.keys()
+    if unknown:
+        raise ValueError(f"unknown train keys: {sorted(unknown)}")
+    for key, value in train.items():
+        kind = _TRAIN_TYPES[key]
+        name, accepted = _JSON_TYPES[kind]
+        if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
+            raise TypeError(f"{key!r} must be {name}, got {json.dumps(value)}")
 
 
 def load_run_config(path):
@@ -163,9 +175,7 @@ def load_run_config(path):
     if "family" not in cfg or "schedule" not in cfg:
         raise ValueError("config needs 'family' and 'schedule' sections")
     with _config_section("train"):
-        bad = set(cfg.get("train", {})) - _TRAIN_KEYS
-    if bad:
-        raise ValueError(f"unknown train keys: {sorted(bad)}")
+        _check_train_values(cfg.get("train", {}))
     base = path.parent
     resolved = dict(cfg)
     with _config_section("gmm"):
@@ -253,7 +263,7 @@ def cmd_train(args) -> int:
             header,
         )
     if result.grad_diagnostics:
-        diag_cols = ["images", "class", "coordinate", "explicit", "implicit", "fd_reference"]
+        diag_cols = ["images", "class", "coordinate", "explicit", "implicit"]
         diag_rows = []
         for row in result.grad_diagnostics:
             normalized = dict(row)
@@ -279,9 +289,7 @@ def cmd_sample(args) -> int:
         from .fields import OracleFlowField
 
         field = OracleFlowField(gm, ms)
-    cfg = SamplerConfig(
-        steps=args.steps, solver=args.solver, secondary=args.secondary, seed=args.seed
-    )
+    cfg = SamplerConfig(steps=args.steps, solver=args.solver, secondary=args.secondary)
     result = sample_trajectory(ms, field, cfg, n=args.n, rng=args.seed)
     final = result.final
     if args.denoise:

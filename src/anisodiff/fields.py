@@ -19,8 +19,9 @@ reused while t, `gm` and the class's schedule `ms.for_class(class_label)`
 stay the same, so a sampler's two calls at each grid time factor once.
 An array t is never kept.
 
-`FlowModel` satisfies this protocol directly; the classes here adapt the
-exact mixture oracle.
+`FlowModel` satisfies this protocol directly; `OracleFlowField` adapts
+the exact mixture oracle.  `OracleScoreField`, the oracle's score, has
+only `at`: the schedule-gradient estimator reads nothing else.
 """
 
 import numpy as np
@@ -102,7 +103,7 @@ class OracleFlowField:
 
 
 class OracleScoreField:
-    """Exact score field grad log p_t with its directional derivatives."""
+    """Exact score field grad log p_t, read through its jet `at(x, t)` only."""
 
     def __init__(self, gm, ms: MatrixSchedule):
         self.gm = gm
@@ -110,12 +111,3 @@ class OracleScoreField:
 
     def at(self, x, t):
         return gmm_mod._noisy(self.gm, x, self.ms, t)
-
-    def __call__(self, x, t):
-        return self.at(x, t).value()
-
-    def directional(self, x, t, v):
-        return self.at(x, t).directional(v)
-
-    def mixed(self, x, t, u, v):
-        return self.at(x, t).mixed(u, v)

@@ -83,7 +83,7 @@ def sample_p0(gm: GaussianMixture, n: int, rng_seed) -> Array:
     """Draw n points from the mixture; deterministic given the seed."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(rng_seed)
     comps = rng.choice(gm.n_components, size=n, p=gm.weights)
     z = rng.standard_normal((n, gm.dim))
     return gm.means[comps] + np.einsum("nij,nj->ni", gm._sampling_factors[comps], z)
@@ -365,7 +365,7 @@ def posterior_sample(gm, x, ms, t, rng):
     noisy = _noisy(gm, x, ms, t)
     x2 = noisy.x
     n, d = x2.shape
-    rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+    rng = np.random.default_rng(rng)
     cum = np.cumsum(noisy.resp, axis=1)
     picks = np.argmax(cum > rng.uniform(size=(n, 1)), axis=1)
     out = np.empty((n, d))

@@ -61,7 +61,7 @@ class LossValue:
 
 def draw_loss_samples(gm, ms: MatrixSchedule, n: int, rng) -> LossSample:
     """n independent draws (x0, eps, t) with t uniform on [t_min, T]."""
-    rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+    rng = np.random.default_rng(rng)
     x0 = gmm_mod.sample_p0(gm, n, rng)
     eps = rng.standard_normal((n, gm.dim))
     t = rng.uniform(ms.t_min, ms.horizon, size=n)

@@ -8,6 +8,7 @@ significant digits for exact float round-tripping.
 
 import hashlib
 import json
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -72,6 +73,15 @@ def load_points_csv(path) -> np.ndarray:
     return np.array([[float(c) for c in row] for row in rows])
 
 
+@contextmanager
+def decoding(source):
+    """Report a value of the wrong JSON type as a one-line ValueError naming `source`."""
+    try:
+        yield
+    except (TypeError, AttributeError) as exc:
+        raise ValueError(f"{source}: value of the wrong type ({exc})") from None
+
+
 class _SavedObject(dict):
     """A JSON object of a saved file; a missing key is a one-line ValueError."""
 
@@ -86,6 +96,8 @@ class _SavedObject(dict):
 def _read_saved(path, kind) -> dict:
     """Parse a saved `kind` file ("schedule", "mixture", "model") of the current format."""
     payload = json.loads(Path(path).read_text(), object_hook=lambda obj: _SavedObject(kind, obj))
+    if not isinstance(payload, dict):
+        raise ValueError(f"{kind} file must hold a JSON object")
     if payload.get("format_version") != FORMAT_VERSION:
         raise ValueError(f"unsupported {kind} file version")
     return payload
@@ -149,6 +161,13 @@ def _knots_to_lists(schedules) -> list:
 
 
 def save_schedule(ms: MatrixSchedule, path, seed=0):
+    """Write `ms` as JSON; the file keeps one floor and one node grid for all knots."""
+    first = ms.per_subspace[0]
+    for row in (ms.per_subspace, *(ms.class_table or {}).values()):
+        for s in row:
+            if s.floor != first.floor or not np.array_equal(s.nodes, first.nodes):
+                raise ValueError("cannot save a schedule whose knot schedules differ "
+                                 "in floor or nodes")
     payload = {
         "format_version": FORMAT_VERSION,
         "family_kind": ms.family.meta.get("kind", "explicit"),
@@ -175,25 +194,26 @@ def save_schedule(ms: MatrixSchedule, path, seed=0):
 
 def load_schedule(path) -> MatrixSchedule:
     payload = _read_saved(path, "schedule")
-    family = family_from_json(payload["family"])
-    nodes = np.array(payload["nodes"])
-    floor = payload["floor"]
-    horizon = payload["horizon"]
+    with decoding("schedule file"):
+        family = family_from_json(payload["family"])
+        nodes = np.array(payload["nodes"])
+        floor = payload["floor"]
+        horizon = payload["horizon"]
 
-    def make(theta_list):
-        return tuple(
-            KnotSchedule(np.array(th), nodes, floor, horizon) for th in theta_list
+        def make(theta_list):
+            return tuple(
+                KnotSchedule(np.array(th), nodes, floor, horizon) for th in theta_list
+            )
+
+        class_table = None
+        if payload["theta"]["classes"] is not None:
+            class_table = {k: make(v) for k, v in payload["theta"]["classes"].items()}
+        return MatrixSchedule(
+            family,
+            make(payload["theta"]["default"]),
+            class_table=class_table,
+            t_floor_fraction=payload.get("t_floor_fraction", 1e-4),
         )
-
-    class_table = None
-    if payload["theta"]["classes"] is not None:
-        class_table = {k: make(v) for k, v in payload["theta"]["classes"].items()}
-    return MatrixSchedule(
-        family,
-        make(payload["theta"]["default"]),
-        class_table=class_table,
-        t_floor_fraction=payload.get("t_floor_fraction", 1e-4),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -212,11 +232,12 @@ def save_gmm(gm: GaussianMixture, path):
 
 def load_gmm(path) -> GaussianMixture:
     payload = _read_saved(path, "mixture")
-    return GaussianMixture(
-        np.array(payload["weights"]),
-        np.array(payload["means"]),
-        np.array(payload["covariances"]),
-    )
+    with decoding("mixture file"):
+        return GaussianMixture(
+            np.array(payload["weights"]),
+            np.array(payload["means"]),
+            np.array(payload["covariances"]),
+        )
 
 
 def save_model(model: FlowModel, path):
@@ -232,9 +253,10 @@ def save_model(model: FlowModel, path):
 
 def load_model(path) -> FlowModel:
     payload = _read_saved(path, "model")
-    return FlowModel(
-        dim=payload["dim"],
-        horizon=payload["horizon"],
-        widths=tuple(payload["widths"]),
-        params=np.array(payload["params"]),
-    )
+    with decoding("model file"):
+        return FlowModel(
+            dim=payload["dim"],
+            horizon=payload["horizon"],
+            widths=tuple(payload["widths"]),
+            params=np.array(payload["params"]),
+        )

@@ -35,8 +35,6 @@ class SamplerConfig:
     steps: int
     solver: str = "heun"  # "euler" | "heun"
     secondary: str = "endpoint"  # "endpoint" | "midpoint"
-    t_min: float | None = None  # defaults to ms.t_min = t_floor_fraction * horizon
-    seed: int = 0
 
     def __post_init__(self):
         if self.steps < 1:
@@ -45,16 +43,11 @@ class SamplerConfig:
             raise ValueError(f"unknown solver {self.solver!r}")
         if self.secondary not in ("endpoint", "midpoint"):
             raise ValueError(f"unknown secondary rule {self.secondary!r}")
-        if self.t_min is not None and self.t_min <= 0:
-            raise ValueError("t_min must be positive")
 
 
 def time_grid(ms: MatrixSchedule, cfg: SamplerConfig) -> Array:
-    """Strictly increasing grid t_0 = t_min < ... < t_K = horizon."""
-    t_min = cfg.t_min if cfg.t_min is not None else ms.t_min
-    if not 0 < t_min < ms.horizon:
-        raise ValueError("t_min must lie in (0, horizon)")
-    return np.linspace(t_min, ms.horizon, cfg.steps + 1)
+    """Strictly increasing grid t_0 = ms.t_min < ... < t_K = horizon."""
+    return np.linspace(ms.t_min, ms.horizon, cfg.steps + 1)
 
 
 def _sqrt_g(ms, t):
@@ -64,7 +57,7 @@ def _sqrt_g(ms, t):
 
 def init_state(ms: MatrixSchedule, rng, n: int | None = None) -> Array:
     """Initial noise x_T = M_T^{1/2} xi with xi ~ N(0, I)."""
-    rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+    rng = np.random.default_rng(rng)
     d = ms.family.ambient_dim
     xi = rng.standard_normal(d if n is None else (n, d))
     return apply_spectral(ms.family, _sqrt_g(ms, ms.horizon), xi)
@@ -128,9 +121,11 @@ class TrajectoryResult:
 
 
 def sample_trajectory(ms: MatrixSchedule, flow_field, cfg: SamplerConfig,
-                      n: int | None = None, rng=None,
+                      n: int | None = None, rng=0,
                       x_init: Array | None = None) -> TrajectoryResult:
-    """Integrate from t = horizon down to t_min, recording every state.
+    """Integrate from t = horizon down to ms.t_min, recording every state.
+
+    `rng` (a seed, 0 by default, or a Generator) draws x_T unless `x_init` is given.
 
     The schedule is evaluated once: sqrt(g) at every grid time, and at the
     midpoints when the Heun secondary is the midpoint, in one `eval_M`
@@ -141,7 +136,6 @@ def sample_trajectory(ms: MatrixSchedule, flow_field, cfg: SamplerConfig,
     """
     grid = time_grid(ms, cfg)
     if x_init is None:
-        rng = cfg.seed if rng is None else rng
         x = init_state(ms, rng, n=n)
     else:
         x = np.asarray(x_init, dtype=float)

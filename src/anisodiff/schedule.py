@@ -230,6 +230,8 @@ class MatrixSchedule:
                 horizons |= {s.horizon for s in schedules}
         if len(horizons) != 1:
             raise ValueError("all subspace schedules must share one horizon")
+        if not 0 < self.t_floor_fraction < 1:
+            raise ValueError("t_floor_fraction must lie in (0, 1)")
 
     @property
     def horizon(self) -> float:

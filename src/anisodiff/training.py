@@ -24,7 +24,6 @@ from .schedule import MatrixSchedule
 from .schedule_grad import (
     EstimatorConfig,
     default_estimator_config,
-    fd_outer_gradient,
     outer_gradient,
 )
 
@@ -161,7 +160,7 @@ class TrainResult:
     ms: MatrixSchedule
     logs: list  # rows: dict per logged step
     theta_trace: list  # (images_seen, label, theta vector)
-    grad_diagnostics: list  # per theta step: coordinate-wise explicit/implicit/fd
+    grad_diagnostics: list  # per theta step: coordinate-wise explicit/implicit
     nonfinite_grads: int
 
 
@@ -200,15 +199,12 @@ def _draw_batch(source: _DataSource, ms: MatrixSchedule, n: int, rng) -> LossSam
 
 
 def train_bilevel(data, ms: MatrixSchedule, model: FlowModel | None, cfg: TrainConfig,
-                  estimator_cfg: EstimatorConfig | None = None,
-                  diag_fd: bool = False) -> TrainResult:
+                  estimator_cfg: EstimatorConfig | None = None) -> TrainResult:
     """Alternating schedule/model training; see the module docstring.
 
     `data` is a GaussianMixture (oracle mode available), a dict mapping
     class labels to mixtures (class-conditional schedules), or an (n, d)
-    dataset array (model mode only).  With `diag_fd` (oracle mode only)
-    each schedule step also records a finite-difference reference for the
-    outer gradient; costly, diagnostics only.
+    dataset array (model mode only).
     """
     rng = np.random.default_rng(cfg.seed)
     source = _DataSource(data, rng)
@@ -235,13 +231,11 @@ def train_bilevel(data, ms: MatrixSchedule, model: FlowModel | None, cfg: TrainC
     step = 0
     micro = cfg.batch_size // cfg.micro_batches
     nonfinite = 0
-    if diag_fd and not oracle_mode:
-        raise ValueError("the FD gradient reference needs the oracle field")
 
-    def field_for(schedule, label):
+    def field_for(label):
         if oracle_mode:
             gm = source.table[label] if source.labeled else source.gm
-            return OracleFlowField(gm, schedule, label)
+            return OracleFlowField(gm, ms, label)
         return model.with_params(ema)
 
     while images_seen < cfg.total_images:
@@ -283,7 +277,7 @@ def train_bilevel(data, ms: MatrixSchedule, model: FlowModel | None, cfg: TrainC
             loss_mean = float(losses.mean())
             loss_se = float(losses.std() / np.sqrt(losses.size))
         else:
-            field = field_for(ms, label)
+            field = field_for(label)
             if cfg.train_schedule:  # the step's loss is the one the outer gradient differentiates
                 grad_theta = outer_gradient(ms, field, batch, estimator_cfg, label)
                 value = grad_theta.value
@@ -296,7 +290,7 @@ def train_bilevel(data, ms: MatrixSchedule, model: FlowModel | None, cfg: TrainC
         guard.observe(loss_mean)
 
         if cfg.train_model and cfg.train_schedule and step % cfg.model_steps_per_schedule_step == 0:
-            grad_theta = outer_gradient(ms, field_for(ms, label), batch, estimator_cfg, label)
+            grad_theta = outer_gradient(ms, field_for(label), batch, estimator_cfg, label)
         if grad_theta is not None:
             key = label
             if key not in theta_states:
@@ -305,12 +299,6 @@ def train_bilevel(data, ms: MatrixSchedule, model: FlowModel | None, cfg: TrainC
                 ms.theta_vector(label), grad_theta.total, theta_states[key], lr_theta,
                 cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps,
             )
-            fd_ref = None
-            if diag_fd:
-                fd_ref = fd_outer_gradient(
-                    lambda schedule: field_for(schedule, label), ms, batch,
-                    class_label=label,
-                )
             ms = ms.with_theta_vector(theta, label)
             theta_trace.append((images_seen, label, theta.copy()))
             for p in range(grad_theta.total.size):
@@ -321,7 +309,6 @@ def train_bilevel(data, ms: MatrixSchedule, model: FlowModel | None, cfg: TrainC
                         "coordinate": p,
                         "explicit": float(grad_theta.explicit[p]),
                         "implicit": float(grad_theta.implicit[p]),
-                        "fd_reference": float(fd_ref[p]) if fd_ref is not None else "",
                     }
                 )
 

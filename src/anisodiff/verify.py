@@ -25,13 +25,13 @@ from .gmm import (
 from .loss import draw_loss_samples, loss_equivalence_check
 from .sampler import (
     SamplerConfig,
-    euler_step,
     heun_step,
     sample_trajectory,
     time_grid,
 )
 from .schedule import (
     KnotSchedule,
+    MatrixSchedule,
     eval_M,
     eval_M_dtheta,
     isotropic_matrix_schedule,
@@ -68,12 +68,11 @@ class CheckResult:
         )
 
 
-def _result(group, name, value, threshold, detail, start, larger_is_worse=True):
-    passed = value <= threshold if larger_is_worse else value >= threshold
+def _result(group, name, value, threshold, detail, start):
     return CheckResult(
         group=group,
         name=name,
-        passed=bool(passed),
+        passed=bool(value <= threshold),
         value=float(value),
         threshold=float(threshold),
         detail=detail,
@@ -195,20 +194,7 @@ def check_loss_equivalence(seed=3, samples=1000, schedules=5, tol=1e-10):
     )
 
 
-def _integrate(ms, field, x, grid, solver, secondary, step_fn=None):
-    """Plain integration loop; `step_fn` lets callers inject a modified step."""
-    for k in range(grid.size - 1, 0, -1):
-        if solver == "euler":
-            x, _ = euler_step(ms, field, x, grid, k)
-        elif step_fn is not None:
-            x = step_fn(ms, field, x, grid, k, secondary)[0]
-        else:
-            x = heun_step(ms, field, x, grid, k, secondary)[0]
-    return x
-
-
-def convergence_slope(ms, field, x_init, ks, ref_steps, solver, secondary="endpoint",
-                      step_fn=None):
+def convergence_slope(ms, field, x_init, ks, ref_steps, solver, secondary="endpoint"):
     """Log-log slope of terminal error vs step count, against a fine reference."""
     ref = sample_trajectory(
         ms, field,
@@ -217,16 +203,11 @@ def convergence_slope(ms, field, x_init, ks, ref_steps, solver, secondary="endpo
     ).final
     errs = []
     for k in ks:
-        if step_fn is None:
-            res = sample_trajectory(
-                ms, field,
-                SamplerConfig(steps=int(k), solver=solver, secondary=secondary),
-                x_init=x_init,
-            )
-            final = res.final
-        else:
-            grid = time_grid(ms, SamplerConfig(steps=int(k)))
-            final = _integrate(ms, field, x_init, grid, solver, secondary, step_fn)
+        final = sample_trajectory(
+            ms, field,
+            SamplerConfig(steps=int(k), solver=solver, secondary=secondary),
+            x_init=x_init,
+        ).final
         errs.append(float(np.mean(np.linalg.norm(np.atleast_2d(final - ref), axis=1))))
     slope = -np.polyfit(np.log(np.asarray(ks, dtype=float)), np.log(errs), 1)[0]
     return float(slope), errs
@@ -244,8 +225,6 @@ def smooth_anisotropic_ms(horizon=20.0, floors=(1e-4, 1e-2)):
     per = tuple(
         KnotSchedule(np.zeros(5), uniform_nodes(horizon, 6), f, horizon) for f in floors
     )
-    from .schedule import MatrixSchedule
-
     return MatrixSchedule(fam, per)
 
 
@@ -307,7 +286,7 @@ def check_heun_reductions(seed=5):
     ms1 = isotropic_matrix_schedule(1, horizon=25.0)
     field1 = OracleFlowField(gm1, ms1)
     steps = 32
-    cfg = SamplerConfig(steps=steps, solver="heun", secondary="endpoint", seed=13)
+    cfg = SamplerConfig(steps=steps, solver="heun", secondary="endpoint")
     res = sample_trajectory(ms1, field1, cfg, rng=13)
     grid1 = time_grid(ms1, cfg)
     sigmas = np.array([np.sqrt(eval_M(ms1, t)[0][0]) for t in grid1])

@@ -169,7 +169,7 @@ def test_criterion_07_scalar_reduction_and_nfe():
     ms = isotropic_matrix_schedule(1, horizon=25.0)
     field = OracleFlowField(gm, ms)
     steps = 32
-    cfg = SamplerConfig(steps=steps, solver="heun", secondary="endpoint", seed=11)
+    cfg = SamplerConfig(steps=steps, solver="heun", secondary="endpoint")
     res = sample_trajectory(ms, field, cfg, rng=11)
     grid = time_grid(ms, cfg)
     sigmas = np.array([np.sqrt(eval_M(ms, float(t))[0][0]) for t in grid])

@@ -131,6 +131,14 @@ def test_class_conditional_schedule_roundtrip(tmp_path):
         np.testing.assert_array_equal(g1, g2)
 
 
+def test_save_schedule_rejects_floors_the_file_cannot_hold(tmp_path):
+    from anisodiff.verify import smooth_anisotropic_ms
+
+    # the file stores one floor; these subspaces have 1e-4 and 1e-2
+    with pytest.raises(ValueError, match="differ in floor or nodes"):
+        save_schedule(smooth_anisotropic_ms(), tmp_path / "s.json")
+
+
 def test_gmm_roundtrip(tmp_path, gmm_file):
     gm = load_gmm(gmm_file)
     assert gm.dim == 2
@@ -348,7 +356,7 @@ def test_train_oracle_mode_command(tmp_path, gmm_file):
     ]
     assert (out / "theta_trace.csv").exists()
     _, diag_cols, diag_rows = read_csv(out / "theta_diagnostics.csv")
-    assert diag_cols == ["images", "class", "coordinate", "explicit", "implicit", "fd_reference"]
+    assert diag_cols == ["images", "class", "coordinate", "explicit", "implicit"]
     assert len(diag_rows) == 10 * 8  # one row per (theta step, coordinate)
 
 
@@ -516,6 +524,65 @@ def test_train_config_value_of_wrong_type_exits_2(tmp_path, gmm_file, capsys, se
     assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "rundir")]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: config section '{section}': ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("key, value", [
+    ("seed", "0"), ("log_every", "5"), ("total_images", "100"), ("ema_rampup", "no"),
+    ("lr_model", True), ("batch_size", 16.0),
+])
+def test_train_value_of_wrong_json_type_exits_2(tmp_path, gmm_file, capsys, key, value):
+    config = {
+        "version": "1",
+        "gmm": gmm_file.name,
+        "family": {"kind": "axis", "dim": 2, "split": 1},
+        "schedule": {"horizon": 5.0},
+        "train": {key: value},
+    }
+    cfg_path = gmm_file.parent / "run_train_types.json"
+    cfg_path.write_text(json.dumps(config))
+    assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "rundir")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config section 'train': ") and err.count("\n") == 1
+    assert repr(key) in err
+
+
+def test_train_float_value_accepts_a_json_integer(gmm_file):
+    config = {
+        "version": "1",
+        "gmm": gmm_file.name,
+        "family": {"kind": "axis", "dim": 2, "split": 1},
+        "schedule": {"horizon": 5.0},
+        "train": {"lr_model": 1},
+    }
+    cfg_path = gmm_file.parent / "run_int_lr.json"
+    cfg_path.write_text(json.dumps(config))
+    assert TrainConfig(**load_run_config(cfg_path)["train"]).lr_model == 1
+
+
+@pytest.mark.parametrize("kind, change", [
+    ("schedule", {"floor": "x"}),
+    ("schedule", {"horizon": [10.0]}),
+    ("schedule", {"family": None}),
+    ("schedule", {"theta": {"default": None, "classes": None}}),
+    ("schedule", {"theta": {"classes": [1]}}),
+    ("schedule", {"t_floor_fraction": "a"}),
+    ("schedule", None),
+    ("model", {"widths": 16}),
+    ("model", {"dim": "16"}),
+], ids=["floor", "horizon", "family", "theta-default", "theta-classes", "t-floor-fraction",
+        "top-level-list", "model-widths", "model-dim"])
+def test_saved_file_value_of_wrong_type_exits_2(tmp_path, gmm_file, schedule_file, capsys,
+                                                kind, change):
+    model_file = tmp_path / "model.json"
+    save_model(FlowModel.create(2, horizon=10.0, widths=(8,), seed=4), model_file)
+    broken = schedule_file if kind == "schedule" else model_file
+    payload = json.loads(broken.read_text())
+    broken.write_text(json.dumps([payload] if change is None else {**payload, **change}))
+    field = ["--model", str(model_file)] if kind == "model" else ["--oracle", str(gmm_file)]
+    assert main(["sample", "--schedule", str(schedule_file), *field, "--steps", "4",
+                 "--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("kind, key", [
@@ -697,28 +764,24 @@ def test_key_error_message_prints_without_quotes(tmp_path, gmm_file, schedule_fi
     assert capsys.readouterr().err == "error: schedule is not class-conditional\n"
 
 
-def test_mutated_heun_corrector_breaks_order():
+def test_mutated_heun_corrector_breaks_order(monkeypatch):
     # flipping the corrector sign must degrade the measured order to ~1
     import anisodiff.sampler as sampler_mod
     from anisodiff.subspaces import apply_spectral
     from anisodiff.verify import _order_setup, convergence_slope
 
-    def broken_heun(ms, field, x, grid, k, secondary, class_label=None, flow_k=None):
-        t_k, t_prev = grid[k], grid[k - 1]
-        t_hat = t_prev if secondary == "endpoint" else 0.5 * (t_prev + t_k)
-        u_k = sampler_mod._sqrt_g(ms, t_k)
-        u_prev = sampler_mod._sqrt_g(ms, t_prev)
-        u_hat = sampler_mod._sqrt_g(ms, t_hat)
+    def broken_step(family, field, x, t_k, u_k, u_prev, t_hat, u_hat, flow_k=None):
         du = u_k - u_prev
-        f_k = field(x, t_k)
-        x_hat = x + apply_spectral(ms.family, u_k - u_hat, f_k)
+        f_k = field(x, t_k) if flow_k is None else flow_k
+        x_hat = x + apply_spectral(family, u_k - u_hat, f_k)
         f_hat = field(x_hat, t_hat)
         gap = u_hat - u_k
         coef = np.where(np.abs(gap) < 1e-12, 0.0, +0.5 * du**2 / np.where(gap == 0, 1.0, gap))
-        return x + apply_spectral(ms.family, du, f_k) + apply_spectral(ms.family, coef, f_hat - f_k), f_k
+        new_x = x + apply_spectral(family, du, f_k) + apply_spectral(family, coef, f_hat - f_k)
+        return new_x, f_k, f_hat
 
+    # the patch reaches the fine reference too, which the first-order mutant also approaches
+    monkeypatch.setattr(sampler_mod, "_step", broken_step)
     ms, field, x_init = _order_setup(21)
-    slope, _ = convergence_slope(
-        ms, field, x_init, (8, 16, 32, 64), 1024, "heun", "endpoint", step_fn=broken_heun
-    )
+    slope, _ = convergence_slope(ms, field, x_init, (8, 16, 32, 64), 1024, "heun", "endpoint")
     assert slope < 1.5  # far from second order

@@ -275,6 +275,13 @@ def test_class_conditional_independence():
         eval_M(ms, 1.0)
 
 
+@pytest.mark.parametrize("fraction", [0.0, 1.0, -1e-4])
+def test_t_floor_fraction_must_lie_in_the_unit_interval(fraction):
+    base = matrix_schedule_for_family(axis_family(2, 1), horizon=5.0, n_knots=4)
+    with pytest.raises(ValueError, match="t_floor_fraction"):
+        MatrixSchedule(base.family, base.per_subspace, t_floor_fraction=fraction)
+
+
 def test_for_class_resolves_one_view_per_label():
     rng = np.random.default_rng(21)
     fam = axis_family(3, 1)
