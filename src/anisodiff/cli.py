@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .fields import OracleFlowField
 from .flow_model import FlowModel
 from .gmm import posterior_mean, sample_p0
 from .persistence import (
@@ -33,6 +34,8 @@ from .persistence import (
 )
 from .sampler import SamplerConfig, sample_trajectory
 from .schedule import (
+    DEFAULT_FLOOR,
+    DEFAULT_KNOTS,
     MatrixSchedule,
     eval_M,
     fit_knot_schedule,
@@ -43,6 +46,7 @@ from .subspaces import (
     build_dct_basis,
     build_pca_projectors,
     classical_mds,
+    isotropic_family,
     mds_stress,
     projector_distance,
 )
@@ -120,8 +124,6 @@ def cmd_schedule_fit(args) -> int:
     knot = fit_knot_schedule(
         lambda t: tab.eval(t)[0], args.horizon, args.floor, args.knots
     )
-    from .subspaces import isotropic_family
-
     ms = MatrixSchedule(isotropic_family(args.dim), (knot,))
     save_schedule(ms, args.out, seed=args.seed)
     if args.table:
@@ -133,49 +135,74 @@ def cmd_schedule_fit(args) -> int:
     return 0
 
 
-_TRAIN_TYPES = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
-
-# the JSON values each TrainConfig field type accepts; a boolean is not a number
-_JSON_TYPES = {
-    bool: ("a boolean", bool), int: ("an integer", int), float: ("a number", (int, float)),
+# A section's field table maps each key to its JSON type and whether the key is required.
+_SECTION_FIELDS = {
+    "schedule": {"horizon": (float, True), "floor": (float, False), "knots": (int, False),
+                 "classes": (list | None, False)},
+    "model": {"widths": (list, False), "seed": (int, False)},
+    "train": {f.name: (f.type, False) for f in dataclasses.fields(TrainConfig)},
+}
+_FAMILY_FIELDS = {  # by family kind, next to the `kind` key itself
+    "dct": {"side": (int, True), "low_side": (int, True)}, "isotropic": {"dim": (int, True)},
+    "axis": {"dim": (int, True), "split": (int, True)},
+    "explicit": {"dim": (int, True), "blocks": (list, True), "pca_meta": (dict, False)},
 }
 
-_CONFIG_SECTIONS = {"version", "gmm", "data", "family", "schedule", "model", "train"}
+# the JSON values each field type accepts; a boolean is not a number
+_JSON_TYPES = {
+    bool: ("a boolean", bool), int: ("an integer", int), float: ("a number", (int, float)),
+    str: ("a string", str), list: ("a list", list), dict: ("an object", dict),
+    list | None: ("a list or null", (list, type(None))),
+}
 
 
 def _config_section(name):
     return decoding(f"config section '{name}'")
 
 
-def _check_train_values(train: dict):
-    """Unknown keys are a ValueError, a value of the wrong JSON type a TypeError."""
-    unknown = set(train) - _TRAIN_TYPES.keys()
+def _check_section(name, section, fields: dict):
+    """Missing and unknown keys are a ValueError, a value of the wrong JSON type a TypeError."""
+    if not isinstance(section, dict):
+        raise TypeError(f"section must be an object, got {json.dumps(section)}")
+    for key, (_, required) in fields.items():
+        if required and key not in section:
+            raise ValueError(f"{name} section is missing key {key!r}")
+    unknown = set(section) - fields.keys()
     if unknown:
-        raise ValueError(f"unknown train keys: {sorted(unknown)}")
-    for key, value in train.items():
-        kind = _TRAIN_TYPES[key]
-        name, accepted = _JSON_TYPES[kind]
-        if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
-            raise TypeError(f"{key!r} must be {name}, got {json.dumps(value)}")
+        raise ValueError(f"unknown {name} keys: {sorted(unknown)}")
+    for key, value in section.items():
+        label, accepted = _JSON_TYPES[fields[key][0]]
+        if isinstance(value, bool) != (accepted is bool) or not isinstance(value, accepted):
+            raise TypeError(f"{key!r} must be {label}, got {json.dumps(value)}")
 
 
 def load_run_config(path):
-    """Parse and validate a training run config; unknown keys are rejected."""
+    """Parse a training run config and check every section against its field table."""
     path = Path(path)
     cfg = json.loads(path.read_text())
     if not isinstance(cfg, dict):
         raise ValueError("config must be a JSON object")
-    unknown = set(cfg) - _CONFIG_SECTIONS
+    unknown = set(cfg) - {"version", "gmm", "data", "family", *_SECTION_FIELDS}
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     if cfg.get("version") != "1":
         raise ValueError("config must declare \"version\": \"1\"")
     if ("gmm" in cfg) == ("data" in cfg):
         raise ValueError("config needs exactly one of 'gmm' or 'data'")
-    if "family" not in cfg or "schedule" not in cfg:
-        raise ValueError("config needs 'family' and 'schedule' sections")
-    with _config_section("train"):
-        _check_train_values(cfg.get("train", {}))
+    with _config_section("family"):  # a missing family or schedule lacks its required keys
+        family = cfg.get("family", {})
+        kind = family.get("kind") if isinstance(family, dict) else None
+        if kind not in _FAMILY_FIELDS and isinstance(family, dict) and "kind" in family:
+            raise ValueError(f"unknown family kind {kind!r}")
+        _check_section("family", family, {"kind": (str, True), **_FAMILY_FIELDS.get(kind, {})})
+    for name, fields in _SECTION_FIELDS.items():
+        with _config_section(name):
+            _check_section(name, cfg.get(name, {}), fields)
+    classes = sorted(str(label) for label in cfg["schedule"].get("classes") or ()) or None
+    labels = sorted(cfg["gmm"]) if isinstance(cfg.get("gmm"), dict) else None
+    if labels != classes:
+        raise ValueError(f"per-class gmm labels {labels or []} do not match "
+                         f"schedule classes {classes or []}")
     base = path.parent
     resolved = dict(cfg)
     with _config_section("gmm"):
@@ -193,33 +220,17 @@ def load_run_config(path):
 def cmd_train(args) -> int:
     cfg = load_run_config(args.config)
     with _config_section("family"):
-        try:
-            family = family_from_json(cfg["family"])
-        except KeyError as exc:
-            raise ValueError(f"family section is missing key {exc}") from None
-    with _config_section("schedule"):
-        sched_cfg = dict(cfg["schedule"])
-        if "horizon" not in sched_cfg:
-            raise ValueError("schedule section is missing key 'horizon'")
-        horizon = float(sched_cfg.pop("horizon"))
-        floor = float(sched_cfg.pop("floor", 1e-4))
-        knots = int(sched_cfg.pop("knots", 16))
-        classes = sched_cfg.pop("classes", None)
-        classes = sorted(str(label) for label in classes) if classes else None
-    if sched_cfg:
-        raise ValueError(f"unknown schedule keys: {sorted(sched_cfg)}")
-    per = tuple(
-        log_linear_schedule(horizon, floor, knots) for _ in range(family.n_subspaces)
-    )
-    class_table = {label: per for label in classes} if classes else None
+        family = family_from_json(cfg["family"])
+    sched = cfg["schedule"]
+    horizon, floor = float(sched["horizon"]), float(sched.get("floor", DEFAULT_FLOOR))
+    per = tuple(log_linear_schedule(horizon, floor, sched.get("knots", DEFAULT_KNOTS))
+                for _ in range(family.n_subspaces))
+    # load_run_config matched these labels to the schedule's classes
+    labels = sorted(cfg["gmm"]) if isinstance(cfg.get("gmm"), dict) else None
+    class_table = {label: per for label in labels} if labels else None
     ms = MatrixSchedule(family, per, class_table=class_table)
 
-    with _config_section("train"):
-        train_cfg = TrainConfig(**cfg.get("train", {}))
-    labels = sorted(cfg["gmm"]) if isinstance(cfg.get("gmm"), dict) else None
-    if labels != classes:
-        raise ValueError(f"per-class gmm labels {labels or []} do not match "
-                         f"schedule classes {classes or []}")
+    train_cfg = TrainConfig(**cfg.get("train", {}))
     if labels is not None:
         data = {label: load_gmm(p) for label, p in cfg["gmm"].items()}
     elif "gmm" in cfg:
@@ -229,15 +240,9 @@ def cmd_train(args) -> int:
     model = None
     if "model" in cfg:
         with _config_section("model"):
-            mc = dict(cfg["model"])
-            model = FlowModel.create(
-                family.ambient_dim, horizon,
-                widths=tuple(mc.pop("widths", (64, 64))), seed=mc.pop("seed", 0),
-            )
-        if mc:
-            raise ValueError(f"unknown model keys: {sorted(mc)}")
+            model = FlowModel.create(family.ambient_dim, horizon, **cfg["model"])
     elif train_cfg.train_model:
-        train_cfg = TrainConfig(**{**cfg.get("train", {}), "train_model": False})
+        train_cfg = dataclasses.replace(train_cfg, train_model=False)
 
     result = train_bilevel(data, ms, model, train_cfg)
 
@@ -286,8 +291,6 @@ def cmd_sample(args) -> int:
         field = load_model(args.model)
     else:
         gm = load_gmm(args.oracle)
-        from .fields import OracleFlowField
-
         field = OracleFlowField(gm, ms)
     cfg = SamplerConfig(steps=args.steps, solver=args.solver, secondary=args.secondary)
     result = sample_trajectory(ms, field, cfg, n=args.n, rng=args.seed)

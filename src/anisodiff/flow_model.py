@@ -43,6 +43,8 @@ class FlowModel:
     params: Array = None
 
     def __post_init__(self):
+        if any(w < 1 for w in self.widths):
+            raise ValueError(f"hidden widths must be positive, got {list(self.widths)}")
         params = np.asarray(self.params, dtype=float)
         expected = n_params(self.dim, self.widths)
         if params.shape != (expected,):

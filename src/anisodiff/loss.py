@@ -81,11 +81,6 @@ def weight_values(ms: MatrixSchedule, t):
     return _weights(ms.at(t))
 
 
-def weight_apply(ms: MatrixSchedule, t, x):
-    """W_t x via spectral application; t must be >= t_min."""
-    return apply_spectral(ms.family, weight_values(ms, t), x)
-
-
 def weight_theta_derivative(ev: ScheduleEval):
     """d w_j / d theta_p for the weight scalars w_j; shape (..., J, P).
 

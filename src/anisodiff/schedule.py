@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .subspaces import ProjectorFamily, apply_spectral, isotropic_family
+from .subspaces import ProjectorFamily, isotropic_family
 
 Array = np.ndarray
 
@@ -369,12 +369,6 @@ def matrix_function_theta_derivative(ev: ScheduleEval, f_prime):
     if np.any(~np.isfinite(fp)):
         raise ValueError("f' is singular at a schedule value")
     return fp[..., None] * ev.jac
-
-
-def apply_M(ms: MatrixSchedule, t, x, power: float = 1.0):
-    """Spectral application of M_t^power to x (power -1, +-1/2, etc.)."""
-    g, _ = eval_M(ms, t)
-    return apply_spectral(ms.family, g**power, x)
 
 
 def isotropic_matrix_schedule(

@@ -341,7 +341,7 @@ def build_pca_projectors(samples: Array, k: int) -> ProjectorFamily:
 # Subspace geometry
 # ---------------------------------------------------------------------------
 
-def projector_distance(a, b, k: int | None = None) -> float:
+def projector_distance(a, b) -> float:
     """Normalized Frobenius distance between two k-dim subspaces.
 
     d(Q1, Q2) = ||Q1 Q1^T - Q2 Q2^T||_F / sqrt(2k), which reduces to the
@@ -354,10 +354,7 @@ def projector_distance(a, b, k: int | None = None) -> float:
     qa, qb = _as_basis(a), _as_basis(b)
     if qa.shape != qb.shape:
         raise ValueError(f"basis shapes differ: {qa.shape} vs {qb.shape}")
-    if k is None:
-        k = qa.shape[1]
-    if k != qa.shape[1]:
-        raise ValueError(f"subspaces have dimension {qa.shape[1]}, expected {k}")
+    k = qa.shape[1]
     cross = qa.T @ qb  # (k, k)
     res_a = qa - qb @ cross.T
     res_b = qb - qa @ cross

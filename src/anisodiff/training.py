@@ -143,6 +143,8 @@ class TrainConfig:
             raise ValueError("learning rates must be positive")
         if self.model_steps_per_schedule_step < 1:
             raise ValueError("need at least one model step per schedule step")
+        if self.total_images < 1 or self.log_every < 1:
+            raise ValueError("total_images and log_every must be positive")
 
 
 def effective_lr(cfg: TrainConfig, base_lr: float, images_seen: int) -> float:

@@ -546,6 +546,46 @@ def test_train_value_of_wrong_json_type_exits_2(tmp_path, gmm_file, capsys, key,
     assert repr(key) in err
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("schedule", "horizon", True), ("schedule", "horizon", "10"), ("schedule", "floor", "0.001"),
+    ("schedule", "knots", 4.7), ("schedule", "classes", "ab"), ("family", "split", True),
+    ("family", "bogus", 1), ("model", "seed", True),
+    ("train", "total_images", 0), ("train", "log_every", 0), ("model", "widths", [0]),
+])
+def test_train_bad_value_in_any_section_exits_2_naming_the_key(tmp_path, capsys, section, key,
+                                                               value):
+    cfg_path, config = _class_conditional_config(tmp_path)
+    config.setdefault(section, {})[key] = value
+    cfg_path.write_text(json.dumps(config))
+    out = tmp_path / "rundir"
+    assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert key in err
+    assert not out.exists()
+
+
+def test_train_integer_horizon_and_floor_save_the_float_form(tmp_path, gmm_file):
+    saved = []
+    for horizon, floor in ((10, 1), (10.0, 1.0)):
+        config = {
+            "version": "1",
+            "gmm": gmm_file.name,
+            "family": {"kind": "axis", "dim": 2, "split": 1},
+            "schedule": {"horizon": horizon, "floor": floor, "knots": 5},
+            "model": {"widths": [8], "seed": 1},
+            "train": {"batch_size": 16, "total_images": 64, "warmup_images": 16,
+                      "model_steps_per_schedule_step": 1},
+        }
+        cfg_path = gmm_file.parent / "run_int_horizon.json"
+        cfg_path.write_text(json.dumps(config))
+        out = tmp_path / f"rundir_{horizon!r}"
+        assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 0
+        saved.append([(out / name).read_bytes() for name in ("schedule.json", "model.json")])
+    assert saved[0] == saved[1]
+    assert json.loads(saved[0][0])["horizon"] == 10.0 and b'"horizon": 10.0' in saved[0][0]
+
+
 def test_train_float_value_accepts_a_json_integer(gmm_file):
     config = {
         "version": "1",

@@ -44,6 +44,12 @@ def test_param_count_and_validation():
         FlowModel(dim=2, horizon=1.0, widths=(8,), params=np.full(n_params(2, (8,)), np.nan))
 
 
+def test_hidden_widths_must_be_positive():
+    with pytest.raises(ValueError, match="widths"):
+        FlowModel.create(2, horizon=1.0, widths=(8, 0))
+    assert FlowModel.create(2, horizon=1.0, widths=()).widths == ()  # a linear model
+
+
 def test_rejects_nonpositive_time():
     m = small_model()
     with pytest.raises(ValueError):

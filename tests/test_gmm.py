@@ -27,7 +27,7 @@ from anisodiff.schedule import (
     matrix_schedule_for_family,
     uniform_nodes,
 )
-from anisodiff.subspaces import axis_family, build_dct_projectors
+from anisodiff.subspaces import apply_spectral, axis_family, build_dct_projectors
 
 
 def two_component_gmm():
@@ -270,12 +270,11 @@ def test_score_posterior_identity():
     rng = np.random.default_rng(8)
     gm = two_component_gmm()
     ms = random_ms(rng)
-    from anisodiff.schedule import apply_M
-
     for _ in range(100):
         t = rng.uniform(0.1, 4.0)
         x = rng.standard_normal(2) * 3
-        lhs = apply_M(ms, t, score(gm, x, ms, t)) + x - posterior_mean(gm, x, ms, t)
+        lhs = (apply_spectral(ms.family, eval_M(ms, t)[0], score(gm, x, ms, t)) + x
+               - posterior_mean(gm, x, ms, t))
         assert np.linalg.norm(lhs) < 1e-9
 
 

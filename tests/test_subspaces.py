@@ -378,7 +378,7 @@ def test_projector_distance_identical():
 def test_projector_distance_orthogonal_axes():
     e1 = np.array([[1.0], [0.0]])
     e2 = np.array([[0.0], [1.0]])
-    assert projector_distance(e1, e2, 1) == pytest.approx(1.0, abs=1e-12)
+    assert projector_distance(e1, e2) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_projector_distance_matches_dense():

@@ -324,6 +324,12 @@ def test_w2_closed_form_matches_hand_value():
     assert w2 == pytest.approx(1.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("field", ["total_images", "log_every"])
+def test_train_config_rejects_a_count_below_one(field):
+    with pytest.raises(ValueError, match=field):
+        TrainConfig(**{field: 0})
+
+
 def test_evaluate_generation_validates_input():
     with pytest.raises(ValueError):
         evaluate_generation(np.zeros((1, 2)), np.zeros((5, 2)))
