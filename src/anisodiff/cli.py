@@ -289,9 +289,17 @@ def cmd_sample(args) -> int:
         raise ValueError("--denoise needs the --oracle field")
     if args.model:
         field = load_model(args.model)
+        kind, dim = "model", field.dim
+        if field.horizon != ms.horizon:  # the model's time features are t / its horizon
+            raise ValueError(f"model horizon {field.horizon} does not match the schedule's "
+                             f"horizon {ms.horizon}")
     else:
         gm = load_gmm(args.oracle)
         field = OracleFlowField(gm, ms)
+        kind, dim = "mixture", gm.dim
+    if dim != ms.family.ambient_dim:
+        raise ValueError(f"{kind} dimension {dim} does not match the schedule's dimension "
+                         f"{ms.family.ambient_dim}")
     cfg = SamplerConfig(steps=args.steps, solver=args.solver, secondary=args.secondary)
     result = sample_trajectory(ms, field, cfg, n=args.n, rng=args.seed)
     final = result.final

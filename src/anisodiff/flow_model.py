@@ -28,6 +28,11 @@ def layer_sizes(dim: int, widths) -> list:
     return [dim + N_TIME_FEATURES, *widths, dim]
 
 
+def _check_widths(widths):
+    if any(w < 1 for w in widths):
+        raise ValueError(f"hidden widths must be positive, got {list(widths)}")
+
+
 def n_params(dim: int, widths) -> int:
     sizes = layer_sizes(dim, widths)
     return sum(sizes[i + 1] * sizes[i] + sizes[i + 1] for i in range(len(sizes) - 1))
@@ -43,8 +48,7 @@ class FlowModel:
     params: Array = None
 
     def __post_init__(self):
-        if any(w < 1 for w in self.widths):
-            raise ValueError(f"hidden widths must be positive, got {list(self.widths)}")
+        _check_widths(self.widths)
         params = np.asarray(self.params, dtype=float)
         expected = n_params(self.dim, self.widths)
         if params.shape != (expected,):
@@ -57,6 +61,7 @@ class FlowModel:
     @classmethod
     def create(cls, dim, horizon, widths=DEFAULT_WIDTHS, seed=0, zero_head=True):
         """He-style random hidden layers; the output head starts at zero."""
+        _check_widths(widths)  # before the layer arrays are allocated
         rng = np.random.default_rng(seed)
         sizes = layer_sizes(dim, widths)
         chunks = []

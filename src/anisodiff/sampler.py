@@ -9,7 +9,9 @@ subspace-wise scalings and pseudoinverses.
 
 Sign convention: the update direction is +flow (the corrector below
 simultaneously satisfies the Euler step, the endpoint trapezoid
-reduction, and the exact integral of the affine interpolant).
+reduction, and the exact integral of the affine interpolant).  The
+endpoint predictor is the corrector's Euler term, so an endpoint Heun
+step makes two `apply_spectral` calls and a midpoint step three.
 
 `sample_trajectory` evaluates the schedule once per trajectory: one
 `eval_M` call gives sqrt(g) at every grid time (and every midpoint, for
@@ -68,24 +70,26 @@ def _step(family, flow_field, x, t_k, u_k, u_prev, t_hat=None, u_hat=None, flow_
 
     Euler: x + Delta U f_k with Delta U = u_k - u_prev.  With a secondary
     time t_hat (and its row u_hat) this is the matrix Heun step.
-    Predictor: Euler to the secondary time.  Corrector:
+    Predictor: Euler to the secondary time, which for u_hat == u_prev (the
+    endpoint rule) is the Euler update itself, reused.  Corrector:
     x + Delta U f_k - 1/2 (Delta U)^2 (U_hat - U_k)^+ (f_hat - f_k),
-    where the pseudoinverse drops the correction on any subspace whose
-    secondary increment is below 1e-12 (plain Euler there).  With the
-    endpoint choice this is exactly the trapezoid update.
+    formed as the Euler update plus the correction, where the
+    pseudoinverse drops the correction on any subspace whose secondary
+    increment is below 1e-12 (plain Euler there).  With the endpoint
+    choice this is exactly the trapezoid update.
 
     Returns (new_x, f_k, f_hat); f_hat is None for Euler.
     """
     du = u_k - u_prev
     f_k = flow_field(x, t_k) if flow_k is None else flow_k
+    euler = x + apply_spectral(family, du, f_k)
     if t_hat is None:
-        return x + apply_spectral(family, du, f_k), f_k, None
-    x_hat = x + apply_spectral(family, u_k - u_hat, f_k)
+        return euler, f_k, None
+    x_hat = euler if np.array_equal(u_hat, u_prev) else x + apply_spectral(family, u_k - u_hat, f_k)
     f_hat = flow_field(x_hat, t_hat)
     gap = u_hat - u_k
     coef = np.where(np.abs(gap) < FLAT_INCREMENT_TOL, 0.0, -0.5 * du**2 / np.where(gap == 0, 1.0, gap))
-    new_x = x + apply_spectral(family, du, f_k) + apply_spectral(family, coef, f_hat - f_k)
-    return new_x, f_k, f_hat
+    return euler + apply_spectral(family, coef, f_hat - f_k), f_k, f_hat
 
 
 def euler_step(ms, flow_field, x, grid, k, flow_k=None):

@@ -311,6 +311,29 @@ def test_sample_denoise_with_model_exits_2_before_sampling(tmp_path, schedule_fi
     assert capsys.readouterr().err == "error: --denoise needs the --oracle field\n"
 
 
+@pytest.mark.parametrize("kind, saved, message", [
+    ("oracle", single_gaussian(np.zeros(3), np.eye(3)),
+     "mixture dimension 3 does not match the schedule's dimension 2"),
+    ("model", FlowModel.create(3, horizon=10.0, widths=(8,), seed=4),
+     "model dimension 3 does not match the schedule's dimension 2"),
+    ("model", FlowModel.create(2, horizon=9.0, widths=(8,), seed=4),
+     "model horizon 9.0 does not match the schedule's horizon 10.0"),
+], ids=["oracle-dim", "model-dim", "model-horizon"])
+def test_sample_field_not_matching_the_schedule_exits_2_before_sampling(
+        tmp_path, schedule_file, capsys, monkeypatch, kind, saved, message):
+    from anisodiff import cli
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sample_trajectory was called")
+
+    monkeypatch.setattr(cli, "sample_trajectory", no_sampling)
+    field_file = tmp_path / "field.json"
+    (save_gmm if kind == "oracle" else save_model)(saved, field_file)
+    assert main(["sample", "--schedule", str(schedule_file), f"--{kind}", str(field_file),
+                 "--steps", "4", "--out", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_verify_quick_solver_passes(capsys):
     assert main(["verify", "--quick", "--filter", "solver"]) == 0
     assert "6/6 checks passed" in capsys.readouterr().out
@@ -551,6 +574,7 @@ def test_train_value_of_wrong_json_type_exits_2(tmp_path, gmm_file, capsys, key,
     ("schedule", "knots", 4.7), ("schedule", "classes", "ab"), ("family", "split", True),
     ("family", "bogus", 1), ("model", "seed", True),
     ("train", "total_images", 0), ("train", "log_every", 0), ("model", "widths", [0]),
+    ("model", "widths", [-1]),
 ])
 def test_train_bad_value_in_any_section_exits_2_naming_the_key(tmp_path, capsys, section, key,
                                                                value):

@@ -23,7 +23,7 @@ from anisodiff.schedule import (
     matrix_schedule_for_family,
     uniform_nodes,
 )
-from anisodiff.subspaces import axis_family
+from anisodiff.subspaces import apply_spectral, axis_family, build_dct_projectors
 
 
 # --- independent scalar VE reference (variance-exploding, sigma = sqrt(g)) ---
@@ -282,6 +282,74 @@ def test_one_eval_M_per_step(monkeypatch, solver):
     cfg = SamplerConfig(steps=8, solver=solver, secondary="endpoint")
     sample_trajectory(ms, lambda x, t: -x, cfg, n=4)
     assert len(calls) == 2  # init_state, then the trajectory's sqrt(g) table
+
+
+@pytest.mark.parametrize("solver, secondary, per_step", [
+    ("euler", "endpoint", 1), ("heun", "endpoint", 2), ("heun", "midpoint", 3),
+])
+def test_spectral_applications_per_trajectory(monkeypatch, solver, secondary, per_step):
+    # the endpoint predictor is the corrector's Euler update, so it costs nothing extra
+    ms = matrix_schedule_for_family(axis_family(3, 1), 10.0)
+    calls = []
+
+    def counting_apply_spectral(*args):
+        calls.append(args)
+        return apply_spectral(*args)
+
+    monkeypatch.setattr(sampler, "apply_spectral", counting_apply_spectral)
+    steps = 5
+    cfg = SamplerConfig(steps=steps, solver=solver, secondary=secondary)
+    sample_trajectory(ms, lambda x, t: -x, cfg, n=4, rng=1)
+    assert len(calls) == 1 + per_step * steps  # init_state, then the steps
+
+
+def three_application_heun_step(ms, field, x, grid, k, secondary):
+    """Matrix Heun step with its own predictor, the formula before the Euler update was shared."""
+    t_k, t_prev = grid[k], grid[k - 1]
+    t_hat = t_prev if secondary == "endpoint" else 0.5 * (t_prev + t_k)
+    u_k, u_prev, u_hat = np.sqrt(eval_M(ms, np.array([t_k, t_prev, t_hat]))[0])
+    du = u_k - u_prev
+    f_k = field(x, t_k)
+    f_hat = field(x + apply_spectral(ms.family, u_k - u_hat, f_k), t_hat)
+    gap = u_hat - u_k
+    coef = np.where(np.abs(gap) < sampler.FLAT_INCREMENT_TOL, 0.0,
+                    -0.5 * du**2 / np.where(gap == 0, 1.0, gap))
+    return x + apply_spectral(ms.family, du, f_k) + apply_spectral(ms.family, coef, f_hat - f_k)
+
+
+SPECTRAL_FAMILIES = {
+    "axis": axis_family(6, 2),
+    "dct-4": build_dct_projectors(4),
+    "separable-dct-16": build_dct_projectors(16),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), name=st.sampled_from(sorted(SPECTRAL_FAMILIES)),
+       secondary=st.sampled_from(["endpoint", "midpoint"]), steps=st.integers(1, 6),
+       horizon=st.floats(1.0, 100.0), flat=st.booleans())
+def test_heun_step_equals_the_three_application_formula(seed, name, secondary, steps, horizon,
+                                                        flat):
+    rng = np.random.default_rng(seed)
+    fam = SPECTRAL_FAMILIES[name]
+    knots = [KnotSchedule(rng.standard_normal(4), uniform_nodes(horizon, 5), 1e-4 * horizon,
+                          horizon) for _ in range(2)]
+    if flat:  # a pinned schedule over a tiny log gap: its sqrt(g) increments are below tol
+        knots[1] = KnotSchedule(np.zeros(4), uniform_nodes(horizon, 5), horizon * (1 - 1e-14),
+                                horizon)
+    ms = MatrixSchedule(fam, tuple(knots))
+    grid = time_grid(ms, SamplerConfig(steps=steps))
+    k = int(rng.integers(1, steps + 1))
+    if flat:
+        u = np.sqrt(eval_M(ms, np.array([grid[k - 1], grid[k]]))[0])
+        assert abs(u[0, 1] - u[1, 1]) < sampler.FLAT_INCREMENT_TOL
+    x = rng.standard_normal((3, fam.ambient_dim))
+
+    def field(x, t):
+        return np.tanh(x[:, ::-1]) / (1.0 + t) - 0.5 * x
+
+    new_x, _, _, _ = heun_step(ms, field, x, grid, k, secondary)
+    assert np.array_equal(new_x, three_application_heun_step(ms, field, x, grid, k, secondary))
 
 
 def step_loop(ms, field, cfg, x):
