@@ -139,7 +139,7 @@ def cmd_schedule_fit(args) -> int:
 _SECTION_FIELDS = {
     "schedule": {"horizon": (float, True), "floor": (float, False), "knots": (int, False),
                  "classes": (list | None, False)},
-    "model": {"widths": (list, False), "seed": (int, False)},
+    "model": {"widths": (list[int], False), "seed": (int, False)},
     "train": {f.name: (f.type, False) for f in dataclasses.fields(TrainConfig)},
 }
 _FAMILY_FIELDS = {  # by family kind, next to the `kind` key itself
@@ -152,8 +152,12 @@ _FAMILY_FIELDS = {  # by family kind, next to the `kind` key itself
 _JSON_TYPES = {
     bool: ("a boolean", bool), int: ("an integer", int), float: ("a number", (int, float)),
     str: ("a string", str), list: ("a list", list), dict: ("an object", dict),
-    list | None: ("a list or null", (list, type(None))),
+    list | None: ("a list or null", (list, type(None))), list[int]: ("a list of integers", list),
 }
+
+
+def _is_json(value, accepted) -> bool:
+    return isinstance(value, bool) == (accepted is bool) and isinstance(value, accepted)
 
 
 def _config_section(name):
@@ -171,8 +175,10 @@ def _check_section(name, section, fields: dict):
     if unknown:
         raise ValueError(f"unknown {name} keys: {sorted(unknown)}")
     for key, value in section.items():
-        label, accepted = _JSON_TYPES[fields[key][0]]
-        if isinstance(value, bool) != (accepted is bool) or not isinstance(value, accepted):
+        kind = fields[key][0]
+        label, accepted = _JSON_TYPES[kind]
+        if not _is_json(value, accepted) or (
+                kind == list[int] and not all(_is_json(item, int) for item in value)):
             raise TypeError(f"{key!r} must be {label}, got {json.dumps(value)}")
 
 
@@ -303,6 +309,8 @@ def cmd_sample(args) -> int:
     cfg = SamplerConfig(steps=args.steps, solver=args.solver, secondary=args.secondary)
     result = sample_trajectory(ms, field, cfg, n=args.n, rng=args.seed)
     final = result.final
+    if not np.all(np.isfinite(final)):
+        raise ValueError("sampling produced non-finite samples; nothing written")
     if args.denoise:
         final = posterior_mean(gm, final, ms, result.times[0])
     header = [
@@ -538,8 +546,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse uses its own exit codes
         return 2 if exc.code not in (0, None) else 0
+    handler = vars(args).pop("handler")  # provenance hashes vars(args): keep it to the options
     try:
-        return args.handler(args)
+        return handler(args)
     except (ValueError, KeyError, OSError, json.JSONDecodeError, TrainingDiverged) as exc:
         # str() of a KeyError is the repr of its message, quotes included
         message = exc.args[0] if isinstance(exc, KeyError) else exc

@@ -22,11 +22,15 @@ An array t is never kept.
 `FlowModel` satisfies this protocol directly; `OracleFlowField` adapts
 the exact mixture oracle.  `OracleScoreField`, the oracle's score, has
 only `at`: the schedule-gradient estimator reads nothing else.
+`in_coordinates` is a field's value in a family's coordinates.
 """
+
+from dataclasses import replace
 
 import numpy as np
 
 from . import gmm as gmm_mod
+from .flow_model import FlowModel
 from .schedule import MatrixSchedule
 from .subspaces import apply_spectral
 
@@ -111,3 +115,23 @@ class OracleScoreField:
 
     def at(self, x, t):
         return gmm_mod._noisy(self.gm, x, self.ms, t)
+
+
+def in_coordinates(field, family):
+    """c, t -> forward(field(inverse(c), t)): a `FlowModel` with its input x-columns and head
+    rotated, an oracle on `family` as the rotated mixture's on `family.coordinates`, or else
+    (or if the rotated parameters overflow) the composition itself."""
+    if isinstance(field, FlowModel):
+        params = field.params.copy()
+        layers = replace(field, params=params).layers()  # views into params
+        w_in, (w_head, b_head) = layers[0][0], layers[-1]  # one array for a linear model
+        w_in[:, :field.dim] = family.forward(w_in[:, :field.dim])
+        w_head[:], b_head[:] = family.forward(w_head.T).T, family.forward(b_head)
+        if np.all(np.isfinite(params)):
+            return field.with_params(params)
+    elif isinstance(field, OracleFlowField) and field.ms.family is family:
+        covs = family.forward(np.swapaxes(family.forward(field.gm.covs), -1, -2))  # Q^T Sigma Q
+        gm = gmm_mod.GaussianMixture(field.gm.weights, family.forward(field.gm.means),
+                                     0.5 * (covs + np.swapaxes(covs, -1, -2)))
+        return OracleFlowField(gm, replace(field.ms, family=family.coordinates), field.class_label)
+    return lambda c, t: family.forward(field(family.inverse(c), t))

@@ -15,15 +15,20 @@ step makes two `apply_spectral` calls and a midpoint step three.
 
 `sample_trajectory` evaluates the schedule once per trajectory: one
 `eval_M` call gives sqrt(g) at every grid time (and every midpoint, for
-the midpoint secondary), and each step reads its rows.  `euler_step` and
-`heun_step` evaluate their own times and apply the same update, `_step`.
+the midpoint secondary), and each step reads its rows.  It steps in the
+family's coordinates c = forward(x), where each update is a per-coordinate
+scaling: one `forward` of the start, the field read through
+`fields.in_coordinates`, and one `inverse` of `final`.  `euler_step` and
+`heun_step` stay ambient: they evaluate their own times and apply `_step`.
 """
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
+from .fields import in_coordinates
 from .schedule import MatrixSchedule, eval_M
 from .subspaces import apply_spectral
 
@@ -118,16 +123,22 @@ def heun_step(ms, flow_field, x, grid, k, secondary="endpoint", flow_k=None):
 @dataclass(frozen=True)
 class TrajectoryResult:
     times: Array  # grid, increasing
-    states: list  # x at times[K], times[K-1], ..., times[0]
     final: Array  # state at t_min
     nfe: int  # flow-field evaluations per trajectory
     wall_time: float
+    _family: object
+    _coords: list  # the start as given, then the states in the family's coordinates
+
+    @cached_property
+    def states(self) -> list:  # x at times[K], ..., times[0]; one batched `inverse`
+        start, *inner, _ = self._coords
+        return [start, *(self._family.inverse(np.stack(inner)) if inner else ()), self.final]
 
 
 def sample_trajectory(ms: MatrixSchedule, flow_field, cfg: SamplerConfig,
                       n: int | None = None, rng=0,
                       x_init: Array | None = None) -> TrajectoryResult:
-    """Integrate from t = horizon down to ms.t_min, recording every state.
+    """Integrate from t = horizon down to ms.t_min in the family's coordinates.
 
     `rng` (a seed, 0 by default, or a Generator) draws x_T unless `x_init` is given.
 
@@ -144,6 +155,7 @@ def sample_trajectory(ms: MatrixSchedule, flow_field, cfg: SamplerConfig,
     else:
         x = np.asarray(x_init, dtype=float)
     start = time.perf_counter()
+    family, coords, view = ms.family, ms.family.coordinates, in_coordinates(flow_field, ms.family)
     heun = cfg.solver == "heun"
     midpoint = heun and cfg.secondary == "midpoint"
     t_hats = 0.5 * (grid[:-1] + grid[1:]) if midpoint else grid[:-1]
@@ -151,22 +163,24 @@ def sample_trajectory(ms: MatrixSchedule, flow_field, cfg: SamplerConfig,
     u = table[:grid.size]
     u_hats = table[grid.size:] if midpoint else u[:-1]
     states = [x]
+    c = family.forward(x)
     nfe = 0
     carried_flow = None
     for k in range(cfg.steps, 0, -1):
         reuse = carried_flow if k == 1 else None
         t_hat, u_hat = (t_hats[k - 1], u_hats[k - 1]) if heun else (None, None)
-        x, _, f_hat = _step(ms.family, flow_field, x, grid[k], u[k], u[k - 1], t_hat, u_hat, reuse)
+        c, _, f_hat = _step(coords, view, c, grid[k], u[k], u[k - 1], t_hat, u_hat, reuse)
         nfe += (reuse is None) + (f_hat is not None)
         if heun and not midpoint and k == 2:
             carried_flow = f_hat  # evaluated at t_1; reused by the final step
-        states.append(x)
+        states.append(c)
     return TrajectoryResult(
         times=grid,
-        states=states,
-        final=x,
+        final=family.inverse(c),
         nfe=nfe,
         wall_time=time.perf_counter() - start,
+        _family=family,
+        _coords=states,
     )
 
 

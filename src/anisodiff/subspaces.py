@@ -68,6 +68,27 @@ class _BlockFamily:
         q = self.basis
         return (q * values[..., None, self.labels]) @ q.T
 
+    @cached_property
+    def coordinates(self) -> "CoordinateFamily":
+        """The same blocks in this family's own coordinates, where every P_j is diagonal."""
+        return CoordinateFamily(self.labels)
+
+
+@dataclass(frozen=True, eq=False)
+class CoordinateFamily(_BlockFamily):
+    """A family in its own coordinates: identity transforms, basis I, block `labels`."""
+
+    labels: Array  # (d,), block index j of each coordinate
+    basis = property(lambda self: np.eye(self.ambient_dim))
+
+    def forward(self, x: Array) -> Array:
+        return x
+
+    inverse = forward
+
+    def dense(self, values) -> Array:
+        return np.asarray(values, dtype=float)[..., self.labels, None] * np.eye(self.ambient_dim)
+
 
 @dataclass(frozen=True, eq=False)
 class ProjectorFamily(_BlockFamily):

@@ -288,6 +288,51 @@ def test_sample_command_oracle(tmp_path, gmm_file, schedule_file):
     np.testing.assert_array_equal(load_points_csv(out), load_points_csv(out2))
 
 
+def test_identical_sample_runs_write_identical_files(tmp_path, gmm_file, schedule_file):
+    # the provenance hash covers the options only, so it is the same in every process
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import anisodiff
+
+    src = str(Path(anisodiff.__file__).resolve().parents[1])
+    out = tmp_path / "samples.csv"
+    script = f"import sys\nsys.path.insert(0, {src!r})\nfrom anisodiff.cli import main\n" \
+             f"sys.exit(main(sys.argv[1:]))"
+    argv = ["sample", "--schedule", str(schedule_file), "--oracle", str(gmm_file), "--steps", "4",
+            "--n", "8", "--seed", "3", "--out", str(out)]
+    written = []
+    for _ in range(2):
+        proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
+    assert b"config=" in written[0]
+
+
+@pytest.mark.parametrize("family", [axis_family(4, 2), build_dct_projectors(2, 1)],
+                         ids=["axis", "dct"])
+def test_sample_with_non_finite_samples_exits_2_writing_nothing(tmp_path, capsys, family):
+    # +-1e308 parameters saturate the tanh layers and overflow the head; on the DCT
+    # family rotating them into its coordinates overflows first
+    ms = matrix_schedule_for_family(family, horizon=10.0)
+    schedule_file, model_file = tmp_path / "schedule.json", tmp_path / "model.json"
+    save_schedule(ms, schedule_file)
+    model = FlowModel.create(4, horizon=10.0, widths=(8,), seed=4)
+    signs = np.random.default_rng(0).choice([-1.0, 1.0], model.params.size)
+    save_model(model.with_params(1e308 * signs), model_file)
+    out = tmp_path / "x.csv"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["sample", "--schedule", str(schedule_file), "--model", str(model_file),
+                     "--steps", "4", "--n", "3", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == "error: sampling produced non-finite samples; " \
+                                      "nothing written\n"
+    assert not out.exists()
+
+
 def test_sample_requires_exactly_one_field(tmp_path, gmm_file, schedule_file):
     code = main([
         "sample", "--schedule", str(schedule_file), "--steps", "4",
@@ -574,7 +619,8 @@ def test_train_value_of_wrong_json_type_exits_2(tmp_path, gmm_file, capsys, key,
     ("schedule", "knots", 4.7), ("schedule", "classes", "ab"), ("family", "split", True),
     ("family", "bogus", 1), ("model", "seed", True),
     ("train", "total_images", 0), ("train", "log_every", 0), ("model", "widths", [0]),
-    ("model", "widths", [-1]),
+    ("model", "widths", [-1]), ("model", "widths", [1.5]), ("model", "widths", ["a"]),
+    ("model", "widths", [True]),
 ])
 def test_train_bad_value_in_any_section_exits_2_naming_the_key(tmp_path, capsys, section, key,
                                                                value):

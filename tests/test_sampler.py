@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from anisodiff import sampler
 from anisodiff.fields import OracleFlowField
+from anisodiff.flow_model import FlowModel
 from anisodiff.gmm import GaussianMixture, single_gaussian
 from anisodiff.sampler import (
     SamplerConfig,
@@ -23,7 +24,13 @@ from anisodiff.schedule import (
     matrix_schedule_for_family,
     uniform_nodes,
 )
-from anisodiff.subspaces import apply_spectral, axis_family, build_dct_projectors
+from anisodiff.subspaces import (
+    ProjectorFamily,
+    apply_spectral,
+    axis_family,
+    build_dct_projectors,
+    build_pca_projectors,
+)
 
 
 # --- independent scalar VE reference (variance-exploding, sigma = sqrt(g)) ---
@@ -396,6 +403,119 @@ def test_trajectory_equals_the_step_loop(seed, steps, horizon, rule, conditional
         assert np.array_equal(got, ref)
     assert np.array_equal(res.final, want[-1])
     assert res.nfe == expected_nfe(cfg)
+
+
+COORDINATE_FAMILIES = {
+    "dct-4": build_dct_projectors(4),
+    "separable-dct-16": build_dct_projectors(16),
+    "pca-6": build_pca_projectors(np.random.default_rng(0).standard_normal((40, 6)), 2),
+}
+
+
+def random_gmm(d, rng):
+    covs = []
+    for _ in range(2):
+        a = rng.standard_normal((d, d)) / np.sqrt(d)
+        covs.append(a @ a.T + 0.1 * np.eye(d))
+    return GaussianMixture(np.array([0.4, 0.6]), rng.standard_normal((2, d)), np.stack(covs))
+
+
+def random_knots(rng, horizon):
+    return tuple(KnotSchedule(rng.standard_normal(4), uniform_nodes(horizon, 5), 1e-4 * horizon,
+                              horizon) for _ in range(2))
+
+
+def random_field(kind, ms, rng):
+    """A field of the given kind on `ms`, and the plain schedule the sampler runs on."""
+    d = ms.family.ambient_dim
+    if kind == "oracle":
+        return OracleFlowField(random_gmm(d, rng), ms), ms
+    if kind == "conditional-oracle":
+        cond = MatrixSchedule(ms.family, ms.per_subspace,
+                              class_table={"a": random_knots(rng, ms.horizon),
+                                           "b": random_knots(rng, ms.horizon)})
+        return OracleFlowField(random_gmm(d, rng), cond, "b"), cond.for_class("b")
+    if kind == "model":  # nonzero biases, so the head's bias is rotated too
+        widths = [(), (8,), (8, 8)][rng.integers(3)]  # () : the first layer is the head
+        model = FlowModel.create(d, ms.horizon, widths, seed=int(rng.integers(2**31)),
+                                 zero_head=False)
+        return model.with_params(model.params + 0.1 * rng.standard_normal(model.params.size)), ms
+    return (lambda x, t: np.tanh(x[:, ::-1]) / (1.0 + t) - 0.5 * x), ms
+
+
+RULES = [("euler", "endpoint"), ("heun", "endpoint"), ("heun", "midpoint")]
+FIELD_KINDS = ["oracle", "conditional-oracle", "model", "lambda"]
+
+
+def assert_close(got, ref):
+    np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.max(np.abs(ref)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), name=st.sampled_from(sorted(COORDINATE_FAMILIES)),
+       kind=st.sampled_from(FIELD_KINDS), rule=st.sampled_from(RULES), steps=st.integers(1, 5),
+       horizon=st.floats(1.0, 1e3))
+def test_coordinate_trajectory_equals_the_step_loop(seed, name, kind, rule, steps, horizon):
+    # sample_trajectory integrates in the family's coordinates; the public steps stay ambient
+    rng = np.random.default_rng(seed)
+    ms = MatrixSchedule(COORDINATE_FAMILIES[name], random_knots(rng, horizon))
+    field, plain = random_field(kind, ms, rng)
+    cfg = SamplerConfig(steps=steps, solver=rule[0], secondary=rule[1])
+    res = sample_trajectory(plain, field, cfg, n=3, rng=seed % 1000)
+    want = step_loop(plain, field, cfg, res.states[0])
+    assert len(res.states) == len(want) == steps + 1
+    for got, ref in zip(res.states, want):
+        assert_close(got, ref)
+    assert_close(res.final, want[-1])
+    assert res.nfe == expected_nfe(cfg)
+
+
+@pytest.mark.parametrize("name", ["dct-4", "separable-dct-16"])
+@pytest.mark.parametrize("kind", ["oracle", "model"])
+def test_basis_transforms_per_trajectory_do_not_grow_with_steps(monkeypatch, name, kind):
+    fam = COORDINATE_FAMILIES[name]
+    cls = type(fam)
+    calls = []
+    for method in ("forward", "inverse"):
+        def counting(self, x, _original=getattr(cls, method), _method=method):
+            calls.append(_method)
+            return _original(self, x)
+
+        monkeypatch.setattr(cls, method, counting)
+    ms = matrix_schedule_for_family(fam, 10.0)
+    field, plain = random_field(kind, ms, np.random.default_rng(1))
+    counts = []
+    for steps in (2, 8):
+        calls.clear()
+        sample_trajectory(plain, field, SamplerConfig(steps=steps), n=2)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+    assert set(calls) == {"forward", "inverse"}
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_states_are_mapped_back_once_on_first_access(monkeypatch, rule):
+    fam = COORDINATE_FAMILIES["dct-4"]
+    ms = matrix_schedule_for_family(fam, 10.0)
+    field, _ = random_field("model", ms, np.random.default_rng(2))
+    x_init = np.random.default_rng(3).standard_normal((4, fam.ambient_dim))
+    cfg = SamplerConfig(steps=6, solver=rule[0], secondary=rule[1])
+    res = sample_trajectory(ms, field, cfg, x_init=x_init)
+    calls = []
+    original = ProjectorFamily.inverse
+
+    def counting_inverse(self, coords):
+        calls.append(coords.shape)
+        return original(self, coords)
+
+    monkeypatch.setattr(ProjectorFamily, "inverse", counting_inverse)
+    states = res.states
+    assert calls == [(cfg.steps - 1, 4, fam.ambient_dim)]  # one batched map of the inner states
+    assert res.states is states
+    assert np.array_equal(states[0], x_init)
+    assert states[-1] is res.final
+    for got, ref in zip(states, step_loop(ms, field, cfg, x_init)):
+        assert_close(got, ref)
 
 
 def test_scalar_reduction_euler():
