@@ -165,7 +165,8 @@ def _config_section(name):
 
 
 def _check_section(name, section, fields: dict):
-    """Missing and unknown keys are a ValueError, a value of the wrong JSON type a TypeError."""
+    """Missing and unknown keys and non-finite numbers are a ValueError, a value
+    of the wrong JSON type a TypeError."""
     if not isinstance(section, dict):
         raise TypeError(f"section must be an object, got {json.dumps(section)}")
     for key, (_, required) in fields.items():
@@ -180,6 +181,9 @@ def _check_section(name, section, fields: dict):
         if not _is_json(value, accepted) or (
                 kind == list[int] and not all(_is_json(item, int) for item in value)):
             raise TypeError(f"{key!r} must be {label}, got {json.dumps(value)}")
+        if isinstance(value, float) and not np.isfinite(value):
+            raise ValueError(f"{name} section: {key!r} must be a finite number, "
+                             f"got {json.dumps(value)}")
 
 
 def load_run_config(path):

@@ -29,6 +29,8 @@ def layer_sizes(dim: int, widths) -> list:
 
 
 def _check_widths(widths):
+    if any(isinstance(w, bool) or not isinstance(w, (int, np.integer)) for w in widths):
+        raise ValueError(f"hidden widths must be integers, got {list(widths)}")
     if any(w < 1 for w in widths):
         raise ValueError(f"hidden widths must be positive, got {list(widths)}")
 

@@ -95,7 +95,11 @@ class _SavedObject(dict):
 
 def _read_saved(path, kind) -> dict:
     """Parse a saved `kind` file ("schedule", "mixture", "model") of the current format."""
-    payload = json.loads(Path(path).read_text(), object_hook=lambda obj: _SavedObject(kind, obj))
+    def non_finite(literal):  # NaN, Infinity or -Infinity
+        raise ValueError(f"{kind} file holds the non-finite number {literal}")
+
+    payload = json.loads(Path(path).read_text(), object_hook=lambda obj: _SavedObject(kind, obj),
+                         parse_constant=non_finite)
     if not isinstance(payload, dict):
         raise ValueError(f"{kind} file must hold a JSON object")
     if payload.get("format_version") != FORMAT_VERSION:

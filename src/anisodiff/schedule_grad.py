@@ -18,9 +18,11 @@ come from one `jet.block_traces(family)` call, part of the jet protocol
 (see `fields`): closed form for the mixture oracle, one stacked `mixed`
 pass for `FlowModel`.  The same J traces serve every D.  The exact sum
 can be replaced by Rademacher probes (unbiased since E[z z^T] = I).
-Every term is linear in D, so for spectral schedules the estimator is
-evaluated once per subspace and contracted against the knot-parameter
-Jacobian.
+Every term is linear in D, and D = sum_j (d g_j / d theta) P_j, so the
+estimator's responses to D = P_j are computed once per batch and every
+theta-derivative is those J responses contracted with the knot Jacobian:
+`estimate_dtheta_score`/`estimate_dtheta_flow` for one parameter,
+`outer_gradient` for all of them against the loss cotangent.
 """
 
 from dataclasses import dataclass
@@ -62,50 +64,57 @@ def default_estimator_config(dim: int, seed: int = 0) -> EstimatorConfig:
     return EstimatorConfig(mode="stochastic-probe", probes=32, seed=seed)
 
 
-def _as_batch(x) -> tuple:
-    x = np.asarray(x, dtype=float)
-    return (np.atleast_2d(x), x.ndim == 1)
+def _mixed_sums(jet, family, shape, cfg: EstimatorConfig) -> Array:
+    """sum_i d_r d_s field(x + r e_i + s P_j e_i) for each block j, shape (J, *shape).
 
-
-def _mixed_sums(jet, family, deltas: Array, cfg: EstimatorConfig) -> Array:
-    """sum_i d_r d_s field(x + r e_i + s D_k e_i) for each D_k, shape (k, n, d).
-
-    `jet` is the field's jet at the batch (x, t); `deltas` (k, n, J) holds
-    the per-point block scalars of each D_k = sum_j deltas[k, :, j] P_j.
-    Exact mode contracts the jet's block traces; stochastic mode replaces
-    the basis sum by an average of d_r d_s field(x + r z + s D_k z) over
-    Rademacher probes z, the same probes for every k.
+    `jet` is the field's jet at the batch (x, t) and `shape` that of x.
+    Exact mode returns the jet's block traces; stochastic mode replaces
+    the basis sum by an average of d_r d_s field(x + r z + s P_j z) over
+    Rademacher probes z, the same probes for every j.
     """
     if cfg.mode == "exact-sum":
-        return np.einsum("knj,jnd->knd", deltas, jet.block_traces(family))
-    n, d = deltas.shape[1], family.ambient_dim
+        return jet.block_traces(family)
     rng = np.random.default_rng(cfg.seed)
-    total = np.zeros(deltas.shape[:2] + (d,))
+    total = np.zeros((family.n_subspaces, *shape))
     for _ in range(cfg.probes):
-        z = rng.integers(0, 2, size=(n, d)) * 2.0 - 1.0
-        for k, delta in enumerate(deltas):
-            total[k] += jet.mixed(z, apply_spectral(family, delta, z))
+        z = rng.integers(0, 2, size=shape) * 2.0 - 1.0
+        for j, unit in enumerate(np.eye(family.n_subspaces)):
+            total[j] += jet.mixed(z, apply_spectral(family, unit, z))
     return total / cfg.probes
 
 
-def _flow_dtheta(jet, ev, flow, deltas: Array, cfg: EstimatorConfig) -> Array:
-    """Flow-form d(flow)/d(theta) responses to each D_k, shape (k, n, d).
+def _score_responses(jet, family, cfg: EstimatorConfig) -> Array:
+    """Score-form responses to D = P_j for each block j, shape (J, n, d):
 
-    `jet` is the flow field's jet at (x, t), `flow` its value, `ev` the
-    schedule at t and `deltas` (k, n, J) the per-point block scalars of
-    each D_k = sum_j deltas[k, :, j] P_j.  The three-term identity is
+        1/2 sum_i d_r d_s score(x + r e_i + s D e_i) + d_s score(x + s D score).
+    """
+    score = jet.value()
+    out = 0.5 * _mixed_sums(jet, family, score.shape, cfg)
+    for j, unit in enumerate(np.eye(family.n_subspaces)):
+        out[j] += jet.directional(apply_spectral(family, unit, score))
+    return out
+
+
+def _flow_responses(jet, ev, flow, cfg: EstimatorConfig) -> Array:
+    """Flow-form responses to D = P_j for each block j, shape (J, n, d):
 
         1/2 sum_i d_r d_s flow(x + r e_i + s D e_i)
-        + d_s flow(x + s M^{-1/2} D flow) + 1/2 M^{-1} D flow.
+        + d_s flow(x + s M^{-1/2} D flow) + 1/2 M^{-1} D flow,
+
+    with `jet` the flow field's jet at (x, t), `flow` its value and `ev`
+    the schedule at t.
     """
     family = ev.family
-    term1 = 0.5 * _mixed_sums(jet, family, deltas, cfg)
-    out = np.empty_like(term1)
-    for k, delta in enumerate(deltas):
-        term2 = jet.directional(apply_spectral(family, delta / ev.sqrt_g, flow))
-        term3 = 0.5 * apply_spectral(family, delta / ev.g, flow)
-        out[k] = term1[k] + term2 + term3
+    out = 0.5 * _mixed_sums(jet, family, flow.shape, cfg)
+    for j, unit in enumerate(np.eye(family.n_subspaces)):
+        out[j] += jet.directional(apply_spectral(family, unit / ev.sqrt_g, flow))
+        out[j] += 0.5 * apply_spectral(family, unit / ev.g, flow)
     return out
+
+
+def _contract(coef, responses) -> Array:
+    """sum_j coef[..., j] R_j: the derivative along D = sum_j coef_j P_j."""
+    return np.einsum("...j,j...d->...d", coef, responses)
 
 
 def estimate_dtheta_score(field, ms: MatrixSchedule, x, t, theta_index: int,
@@ -115,38 +124,20 @@ def estimate_dtheta_score(field, ms: MatrixSchedule, x, t, theta_index: int,
     `field` must supply at(x, t) (see `fields`); use the exact mixture
     oracle or the score view of a flow model.
     """
-    x, scalar = _as_batch(x)
     if cfg is None:
-        cfg = default_estimator_config(x.shape[1])
-    jac = ms.at(t).jac
-    if jac.ndim == 2:  # scalar t
-        delta = np.broadcast_to(jac[:, theta_index], (x.shape[0], ms.family.n_subspaces))
-    else:
-        delta = jac[:, :, theta_index]
-
-    jet = field.at(x, t)
-    term1 = 0.5 * _mixed_sums(jet, ms.family, delta[None], cfg)[0]
-    term2 = jet.directional(apply_spectral(ms.family, delta, jet.value()))
-    out = term1 + term2
-    return out[0] if scalar else out
+        cfg = default_estimator_config(np.shape(x)[-1])
+    responses = _score_responses(field.at(x, t), ms.family, cfg)
+    return _contract(ms.at(t).jac[..., theta_index], responses)
 
 
 def estimate_dtheta_flow(flow_field, ms: MatrixSchedule, x, t, theta_index: int,
                          cfg: EstimatorConfig | None = None) -> Array:
     """Flow-form estimate of d(flow)/d(theta_j) (three-term identity)."""
-    x, scalar = _as_batch(x)
     if cfg is None:
-        cfg = default_estimator_config(x.shape[1])
+        cfg = default_estimator_config(np.shape(x)[-1])
     ev = ms.at(t)
-    jac = ev.jac
-    if jac.ndim == 2:  # scalar t
-        delta = np.broadcast_to(jac[:, theta_index], (x.shape[0], ms.family.n_subspaces))
-    else:
-        delta = jac[:, :, theta_index]
-
     jet = flow_field.at(x, t)
-    out = _flow_dtheta(jet, ev, jet.value(), delta[None], cfg)[0]
-    return out[0] if scalar else out
+    return _contract(ev.jac[..., theta_index], _flow_responses(jet, ev, jet.value(), cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +150,14 @@ class OuterGradient:
     implicit: Array  # (P,) mean <cotangent, d flow / d theta>
     total: Array  # explicit + implicit
     value: LossValue  # the loss on the batch that was differentiated
+
+
+def _pullback(cot, coef, responses) -> Array:
+    """Per point, sum_j coef[:, j] <cot, R_j>: shape (n, P) from (n, J, P) and J (n, d)."""
+    out = np.zeros((cot.shape[0], coef.shape[2]))
+    for j, response in enumerate(responses):
+        out += coef[:, j, :] * np.einsum("nd,nd->n", cot, response)[:, None]
+    return out
 
 
 def outer_gradient(ms: MatrixSchedule, flow_field, batch: LossSample,
@@ -180,7 +179,6 @@ def outer_gradient(ms: MatrixSchedule, flow_field, batch: LossSample,
         cfg = default_estimator_config(x0.shape[1])
     ms = ms.for_class(class_label if class_label is not None else batch.class_label)
 
-    n = x0.shape[0]
     sample = LossSample(x0=x0, eps=eps, t=t)
     ev = ms.at(t)
     jac = ev.jac  # (n, J, P)
@@ -195,24 +193,14 @@ def outer_gradient(ms: MatrixSchedule, flow_field, batch: LossSample,
     energies = ms.family.block_energies(flow + eps)  # (n, J)
     explicit_w = 2.0 * np.einsum("nj,njp,nj->np", w, dw, energies)
 
-    # explicit, x_t part: cot . directional(x_t, d(M^{1/2})/dtheta eps)
-    dsqrt = jac / (2.0 * ev.sqrt_g[..., None])  # (n, J, P)
-    explicit_x = np.zeros((n, jac.shape[2]))
-    for j in range(ms.family.n_subspaces):
-        unit = np.zeros(ms.family.n_subspaces)
-        unit[j] = 1.0
-        v_j = apply_spectral(ms.family, np.broadcast_to(unit, (n, ms.family.n_subspaces)), eps)
-        response = jet.directional(v_j)  # (n, d)
-        explicit_x += dsqrt[:, j, :] * np.einsum("nd,nd->n", cot, response)[:, None]
+    # explicit, x_t part: x_t moves by sum_j d sqrt(g_j)/d theta P_j eps
+    units = np.eye(ms.family.n_subspaces)
+    x_responses = [jet.directional(apply_spectral(ms.family, unit, eps)) for unit in units]
+    explicit_x = _pullback(cot, jac / (2.0 * ev.sqrt_g[..., None]), x_responses)
 
     # implicit part through the optimal field: every estimator term is linear
     # in D, so the responses to D = P_j are contracted against the knot Jacobian
-    nsub = ms.family.n_subspaces
-    units = np.broadcast_to(np.eye(nsub)[:, None, :], (nsub, n, nsub))
-    basis_grads = _flow_dtheta(jet, ev, flow, units, cfg)
-    implicit = np.zeros((n, jac.shape[2]))
-    for j, grad_j in enumerate(basis_grads):
-        implicit += jac[:, j, :] * np.einsum("nd,nd->n", cot, grad_j)[:, None]
+    implicit = _pullback(cot, jac, _flow_responses(jet, ev, flow, cfg))
 
     explicit = (explicit_w + explicit_x).mean(axis=0)
     implicit_mean = implicit.mean(axis=0)

@@ -166,38 +166,23 @@ class TrainResult:
     nonfinite_grads: int
 
 
-class _DataSource:
-    """Uniform access to a mixture, a labeled mixture table, or a fixed dataset."""
+def _data_source(data, rng):
+    """(mixtures by label, draw): `{None: gm}` for one mixture, the dict for
+    labeled mixtures, None for a dataset; `draw(n)` returns (x0, label)."""
+    if isinstance(data, GaussianMixture):
+        return {None: data}, lambda n: (sample_p0(data, n, rng), None)
+    if isinstance(data, dict):
+        labels = sorted(data)
 
-    def __init__(self, data, rng):
-        self.rng = rng
-        self.labeled = isinstance(data, dict)
-        if self.labeled:
-            self.table = dict(data)
-            self.labels = sorted(self.table)
-        elif isinstance(data, GaussianMixture):
-            self.gm = data
-        else:
-            self.points = np.asarray(data, dtype=float)
-            if self.points.ndim != 2:
-                raise ValueError("dataset must be a 2-D array of points")
+        def draw(n):
+            label = labels[rng.integers(len(labels))]
+            return sample_p0(data[label], n, rng), label
 
-    def draw(self, n: int):
-        """Return (x0, label); label is None for unlabeled sources."""
-        if self.labeled:
-            label = self.labels[self.rng.integers(len(self.labels))]
-            return sample_p0(self.table[label], n, self.rng), label
-        if hasattr(self, "gm"):
-            return sample_p0(self.gm, n, self.rng), None
-        idx = self.rng.integers(self.points.shape[0], size=n)
-        return self.points[idx], None
-
-
-def _draw_batch(source: _DataSource, ms: MatrixSchedule, n: int, rng) -> LossSample:
-    x0, label = source.draw(n)
-    eps = rng.standard_normal(x0.shape)
-    t = rng.uniform(ms.t_min, ms.horizon, size=x0.shape[0])
-    return LossSample(x0=x0, eps=eps, t=t, class_label=label)
+        return data, draw
+    points = np.asarray(data, dtype=float)
+    if points.ndim != 2:
+        raise ValueError("dataset must be a 2-D array of points")
+    return None, lambda n: (points[rng.integers(points.shape[0], size=n)], None)
 
 
 def train_bilevel(data, ms: MatrixSchedule, model: FlowModel | None, cfg: TrainConfig,
@@ -209,18 +194,18 @@ def train_bilevel(data, ms: MatrixSchedule, model: FlowModel | None, cfg: TrainC
     dataset array (model mode only).
     """
     rng = np.random.default_rng(cfg.seed)
-    source = _DataSource(data, rng)
-    oracle_mode = not cfg.train_model
-    if oracle_mode and not (source.labeled or hasattr(source, "gm")):
+    mixtures, draw = _data_source(data, rng)
+    if not cfg.train_model and mixtures is None:
         raise ValueError("oracle (schedule-only) training needs a mixture, not a dataset")
     if cfg.train_model and model is None:
         raise ValueError("model training requested but no model given")
     if estimator_cfg is None:
         estimator_cfg = default_estimator_config(ms.family.ambient_dim, seed=cfg.seed)
 
-    params = model.params.copy() if model is not None else None
-    ema = params.copy() if params is not None else None
-    model_state = AdamState.zeros(params.size) if params is not None else None
+    if cfg.train_model:
+        params = model.params.copy()
+        ema = params.copy()
+        model_state = AdamState.zeros(params.size)
     theta_states: dict = {}
     guard = DivergenceGuard(
         warmup_steps=max(1, cfg.warmup_images // cfg.batch_size),
@@ -232,13 +217,6 @@ def train_bilevel(data, ms: MatrixSchedule, model: FlowModel | None, cfg: TrainC
     images_seen = 0
     step = 0
     micro = cfg.batch_size // cfg.micro_batches
-    nonfinite = 0
-
-    def field_for(label):
-        if oracle_mode:
-            gm = source.table[label] if source.labeled else source.gm
-            return OracleFlowField(gm, ms, label)
-        return model.with_params(ema)
 
     while images_seen < cfg.total_images:
         step += 1
@@ -246,59 +224,51 @@ def train_bilevel(data, ms: MatrixSchedule, model: FlowModel | None, cfg: TrainC
         lr_model = effective_lr(cfg, cfg.lr_model, images_seen)
         lr_theta = effective_lr(cfg, cfg.lr_model * cfg.lr_schedule_scale, images_seen)
 
-        batch = _draw_batch(source, ms, cfg.batch_size, rng)
-        label = batch.class_label
+        x0, label = draw(cfg.batch_size)
+        eps = rng.standard_normal(x0.shape)
+        batch = LossSample(x0, eps, rng.uniform(ms.t_min, ms.horizon, size=x0.shape[0]), label)
 
         grad_theta = None
         if cfg.train_model:
-            subspace_energy = np.zeros(ms.family.n_subspaces)
             grad = np.zeros_like(params)
-            losses = np.empty(cfg.batch_size)
-            live = model.with_params(params)
+            values = []
             for i in range(cfg.micro_batches):
                 sl = slice(i * micro, (i + 1) * micro)
                 sub = LossSample(batch.x0[sl], batch.eps[sl], batch.t[sl])
                 ev = ms.for_class(label).at(sub.t)
-                jet = live.at(perturbed_point(ev, sub), sub.t)
-                value = loss_from_flow(ev, sub, jet.value())
-                losses[sl] = value.loss
-                subspace_energy += ms.family.block_energies(value.residual).sum(axis=0)
-                grad += jet.param_grad(value.cotangent)
-            grad /= cfg.batch_size
-            subspace_energy /= cfg.batch_size
+                jet = model.at(perturbed_point(ev, sub), sub.t)
+                values.append(loss_from_flow(ev, sub, jet.value()))
+                grad += jet.param_grad(values[-1].cotangent)
             params, model_state = adam_step(
-                params, grad, model_state, lr_model,
+                params, grad / cfg.batch_size, model_state, lr_model,
                 cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps,
             )
-            nonfinite = model_state.nonfinite_count
             model = model.with_params(params)
             ema = ema_update(
                 ema, params, cfg.ema_half_life_images, cfg.batch_size,
                 images_seen if cfg.ema_rampup else None,
             )
-            loss_mean = float(losses.mean())
-            loss_se = float(losses.std() / np.sqrt(losses.size))
         else:
-            field = field_for(label)
+            field = OracleFlowField(mixtures[label], ms, label)
             if cfg.train_schedule:  # the step's loss is the one the outer gradient differentiates
                 grad_theta = outer_gradient(ms, field, batch, estimator_cfg, label)
-                value = grad_theta.value
+                values = [grad_theta.value]
             else:
-                value = loss_sample(ms, field, batch)
-            subspace_energy = ms.family.block_energies(value.residual).mean(axis=0)
-            loss_mean = float(value.loss.mean())
-            loss_se = float(value.loss.std() / np.sqrt(value.loss.size))
+                values = [loss_sample(ms, field, batch)]
+        losses = np.concatenate([value.loss for value in values])
+        subspace_energy = sum(ms.family.block_energies(value.residual).sum(axis=0)
+                              for value in values) / cfg.batch_size
 
+        loss_mean, loss_se = float(losses.mean()), float(losses.std() / np.sqrt(losses.size))
         guard.observe(loss_mean)
 
         if cfg.train_model and cfg.train_schedule and step % cfg.model_steps_per_schedule_step == 0:
-            grad_theta = outer_gradient(ms, field_for(label), batch, estimator_cfg, label)
+            grad_theta = outer_gradient(ms, model.with_params(ema), batch, estimator_cfg, label)
         if grad_theta is not None:
-            key = label
-            if key not in theta_states:
-                theta_states[key] = AdamState.zeros(grad_theta.total.size)
-            theta, theta_states[key] = adam_step(
-                ms.theta_vector(label), grad_theta.total, theta_states[key], lr_theta,
+            if label not in theta_states:
+                theta_states[label] = AdamState.zeros(grad_theta.total.size)
+            theta, theta_states[label] = adam_step(
+                ms.theta_vector(label), grad_theta.total, theta_states[label], lr_theta,
                 cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps,
             )
             ms = ms.with_theta_vector(theta, label)
@@ -334,7 +304,7 @@ def train_bilevel(data, ms: MatrixSchedule, model: FlowModel | None, cfg: TrainC
         logs=logs,
         theta_trace=theta_trace,
         grad_diagnostics=grad_diagnostics,
-        nonfinite_grads=nonfinite,
+        nonfinite_grads=model_state.nonfinite_count if cfg.train_model else 0,
     )
 
 

@@ -351,7 +351,7 @@ def check_knot_gradients(seed=6, cases=100, tol=1e-4):
     return [pin, fd_res]
 
 
-def check_weight_map(seed=7):
+def check_weight_map():
     """Closed-form constant-w inversion and the change-of-variables identity."""
     out = []
     start = time.perf_counter()

@@ -170,6 +170,17 @@ def test_gmm_rejects_indefinite_covariance(tmp_path, gmm_file, capsys):
     assert "positive semidefinite" in err and err.count("\n") == 1
 
 
+def test_gmm_with_a_nan_mean_exits_2(tmp_path, gmm_file, capsys):
+    payload = json.loads(gmm_file.read_text())
+    payload["means"][0][0] = float("nan")
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(payload))
+    out = tmp_path / "x.csv"
+    assert main(["gen-data", "--gmm", str(path), "--n", "5", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: mixture file holds the non-finite number NaN\n"
+    assert not out.exists()
+
+
 def test_model_roundtrip(tmp_path):
     model = FlowModel.create(2, horizon=3.0, widths=(8,), seed=4, zero_head=False)
     path = tmp_path / "m.json"
@@ -620,7 +631,8 @@ def test_train_value_of_wrong_json_type_exits_2(tmp_path, gmm_file, capsys, key,
     ("family", "bogus", 1), ("model", "seed", True),
     ("train", "total_images", 0), ("train", "log_every", 0), ("model", "widths", [0]),
     ("model", "widths", [-1]), ("model", "widths", [1.5]), ("model", "widths", ["a"]),
-    ("model", "widths", [True]),
+    ("model", "widths", [True]), ("train", "lr_schedule_scale", float("inf")),
+    ("schedule", "horizon", float("nan")),
 ])
 def test_train_bad_value_in_any_section_exits_2_naming_the_key(tmp_path, capsys, section, key,
                                                                value):
@@ -679,8 +691,9 @@ def test_train_float_value_accepts_a_json_integer(gmm_file):
     ("schedule", None),
     ("model", {"widths": 16}),
     ("model", {"dim": "16"}),
+    ("model", {"widths": [8.0]}),
 ], ids=["floor", "horizon", "family", "theta-default", "theta-classes", "t-floor-fraction",
-        "top-level-list", "model-widths", "model-dim"])
+        "top-level-list", "model-widths", "model-dim", "model-float-width"])
 def test_saved_file_value_of_wrong_type_exits_2(tmp_path, gmm_file, schedule_file, capsys,
                                                 kind, change):
     model_file = tmp_path / "model.json"

@@ -248,19 +248,22 @@ def test_outer_gradient_zero_for_pinned_parameter():
     assert np.any(grad.total[ms.param_slices()[0]] != 0.0)
 
 
-def test_outer_gradient_implicit_matches_direct_contraction():
+@pytest.mark.parametrize("cfg", [EstimatorConfig("exact-sum"),
+                                 EstimatorConfig("stochastic-probe", probes=8, seed=1)],
+                         ids=["exact-sum", "stochastic-probe"])
+def test_outer_gradient_implicit_matches_direct_contraction(cfg):
     rng = np.random.default_rng(11)
     gm = two_component_gmm()
     ms = random_ms(rng, n_knots=4)
     field = OracleFlowField(gm, ms)
     batch = draw_loss_samples(gm, ms, 32, rng)
-    grad = outer_gradient(ms, field, batch)
+    grad = outer_gradient(ms, field, batch, cfg)
     # direct per-parameter evaluation of the implicit term
     value = loss_sample(ms, field, batch)
     x_t = perturbed_point(ms.at(batch.t), batch)
     implicit = np.zeros(ms.n_params)
     for p in range(ms.n_params):
-        dflow = estimate_dtheta_flow(field, ms, x_t, batch.t, p)
+        dflow = estimate_dtheta_flow(field, ms, x_t, batch.t, p, cfg)
         implicit[p] = np.mean(np.sum(value.cotangent * dflow, axis=1))
     np.testing.assert_allclose(grad.implicit, implicit, rtol=1e-10, atol=1e-12)
 
