@@ -77,7 +77,7 @@ def cmd_basis(args) -> int:
         if not 1 <= low < args.size:
             raise ValueError("low-side must satisfy 1 <= low_side < size")
         header = [
-            provenance_line(vars(args), args.seed),
+            provenance_line(vars(args), 0),
             f"# dct H={args.size} order=zigzag",
             f"# low_side={low} low_dim={low * low}",
         ]
@@ -88,7 +88,7 @@ def cmd_basis(args) -> int:
     family = build_pca_projectors(samples, args.k)
     vectors = family.basis.T
     header = [
-        provenance_line(vars(args), args.seed),
+        provenance_line(vars(args), 0),
         f"# pca d={samples.shape[1]} k={args.k}",
     ]
     write_csv(args.out, [f"c{i}" for i in range(vectors.shape[1])], vectors, header)
@@ -125,11 +125,11 @@ def cmd_schedule_fit(args) -> int:
         lambda t: tab.eval(t)[0], args.horizon, args.floor, args.knots
     )
     ms = MatrixSchedule(isotropic_family(args.dim), (knot,))
-    save_schedule(ms, args.out, seed=args.seed)
+    save_schedule(ms, args.out)
     if args.table:
         ts = np.linspace(0.0, args.horizon, 2001)
         g, dg = tab.eval(ts)
-        header = [provenance_line(vars(args), args.seed), f"# c={fmt(tab.c)}"]
+        header = [provenance_line(vars(args), 0), f"# c={fmt(tab.c)}"]
         write_csv(args.table, ["t", "g", "dg_dt"], np.stack([ts, g, dg], axis=1), header)
     print(f"fit constant c={tab.c:.6g}; wrote schedule to {args.out}")
     return 0
@@ -481,13 +481,11 @@ def build_parser() -> argparse.ArgumentParser:
     pd = basis_sub.add_parser("dct", help="2-D DCT basis")
     pd.add_argument("--size", type=int, required=True)
     pd.add_argument("--low-side", type=int, default=None)
-    pd.add_argument("--seed", type=int, default=0)
     pd.add_argument("--out", required=True)
     pd.set_defaults(handler=cmd_basis)
     pp = basis_sub.add_parser("pca", help="PCA basis from a data CSV")
     pp.add_argument("--data", required=True)
     pp.add_argument("--k", type=int, required=True)
-    pp.add_argument("--seed", type=int, default=0)
     pp.add_argument("--out", required=True)
     pp.set_defaults(handler=cmd_basis)
 
@@ -498,7 +496,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--knots", type=int, default=16)
     p.add_argument("--floor", type=float, default=1e-4)
     p.add_argument("--dim", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--table", default=None)
     p.set_defaults(handler=cmd_schedule_fit)

@@ -44,6 +44,8 @@ class GaussianMixture:
         k, d = mu.shape
         if w.shape != (k,) or cov.shape != (k, d, d):
             raise ValueError("inconsistent mixture shapes")
+        if not all(np.all(np.isfinite(a)) for a in (w, mu, cov)):
+            raise ValueError("mixture weights, means and covariances must be finite")
         if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-12:
             raise ValueError("weights must be nonnegative and sum to 1")
         if np.max(np.abs(cov - np.transpose(cov, (0, 2, 1)))) > 1e-12:

@@ -13,13 +13,16 @@ reduction, and the exact integral of the affine interpolant).  The
 endpoint predictor is the corrector's Euler term, so an endpoint Heun
 step makes two `apply_spectral` calls and a midpoint step three.
 
-`sample_trajectory` evaluates the schedule once per trajectory: one
-`eval_M` call gives sqrt(g) at every grid time (and every midpoint, for
-the midpoint secondary), and each step reads its rows.  It steps in the
-family's coordinates c = forward(x), where each update is a per-coordinate
-scaling: one `forward` of the start, the field read through
-`fields.in_coordinates`, and one `inverse` of `final`.  `euler_step` and
-`heun_step` stay ambient: they evaluate their own times and apply `_step`.
+`heun_step` is the one step function: given the sqrt(g) rows at its
+times it takes the Euler step, or the matrix Heun step when it is given a
+secondary time, on whatever family it is passed.  `sample_trajectory`
+evaluates the schedule once per trajectory: one `eval_M` call gives
+sqrt(g) at every grid time (and every midpoint, for the midpoint
+secondary); it picks each step's secondary time and rows and calls
+`heun_step` once per step.  It steps in the family's coordinates
+c = forward(x), where each update is a per-coordinate scaling: one
+`forward` of the start, the field read through `fields.in_coordinates`,
+and one `inverse` of `final`.
 """
 
 import time
@@ -29,7 +32,7 @@ from functools import cached_property
 import numpy as np
 
 from .fields import in_coordinates
-from .schedule import MatrixSchedule, eval_M
+from .schedule import MatrixSchedule
 from .subspaces import apply_spectral
 
 Array = np.ndarray
@@ -57,20 +60,15 @@ def time_grid(ms: MatrixSchedule, cfg: SamplerConfig) -> Array:
     return np.linspace(ms.t_min, ms.horizon, cfg.steps + 1)
 
 
-def _sqrt_g(ms, t):
-    g, _ = eval_M(ms, t)
-    return np.sqrt(g)
-
-
 def init_state(ms: MatrixSchedule, rng, n: int | None = None) -> Array:
     """Initial noise x_T = M_T^{1/2} xi with xi ~ N(0, I)."""
     rng = np.random.default_rng(rng)
     d = ms.family.ambient_dim
     xi = rng.standard_normal(d if n is None else (n, d))
-    return apply_spectral(ms.family, _sqrt_g(ms, ms.horizon), xi)
+    return apply_spectral(ms.family, ms.at(ms.horizon).sqrt_g, xi)
 
 
-def _step(family, flow_field, x, t_k, u_k, u_prev, t_hat=None, u_hat=None, flow_k=None):
+def heun_step(family, flow_field, x, t_k, u_k, u_prev, t_hat=None, u_hat=None, flow_k=None):
     """One reverse step from t_k to t_{k-1} given the sqrt(g) rows at its times.
 
     Euler: x + Delta U f_k with Delta U = u_k - u_prev.  With a secondary
@@ -95,29 +93,6 @@ def _step(family, flow_field, x, t_k, u_k, u_prev, t_hat=None, u_hat=None, flow_
     gap = u_hat - u_k
     coef = np.where(np.abs(gap) < FLAT_INCREMENT_TOL, 0.0, -0.5 * du**2 / np.where(gap == 0, 1.0, gap))
     return euler + apply_spectral(family, coef, f_hat - f_k), f_k, f_hat
-
-
-def euler_step(ms, flow_field, x, grid, k, flow_k=None):
-    """One reverse Euler step from t_k to t_{k-1}: x + Delta U_k flow(x, t_k)."""
-    if not 1 <= k <= grid.size - 1:
-        raise ValueError("step index out of range")
-    u_k, u_prev = _sqrt_g(ms, np.array([grid[k], grid[k - 1]]))
-    new_x, f_k, _ = _step(ms.family, flow_field, x, grid[k], u_k, u_prev, flow_k=flow_k)
-    return new_x, f_k
-
-
-def heun_step(ms, flow_field, x, grid, k, secondary="endpoint", flow_k=None):
-    """One matrix Heun step from t_k to t_{k-1} (see `_step`).
-
-    Returns (new_x, f_k, f_hat, t_hat).
-    """
-    if not 1 <= k <= grid.size - 1:
-        raise ValueError("step index out of range")
-    t_k, t_prev = grid[k], grid[k - 1]
-    t_hat = t_prev if secondary == "endpoint" else 0.5 * (t_prev + t_k)
-    u_k, u_prev, u_hat = _sqrt_g(ms, np.array([t_k, t_prev, t_hat]))
-    new_x, f_k, f_hat = _step(ms.family, flow_field, x, t_k, u_k, u_prev, t_hat, u_hat, flow_k)
-    return new_x, f_k, f_hat, t_hat
 
 
 @dataclass(frozen=True)
@@ -159,7 +134,7 @@ def sample_trajectory(ms: MatrixSchedule, flow_field, cfg: SamplerConfig,
     heun = cfg.solver == "heun"
     midpoint = heun and cfg.secondary == "midpoint"
     t_hats = 0.5 * (grid[:-1] + grid[1:]) if midpoint else grid[:-1]
-    table = _sqrt_g(ms, np.concatenate((grid, t_hats)) if midpoint else grid)
+    table = ms.at(np.concatenate((grid, t_hats)) if midpoint else grid).sqrt_g
     u = table[:grid.size]
     u_hats = table[grid.size:] if midpoint else u[:-1]
     states = [x]
@@ -169,7 +144,7 @@ def sample_trajectory(ms: MatrixSchedule, flow_field, cfg: SamplerConfig,
     for k in range(cfg.steps, 0, -1):
         reuse = carried_flow if k == 1 else None
         t_hat, u_hat = (t_hats[k - 1], u_hats[k - 1]) if heun else (None, None)
-        c, _, f_hat = _step(coords, view, c, grid[k], u[k], u[k - 1], t_hat, u_hat, reuse)
+        c, _, f_hat = heun_step(coords, view, c, grid[k], u[k], u[k - 1], t_hat, u_hat, reuse)
         nfe += (reuse is None) + (f_hat is not None)
         if heun and not midpoint and k == 2:
             carried_flow = f_hat  # evaluated at t_1; reused by the final step

@@ -82,6 +82,8 @@ class KnotSchedule:
             raise ValueError(
                 f"theta must have {nodes.size - 1} entries, got {theta.shape}"
             )
+        if not np.all(np.isfinite(theta)):
+            raise ValueError("theta must be finite")
         if nodes[0] != 0.0 or not np.isclose(nodes[-1], self.horizon):
             raise ValueError("nodes must start at 0 and end at the horizon")
         if np.any(np.diff(nodes) <= 0):

@@ -118,9 +118,6 @@ class TrainConfig:
     micro_batches: int = 1
     lr_model: float = 1e-2
     lr_schedule_scale: float = 0.1  # schedule lr = scale * model lr
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     warmup_images: int = 5_000
     ema_half_life_images: float = 20_000.0
     ema_rampup: bool = True
@@ -239,10 +236,7 @@ def train_bilevel(data, ms: MatrixSchedule, model: FlowModel | None, cfg: TrainC
                 jet = model.at(perturbed_point(ev, sub), sub.t)
                 values.append(loss_from_flow(ev, sub, jet.value()))
                 grad += jet.param_grad(values[-1].cotangent)
-            params, model_state = adam_step(
-                params, grad / cfg.batch_size, model_state, lr_model,
-                cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps,
-            )
+            params, model_state = adam_step(params, grad / cfg.batch_size, model_state, lr_model)
             model = model.with_params(params)
             ema = ema_update(
                 ema, params, cfg.ema_half_life_images, cfg.batch_size,
@@ -268,9 +262,7 @@ def train_bilevel(data, ms: MatrixSchedule, model: FlowModel | None, cfg: TrainC
             if label not in theta_states:
                 theta_states[label] = AdamState.zeros(grad_theta.total.size)
             theta, theta_states[label] = adam_step(
-                ms.theta_vector(label), grad_theta.total, theta_states[label], lr_theta,
-                cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps,
-            )
+                ms.theta_vector(label), grad_theta.total, theta_states[label], lr_theta)
             ms = ms.with_theta_vector(theta, label)
             theta_trace.append((images_seen, label, theta.copy()))
             for p in range(grad_theta.total.size):

@@ -271,11 +271,9 @@ def check_heun_reductions(seed=5):
     worst = 0.0
     for k in (1, 3, 6):
         x = rng.standard_normal(2)
-        new_x, f_k, f_hat, _ = heun_step(ms, field, x, grid, k, "endpoint")
-        g_hi, _ = eval_M(ms, grid[k])
-        g_lo, _ = eval_M(ms, grid[k - 1])
-        du = np.sqrt(g_hi) - np.sqrt(g_lo)
-        trap = x + apply_spectral(ms.family, du, 0.5 * (f_k + f_hat))
+        u = ms.at(grid[[k, k - 1]]).sqrt_g  # rows at t_k and t_{k-1}, also the secondary time
+        new_x, f_k, f_hat = heun_step(ms.family, field, x, grid[k], *u, grid[k - 1], u[1])
+        trap = x + apply_spectral(ms.family, u[0] - u[1], 0.5 * (f_k + f_hat))
         worst = max(worst, float(np.max(np.abs(new_x - trap))))
     out.append(_result("solver", "heun-endpoint-trapezoid", worst, 1e-12, "max abs gap", start))
 

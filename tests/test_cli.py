@@ -172,13 +172,18 @@ def test_gmm_rejects_indefinite_covariance(tmp_path, gmm_file, capsys):
 
 def test_gmm_with_a_nan_mean_exits_2(tmp_path, gmm_file, capsys):
     payload = json.loads(gmm_file.read_text())
-    payload["means"][0][0] = float("nan")
-    path = tmp_path / "nan.json"
-    path.write_text(json.dumps(payload))
-    out = tmp_path / "x.csv"
-    assert main(["gen-data", "--gmm", str(path), "--n", "5", "--out", str(out)]) == 2
-    assert capsys.readouterr().err == "error: mixture file holds the non-finite number NaN\n"
-    assert not out.exists()
+    payload["means"][0][0] = "MEAN"
+    errors = {  # json reads the overflowing 1e999 as inf, which the mixture itself rejects
+        "NaN": "error: mixture file holds the non-finite number NaN\n",
+        "1e999": "error: mixture weights, means and covariances must be finite\n",
+    }
+    for literal, error in errors.items():
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload).replace('"MEAN"', literal))
+        out = tmp_path / "x.csv"
+        assert main(["gen-data", "--gmm", str(path), "--n", "5", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == error
+        assert not out.exists()
 
 
 def test_model_roundtrip(tmp_path):
@@ -774,6 +779,18 @@ def test_analyze_schedule_outputs(tmp_path, schedule_file):
     np.testing.assert_allclose(data[:, 4], data[:, 1] / data[:, 2], rtol=1e-12)
 
 
+def test_analyze_schedule_with_an_overflowing_theta_exits_2(tmp_path, schedule_file, capsys):
+    # json reads 1e999 as inf; the knot schedule rejects it before any curve is written
+    payload = json.loads(schedule_file.read_text())
+    payload["theta"]["default"][0][0] = "THETA"
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(payload).replace('"THETA"', "1e999"))
+    out = tmp_path / "analysis"
+    assert main(["analyze", "schedule", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: theta must be finite\n"
+    assert not out.exists()
+
+
 def test_analyze_schedule_isotropic_ratio_absent(tmp_path):
     from anisodiff.schedule import isotropic_matrix_schedule
 
@@ -904,7 +921,7 @@ def test_mutated_heun_corrector_breaks_order(monkeypatch):
         return new_x, f_k, f_hat
 
     # the patch reaches the fine reference too, which the first-order mutant also approaches
-    monkeypatch.setattr(sampler_mod, "_step", broken_step)
+    monkeypatch.setattr(sampler_mod, "heun_step", broken_step)
     ms, field, x_init = _order_setup(21)
     slope, _ = convergence_slope(ms, field, x_init, (8, 16, 32, 64), 1024, "heun", "endpoint")
     assert slope < 1.5  # far from second order

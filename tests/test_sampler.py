@@ -4,12 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anisodiff import sampler
+from anisodiff import schedule as schedule_mod
 from anisodiff.fields import OracleFlowField
 from anisodiff.flow_model import FlowModel
 from anisodiff.gmm import GaussianMixture, single_gaussian
 from anisodiff.sampler import (
     SamplerConfig,
-    euler_step,
     expected_nfe,
     heun_step,
     init_state,
@@ -114,6 +114,22 @@ def test_init_state_zero_noise():
 # single steps
 # ---------------------------------------------------------------------------
 
+def ambient_step(ms, field, x, grid, k, secondary=None, flow_k=None):
+    """One step from grid[k] to grid[k-1] on `ms.family`, evaluating its own sqrt(g) rows.
+
+    Without a secondary rule this is the Euler step; "endpoint" or "midpoint"
+    picks the Heun secondary time as `sample_trajectory` does.  Returns
+    `heun_step`'s (new_x, f_k, f_hat).
+    """
+    t_k, t_prev = grid[k], grid[k - 1]
+    if secondary is None:
+        u_k, u_prev = ms.at(np.array([t_k, t_prev])).sqrt_g
+        return heun_step(ms.family, field, x, t_k, u_k, u_prev, flow_k=flow_k)
+    t_hat = t_prev if secondary == "endpoint" else 0.5 * (t_prev + t_k)
+    u_k, u_prev, u_hat = ms.at(np.array([t_k, t_prev, t_hat])).sqrt_g
+    return heun_step(ms.family, field, x, t_k, u_k, u_prev, t_hat, u_hat, flow_k)
+
+
 def test_euler_zero_flow_is_identity():
     rng = np.random.default_rng(1)
     ms = random_ms(rng)
@@ -124,7 +140,7 @@ def test_euler_zero_flow_is_identity():
             return np.zeros_like(x)
 
     x = rng.standard_normal(2)
-    new_x, _ = euler_step(ms, Zero(), x, grid, 5)
+    new_x, _, _ = ambient_step(ms, Zero(), x, grid, 5)
     np.testing.assert_array_equal(new_x, x)
 
 
@@ -159,12 +175,8 @@ def test_heun_endpoint_reduces_to_trapezoid():
     grid = time_grid(ms, SamplerConfig(steps=6))
     x = rng.standard_normal(2)
     k = 4
-    new_x, f_k, f_hat, t_hat = heun_step(ms, field, x, grid, k, "endpoint")
-    assert t_hat == grid[k - 1]
-    from anisodiff.subspaces import apply_spectral
-    from anisodiff.sampler import _sqrt_g
-
-    du = _sqrt_g(ms, grid[k]) - _sqrt_g(ms, grid[k - 1])
+    new_x, f_k, f_hat = ambient_step(ms, field, x, grid, k, "endpoint")
+    du = ms.at(grid[k]).sqrt_g - ms.at(grid[k - 1]).sqrt_g
     trapezoid = x + apply_spectral(ms.family, du, 0.5 * (f_k + f_hat))
     np.testing.assert_allclose(new_x, trapezoid, atol=1e-12)
 
@@ -184,12 +196,10 @@ def test_heun_exact_on_nilpotent_affine_flow():
     x = np.array([0.7, 1.1])
     for secondary in ("endpoint", "midpoint"):
         for k in (1, 2, 4):
-            from anisodiff.sampler import _sqrt_g
-
-            du = (_sqrt_g(ms, grid[k]) - _sqrt_g(ms, grid[k - 1]))[0]
+            du = (ms.at(grid[k]).sqrt_g - ms.at(grid[k - 1]).sqrt_g)[0]
             f0 = a_mat @ x + b_vec
             exact = x + du * f0 + 0.5 * du**2 * (a_mat @ b_vec)
-            new_x, *_ = heun_step(ms, Affine(), x, grid, k, secondary)
+            new_x, *_ = ambient_step(ms, Affine(), x, grid, k, secondary)
             np.testing.assert_allclose(new_x, exact, atol=1e-10)
 
 
@@ -203,9 +213,7 @@ def test_heun_exact_on_sqrt_affine_time_flow():
 
     class SqrtAffine:
         def __call__(self, x, t):
-            from anisodiff.sampler import _sqrt_g
-
-            u = _sqrt_g(ms, t)
+            u = ms.at(t).sqrt_g
             vals = c + beta * u
             out = np.zeros_like(x)
             out[..., 0] = vals[0]
@@ -213,15 +221,13 @@ def test_heun_exact_on_sqrt_affine_time_flow():
             return out
 
     grid = time_grid(ms, SamplerConfig(steps=5))
-    from anisodiff.sampler import _sqrt_g
-
     x = rng.standard_normal(2)
     for secondary in ("endpoint", "midpoint"):
         for k in (1, 3, 5):
-            u_hi = _sqrt_g(ms, grid[k])
-            u_lo = _sqrt_g(ms, grid[k - 1])
+            u_hi = ms.at(grid[k]).sqrt_g
+            u_lo = ms.at(grid[k - 1]).sqrt_g
             exact = x + c * (u_hi - u_lo) + 0.5 * beta * (u_hi**2 - u_lo**2)
-            new_x, *_ = heun_step(ms, SqrtAffine(), x, grid, k, secondary)
+            new_x, *_ = ambient_step(ms, SqrtAffine(), x, grid, k, secondary)
             np.testing.assert_allclose(new_x, exact, atol=1e-10)
 
 
@@ -285,7 +291,7 @@ def test_one_eval_M_per_step(monkeypatch, solver):
         calls.append(args[1])
         return eval_M(*args, **kwargs)
 
-    monkeypatch.setattr(sampler, "eval_M", counting_eval_M)
+    monkeypatch.setattr(schedule_mod, "eval_M", counting_eval_M)
     cfg = SamplerConfig(steps=8, solver=solver, secondary="endpoint")
     sample_trajectory(ms, lambda x, t: -x, cfg, n=4)
     assert len(calls) == 2  # init_state, then the trajectory's sqrt(g) table
@@ -303,11 +309,20 @@ def test_spectral_applications_per_trajectory(monkeypatch, solver, secondary, pe
         calls.append(args)
         return apply_spectral(*args)
 
+    step_times = []
+
+    def counting_heun_step(*args, **kwargs):
+        step_times.append(args[3])
+        return heun_step(*args, **kwargs)
+
     monkeypatch.setattr(sampler, "apply_spectral", counting_apply_spectral)
+    monkeypatch.setattr(sampler, "heun_step", counting_heun_step)
     steps = 5
     cfg = SamplerConfig(steps=steps, solver=solver, secondary=secondary)
     sample_trajectory(ms, lambda x, t: -x, cfg, n=4, rng=1)
     assert len(calls) == 1 + per_step * steps  # init_state, then the steps
+    # one `heun_step` per step, from t_K down to t_1, through the module global
+    assert np.array_equal(step_times, time_grid(ms, cfg)[:0:-1])
 
 
 def three_application_heun_step(ms, field, x, grid, k, secondary):
@@ -355,20 +370,20 @@ def test_heun_step_equals_the_three_application_formula(seed, name, secondary, s
     def field(x, t):
         return np.tanh(x[:, ::-1]) / (1.0 + t) - 0.5 * x
 
-    new_x, _, _, _ = heun_step(ms, field, x, grid, k, secondary)
+    new_x, _, _ = ambient_step(ms, field, x, grid, k, secondary)
     assert np.array_equal(new_x, three_application_heun_step(ms, field, x, grid, k, secondary))
 
 
 def step_loop(ms, field, cfg, x):
-    """sample_trajectory's integration as a loop of the public step functions."""
+    """sample_trajectory's integration as a loop of ambient steps, each evaluating its own rows."""
     grid = time_grid(ms, cfg)
     states, carried = [x], None
     for k in range(cfg.steps, 0, -1):
         if cfg.solver == "euler":
-            x, _ = euler_step(ms, field, x, grid, k)
+            x, _, _ = ambient_step(ms, field, x, grid, k)
         else:
             reuse = carried if (cfg.secondary == "endpoint" and k == 1) else None
-            x, _, f_hat, _ = heun_step(ms, field, x, grid, k, cfg.secondary, flow_k=reuse)
+            x, _, f_hat = ambient_step(ms, field, x, grid, k, cfg.secondary, flow_k=reuse)
             if cfg.secondary == "endpoint" and k == 2:
                 carried = f_hat
         states.append(x)
@@ -456,7 +471,7 @@ def assert_close(got, ref):
        kind=st.sampled_from(FIELD_KINDS), rule=st.sampled_from(RULES), steps=st.integers(1, 5),
        horizon=st.floats(1.0, 1e3))
 def test_coordinate_trajectory_equals_the_step_loop(seed, name, kind, rule, steps, horizon):
-    # sample_trajectory integrates in the family's coordinates; the public steps stay ambient
+    # sample_trajectory integrates in the family's coordinates; the reference steps ambiently
     rng = np.random.default_rng(seed)
     ms = MatrixSchedule(COORDINATE_FAMILIES[name], random_knots(rng, horizon))
     field, plain = random_field(kind, ms, rng)
