@@ -549,7 +549,11 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     handler = vars(args).pop("handler")  # provenance hashes vars(args): keep it to the options
     try:
-        return handler(args)
+        with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
+            return handler(args)
+    except FloatingPointError as exc:
+        print(f"error: {args.command}: numerical overflow ({exc})", file=sys.stderr)
+        return 2
     except (ValueError, KeyError, OSError, json.JSONDecodeError, TrainingDiverged) as exc:
         # str() of a KeyError is the repr of its message, quotes included
         message = exc.args[0] if isinstance(exc, KeyError) else exc

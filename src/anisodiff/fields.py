@@ -22,7 +22,11 @@ An array t is never kept.
 `FlowModel` satisfies this protocol directly; `OracleFlowField` adapts
 the exact mixture oracle.  `OracleScoreField`, the oracle's score, has
 only `at`: the schedule-gradient estimator reads nothing else.
-`in_coordinates` is a field's value in a family's coordinates.
+`coordinate_view(field, family, x)` is the sampler's view of a field from
+a start x: the coordinates it steps in, the field there, the start and the
+map back to ambient states.  The default view is the family's own
+coordinates; a `FlowModel` with a hidden layer is stepped on its latent
+coordinates instead whenever there are fewer of them than d.
 """
 
 from dataclasses import replace
@@ -30,9 +34,9 @@ from dataclasses import replace
 import numpy as np
 
 from . import gmm as gmm_mod
-from .flow_model import FlowModel
+from .flow_model import FlowModel, n_params
 from .schedule import MatrixSchedule
-from .subspaces import apply_spectral
+from .subspaces import CoordinateFamily, apply_spectral
 
 
 class SpectralJet:
@@ -117,7 +121,7 @@ class OracleScoreField:
         return gmm_mod._noisy(self.gm, x, self.ms, t)
 
 
-def in_coordinates(field, family):
+def _in_coordinates(field, family):
     """c, t -> forward(field(inverse(c), t)): a `FlowModel` with its input x-columns and head
     rotated, an oracle on `family` as the rotated mixture's on `family.coordinates`, or else
     (or if the rotated parameters overflow) the composition itself."""
@@ -135,3 +139,54 @@ def in_coordinates(field, family):
                                      0.5 * (covs + np.swapaxes(covs, -1, -2)))
         return OracleFlowField(gm, replace(field.ms, family=family.coordinates), field.class_label)
     return lambda c, t: family.forward(field(family.inverse(c), t))
+
+
+def coordinate_view(field, family, x):
+    """The sampler's view of `field` from the start x: (coords_family, field_view, c_start, back).
+
+    Steps on `coords_family` with `field_view` from `c_start` give states that `back` maps to
+    ambient ones.  The default view is the family's coordinates c = forward(x), with the field
+    c, t -> forward(field(inverse(c), t)) (see `_in_coordinates`) and back = `inverse`.
+
+    The latent view: a rotated `FlowModel` with a hidden layer is linear in its last activation,
+    f = A a_L + b_L, so every state of a trajectory is c_T + l R, where R stacks the rows
+    [A^T; b_L] masked to block j, one (h_L + 1, d) slice per block, and l holds one latent
+    vector per block.  The view is a plain `FlowModel` of dim m = h_1 + J (h_L + 1) on
+    (c_T W_x^T, l): its first layer [I | W_x R^T | W_t] recovers W_x c from the constant first
+    h_1 coordinates, its hidden layers are the model's, and its head outputs 0 there and
+    (a_L, 1) on each block's h_L + 1 coordinates.  It is taken exactly when m < d and its
+    parameters are finite; back(l) = inverse(c_T + l[..., h_1:] R).
+    """
+    c = family.forward(x)
+    view = _in_coordinates(field, family)
+    latent = _latent_view(view, family, c) if isinstance(view, FlowModel) and view.widths else None
+    return latent or (family.coordinates, view, c, family.inverse)
+
+
+def _latent_view(model, family, c):
+    """`coordinate_view`'s latent view of a rotated model; None if m >= d or it overflows."""
+    d, h_1, h_l, n_blocks = model.dim, model.widths[0], model.widths[-1], family.n_subspaces
+    m = h_1 + n_blocks * (h_l + 1)
+    if m >= d:
+        return None
+    (w_in, b_in), *hidden, (w_head, b_head) = model.layers()
+    w_x = w_in[:, :d]
+    masks = family.labels == np.arange(n_blocks)[:, None, None]  # (J, 1, d)
+    r = (np.vstack([w_head.T, b_head]) * masks).reshape(-1, d)
+    params = np.zeros(n_params(m, model.widths))
+    layers = replace(model, dim=m, params=params).layers()  # views into params
+    (w_1, b_1), (w_out, b_out) = layers[0], layers[-1]
+    w_1[:, :h_1] = np.eye(h_1)
+    w_1[:, h_1:m] = w_x @ r.T
+    w_1[:, m:], b_1[:] = w_in[:, d:], b_in
+    for (w, b), (w_model, b_model) in zip(layers[1:-1], hidden):
+        w[:], b[:] = w_model, b_model
+    w_out[h_1:].reshape(n_blocks, h_l + 1, h_l)[:, :h_l] = np.eye(h_l)  # a_L on every block
+    b_out[h_1:].reshape(n_blocks, h_l + 1)[:, h_l] = 1.0  # and the constant that carries b_L
+    if not np.all(np.isfinite(params)):
+        return None
+    start = np.zeros(c.shape[:-1] + (m,))
+    start[..., :h_1] = c @ w_x.T
+    labels = np.concatenate([np.zeros(h_1, dtype=int), np.repeat(np.arange(n_blocks), h_l + 1)])
+    return (CoordinateFamily(labels), replace(model, dim=m, params=params), start,
+            lambda latent: family.inverse(c + latent[..., h_1:] @ r))

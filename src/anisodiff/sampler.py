@@ -19,10 +19,13 @@ secondary time, on whatever family it is passed.  `sample_trajectory`
 evaluates the schedule once per trajectory: one `eval_M` call gives
 sqrt(g) at every grid time (and every midpoint, for the midpoint
 secondary); it picks each step's secondary time and rows and calls
-`heun_step` once per step.  It steps in the family's coordinates
-c = forward(x), where each update is a per-coordinate scaling: one
-`forward` of the start, the field read through `fields.in_coordinates`,
-and one `inverse` of `final`.
+`heun_step` once per step.  It steps in the coordinate view that
+`fields.coordinate_view` builds once from the start, where each update is
+a per-coordinate scaling, and maps `final` back once.  The default view is
+the family's coordinates c = forward(x).  A `FlowModel` with a hidden
+layer is linear in its last activation a_L, so every state is
+c_T + sum_j P_j [A b_L] l_j for latent vectors l_j of size h_L + 1; when
+m = h_1 + J (h_L + 1) < d it is stepped on those m coordinates instead.
 """
 
 import time
@@ -31,7 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .fields import in_coordinates
+from .fields import coordinate_view
 from .schedule import MatrixSchedule
 from .subspaces import apply_spectral
 
@@ -101,13 +104,13 @@ class TrajectoryResult:
     final: Array  # state at t_min
     nfe: int  # flow-field evaluations per trajectory
     wall_time: float
-    _family: object
-    _coords: list  # the start as given, then the states in the family's coordinates
+    _back: object  # the coordinate view's map back to ambient states
+    _coords: list  # the start as given, then the states in the view's coordinates
 
     @cached_property
-    def states(self) -> list:  # x at times[K], ..., times[0]; one batched `inverse`
+    def states(self) -> list:  # x at times[K], ..., times[0]; one batched back-map
         start, *inner, _ = self._coords
-        return [start, *(self._family.inverse(np.stack(inner)) if inner else ()), self.final]
+        return [start, *(self._back(np.stack(inner)) if inner else ()), self.final]
 
 
 def sample_trajectory(ms: MatrixSchedule, flow_field, cfg: SamplerConfig,
@@ -130,7 +133,7 @@ def sample_trajectory(ms: MatrixSchedule, flow_field, cfg: SamplerConfig,
     else:
         x = np.asarray(x_init, dtype=float)
     start = time.perf_counter()
-    family, coords, view = ms.family, ms.family.coordinates, in_coordinates(flow_field, ms.family)
+    coords, view, c, back = coordinate_view(flow_field, ms.family, x)
     heun = cfg.solver == "heun"
     midpoint = heun and cfg.secondary == "midpoint"
     t_hats = 0.5 * (grid[:-1] + grid[1:]) if midpoint else grid[:-1]
@@ -138,7 +141,6 @@ def sample_trajectory(ms: MatrixSchedule, flow_field, cfg: SamplerConfig,
     u = table[:grid.size]
     u_hats = table[grid.size:] if midpoint else u[:-1]
     states = [x]
-    c = family.forward(x)
     nfe = 0
     carried_flow = None
     for k in range(cfg.steps, 0, -1):
@@ -151,10 +153,10 @@ def sample_trajectory(ms: MatrixSchedule, flow_field, cfg: SamplerConfig,
         states.append(c)
     return TrajectoryResult(
         times=grid,
-        final=family.inverse(c),
+        final=back(c),
         nfe=nfe,
         wall_time=time.perf_counter() - start,
-        _family=family,
+        _back=back,
         _coords=states,
     )
 

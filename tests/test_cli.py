@@ -33,7 +33,9 @@ from anisodiff.subspaces import (
     build_dct_projectors,
     build_pca_projectors,
 )
+from anisodiff.sampler import SamplerConfig
 from anisodiff.training import TrainConfig
+from test_sampler import assert_close, biased_model, step_loop
 
 
 @pytest.fixture
@@ -331,8 +333,8 @@ def test_identical_sample_runs_write_identical_files(tmp_path, gmm_file, schedul
 @pytest.mark.parametrize("family", [axis_family(4, 2), build_dct_projectors(2, 1)],
                          ids=["axis", "dct"])
 def test_sample_with_non_finite_samples_exits_2_writing_nothing(tmp_path, capsys, family):
-    # +-1e308 parameters saturate the tanh layers and overflow the head; on the DCT
-    # family rotating them into its coordinates overflows first
+    # +-1e308 parameters overflow the first layer; on the DCT family rotating them into its
+    # coordinates overflows first.  `main` raises on the overflow whatever the caller's state.
     ms = matrix_schedule_for_family(family, horizon=10.0)
     schedule_file, model_file = tmp_path / "schedule.json", tmp_path / "model.json"
     save_schedule(ms, schedule_file)
@@ -344,9 +346,49 @@ def test_sample_with_non_finite_samples_exits_2_writing_nothing(tmp_path, capsys
         code = main(["sample", "--schedule", str(schedule_file), "--model", str(model_file),
                      "--steps", "4", "--n", "3", "--out", str(out)])
     assert code == 2
-    assert capsys.readouterr().err == "error: sampling produced non-finite samples; " \
-                                      "nothing written\n"
+    err = capsys.readouterr().err
+    assert err == "error: sample: numerical overflow (overflow encountered in matmul)\n"
+    assert len(err.splitlines()) == 1
     assert not out.exists()
+
+
+def test_train_with_an_overflowing_learning_rate_exits_2_with_one_line(tmp_path, gmm_file,
+                                                                        capsys):
+    config = {
+        "version": "1",
+        "gmm": gmm_file.name,
+        "family": {"kind": "axis", "dim": 2, "split": 1},
+        "schedule": {"horizon": 10.0, "knots": 5},
+        "train": {"batch_size": 64, "total_images": 640, "warmup_images": 128,
+                  "lr_model": 1e300, "train_model": False, "seed": 0},
+    }
+    cfg_path = gmm_file.parent / "run_lr.json"
+    cfg_path.write_text(json.dumps(config))
+    assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "rundir")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: train: numerical overflow (") and len(err.splitlines()) == 1
+
+
+def test_sample_dump_on_the_latent_path_matches_the_step_loop(tmp_path):
+    # d=256 with widths (8, 8): the sampler runs on 8 + 2 (8 + 1) = 26 latent coordinates
+    rng = np.random.default_rng(5)
+    ms = matrix_schedule_for_family(build_dct_projectors(16), horizon=10.0)
+    ms = ms.with_theta_vector(0.3 * rng.standard_normal(ms.n_params))
+    model = biased_model(256, 10.0, (8, 8), rng)
+    schedule_path, model_path = tmp_path / "schedule.json", tmp_path / "model.json"
+    save_schedule(ms, schedule_path)
+    save_model(model, model_path)
+    dump = tmp_path / "traj"
+    assert main(["sample", "--schedule", str(schedule_path), "--model", str(model_path),
+                 "--steps", "6", "--solver", "heun", "--secondary", "endpoint", "--n", "3",
+                 "--seed", "2", "--out", str(tmp_path / "x.csv"),
+                 "--dump-trajectory", str(dump)]) == 0
+    states = [load_points_csv(path) for path in sorted(dump.glob("step_*.csv"))]
+    want = step_loop(load_schedule(schedule_path), load_model(model_path),
+                     SamplerConfig(steps=6, solver="heun", secondary="endpoint"), states[0])
+    assert len(states) == len(want) == 7
+    for got, ref in zip(states, want):
+        assert_close(got, ref)
 
 
 def test_sample_requires_exactly_one_field(tmp_path, gmm_file, schedule_file):

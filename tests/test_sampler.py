@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from anisodiff import sampler
 from anisodiff import schedule as schedule_mod
-from anisodiff.fields import OracleFlowField
+from anisodiff.fields import OracleFlowField, coordinate_view
 from anisodiff.flow_model import FlowModel
 from anisodiff.gmm import GaussianMixture, single_gaussian
 from anisodiff.sampler import (
@@ -25,7 +25,6 @@ from anisodiff.schedule import (
     uniform_nodes,
 )
 from anisodiff.subspaces import (
-    ProjectorFamily,
     apply_spectral,
     axis_family,
     build_dct_projectors,
@@ -440,6 +439,12 @@ def random_knots(rng, horizon):
                               horizon) for _ in range(2))
 
 
+def biased_model(d, horizon, widths, rng):
+    """A random `FlowModel` with nonzero biases, so the head's bias is carried too."""
+    model = FlowModel.create(d, horizon, widths, seed=int(rng.integers(2**31)), zero_head=False)
+    return model.with_params(model.params + 0.1 * rng.standard_normal(model.params.size))
+
+
 def random_field(kind, ms, rng):
     """A field of the given kind on `ms`, and the plain schedule the sampler runs on."""
     d = ms.family.ambient_dim
@@ -450,11 +455,9 @@ def random_field(kind, ms, rng):
                               class_table={"a": random_knots(rng, ms.horizon),
                                            "b": random_knots(rng, ms.horizon)})
         return OracleFlowField(random_gmm(d, rng), cond, "b"), cond.for_class("b")
-    if kind == "model":  # nonzero biases, so the head's bias is rotated too
+    if kind == "model":
         widths = [(), (8,), (8, 8)][rng.integers(3)]  # () : the first layer is the head
-        model = FlowModel.create(d, ms.horizon, widths, seed=int(rng.integers(2**31)),
-                                 zero_head=False)
-        return model.with_params(model.params + 0.1 * rng.standard_normal(model.params.size)), ms
+        return biased_model(d, ms.horizon, widths, rng), ms
     return (lambda x, t: np.tanh(x[:, ::-1]) / (1.0 + t) - 0.5 * x), ms
 
 
@@ -510,27 +513,88 @@ def test_basis_transforms_per_trajectory_do_not_grow_with_steps(monkeypatch, nam
 
 @pytest.mark.parametrize("rule", RULES)
 def test_states_are_mapped_back_once_on_first_access(monkeypatch, rule):
-    fam = COORDINATE_FAMILIES["dct-4"]
-    ms = matrix_schedule_for_family(fam, 10.0)
-    field, _ = random_field("model", ms, np.random.default_rng(2))
-    x_init = np.random.default_rng(3).standard_normal((4, fam.ambient_dim))
     cfg = SamplerConfig(steps=6, solver=rule[0], secondary=rule[1])
-    res = sample_trajectory(ms, field, cfg, x_init=x_init)
-    calls = []
-    original = ProjectorFamily.inverse
+    for name in ("dct-4", "separable-dct-16"):  # the default view (m = 26 >= d = 16), the latent
+        fam = COORDINATE_FAMILIES[name]
+        ms = matrix_schedule_for_family(fam, 10.0)
+        field = biased_model(fam.ambient_dim, 10.0, (8, 8), np.random.default_rng(2))
+        params = field.params.copy()
+        x_init = np.random.default_rng(3).standard_normal((4, fam.ambient_dim))
+        calls = []
 
-    def counting_inverse(self, coords):
-        calls.append(coords.shape)
-        return original(self, coords)
+        def counting_inverse(self, coords, _original=type(fam).inverse, _calls=calls):
+            _calls.append(coords.shape)
+            return _original(self, coords)
 
-    monkeypatch.setattr(ProjectorFamily, "inverse", counting_inverse)
-    states = res.states
-    assert calls == [(cfg.steps - 1, 4, fam.ambient_dim)]  # one batched map of the inner states
-    assert res.states is states
-    assert np.array_equal(states[0], x_init)
-    assert states[-1] is res.final
-    for got, ref in zip(states, step_loop(ms, field, cfg, x_init)):
+        monkeypatch.setattr(type(fam), "inverse", counting_inverse)
+        res = sample_trajectory(ms, field, cfg, x_init=x_init)
+        assert calls == [(4, fam.ambient_dim)]  # `final`
+        assert np.array_equal(field.params, params)  # the views are built on copies
+        calls.clear()
+        states = res.states
+        assert calls == [(cfg.steps - 1, 4, fam.ambient_dim)]  # one batched map of the inner states
+        assert res.states is states
+        assert np.array_equal(states[0], x_init)
+        assert states[-1] is res.final
+        for got, ref in zip(states, step_loop(ms, field, cfg, x_init)):
+            assert_close(got, ref)
+
+
+LATENT_FAMILIES = {
+    "separable-dct-16": COORDINATE_FAMILIES["separable-dct-16"],
+    "pca-256": build_pca_projectors(np.random.default_rng(1).standard_normal((300, 256)), 2),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), name=st.sampled_from(sorted(LATENT_FAMILIES)),
+       widths=st.sampled_from([(8,), (8, 8), (16, 4)]), rule=st.sampled_from(RULES),
+       steps=st.integers(1, 5), horizon=st.floats(1.0, 1e3), batched=st.booleans())
+def test_latent_trajectory_equals_the_step_loop(seed, name, widths, rule, steps, horizon, batched):
+    # a model with m = h_1 + J (h_L + 1) < d is sampled in latent coordinates
+    rng = np.random.default_rng(seed)
+    fam = LATENT_FAMILIES[name]
+    ms = MatrixSchedule(fam, random_knots(rng, horizon))
+    model = biased_model(fam.ambient_dim, horizon, widths, rng)
+    x_init = init_state(ms, rng, n=3 if batched else None)
+    assert coordinate_view(model, fam, x_init)[0].ambient_dim < fam.ambient_dim
+    cfg = SamplerConfig(steps=steps, solver=rule[0], secondary=rule[1])
+    res = sample_trajectory(ms, model, cfg, x_init=x_init)
+    want = step_loop(ms, model, cfg, x_init)
+    assert len(res.states) == len(want) == steps + 1
+    for got, ref in zip(res.states, want):
         assert_close(got, ref)
+    assert_close(res.final, want[-1])
+    assert res.nfe == expected_nfe(cfg)
+
+
+@pytest.mark.parametrize("name, widths, scale, latent", [
+    ("separable-dct-16", (8, 8), 1.0, True),
+    ("separable-dct-16", (), 1.0, False),  # a linear model has no hidden layer
+    ("dct-4", (8, 8), 1.0, False),  # m = 8 + 2 (8 + 1) = 26 >= d = 16
+    ("separable-dct-16", (8, 8), 1e160, False),  # W_x R^T overflows; the rotation does not
+])
+def test_the_latent_view_is_taken_when_smaller_and_finite(name, widths, scale, latent):
+    fam = COORDINATE_FAMILIES[name]
+    d = fam.ambient_dim
+    rng = np.random.default_rng(4)
+    model = biased_model(d, 10.0, widths, rng)
+    if scale != 1.0:
+        params = model.params.copy()
+        (w_in, _), *_, (w_head, _) = model.with_params(params).layers()  # views into params
+        w_in[:, :d] *= scale
+        w_head *= scale
+        model = model.with_params(params)
+    x = rng.standard_normal((2, d))
+    with np.errstate(over="ignore", invalid="ignore"):
+        coords, view, start, back = coordinate_view(model, fam, x)
+    assert isinstance(view, FlowModel)
+    if latent:
+        assert coords.ambient_dim == view.dim == 26 and start.shape == (2, 26)
+        np.testing.assert_allclose(back(start), x, atol=1e-12)  # a zero latent tail is the start
+    else:
+        assert coords is fam.coordinates and view.dim == d
+        assert np.array_equal(start, fam.forward(x))
 
 
 def test_scalar_reduction_euler():

@@ -7,8 +7,19 @@ before and after the change and comparing the printed lines:
 
 Each line is `<workload> unit <k> <sha256 of the unit's output>`, as
 `perfbench/workloads.py` computes it.  BLAS is pinned to one thread.
+
+A change that may move last digits saves the arrays behind those hashes on
+one side and reports its drift on the other:
+
+    python3 tools/fingerprints.py --save before.npz     # at the parent
+    python3 tools/fingerprints.py --compare before.npz  # at the change
+
+`--compare` appends to each line `max_rel <x>`: the largest absolute
+difference over the unit's arrays, relative to the largest saved entry
+(0 when the outputs are bit-identical).
 """
 
+import argparse
 import os
 import sys
 from pathlib import Path
@@ -18,11 +29,61 @@ for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-from workloads import WORKLOADS  # noqa: E402
+import numpy as np  # noqa: E402
+
+import workloads  # noqa: E402
 
 SEED, UNITS = 3, 4
 
-for name, make in WORKLOADS.items():
-    workload = make(SEED)
-    for k in range(UNITS):
-        print(name, "unit", k, workload.fingerprint(workload.run_unit(k).output), flush=True)
+
+def hashed_arrays(workload, output):
+    """The unit's fingerprint and the arrays it hashes, caught at `workloads._digest`."""
+    caught = []
+    digest = workloads._digest
+
+    def catching(*arrays):
+        caught.extend(np.array(a, dtype=float) for a in arrays)
+        return digest(*arrays)
+
+    workloads._digest = catching
+    try:
+        return workload.fingerprint(output), caught
+    finally:
+        workloads._digest = digest
+
+
+def max_rel(arrays, saved):
+    if len(arrays) != len(saved) or any(a.shape != b.shape for a, b in zip(arrays, saved)):
+        return "shape-mismatch"
+    diff = max((float(np.max(np.abs(a - b), initial=0.0)) for a, b in zip(arrays, saved)),
+               default=0.0)
+    scale = max((float(np.max(np.abs(b), initial=0.0)) for b in saved), default=0.0)
+    return f"{diff / scale if scale else diff:.3g}"
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    group = parser.add_mutually_exclusive_group()
+    group.add_argument("--save", metavar="PATH", help="write each unit's arrays to this .npz")
+    group.add_argument("--compare", metavar="PATH", help="compare each unit with a saved .npz")
+    args = parser.parse_args()
+    saved = np.load(args.compare) if args.compare else None
+    kept = {}
+    for name, make in workloads.WORKLOADS.items():
+        workload = make(SEED)
+        for k in range(UNITS):
+            fingerprint, arrays = hashed_arrays(workload, workload.run_unit(k).output)
+            line = f"{name} unit {k} {fingerprint}"
+            key = f"{name}.unit{k}"
+            if saved is not None:
+                count = sum(f.startswith(key + ".") for f in saved.files)
+                line += f" max_rel {max_rel(arrays, [saved[f'{key}.{i}'] for i in range(count)])}"
+            if args.save:
+                kept.update({f"{key}.{i}": a for i, a in enumerate(arrays)})
+            print(line, flush=True)
+    if args.save:
+        np.savez(args.save, **kept)
+
+
+if __name__ == "__main__":
+    main()
