@@ -40,6 +40,20 @@ def n_params(dim: int, widths) -> int:
     return sum(sizes[i + 1] * sizes[i] + sizes[i + 1] for i in range(len(sizes) - 1))
 
 
+def layer_views(params: Array, dim: int, widths) -> list:
+    """Views (W, b) per layer into a flat parameter vector; writing one writes `params`."""
+    sizes = layer_sizes(dim, widths)
+    out, offset = [], 0
+    for i in range(len(sizes) - 1):
+        fan_in, fan_out = sizes[i], sizes[i + 1]
+        w = params[offset : offset + fan_out * fan_in].reshape(fan_out, fan_in)
+        offset += fan_out * fan_in
+        b = params[offset : offset + fan_out]
+        offset += fan_out
+        out.append((w, b))
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class FlowModel:
     """Flow field f(x, t, phi): input (x, log t, t/T) -> R^d."""
@@ -51,7 +65,9 @@ class FlowModel:
 
     def __post_init__(self):
         _check_widths(self.widths)
-        params = np.asarray(self.params, dtype=float)
+        # a read-only copy, so nothing keyed by the model (the sampler's views) can go stale
+        params = np.array(self.params, dtype=float)
+        params.flags.writeable = False
         expected = n_params(self.dim, self.widths)
         if params.shape != (expected,):
             raise ValueError(f"expected {expected} parameters, got {params.shape}")
@@ -79,20 +95,11 @@ class FlowModel:
         return cls(dim=dim, horizon=horizon, widths=tuple(widths), params=np.concatenate(chunks))
 
     def with_params(self, params: Array) -> "FlowModel":
-        return replace(self, params=np.asarray(params, dtype=float))
+        return replace(self, params=params)
 
     def layers(self):
-        """Views (W, b) per layer into the flat parameter vector."""
-        sizes = layer_sizes(self.dim, self.widths)
-        out, offset = [], 0
-        for i in range(len(sizes) - 1):
-            fan_in, fan_out = sizes[i], sizes[i + 1]
-            w = self.params[offset : offset + fan_out * fan_in].reshape(fan_out, fan_in)
-            offset += fan_out * fan_in
-            b = self.params[offset : offset + fan_out]
-            offset += fan_out
-            out.append((w, b))
-        return out
+        """Read-only views (W, b) per layer into the flat parameter vector."""
+        return layer_views(self.params, self.dim, self.widths)
 
     # -- evaluation ----------------------------------------------------------
 

@@ -20,12 +20,15 @@ evaluates the schedule once per trajectory: one `eval_M` call gives
 sqrt(g) at every grid time (and every midpoint, for the midpoint
 secondary); it picks each step's secondary time and rows and calls
 `heun_step` once per step.  It steps in the coordinate view that
-`fields.coordinate_view` builds once from the start, where each update is
-a per-coordinate scaling, and maps `final` back once.  The default view is
-the family's coordinates c = forward(x).  A `FlowModel` with a hidden
-layer is linear in its last activation a_L, so every state is
-c_T + sum_j P_j [A b_L] l_j for latent vectors l_j of size h_L + 1; when
-m = h_1 + J (h_L + 1) < d it is stepped on those m coordinates instead.
+`fields.coordinate_view` gives for the start, where each update is a
+per-coordinate scaling, and maps `final` back once.  Only the start and
+the map back are formed per trajectory: a `FlowModel`'s view model is
+built on its first trajectory on a family and reused by later ones.  The
+default view is the family's coordinates c = forward(x).  A `FlowModel`
+with a hidden layer is linear in its last activation a_L, so every state
+is c_T + sum_j P_j [A b_L] l_j for latent vectors l_j of size h_L + 1;
+when m = h_1 + J (h_L + 1) < d it is stepped on those m coordinates
+instead.
 """
 
 import time

@@ -1,8 +1,15 @@
 import dataclasses
+import io
 import json
+import tempfile
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from anisodiff.cli import load_run_config, main
 from anisodiff.gmm import GaussianMixture, single_gaussian
@@ -967,3 +974,75 @@ def test_mutated_heun_corrector_breaks_order(monkeypatch):
     ms, field, x_init = _order_setup(21)
     slope, _ = convergence_slope(ms, field, x_init, (8, 16, 32, 64), 1024, "heun", "endpoint")
     assert slope < 1.5  # far from second order
+
+
+DROP = object()  # the mutation that deletes the key
+MUTANT_VALUES = [DROP, "1", [1], {}, True, None, float("nan"), float("inf"), float("-inf"),
+                 1e308, -1e308, -1, -0.5]
+
+
+def _paths(doc, prefix=()):
+    """Every key and index path into a JSON document, outermost first."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+def _mutated(doc, path, value):
+    doc = json.loads(json.dumps(doc))
+    *outer, last = path
+    parent = doc
+    for key in outer:
+        parent = parent[key]
+    if value is DROP:
+        del parent[last]
+    else:
+        parent[last] = value
+    return doc
+
+
+def _cli_inputs(tmp):
+    """A tiny model-mode `train` config and a saved schedule and model, by name."""
+    save_gmm(single_gaussian(np.zeros(2), np.diag([0.5, 0.8])), tmp / "gmm.json")
+    ms = matrix_schedule_for_family(axis_family(2, 1), horizon=10.0, n_knots=4)
+    save_schedule(ms.with_theta_vector(np.linspace(-0.5, 0.5, ms.n_params)), tmp / "schedule.json")
+    save_model(biased_model(2, 10.0, (4,), np.random.default_rng(9)), tmp / "model.json")
+    train = {"batch_size": 16, "micro_batches": 2, "lr_model": 0.01, "lr_schedule_scale": 0.1,
+             "warmup_images": 16, "ema_half_life_images": 64.0, "ema_rampup": True,
+             "total_images": 32, "model_steps_per_schedule_step": 1, "midpoint_decay": 0.5,
+             "train_model": True, "train_schedule": True, "guard_factor": 1e3,
+             "guard_patience": 10, "seed": 0, "log_every": 1}
+    config = {"version": "1", "gmm": "gmm.json", "family": {"kind": "axis", "dim": 2, "split": 1},
+              "schedule": {"horizon": 10.0, "floor": 1e-4, "knots": 4},
+              "model": {"widths": [4], "seed": 1}, "train": train}
+    return {"config": config, **{name: json.loads((tmp / f"{name}.json").read_text())
+                                 for name in ("schedule", "model")}}
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_a_mutated_input_exits_0_or_2_with_at_most_one_line(data):
+    # a bad config, schedule or model file is an error line with exit 2, never a traceback
+    with tempfile.TemporaryDirectory() as name:
+        tmp = Path(name)
+        docs = _cli_inputs(tmp)
+        kind = data.draw(st.sampled_from(sorted(docs)), label="document")
+        path = data.draw(st.sampled_from(list(_paths(docs[kind]))), label="path")
+        value = data.draw(st.sampled_from(MUTANT_VALUES), label="value")
+        # without `total_images` training runs the default 200k images: long, not a fault
+        assume(not (("train", "total_images")[:len(path)] == path and value in (DROP, {})))
+        (tmp / f"{kind}.json").write_text(json.dumps(_mutated(docs[kind], path, value)))
+        argv = (["train", "--config", str(tmp / "config.json"), "--out", str(tmp / "run")]
+                if kind == "config" else
+                ["sample", "--schedule", str(tmp / "schedule.json"), "--model",
+                 str(tmp / "model.json"), "--steps", "3", "--n", "2", "--out", str(tmp / "x.csv")])
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, redirect_stderr(err), \
+                redirect_stdout(io.StringIO()):
+            warnings.simplefilter("always")
+            code = main(argv)
+    lines = err.getvalue().splitlines() + [str(w.message) for w in caught]
+    assert code in (0, 2), lines
+    assert len(lines) <= 1, lines
+    assert not any("Traceback" in line for line in lines)

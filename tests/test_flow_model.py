@@ -21,6 +21,17 @@ def small_model(seed=0, zero_head=False):
     return m
 
 
+def test_parameters_are_a_read_only_copy():
+    params = small_model(seed=3).params.copy()
+    m = FlowModel(2, 4.0, (8, 8), params)
+    params[0] += 1.0
+    assert m.params[0] == params[0] - 1.0
+    w, b = m.layers()[1]
+    for view, index in ((m.params, 0), (w, (0, 0)), (b, 0)):
+        with pytest.raises(ValueError, match="read-only"):
+            view[index] = 0.0
+
+
 def test_zero_head_gives_zero_flow():
     m = FlowModel.create(2, horizon=4.0, widths=(8, 8), seed=1, zero_head=True)
     rng = np.random.default_rng(2)

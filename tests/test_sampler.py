@@ -1,12 +1,15 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anisodiff import sampler
+from anisodiff import fields, sampler
 from anisodiff import schedule as schedule_mod
 from anisodiff.fields import OracleFlowField, coordinate_view
-from anisodiff.flow_model import FlowModel
+from anisodiff.flow_model import FlowModel, layer_views
 from anisodiff.gmm import GaussianMixture, single_gaussian
 from anisodiff.sampler import (
     SamplerConfig,
@@ -502,6 +505,7 @@ def test_basis_transforms_per_trajectory_do_not_grow_with_steps(monkeypatch, nam
         monkeypatch.setattr(cls, method, counting)
     ms = matrix_schedule_for_family(fam, 10.0)
     field, plain = random_field(kind, ms, np.random.default_rng(1))
+    sample_trajectory(plain, field, SamplerConfig(steps=1), n=2)  # builds a model's kept view
     counts = []
     for steps in (2, 8):
         calls.clear()
@@ -581,7 +585,7 @@ def test_the_latent_view_is_taken_when_smaller_and_finite(name, widths, scale, l
     model = biased_model(d, 10.0, widths, rng)
     if scale != 1.0:
         params = model.params.copy()
-        (w_in, _), *_, (w_head, _) = model.with_params(params).layers()  # views into params
+        (w_in, _), *_, (w_head, _) = layer_views(params, d, widths)
         w_in[:, :d] *= scale
         w_head *= scale
         model = model.with_params(params)
@@ -595,6 +599,73 @@ def test_the_latent_view_is_taken_when_smaller_and_finite(name, widths, scale, l
     else:
         assert coords is fam.coordinates and view.dim == d
         assert np.array_equal(start, fam.forward(x))
+
+
+def counting_builds(monkeypatch):
+    """Record the family of every view model `coordinate_view` builds from here on."""
+    builds = []
+
+    def counting(model, family, _original=fields._rotated):
+        builds.append(family)
+        return _original(model, family)
+
+    monkeypatch.setattr(fields, "_rotated", counting)
+    return builds
+
+
+@pytest.mark.parametrize("name, widths", [
+    ("separable-dct-16", (8, 8)), ("dct-4", (8, 8)), ("separable-dct-16", ()),
+], ids=["latent", "default", "linear"])
+def test_a_model_view_is_built_once_per_model_and_family(monkeypatch, name, widths):
+    fam = COORDINATE_FAMILIES[name]
+    ms = matrix_schedule_for_family(fam, 10.0)
+    rng = np.random.default_rng(6)
+    model = biased_model(fam.ambient_dim, 10.0, widths, rng)
+    params = model.params.copy()
+    x_a, x_b = rng.standard_normal((2, 3, fam.ambient_dim))
+    cfg = SamplerConfig(steps=4)
+    builds = counting_builds(monkeypatch)
+    first = sample_trajectory(ms, model, cfg, x_init=x_a)
+    hit = sample_trajectory(ms, model, cfg, x_init=x_b)
+    assert builds == [fam]
+    cold = sample_trajectory(ms, FlowModel(model.dim, 10.0, widths, params), cfg, x_init=x_b)
+    assert builds == [fam, fam]  # a model with equal parameters is another key
+    assert np.array_equal(hit.final, cold.final)
+    assert np.array_equal(model.params, params)
+    assert_close(first.final, step_loop(ms, model, cfg, x_a)[-1])
+
+
+def test_a_new_model_or_family_never_reads_a_kept_view(monkeypatch):
+    rng = np.random.default_rng(7)
+    families = [LATENT_FAMILIES["separable-dct-16"], LATENT_FAMILIES["pca-256"]]
+    model = biased_model(256, 10.0, (8, 8), rng)
+    retrained = model.with_params(model.params + 0.1 * rng.standard_normal(model.params.size))
+    x = rng.standard_normal((3, 256))
+    cfg = SamplerConfig(steps=3)
+    builds = counting_builds(monkeypatch)
+    for field, fam in [(model, families[0]), (model, families[1]), (retrained, families[0]),
+                       (model, families[0])]:
+        ms = matrix_schedule_for_family(fam, 10.0)
+        assert_close(sample_trajectory(ms, field, cfg, x_init=x).final,
+                     step_loop(ms, field, cfg, x)[-1])
+    assert builds == [families[0], families[1], families[0]]  # the last is a hit
+
+
+@pytest.mark.parametrize("scale", [None, 1e308], ids=["kept", "overflow-fallback"])
+def test_a_dropped_model_releases_its_view(scale):
+    fam = COORDINATE_FAMILIES["separable-dct-16"]
+    ms = matrix_schedule_for_family(fam, 10.0)
+    model = biased_model(fam.ambient_dim, 10.0, (8, 8), np.random.default_rng(8))
+    if scale is not None:  # the fallback composition closes over the model
+        model = model.with_params(scale * np.sign(model.params))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert (fields._rotated(model, fam) is None) == (scale is not None)
+        sample_trajectory(ms, model, SamplerConfig(steps=2), n=2)
+    assert len(fields._MODEL_VIEWS[model]) == (scale is None)
+    ref = weakref.ref(model)
+    del model
+    gc.collect()
+    assert ref() is None
 
 
 def test_scalar_reduction_euler():
