@@ -12,14 +12,8 @@ closed form, `FlowModel` takes them from one stacked `mixed` call.  The
 three direct methods are `at(x, t)` followed by one jet call, so callers
 that need several quantities at the same (x, t), such as the
 schedule-gradient estimator, build one jet and ask it repeatedly.
-A jet's cache goes when the caller drops the jet.  Two things outlive a
-call.  `OracleFlowField` keeps its time slice: the factored noisy
-covariances of the last scalar t, which do not depend on x and are
-reused while t, `gm` and the class's schedule `ms.for_class(class_label)`
-stay the same, so a sampler's two calls at each grid time factor once.
-An array t is never kept.  And a `FlowModel`'s sampling view on a family
-(below) is built once and kept, outside the model, for as long as both
-the model and the family live.
+A jet's cache goes when the caller drops the jet; an oracle factors its
+noisy covariances afresh on every call.
 
 `FlowModel` satisfies this protocol directly; `OracleFlowField` adapts
 the exact mixture oracle.  `OracleScoreField`, the oracle's score, has
@@ -29,9 +23,10 @@ a start x: the coordinates it steps in, the field there, the start and the
 map back to ambient states.  The default view is the family's own
 coordinates; a `FlowModel` with a hidden layer is stepped on its latent
 coordinates instead whenever there are fewer of them than d.  Only the
-start and the map back depend on x: a `FlowModel`'s view model is built
-once per (model, family), which a model's read-only parameters keep
-valid, while an oracle's view is built per call.
+start and the map back depend on x.  The rest is built once per (field,
+family) and kept, outside the field, while both live: a `FlowModel`'s view
+model, which its read-only parameters keep valid, and an oracle's rotated
+mixture with its noisy covariances factored at the last grid's times.
 """
 
 import weakref
@@ -84,28 +79,13 @@ class OracleFlowField:
         self.gm = gm
         self.ms = ms
         self.class_label = class_label
-        self._last = None  # the noisy covariances at the last scalar t
-
-    def _covariances(self, t):
-        """Noisy covariances at t; those of the last scalar t are kept for reuse.
-
-        The kept slice is reused only while t, `gm` and the class's schedule
-        (`ms.for_class(class_label)`, one object per label) all match it, so
-        reassigning an attribute never serves a stale one.  An array t is
-        factored afresh and leaves the slice alone.
-        """
-        ms = self.ms.for_class(self.class_label)
-        if np.ndim(t) != 0:
-            return gmm_mod._NoisyCovariances(self.gm, ms.at(t))
-        last = self._last
-        if last is None or last.ev.t != t or last.gm is not self.gm or last.ev.ms is not ms:
-            last = self._last = gmm_mod._NoisyCovariances(self.gm, ms.at(t))
-        return last
 
     def at(self, x, t):
         cov = self._covariances(t)
-        ev = cov.ev
-        return SpectralJet(gmm_mod._NoisyMixture(cov, x), ev.family, ev.sqrt_g)
+        return SpectralJet(gmm_mod._NoisyMixture(cov, x), cov.ev.family, cov.ev.sqrt_g)
+
+    def _covariances(self, t):
+        return gmm_mod._NoisyCovariances(self.gm, self.ms.for_class(self.class_label).at(t))
 
     def __call__(self, x, t):
         return self.at(x, t).value()
@@ -128,24 +108,39 @@ class OracleScoreField:
         return gmm_mod._noisy(self.gm, x, self.ms, t)
 
 
-def _in_coordinates(field, family):
-    """c, t -> forward(field(inverse(c), t)): an oracle on `family` as the rotated mixture's on
-    `family.coordinates`, or else the composition itself."""
-    if isinstance(field, OracleFlowField) and field.ms.family is family:
-        covs = family.forward(np.swapaxes(family.forward(field.gm.covs), -1, -2))  # Q^T Sigma Q
-        gm = gmm_mod.GaussianMixture(field.gm.weights, family.forward(field.gm.means),
-                                     0.5 * (covs + np.swapaxes(covs, -1, -2)))
-        return OracleFlowField(gm, replace(field.ms, family=family.coordinates), field.class_label)
-    return lambda c, t: family.forward(field(family.inverse(c), t))
+class _OracleView(OracleFlowField):
+    """An oracle on `family` as its rotated mixture's (means mu Q, covariances Q^T Sigma Q) on
+    `family.coordinates`; `built_from` is the (gm, class schedule) it was rotated from.
+
+    `slices` maps each time of the last grid to its noisy covariances, None until first used;
+    any other t, or an array t, is factored afresh and not kept.
+    """
+
+    def __init__(self, gm, ms, family):
+        covs = family.forward(np.swapaxes(family.forward(gm.covs), -1, -2))  # Q^T Sigma Q
+        super().__init__(gmm_mod.GaussianMixture(gm.weights, family.forward(gm.means),
+                                                 0.5 * (covs + np.swapaxes(covs, -1, -2))),
+                         replace(ms, family=family.coordinates))
+        self.built_from = (gm, ms)
+        self.slices = {}
+
+    def _covariances(self, t):
+        if np.ndim(t) != 0 or t not in self.slices:
+            return super()._covariances(t)
+        if self.slices[t] is None:
+            self.slices[t] = super()._covariances(t)
+        return self.slices[t]
 
 
-def coordinate_view(field, family, x):
+def coordinate_view(field, family, x, times=()):
     """The sampler's view of `field` from the start x: (coords_family, field_view, c_start, back).
 
     Steps on `coords_family` with `field_view` from `c_start` give states that `back` maps to
     ambient ones.  The default view is the family's coordinates c = forward(x), with the field
-    c, t -> forward(field(inverse(c), t)) and back = `inverse`; a `FlowModel` there is the
-    model with its input x-columns and head rotated (see `_in_coordinates` for other fields).
+    c, t -> forward(field(inverse(c), t)) and back = `inverse`.  There a `FlowModel` is the model
+    with its input x-columns and head rotated, and an `OracleFlowField` on `family` is the
+    `_OracleView` of its rotated mixture, which keeps its noisy covariances at `times` (the
+    trajectory's distinct times) only.
 
     The latent view: a rotated `FlowModel` with a hidden layer is linear in its last activation,
     f = A a_L + b_L, so every state of a trajectory is c_T + l R, where R stacks the rows
@@ -156,14 +151,17 @@ def coordinate_view(field, family, x):
     (a_L, 1) on each block's h_L + 1 coordinates.  It is taken exactly when m < d and its
     parameters are finite; back(l) = inverse(c_T + l[..., h_1:] R).
 
-    Only c, the start and `back` depend on x.  A `FlowModel`'s view model (and W_x and R) is
-    built once per (model, family) and kept while both live; if the rotated parameters
-    overflow, the composition is used and nothing is kept.
+    Only c, the start and `back` depend on x.  The rest, a `FlowModel`'s view model (and W_x
+    and R) or an oracle's view, is built once per (field, family) and kept while both live; if
+    a model's rotated parameters overflow, the composition is used and nothing is kept.
     """
     c = family.forward(x)
-    view = _model_view(field, family) if isinstance(field, FlowModel) else None
+    view = _view(field, family)
     if view is None:
-        return family.coordinates, _in_coordinates(field, family), c, family.inverse
+        def view(y, t):
+            return family.forward(field(family.inverse(y), t))
+    elif isinstance(view, _OracleView) and list(view.slices) != list(times):
+        view.slices = dict.fromkeys(times)  # a new grid: no slice of the last one is read
     if not isinstance(view, _LatentView):
         return family.coordinates, view, c, family.inverse
     coords, model, w_x, r = view
@@ -182,25 +180,33 @@ class _LatentView(NamedTuple):
     r: np.ndarray  # (J (h_L + 1), d): back(l) = inverse(c + l[..., h_1:] R)
 
 
-# model -> family -> its rotated model or `_LatentView`.  Both levels hold their keys weakly and
-# no value refers to a key, so an entry goes with its model or its family.  A model compares by
-# identity and its parameters are read-only, and families that compare equal (a separable DCT
-# family by its sides) have the same transforms, so an entry cannot go stale.
-_MODEL_VIEWS = weakref.WeakKeyDictionary()
+# field -> family -> a `FlowModel`'s rotated model or `_LatentView`, or an oracle's `_OracleView`.
+# Both levels hold their keys weakly and no view refers to its field, so an entry goes with its
+# field (a model's, which refers to no key, also with its family).  Models compare by identity with
+# read-only parameters, and families that compare equal (a separable DCT family by its sides) have
+# the same transforms, so a model's view cannot go stale; an oracle's is rebuilt when stale.
+_VIEWS = weakref.WeakKeyDictionary()
 
 
-def _model_view(model, family):
-    """`model`'s x-independent view on `family`, memoized; None if the rotation overflows."""
-    views = _MODEL_VIEWS.get(model)
-    if views is None:
-        views = _MODEL_VIEWS[model] = weakref.WeakKeyDictionary()
-    view = views.get(family)
+def _view(field, family):
+    """`field`'s x-independent view on `family`, memoized; None for the composition."""
+    if isinstance(field, OracleFlowField):
+        ms = field.ms.for_class(field.class_label)
+        if ms.family is not family:
+            return None
+        view = _VIEWS.setdefault(field, weakref.WeakKeyDictionary()).get(family)
+        if view is None or view.built_from[0] is not field.gm or view.built_from[1] is not ms:
+            view = _VIEWS[field][family] = _OracleView(field.gm, ms, family)
+        return view
+    if not isinstance(field, FlowModel):
+        return None
+    view = _VIEWS.setdefault(field, weakref.WeakKeyDictionary()).get(family)
     if view is None:
-        rotated = _rotated(model, family)
+        rotated = _rotated(field, family)
         if rotated is None:
             return None
         latent = _latent_view(rotated, family) if rotated.widths else None
-        view = views[family] = latent or rotated
+        view = _VIEWS[field][family] = latent or rotated
     return view
 
 

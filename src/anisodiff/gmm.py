@@ -36,9 +36,8 @@ class GaussianMixture:
     covs: Array  # (K, d, d)
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        mu = np.asarray(self.means, dtype=float)
-        cov = np.asarray(self.covs, dtype=float)
+        # read-only copies, so nothing keyed by the mixture (the sampler's views) can go stale
+        w, mu, cov = (np.array(a, dtype=float) for a in (self.weights, self.means, self.covs))
         if mu.ndim != 2:
             raise ValueError("means must have shape (K, d)")
         k, d = mu.shape
@@ -53,9 +52,9 @@ class GaussianMixture:
         evals = np.linalg.eigvalsh(cov)  # (K, d), ascending
         if np.any(evals[:, 0] < -PSD_TOL * max(1.0, np.max(np.abs(evals)))):
             raise ValueError("covariances must be positive semidefinite")
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "means", mu)
-        object.__setattr__(self, "covs", cov)
+        for name, a in (("weights", w), ("means", mu), ("covs", cov)):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
     @property
     def n_components(self) -> int:

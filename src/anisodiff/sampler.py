@@ -22,9 +22,10 @@ secondary); it picks each step's secondary time and rows and calls
 `heun_step` once per step.  It steps in the coordinate view that
 `fields.coordinate_view` gives for the start, where each update is a
 per-coordinate scaling, and maps `final` back once.  Only the start and
-the map back are formed per trajectory: a `FlowModel`'s view model is
-built on its first trajectory on a family and reused by later ones.  The
-default view is the family's coordinates c = forward(x).  A `FlowModel`
+the map back are formed per trajectory: a `FlowModel`'s view model, or an
+oracle's rotated mixture with its noisy covariances factored at the
+grid's times, is built on its first trajectory on a family (and grid)
+and reused by later ones.  The default view is the family's coordinates c = forward(x).  A `FlowModel`
 with a hidden layer is linear in its last activation a_L, so every state
 is c_T + sum_j P_j [A b_L] l_j for latent vectors l_j of size h_L + 1;
 when m = h_1 + J (h_L + 1) < d it is stepped on those m coordinates
@@ -136,11 +137,12 @@ def sample_trajectory(ms: MatrixSchedule, flow_field, cfg: SamplerConfig,
     else:
         x = np.asarray(x_init, dtype=float)
     start = time.perf_counter()
-    coords, view, c, back = coordinate_view(flow_field, ms.family, x)
     heun = cfg.solver == "heun"
     midpoint = heun and cfg.secondary == "midpoint"
     t_hats = 0.5 * (grid[:-1] + grid[1:]) if midpoint else grid[:-1]
-    table = ms.at(np.concatenate((grid, t_hats)) if midpoint else grid).sqrt_g
+    times = np.concatenate((grid, t_hats)) if midpoint else grid
+    coords, view, c, back = coordinate_view(flow_field, ms.family, x, times)
+    table = ms.at(times).sqrt_g
     u = table[:grid.size]
     u_hats = table[grid.size:] if midpoint else u[:-1]
     states = [x]

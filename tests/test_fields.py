@@ -1,17 +1,20 @@
-"""`OracleFlowField` keeps the noisy covariances of the last scalar t, bit for bit."""
+"""An oracle's sampling view is kept per (oracle, family) with its grid-time slices, bit for bit."""
 
+import gc
 import sys
+import weakref
 
 import numpy as np
 import pytest
 
+from anisodiff import fields
 from anisodiff import gmm as gmm_mod
 from anisodiff import schedule as schedule_mod
-from anisodiff.fields import OracleFlowField
+from anisodiff.fields import OracleFlowField, coordinate_view
 from anisodiff.gmm import GaussianMixture
-from anisodiff.sampler import SamplerConfig, sample_trajectory
+from anisodiff.sampler import SamplerConfig, init_state, sample_trajectory, time_grid
 from anisodiff.schedule import matrix_schedule_for_family
-from anisodiff.subspaces import build_dct_projectors
+from anisodiff.subspaces import build_dct_projectors, build_pca_projectors
 
 
 def random_setup(seed, d_side=2, k=3):
@@ -64,6 +67,13 @@ def assert_heun_32_factors_once_per_distinct_time(monkeypatch, ms, field):
     assert res.nfe == 63
     assert len(factors) == 33
     assert len(evals) == 35  # init_state, the sqrt(g) table, one per distinct time
+    # a second trajectory on the same oracle and family reads the kept slices
+    factors.clear()
+    evals.clear()
+    again = sample_trajectory(ms, field, SamplerConfig(steps=32), n=8, rng=1)
+    assert again.nfe == 63
+    assert len(factors) == 0
+    assert len(evals) == 2  # init_state and the sqrt(g) table
 
 
 def test_heun_32_trajectory_factors_once_per_distinct_time(monkeypatch):
@@ -80,17 +90,29 @@ def test_heun_32_conditional_trajectory_factors_once_per_distinct_time(monkeypat
     assert_heun_32_factors_once_per_distinct_time(monkeypatch, ms.for_class("b"), field)
 
 
+def oracle_view(field, x, times):
+    """The kept view of an oracle on its own family, and the start in its coordinates."""
+    family = field.ms.family
+    _, view, c, _ = coordinate_view(field, family, x, times)
+    return view, c
+
+
 def test_memoized_jet_equals_a_fresh_field():
     rng, gm, ms = random_setup(2)
     field = OracleFlowField(gm, ms)
     t = 3.7
-    field.at(rng.standard_normal((5, 4)), t)
+    view, _ = oracle_view(field, rng.standard_normal((5, 4)), [1.0, t])
+    view.at(rng.standard_normal((5, 4)), t)
+    kept = view.slices[t]
     x = rng.standard_normal((5, 4))
-    kept = field._last
-    got = field.at(x, t)
-    assert field._last is kept  # the slice was reused
-    assert_same_jet(got, OracleFlowField(gm, ms).at(x, t), ms.family)
-    assert np.array_equal(field(x, np.float64(t)), OracleFlowField(gm, ms)(x, t))
+    view, c = oracle_view(field, x, [1.0, t])
+    got = view.at(c, t)
+    assert view.slices[t] is kept  # the slice was reused
+    fresh, _ = oracle_view(OracleFlowField(gm, ms), x, [1.0, t])
+    coords = ms.family.coordinates
+    assert_same_jet(got, fresh.at(c, t), coords)
+    assert_same_jet(got, OracleFlowField(view.gm, view.ms).at(c, t), coords)  # no slice at all
+    assert np.array_equal(view(c, np.float64(t)), fresh(c, t))
 
 
 def test_array_t_after_scalar_t_equals_a_fresh_field():
@@ -98,15 +120,17 @@ def test_array_t_after_scalar_t_equals_a_fresh_field():
     field = OracleFlowField(gm, ms)
     t = 2.5
     x = rng.standard_normal((6, 4))
-    field.at(x, t)
-    kept = field._last
+    view, c = oracle_view(field, x, [t])
+    view.at(c, t)
+    kept = view.slices[t]
     t_arr = np.full(6, t)
-    assert_same_jet(field.at(x, t_arr), OracleFlowField(gm, ms).at(x, t_arr), ms.family)
-    assert field._last is kept  # an array t neither uses nor replaces the slice
+    fresh, _ = oracle_view(OracleFlowField(gm, ms), x, [t])
+    assert_same_jet(view.at(c, t_arr), fresh.at(c, t_arr), ms.family.coordinates)
+    assert view.slices == {t: kept}  # an array t neither uses nor replaces the slice
 
 
 @pytest.mark.parametrize("attr", ["ms", "gm", "class_label"])
-def test_reassigned_attribute_drops_the_slice(attr):
+def test_reassigned_attribute_drops_the_slice(monkeypatch, attr):
     rng, gm, ms = random_setup(4)
     table = {"a": ms.per_subspace, "b": ms.with_theta_vector(
         rng.standard_normal(ms.n_params)).per_subspace}
@@ -114,7 +138,12 @@ def test_reassigned_attribute_drops_the_slice(attr):
     field = OracleFlowField(gm, ms, "a")
     t = 5.0
     x = rng.standard_normal((3, 4))
-    before = field(x, t)
+    view, c = oracle_view(field, x, [t])
+    before = view(c, t)
+    cfg = SamplerConfig(steps=4)
+    plain = ms.for_class("a")
+    x_init = init_state(plain, 0, n=3)
+    sample_trajectory(plain, field, cfg, x_init=x_init)
     new = {
         "ms": ms.with_theta_vector(rng.standard_normal(ms.n_params), "a"),
         "gm": GaussianMixture(gm.weights, gm.means + 1.0, gm.covs),
@@ -122,5 +151,68 @@ def test_reassigned_attribute_drops_the_slice(attr):
     }[attr]
     setattr(field, attr, new)
     fresh = OracleFlowField(field.gm, field.ms, field.class_label)
-    assert_same_jet(field.at(x, t), fresh.at(x, t), ms.family)
-    assert not np.array_equal(field(x, t), before)
+    view, _ = oracle_view(field, x, [t])
+    assert_same_jet(view.at(c, t), oracle_view(fresh, x, [t])[0].at(c, t), ms.family.coordinates)
+    assert not np.array_equal(view(c, t), before)
+    # a trajectory after the reassignment factors every time afresh and matches a cold build
+    plain = field.ms.for_class(field.class_label)
+    factors = count_calls(monkeypatch, gmm_mod, "_factor")
+    got = sample_trajectory(plain, field, cfg, x_init=x_init).final
+    assert len(factors) == 5
+    assert np.array_equal(got, sample_trajectory(plain, fresh, cfg, x_init=x_init).final)
+
+
+@pytest.mark.parametrize("rule", [("euler", "endpoint"), ("heun", "endpoint"),
+                                  ("heun", "midpoint")])
+def test_a_new_grid_never_reads_a_kept_slice(monkeypatch, rule):
+    # as verify's convergence_slope does: one oracle sampled on several step counts in turn
+    _, gm, ms = random_setup(5)
+    field = OracleFlowField(gm, ms)
+    x_init = init_state(ms, 1, n=4)
+    factors = count_calls(monkeypatch, gmm_mod, "_factor")
+    for steps in (32, 16, 8, 16):
+        cfg = SamplerConfig(steps=steps, solver=rule[0], secondary=rule[1])
+        factors.clear()
+        got = sample_trajectory(ms, field, cfg, x_init=x_init).final
+        distinct = steps + 1 + (steps if rule[1] == "midpoint" else 0)
+        evaluated = distinct - (rule != ("heun", "endpoint"))  # only that rule evaluates t_0
+        assert len(factors) == evaluated  # 16 steps after 32 shares every grid-16 time
+        view = fields._VIEWS[field][ms.family]
+        assert len(view.slices) == distinct
+        assert set(view.slices) >= set(time_grid(ms, cfg).tolist())
+        assert np.array_equal(got, sample_trajectory(ms, OracleFlowField(gm, ms), cfg,
+                                                     x_init=x_init).final)
+
+
+def test_a_dropped_oracle_releases_its_view():
+    _, gm, ms = random_setup(6)
+    field = OracleFlowField(gm, ms)
+    sample_trajectory(ms, field, SamplerConfig(steps=2), n=2)
+    view = fields._VIEWS[field][ms.family]
+    assert view.built_from == (gm, ms) and len(view.slices) == 3
+    refs = weakref.ref(field), weakref.ref(view)
+    del field, view
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
+
+
+@pytest.mark.parametrize("family", [
+    build_dct_projectors(4), build_dct_projectors(16),
+    build_pca_projectors(np.random.default_rng(0).standard_normal((40, 6)), 2),
+], ids=["dct-4", "separable-dct-16", "pca-6"])
+def test_the_rotated_mixture_is_mu_q_and_q_t_sigma_q(family):
+    # the view steps this mixture; its only departure from the ambient one is the rotation's
+    # rounding, about sqrt(d) ulps of the largest entry
+    d = family.ambient_dim
+    rng = np.random.default_rng(d)
+    a = rng.standard_normal((3, d, d))
+    gm = GaussianMixture(np.full(3, 1 / 3), rng.standard_normal((3, d)),
+                         a @ np.swapaxes(a, 1, 2) / d + 0.1 * np.eye(d))
+    field = OracleFlowField(gm, matrix_schedule_for_family(family, 20.0))
+    view, _ = oracle_view(field, np.zeros(d), ())
+    q = family.basis
+    bound = np.sqrt(d) * np.finfo(float).eps
+    for got, want in [(view.gm.means, gm.means @ q), (view.gm.covs, q.T @ gm.covs @ q)]:
+        assert np.max(np.abs(got - want)) <= bound * np.max(np.abs(want))
+    assert np.array_equal(view.gm.weights, gm.weights)
+    assert view.ms.family is family.coordinates

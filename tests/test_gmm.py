@@ -55,6 +55,16 @@ def test_mixture_validation():
         )
 
 
+def test_mixture_keeps_read_only_copies():
+    weights, means, covs = np.array([0.4, 0.6]), np.zeros((2, 2)), np.stack([np.eye(2)] * 2)
+    gm = GaussianMixture(weights, means, covs)
+    for given, kept in ((weights, gm.weights), (means, gm.means), (covs, gm.covs)):
+        given[0] = 0.5  # the caller's arrays stay writable and are not the kept ones
+        assert kept[0].flat[0] != 0.5
+        with pytest.raises(ValueError, match="read-only"):
+            kept[0] = 0.0
+
+
 def test_mixture_rejects_indefinite_covariance():
     # two negative eigenvalues give a positive determinant
     with pytest.raises(ValueError, match="positive semidefinite"):
