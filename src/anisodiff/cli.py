@@ -9,6 +9,7 @@ line.
 import argparse
 import dataclasses
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -46,6 +47,7 @@ from .subspaces import (
     build_dct_basis,
     build_pca_projectors,
     classical_mds,
+    dct_mode_order,
     isotropic_family,
     mds_stress,
     projector_distance,
@@ -418,13 +420,31 @@ def cmd_analyze_schedule(args) -> int:
     return 0
 
 
+def _named_subspace(path) -> np.ndarray:
+    """The (d, k) basis columns of the subspace a `basis` export names (its rows are the basis
+    vectors): the first K rows under `# pca d=D k=K`, the modes (p, q) with p, q < L under
+    `# dct H=...` and `# low_side=L`, and every row of a file with neither header."""
+    header, _, rows = read_csv(path)
+    vectors = np.array([[float(c) for c in row] for row in rows])
+    text = "\n".join(header)
+    pca = re.search(r"^# pca .*\bk=(\d+)", text, re.M)
+    dct, low = re.search(r"^# dct H=(\d+)", text, re.M), re.search(r"^# low_side=(\d+)", text, re.M)
+    if pca:
+        block = vectors[:int(pca[1])]
+    elif dct and low:
+        modes = np.array(dct_mode_order(int(dct[1])))
+        if len(modes) != len(vectors):
+            raise ValueError(f"{path}: {len(vectors)} rows for a side-{dct[1]} DCT basis")
+        block = vectors[np.all(modes < int(low[1]), axis=1)]
+    else:
+        block = vectors
+    return block.T
+
+
 def cmd_analyze_subspaces(args) -> int:
     if len(args.files) < 2:
         raise ValueError("need at least two projector files")
-    bases = []
-    for path in args.files:
-        arr = load_points_csv(path)
-        bases.append(arr.T)  # rows in the file are basis vectors
+    bases = [_named_subspace(path) for path in args.files]
     shape = bases[0].shape
     for path, b in zip(args.files, bases):
         if b.shape != shape:
@@ -533,7 +553,9 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--out", required=True)
     ps.add_argument("--points", type=int, default=256)
     ps.set_defaults(handler=cmd_analyze_schedule)
-    pu = analyze_sub.add_parser("subspaces", help="projector distances and MDS")
+    pu = analyze_sub.add_parser(
+        "subspaces", help="distances and MDS of the subspaces that basis exports name "
+        "(the first k PCA vectors, the low DCT block; a file with neither header whole)")
     pu.add_argument("files", nargs="+")
     pu.add_argument("--out", required=True)
     pu.set_defaults(handler=cmd_analyze_subspaces)

@@ -25,12 +25,13 @@ coordinates; a `FlowModel` with a hidden layer is stepped on its latent
 coordinates instead whenever there are fewer of them than d.  Only the
 start and the map back depend on x.  The rest is built once per (field,
 family) and kept, outside the field, while both live: a `FlowModel`'s view
-model, which its read-only parameters keep valid, and an oracle's rotated
-mixture with its noisy covariances factored at the last grid's times.
+model or an oracle's rotated mixture with its noisy covariances factored
+at the last grid's times.  Fields, mixtures, schedules and families are
+frozen, so a kept view cannot go stale.
 """
 
 import weakref
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -68,24 +69,28 @@ class SpectralJet:
         return apply_spectral(self.family, self.values, self.inner.block_traces(family))
 
 
+@dataclass(frozen=True, eq=False)
 class OracleFlowField:
     """Exact flow field M_t^{1/2} grad log p_t for a Gaussian mixture.
 
     The spectral square root is constant in x, so directional derivatives
-    are M^{1/2} times the corresponding score derivatives.
+    are M^{1/2} times the corresponding score derivatives.  `slices` keeps a
+    sampling view's noisy covariances at its grid's times (`coordinate_view`).
     """
 
-    def __init__(self, gm, ms: MatrixSchedule, class_label=None):
-        self.gm = gm
-        self.ms = ms
-        self.class_label = class_label
+    gm: gmm_mod.GaussianMixture
+    ms: MatrixSchedule
+    class_label: object = None
+    slices: dict = field(default_factory=dict, init=False, repr=False)
 
     def at(self, x, t):
-        cov = self._covariances(t)
+        key = float(t) if np.ndim(t) == 0 else None  # an array t is never kept
+        cov = self.slices.get(key)
+        if cov is None:
+            cov = gmm_mod._NoisyCovariances(self.gm, self.ms.for_class(self.class_label).at(t))
+            if key in self.slices:
+                self.slices[key] = cov
         return SpectralJet(gmm_mod._NoisyMixture(cov, x), cov.ev.family, cov.ev.sqrt_g)
-
-    def _covariances(self, t):
-        return gmm_mod._NoisyCovariances(self.gm, self.ms.for_class(self.class_label).at(t))
 
     def __call__(self, x, t):
         return self.at(x, t).value()
@@ -97,39 +102,15 @@ class OracleFlowField:
         return self.at(x, t).mixed(u, v)
 
 
+@dataclass(frozen=True, eq=False)
 class OracleScoreField:
     """Exact score field grad log p_t, read through its jet `at(x, t)` only."""
 
-    def __init__(self, gm, ms: MatrixSchedule):
-        self.gm = gm
-        self.ms = ms
+    gm: gmm_mod.GaussianMixture
+    ms: MatrixSchedule
 
     def at(self, x, t):
         return gmm_mod._noisy(self.gm, x, self.ms, t)
-
-
-class _OracleView(OracleFlowField):
-    """An oracle on `family` as its rotated mixture's (means mu Q, covariances Q^T Sigma Q) on
-    `family.coordinates`; `built_from` is the (gm, class schedule) it was rotated from.
-
-    `slices` maps each time of the last grid to its noisy covariances, None until first used;
-    any other t, or an array t, is factored afresh and not kept.
-    """
-
-    def __init__(self, gm, ms, family):
-        covs = family.forward(np.swapaxes(family.forward(gm.covs), -1, -2))  # Q^T Sigma Q
-        super().__init__(gmm_mod.GaussianMixture(gm.weights, family.forward(gm.means),
-                                                 0.5 * (covs + np.swapaxes(covs, -1, -2))),
-                         replace(ms, family=family.coordinates))
-        self.built_from = (gm, ms)
-        self.slices = {}
-
-    def _covariances(self, t):
-        if np.ndim(t) != 0 or t not in self.slices:
-            return super()._covariances(t)
-        if self.slices[t] is None:
-            self.slices[t] = super()._covariances(t)
-        return self.slices[t]
 
 
 def coordinate_view(field, family, x, times=()):
@@ -138,9 +119,9 @@ def coordinate_view(field, family, x, times=()):
     Steps on `coords_family` with `field_view` from `c_start` give states that `back` maps to
     ambient ones.  The default view is the family's coordinates c = forward(x), with the field
     c, t -> forward(field(inverse(c), t)) and back = `inverse`.  There a `FlowModel` is the model
-    with its input x-columns and head rotated, and an `OracleFlowField` on `family` is the
-    `_OracleView` of its rotated mixture, which keeps its noisy covariances at `times` (the
-    trajectory's distinct times) only.
+    with its input x-columns and head rotated, and an `OracleFlowField` on `family` is the oracle
+    of its rotated mixture on `family.coordinates`, whose `slices` keep its noisy covariances at
+    `times` (the trajectory's distinct times), each factored on its first use, and no other t.
 
     The latent view: a rotated `FlowModel` with a hidden layer is linear in its last activation,
     f = A a_L + b_L, so every state of a trajectory is c_T + l R, where R stacks the rows
@@ -160,8 +141,9 @@ def coordinate_view(field, family, x, times=()):
     if view is None:
         def view(y, t):
             return family.forward(field(family.inverse(y), t))
-    elif isinstance(view, _OracleView) and list(view.slices) != list(times):
-        view.slices = dict.fromkeys(times)  # a new grid: no slice of the last one is read
+    elif isinstance(view, OracleFlowField) and list(view.slices) != list(times):
+        view.slices.clear()  # a new grid: no slice of the last one is read
+        view.slices.update(dict.fromkeys(times))
     if not isinstance(view, _LatentView):
         return family.coordinates, view, c, family.inverse
     coords, model, w_x, r = view
@@ -180,45 +162,51 @@ class _LatentView(NamedTuple):
     r: np.ndarray  # (J (h_L + 1), d): back(l) = inverse(c + l[..., h_1:] R)
 
 
-# field -> family -> a `FlowModel`'s rotated model or `_LatentView`, or an oracle's `_OracleView`.
-# Both levels hold their keys weakly and no view refers to its field, so an entry goes with its
-# field (a model's, which refers to no key, also with its family).  Models compare by identity with
-# read-only parameters, and families that compare equal (a separable DCT family by its sides) have
-# the same transforms, so a model's view cannot go stale; an oracle's is rebuilt when stale.
+# field -> family -> a `FlowModel`'s rotated model or `_LatentView`, or an oracle's view.  Both
+# levels hold their keys weakly and no view refers to its field, so an entry goes with its field (a
+# model's, which refers to no key, also with its family).  Equal families share transforms.
 _VIEWS = weakref.WeakKeyDictionary()
 
 
 def _view(field, family):
-    """`field`'s x-independent view on `family`, memoized; None for the composition."""
-    if isinstance(field, OracleFlowField):
-        ms = field.ms.for_class(field.class_label)
-        if ms.family is not family:
-            return None
-        view = _VIEWS.setdefault(field, weakref.WeakKeyDictionary()).get(family)
-        if view is None or view.built_from[0] is not field.gm or view.built_from[1] is not ms:
-            view = _VIEWS[field][family] = _OracleView(field.gm, ms, family)
-        return view
-    if not isinstance(field, FlowModel):
+    """`field`'s x-independent view on `family`, built on a miss and kept; None: composition."""
+    if isinstance(field, OracleFlowField) and field.ms.family is family:
+        build = _oracle_view
+    elif isinstance(field, FlowModel):
+        build = _rotated
+    else:
         return None
-    view = _VIEWS.setdefault(field, weakref.WeakKeyDictionary()).get(family)
+    views = _VIEWS.setdefault(field, weakref.WeakKeyDictionary())
+    view = views.get(family)
     if view is None:
-        rotated = _rotated(field, family)
-        if rotated is None:
-            return None
-        latent = _latent_view(rotated, family) if rotated.widths else None
-        view = _VIEWS[field][family] = latent or rotated
+        view = build(field, family)
+        if view is not None:
+            views[family] = view
     return view
 
 
+def _oracle_view(field, family):
+    """An oracle of `field`'s mixture rotated to `family.coordinates`: mu Q and Q^T Sigma Q."""
+    gm, ms = field.gm, field.ms.for_class(field.class_label)
+    covs = family.forward(np.swapaxes(family.forward(gm.covs), -1, -2))  # Q^T Sigma Q
+    return OracleFlowField(gmm_mod.GaussianMixture(gm.weights, family.forward(gm.means),
+                                                   0.5 * (covs + np.swapaxes(covs, -1, -2))),
+                           replace(ms, family=family.coordinates))
+
+
 def _rotated(model, family):
-    """`model` with its input x-columns and head rotated, so that it computes
-    c, t -> forward(model(inverse(c), t)); None if the rotated parameters overflow."""
+    """`model`'s view on `family`: its `_LatentView` if it has one, else the model with its input
+    x-columns and head rotated, so that it computes c, t -> forward(model(inverse(c), t)); None
+    if the rotated parameters overflow."""
     params = model.params.copy()
     layers = layer_views(params, model.dim, model.widths)
     w_in, (w_head, b_head) = layers[0][0], layers[-1]  # one array for a linear model
     w_in[:, :model.dim] = family.forward(w_in[:, :model.dim])
     w_head[:], b_head[:] = family.forward(w_head.T).T, family.forward(b_head)
-    return model.with_params(params) if np.all(np.isfinite(params)) else None
+    if not np.all(np.isfinite(params)):
+        return None
+    rotated = model.with_params(params)
+    return (_latent_view(rotated, family) if model.widths else None) or rotated
 
 
 def _latent_view(model, family):

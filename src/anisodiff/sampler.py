@@ -25,7 +25,8 @@ per-coordinate scaling, and maps `final` back once.  Only the start and
 the map back are formed per trajectory: a `FlowModel`'s view model, or an
 oracle's rotated mixture with its noisy covariances factored at the
 grid's times, is built on its first trajectory on a family (and grid)
-and reused by later ones.  The default view is the family's coordinates c = forward(x).  A `FlowModel`
+and reused by later ones; fields and families are frozen, so it is never
+rebuilt.  The default view is the family's coordinates c = forward(x).  A `FlowModel`
 with a hidden layer is linear in its last activation a_L, so every state
 is c_T + sum_j P_j [A b_L] l_j for latent vectors l_j of size h_L + 1;
 when m = h_1 + J (h_L + 1) < d it is stepped on those m coordinates

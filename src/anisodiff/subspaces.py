@@ -24,6 +24,13 @@ GRAM_TOL = 1e-10
 TIE_TOL = 1e-9
 
 
+def _read_only(a) -> Array:
+    """A read-only C-ordered copy: nothing keyed by a family (a sampling view) can go stale."""
+    a = np.array(a, order="C")
+    a.flags.writeable = False
+    return a
+
+
 def _as_basis(obj) -> Array:
     """A raw (d, k) array of basis columns, as float."""
     basis = np.asarray(obj, dtype=float)
@@ -81,6 +88,9 @@ class CoordinateFamily(_BlockFamily):
     labels: Array  # (d,), block index j of each coordinate
     basis = property(lambda self: np.eye(self.ambient_dim))
 
+    def __post_init__(self):
+        object.__setattr__(self, "labels", _read_only(self.labels))
+
     def forward(self, x: Array) -> Array:
         return x
 
@@ -101,8 +111,7 @@ class ProjectorFamily(_BlockFamily):
     meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
-        basis = np.ascontiguousarray(_as_basis(self.basis))
-        labels = np.asarray(self.labels)
+        basis, labels = _read_only(_as_basis(self.basis)), _read_only(self.labels)
         d = basis.shape[0]
         if basis.shape[1] != d:
             raise ValueError(f"subspace dimensions sum to {basis.shape[1]}, expected {d}")
@@ -189,25 +198,17 @@ def build_dct_basis(side: int) -> Array:
 
         gamma_p * gamma_q * cos((2x+1) p pi / (2H)) * cos((2y+1) q pi / (2H))
 
-    with gamma_0 = H^{-1/2} and gamma_p = sqrt(2) H^{-1/2} for p > 0.
+    with gamma_0 = H^{-1/2} and gamma_p = sqrt(2) H^{-1/2} for p > 0,
+    formed as (gamma_p gamma_q) (cos[p, x] cos[q, y]), bit-identical to a
+    per-mode loop.  The result is the transpose of a C-ordered array whose
+    columns are the images.
     """
     if side < 1:
         raise ValueError("side length must be >= 1")
-    return _dct_images(side, np.array(dct_mode_order(side))).T
-
-
-def _dct_images(side: int, modes: Array) -> Array:
-    """The vectorized basis images of the (p, q) rows of `modes`, as columns.
-
-    Each entry is (gamma_p gamma_q) (cos[p, x] cos[q, y]): the two products
-    of gamma_p * gamma_q * np.outer(cos[p], cos[q]), in the same order, so
-    the images are bit-identical to a per-mode loop.  The result is a
-    C-ordered (side^2, len(modes)) array.
-    """
     cos_table, gamma = _dct_factors(side)
-    p, q = modes[:, 0], modes[:, 1]
+    p, q = np.array(dct_mode_order(side)).T
     images = cos_table[p].T[:, None, :] * cos_table[q].T[None, :, :]
-    return (gamma[p] * gamma[q]) * images.reshape(side * side, len(modes))
+    return ((gamma[p] * gamma[q]) * images.reshape(side * side, side * side)).T
 
 
 SEPARABLE_DCT_MIN_SIDE = 16
@@ -237,18 +238,18 @@ class SeparableDCTFamily(_BlockFamily):
     def dct_matrix(self) -> Array:
         """D[p, x] = gamma_p cos((2x+1) p pi / (2H)), shape (side, side)."""
         cos_table, gamma = _dct_factors(self.side)
-        return gamma[:, None] * cos_table
+        return _read_only(gamma[:, None] * cos_table)
 
     @cached_property
     def _dct_matrix_t(self) -> Array:
         # a C-ordered copy: batched matmul with it is faster than with the view .T
-        return np.ascontiguousarray(self.dct_matrix.T)
+        return _read_only(self.dct_matrix.T)
 
     @cached_property
     def labels(self) -> Array:
         """Block index of each coordinate, shape (side^2,)."""
         high = np.arange(self.side) >= self.low_side
-        return (high[:, None] | high[None, :]).astype(int).reshape(-1)
+        return _read_only((high[:, None] | high[None, :]).astype(int).reshape(-1))
 
     @property
     def basis(self) -> Array:
@@ -300,7 +301,7 @@ def build_dct_projectors(side: int,
     modes = np.array(dct_mode_order(side))
     is_high = np.any(modes >= low_side, axis=1)
     order = np.argsort(is_high, kind="stable")  # low block first, zigzag order within
-    return ProjectorFamily(_dct_images(side, modes[order]), is_high[order].astype(int), meta)
+    return ProjectorFamily(build_dct_basis(side).T[:, order], is_high[order].astype(int), meta)
 
 
 # ---------------------------------------------------------------------------

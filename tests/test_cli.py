@@ -39,6 +39,7 @@ from anisodiff.subspaces import (
     axis_family,
     build_dct_projectors,
     build_pca_projectors,
+    projector_distance,
 )
 from anisodiff.sampler import SamplerConfig
 from anisodiff.training import TrainConfig
@@ -890,6 +891,29 @@ def test_analyze_subspaces(tmp_path):
     _, emb_cols, emb_rows = read_csv(out / "mds_embedding.csv")
     assert emb_cols == ["name", "x", "y"]
     assert len(emb_rows) == 3
+
+
+def test_analyze_subspaces_compares_the_subspaces_the_exports_name(tmp_path):
+    # every export holds its full d x d basis; the headers name the k-dim subspace
+    rng = np.random.default_rng(10)
+    files = []
+    for name in ("a", "b"):
+        data = tmp_path / f"{name}-data.csv"
+        pts = rng.standard_normal((200, 16)) * rng.uniform(0.2, 3.0, 16)
+        write_csv(data, [f"x{i}" for i in range(16)], pts)
+        files.append(str(tmp_path / f"{name}.csv"))
+        assert main(["basis", "pca", "--data", str(data), "--k", "4", "--out", files[-1]]) == 0
+    files.append(str(tmp_path / "c.csv"))
+    assert main(["basis", "dct", "--size", "4", "--low-side", "2", "--out", files[-1]]) == 0
+    out = tmp_path / "analysis"
+    assert main(["analyze", "subspaces", *files, "--out", str(out)]) == 0
+    _, _, rows = read_csv(out / "distance_matrix.csv")
+    dist = np.array([[float(c) for c in r[1:]] for r in rows])
+    a, b = (load_points_csv(f)[:4].T for f in files[:2])
+    low = build_dct_projectors(4, 2).basis[:, :4]  # the low block, in the export's mode order
+    assert dist[0, 1] == projector_distance(a, b) > 0.1
+    assert dist[0, 2] == projector_distance(a, low)
+    assert dist[1, 2] == projector_distance(b, low)
 
 
 def test_identical_subspaces_give_zero_distance(tmp_path):

@@ -1,5 +1,6 @@
 """An oracle's sampling view is kept per (oracle, family) with its grid-time slices, bit for bit."""
 
+import dataclasses
 import gc
 import sys
 import weakref
@@ -10,7 +11,7 @@ import pytest
 from anisodiff import fields
 from anisodiff import gmm as gmm_mod
 from anisodiff import schedule as schedule_mod
-from anisodiff.fields import OracleFlowField, coordinate_view
+from anisodiff.fields import OracleFlowField, OracleScoreField, coordinate_view
 from anisodiff.gmm import GaussianMixture
 from anisodiff.sampler import SamplerConfig, init_state, sample_trajectory, time_grid
 from anisodiff.schedule import matrix_schedule_for_family
@@ -113,6 +114,7 @@ def test_memoized_jet_equals_a_fresh_field():
     assert_same_jet(got, fresh.at(c, t), coords)
     assert_same_jet(got, OracleFlowField(view.gm, view.ms).at(c, t), coords)  # no slice at all
     assert np.array_equal(view(c, np.float64(t)), fresh(c, t))
+    assert np.array_equal(view(c, np.array(t)), fresh(c, t))  # a 0-d array t reads the slice too
 
 
 def test_array_t_after_scalar_t_equals_a_fresh_field():
@@ -129,37 +131,42 @@ def test_array_t_after_scalar_t_equals_a_fresh_field():
     assert view.slices == {t: kept}  # an array t neither uses nor replaces the slice
 
 
+@pytest.mark.parametrize("cls, attr", [(OracleFlowField, "gm"), (OracleFlowField, "ms"),
+                                        (OracleFlowField, "class_label"),
+                                        (OracleFlowField, "slices"), (OracleScoreField, "gm"),
+                                        (OracleScoreField, "ms")])
+def test_oracle_fields_are_frozen(cls, attr):
+    _, gm, ms = random_setup(4)
+    field = cls(gm, ms)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(field, attr, getattr(field, attr))
+
+
 @pytest.mark.parametrize("attr", ["ms", "gm", "class_label"])
-def test_reassigned_attribute_drops_the_slice(monkeypatch, attr):
+def test_a_new_field_never_reads_a_kept_view(monkeypatch, attr):
     rng, gm, ms = random_setup(4)
     table = {"a": ms.per_subspace, "b": ms.with_theta_vector(
         rng.standard_normal(ms.n_params)).per_subspace}
     ms = schedule_mod.MatrixSchedule(ms.family, ms.per_subspace, class_table=table)
-    field = OracleFlowField(gm, ms, "a")
-    t = 5.0
-    x = rng.standard_normal((3, 4))
-    view, c = oracle_view(field, x, [t])
-    before = view(c, t)
+    changed = {"ms": ms.with_theta_vector(rng.standard_normal(ms.n_params), "a"),
+               "gm": GaussianMixture(gm.weights, gm.means + 1.0, gm.covs),
+               "class_label": "b"}[attr]
+    args = {"gm": gm, "ms": ms, "class_label": "a", attr: changed}
     cfg = SamplerConfig(steps=4)
-    plain = ms.for_class("a")
+    plain = args["ms"].for_class(args["class_label"])
     x_init = init_state(plain, 0, n=3)
-    sample_trajectory(plain, field, cfg, x_init=x_init)
-    new = {
-        "ms": ms.with_theta_vector(rng.standard_normal(ms.n_params), "a"),
-        "gm": GaussianMixture(gm.weights, gm.means + 1.0, gm.covs),
-        "class_label": "b",
-    }[attr]
-    setattr(field, attr, new)
-    fresh = OracleFlowField(field.gm, field.ms, field.class_label)
-    view, _ = oracle_view(field, x, [t])
-    assert_same_jet(view.at(c, t), oracle_view(fresh, x, [t])[0].at(c, t), ms.family.coordinates)
-    assert not np.array_equal(view(c, t), before)
-    # a trajectory after the reassignment factors every time afresh and matches a cold build
-    plain = field.ms.for_class(field.class_label)
+    cold = sample_trajectory(plain, OracleFlowField(**args), cfg, x_init=x_init).final
+    first = OracleFlowField(gm, ms, "a")
+    sample_trajectory(ms.for_class("a"), first, cfg, x_init=x_init)
+    field = OracleFlowField(**args)
     factors = count_calls(monkeypatch, gmm_mod, "_factor")
     got = sample_trajectory(plain, field, cfg, x_init=x_init).final
-    assert len(factors) == 5
-    assert np.array_equal(got, sample_trajectory(plain, fresh, cfg, x_init=x_init).final)
+    assert len(factors) == 5  # every grid time is factored afresh
+    assert np.array_equal(got, cold)
+    kept, view = (fields._VIEWS[f][ms.family] for f in (first, field))
+    assert view is not kept
+    c = rng.standard_normal((3, 4))
+    assert not np.array_equal(view(c, 5.0), kept(c, 5.0))
 
 
 @pytest.mark.parametrize("rule", [("euler", "endpoint"), ("heun", "endpoint"),
@@ -189,7 +196,7 @@ def test_a_dropped_oracle_releases_its_view():
     field = OracleFlowField(gm, ms)
     sample_trajectory(ms, field, SamplerConfig(steps=2), n=2)
     view = fields._VIEWS[field][ms.family]
-    assert view.built_from == (gm, ms) and len(view.slices) == 3
+    assert len(view.slices) == 3
     refs = weakref.ref(field), weakref.ref(view)
     del field, view
     gc.collect()

@@ -3,8 +3,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from anisodiff.flow_model import FlowModel
+from anisodiff.sampler import SamplerConfig, sample_trajectory
+from anisodiff.schedule import matrix_schedule_for_family
 from anisodiff.subspaces import (
     GRAM_TOL,
+    CoordinateFamily,
     ProjectorFamily,
     SeparableDCTFamily,
     apply_spectral,
@@ -90,7 +94,7 @@ def test_dct_basis_equals_the_mode_loop(side):
     assert np.array_equal(build_dct_basis(side), _dct_basis_loop(side))
 
 
-@pytest.mark.parametrize("side, low_side", [(8, 3)])
+@pytest.mark.parametrize("side, low_side", [(2, 1), (8, 3), (15, 14)])
 def test_dct_projectors_equal_the_mode_loop(side, low_side):
     modes = dct_mode_order(side)
     is_high = np.array([p >= low_side or q >= low_side for p, q in modes])
@@ -332,6 +336,41 @@ def test_family_rejects_bad_blocks():
     skew = np.array([[1.0, 0.6, 0.0], [0.0, 0.8, 0.0], [0.0, 0.0, 1.0]])
     with pytest.raises(ValueError, match="not orthonormal"):
         ProjectorFamily(skew, np.array([0, 0, 1]))
+
+
+def test_a_write_into_the_passed_basis_changes_neither_the_family_nor_its_kept_view():
+    rng = np.random.default_rng(12)
+    q = np.linalg.qr(rng.standard_normal((6, 6)))[0]
+    fam = ProjectorFamily(q, np.repeat([0, 1], [2, 4]))
+    ms = matrix_schedule_for_family(fam, 10.0)
+    model = FlowModel.create(6, 10.0, widths=(8, 8), seed=1, zero_head=False)
+    x_init = rng.standard_normal((3, 6))
+    cfg = SamplerConfig(steps=4)
+    first = sample_trajectory(ms, model, cfg, x_init=x_init).final
+    q[:] = np.linalg.qr(rng.standard_normal((6, 6)))[0]  # new columns in the caller's array
+    assert not np.array_equal(fam.basis, q)
+    assert np.array_equal(sample_trajectory(ms, model, cfg, x_init=x_init).final, first)
+    with pytest.raises(ValueError, match="read-only"):
+        fam.basis[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("make", [lambda labels: ProjectorFamily(np.eye(4), labels),
+                                  CoordinateFamily], ids=["projector", "coordinate"])
+def test_a_write_into_the_passed_labels_changes_no_block(make):
+    labels = np.array([0, 0, 1, 1])
+    fam = make(labels)
+    labels[:] = 0  # before `dims` is first read
+    assert fam.dims == (2, 2) and fam.n_subspaces == 2
+    with pytest.raises(ValueError, match="read-only"):
+        fam.labels[0] = 1
+
+
+def test_a_separable_dct_family_hands_out_read_only_arrays():
+    fam = build_dct_projectors(16, 8)
+    for array in (fam.labels, fam.dct_matrix):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+    assert fam.dims == (64, 192) and fam.coordinates.dims == (64, 192)
 
 
 def _perturbed(d, i, j, eps):
