@@ -28,7 +28,7 @@ from .persistence import (
     load_points_csv,
     load_schedule,
     provenance_line,
-    read_csv,
+    read_numeric_csv,
     save_model,
     save_schedule,
     write_csv,
@@ -110,11 +110,13 @@ def cmd_basis(args) -> int:
 
 
 def cmd_schedule_fit(args) -> int:
-    _, columns, rows = read_csv(args.weight_csv)
-    if columns[:2] != ["t", "w"]:
+    _, columns, values = read_numeric_csv(args.weight_csv)
+    if columns != ["t", "w"]:
         raise ValueError("weight CSV must have columns t,w")
-    t_raw = np.array([float(r[0]) for r in rows])
-    w_raw = np.array([float(r[1]) for r in rows])
+    t_raw, w_raw = values.T
+    if t_raw.size == 0 or np.any(np.diff(t_raw) <= 0):  # np.interp needs increasing samples
+        raise ValueError(f"{args.weight_csv}: the t column must hold at least one row and "
+                         "increase strictly")
     if np.any(w_raw <= 0):
         raise ValueError("weight samples must be positive")
 
@@ -267,26 +269,17 @@ def cmd_train(args) -> int:
     header = [provenance_line(cfg, train_cfg.seed)]
     columns = list(result.logs[0].keys())
     write_csv(out / "logs.csv", columns, [[r[c] for c in columns] for r in result.logs], header)
-    if result.theta_trace:
-        rows = [
-            [images, "-" if label is None else label] + list(theta)
-            for images, label, theta in result.theta_trace
-        ]
-        ncols = len(result.theta_trace[0][2])
-        write_csv(
-            out / "theta_trace.csv",
-            ["images", "class"] + [f"theta{i}" for i in range(ncols)],
-            rows,
-            header,
-        )
-    if result.grad_diagnostics:
-        diag_cols = ["images", "class", "coordinate", "explicit", "implicit"]
-        diag_rows = []
-        for row in result.grad_diagnostics:
-            normalized = dict(row)
-            normalized["class"] = "-" if row["class"] is None else row["class"]
-            diag_rows.append([normalized[c] for c in diag_cols])
-        write_csv(out / "theta_diagnostics.csv", diag_cols, diag_rows, header)
+    if result.schedule_steps:
+        trace_rows, diag_rows = [], []
+        for images, label, theta, explicit, implicit in result.schedule_steps:
+            label = "-" if label is None else label
+            trace_rows.append([images, label, *theta])
+            diag_rows += [[images, label, p, e, i]
+                          for p, (e, i) in enumerate(zip(explicit, implicit))]
+        theta_cols = [f"theta{i}" for i in range(result.ms.n_params)]
+        write_csv(out / "theta_trace.csv", ["images", "class", *theta_cols], trace_rows, header)
+        write_csv(out / "theta_diagnostics.csv",
+                  ["images", "class", "coordinate", "explicit", "implicit"], diag_rows, header)
     print(f"training finished after {result.logs[-1]['images']} images; run dir: {out}")
     return 0
 
@@ -424,8 +417,7 @@ def _named_subspace(path) -> np.ndarray:
     """The (d, k) basis columns of the subspace a `basis` export names (its rows are the basis
     vectors): the first K rows under `# pca d=D k=K`, the modes (p, q) with p, q < L under
     `# dct H=...` and `# low_side=L`, and every row of a file with neither header."""
-    header, _, rows = read_csv(path)
-    vectors = np.array([[float(c) for c in row] for row in rows])
+    header, _, vectors = read_numeric_csv(path)
     text = "\n".join(header)
     pca = re.search(r"^# pca .*\bk=(\d+)", text, re.M)
     dct, low = re.search(r"^# dct H=(\d+)", text, re.M), re.search(r"^# low_side=(\d+)", text, re.M)

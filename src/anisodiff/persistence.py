@@ -8,6 +8,7 @@ significant digits for exact float round-tripping.
 
 import hashlib
 import json
+import math
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -53,24 +54,60 @@ def write_csv(path, columns, rows, header_lines=()):
             fh.write(",".join(cells) + "\n")
 
 
-def read_csv(path):
-    """Read a CSV written by write_csv; returns (header_lines, columns, array of str cells)."""
+def _csv_lines(path):
+    """(header_lines, columns, [(line number, cells)]) of a CSV written by write_csv."""
     header, columns, rows = [], None, []
     with open(path) as fh:
-        for line in fh:
+        for number, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if line.startswith("#"):
                 header.append(line)
             elif columns is None:
                 columns = line.split(",")
             elif line:
-                rows.append(line.split(","))
+                rows.append((number, line.split(",")))
     return header, columns, rows
 
 
+def read_csv(path):
+    """Read a CSV written by write_csv; returns (header_lines, columns, array of str cells)."""
+    header, columns, rows = _csv_lines(path)
+    return header, columns, [cells for _, cells in rows]
+
+
+def read_numeric_csv(path):
+    """(header_lines, columns, (rows, columns) float array) of a numeric CSV.
+
+    A missing column line, a row whose cell count differs from the column
+    line's, and a cell that is not a finite number are each a one-line
+    ValueError naming the file and the line.
+    """
+    header, columns, rows = _csv_lines(path)
+    if columns is None:
+        raise ValueError(f"{path}: no column line")
+    values = []
+    for number, cells in rows:
+        if len(cells) != len(columns):
+            raise ValueError(f"{path}, line {number}: expected {len(columns)} cells, "
+                             f"got {len(cells)}")
+        row = []
+        for cell in cells:
+            try:
+                value = float(cell)
+            except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
+                raise ValueError(f"{path}, line {number}: {cell!r} is not a finite number")
+            row.append(value)
+        values.append(row)
+    return header, columns, np.array(values).reshape(len(rows), len(columns))
+
+
 def load_points_csv(path) -> np.ndarray:
-    _, _, rows = read_csv(path)
-    return np.array([[float(c) for c in row] for row in rows])
+    points = read_numeric_csv(path)[2]
+    if not len(points):
+        raise ValueError(f"{path}: no points")
+    return points
 
 
 @contextmanager

@@ -17,6 +17,7 @@ per batch and hands it to every consumer.
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -70,10 +71,10 @@ class KnotSchedule:
     horizon: float = 1.0
 
     def __post_init__(self):
-        # a read-only copy, so the cached log-nodes cannot go stale
+        # read-only copies, so the cached log-nodes and the checks below cannot go stale
         theta = np.array(self.theta, dtype=float, ndmin=1)
-        theta.flags.writeable = False
-        nodes = np.asarray(self.nodes, dtype=float)
+        nodes = np.array(self.nodes, dtype=float)
+        theta.flags.writeable = nodes.flags.writeable = False
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "nodes", nodes)
         if nodes.ndim != 1 or nodes.size < 2:
@@ -208,8 +209,9 @@ class MatrixSchedule:
     The per-subspace schedules share the family's eigenvectors, so M_t,
     its time derivative and its theta derivatives all commute by
     construction.  `class_table` maps class labels to per-subspace
-    schedule lists; when present, the schedule is evaluated through
-    `for_class(label)`, and evaluating it directly raises `KeyError`.
+    schedule lists (kept as a read-only mapping of tuples, so the cached
+    class views cannot go stale); when present, the schedule is evaluated
+    through `for_class(label)`, and evaluating it directly raises `KeyError`.
     """
 
     family: ProjectorFamily
@@ -224,7 +226,7 @@ class MatrixSchedule:
             raise ValueError("need one scalar schedule per subspace")
         horizons = {s.horizon for s in per}
         if self.class_table is not None:
-            table = {k: tuple(v) for k, v in self.class_table.items()}
+            table = MappingProxyType({k: tuple(v) for k, v in self.class_table.items()})
             object.__setattr__(self, "class_table", table)
             for schedules in table.values():
                 if len(schedules) != self.family.n_subspaces:

@@ -28,6 +28,7 @@ from .schedule_grad import (
 )
 
 Array = np.ndarray
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class TrainingDiverged(RuntimeError):
@@ -50,19 +51,18 @@ class AdamState:
         return cls(m=np.zeros(n), v=np.zeros(n))
 
 
-def adam_step(params: Array, grads: Array, state: AdamState, lr: float,
-              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+def adam_step(params: Array, grads: Array, state: AdamState, lr: float):
     """One bias-corrected Adam update; non-finite gradients are zeroed and counted."""
     grads = np.asarray(grads, dtype=float)
     bad = ~np.isfinite(grads)
     if np.any(bad):
         grads = np.where(bad, 0.0, grads)
     step = state.step + 1
-    m = beta1 * state.m + (1 - beta1) * grads
-    v = beta2 * state.v + (1 - beta2) * grads**2
-    m_hat = m / (1 - beta1**step)
-    v_hat = v / (1 - beta2**step)
-    new_params = params - lr * m_hat / (np.sqrt(v_hat) + eps)
+    m = ADAM_BETA1 * state.m + (1 - ADAM_BETA1) * grads
+    v = ADAM_BETA2 * state.v + (1 - ADAM_BETA2) * grads**2
+    m_hat = m / (1 - ADAM_BETA1**step)
+    v_hat = v / (1 - ADAM_BETA2**step)
+    new_params = params - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return new_params, AdamState(
         m=m, v=v, step=step, nonfinite_count=state.nonfinite_count + int(bad.sum())
     )
@@ -158,8 +158,7 @@ class TrainResult:
     ema_model: FlowModel | None
     ms: MatrixSchedule
     logs: list  # rows: dict per logged step
-    theta_trace: list  # (images_seen, label, theta vector)
-    grad_diagnostics: list  # per theta step: coordinate-wise explicit/implicit
+    schedule_steps: list  # per theta step: (images_seen, label, theta, explicit, implicit)
     nonfinite_grads: int
 
 
@@ -210,7 +209,7 @@ def train_bilevel(data, ms: MatrixSchedule, model: FlowModel | None, cfg: TrainC
         patience=cfg.guard_patience,
     )
 
-    logs, theta_trace, grad_diagnostics = [], [], []
+    logs, schedule_steps = [], []
     images_seen = 0
     step = 0
     micro = cfg.batch_size // cfg.micro_batches
@@ -264,17 +263,8 @@ def train_bilevel(data, ms: MatrixSchedule, model: FlowModel | None, cfg: TrainC
             theta, theta_states[label] = adam_step(
                 ms.theta_vector(label), grad_theta.total, theta_states[label], lr_theta)
             ms = ms.with_theta_vector(theta, label)
-            theta_trace.append((images_seen, label, theta.copy()))
-            for p in range(grad_theta.total.size):
-                grad_diagnostics.append(
-                    {
-                        "images": images_seen,
-                        "class": label,
-                        "coordinate": p,
-                        "explicit": float(grad_theta.explicit[p]),
-                        "implicit": float(grad_theta.implicit[p]),
-                    }
-                )
+            schedule_steps.append(
+                (images_seen, label, theta, grad_theta.explicit, grad_theta.implicit))
 
         if step % cfg.log_every == 0 or images_seen >= cfg.total_images:
             row = {
@@ -294,8 +284,7 @@ def train_bilevel(data, ms: MatrixSchedule, model: FlowModel | None, cfg: TrainC
         ema_model=model.with_params(ema) if cfg.train_model else None,
         ms=ms,
         logs=logs,
-        theta_trace=theta_trace,
-        grad_diagnostics=grad_diagnostics,
+        schedule_steps=schedule_steps,
         nonfinite_grads=model_state.nonfinite_count if cfg.train_model else 0,
     )
 

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from anisodiff import cli as cli_mod
 from anisodiff.cli import load_run_config, main
 from anisodiff.gmm import GaussianMixture, single_gaussian
 from anisodiff.persistence import (
@@ -42,7 +43,7 @@ from anisodiff.subspaces import (
     projector_distance,
 )
 from anisodiff.sampler import SamplerConfig
-from anisodiff.training import TrainConfig
+from anisodiff.training import TrainConfig, train_bilevel
 from test_sampler import assert_close, biased_model, step_loop
 
 
@@ -578,6 +579,46 @@ def test_train_model_mode_command(tmp_path, gmm_file):
     assert model.params.shape == ema.params.shape
 
 
+def test_train_csvs_hold_the_runs_schedule_steps(tmp_path, gmm_file, monkeypatch):
+    results = []
+
+    def recorded(*args, **kwargs):
+        results.append(train_bilevel(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(cli_mod, "train_bilevel", recorded)
+    config = {
+        "version": "1",
+        "gmm": gmm_file.name,
+        "family": {"kind": "axis", "dim": 2, "split": 1},
+        "schedule": {"horizon": 10.0, "knots": 4},
+        "model": {"widths": [8], "seed": 1},
+        "train": {"batch_size": 16, "micro_batches": 2, "total_images": 16 * 6,
+                  "warmup_images": 32, "model_steps_per_schedule_step": 2, "seed": 4},
+    }
+    cfg_path = gmm_file.parent / "run_steps.json"
+    cfg_path.write_text(json.dumps(config))
+    out = tmp_path / "rundir"
+    assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 0
+    steps = results[0].schedule_steps
+    assert len(steps) == 3
+    _, trace_cols, trace = read_csv(out / "theta_trace.csv")
+    _, diag_cols, diag = read_csv(out / "theta_diagnostics.csv")
+    assert trace_cols == ["images", "class"] + [f"theta{i}" for i in range(6)]
+    assert diag_cols == ["images", "class", "coordinate", "explicit", "implicit"]
+    assert len(trace) == len(steps) and len(diag) == 6 * len(steps)
+    for k, (images, label, theta, explicit, implicit) in enumerate(steps):
+        assert label is None
+        assert trace[k][:2] == [str(images), "-"]
+        assert np.array_equal(np.array(trace[k][2:], dtype=float), theta)  # 17 digits: exact
+        rows = diag[6 * k:6 * (k + 1)]
+        assert [row[:3] for row in rows] == [[str(images), "-", str(p)] for p in range(6)]
+        assert np.array_equal(np.array([row[3:] for row in rows], dtype=float),
+                              np.stack([explicit, implicit], axis=1))
+    saved = load_schedule(out / "schedule.json").theta_vector()
+    assert np.array_equal(np.array(trace[-1][2:], dtype=float), saved)
+
+
 def test_train_divergence_exits_2(tmp_path, gmm_file, capsys):
     config = {
         "version": "1",
@@ -953,6 +994,60 @@ def test_os_errors_exit_2(tmp_path, gmm_file, capsys, case):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+WEIGHTS = [["t", "w"], ["0", "1"], ["2", "0.8"], ["5", "0.6"], ["10", "0.5"]]
+POINTS = [["x0", "x1"], ["0.1", "-0.4"], ["1.2", "0.3"], ["-0.7", "0.9"], ["0.5", "-1.1"],
+          ["-1.3", "0.2"], ["0.8", "0.6"]]
+
+
+def _csv_text(rows):
+    return "".join(",".join(row) + "\n" for row in rows)
+
+
+def _csv_run(tmp, document, text):
+    """Write `text` as the weight CSV of `schedule-fit` ("weights"), the `"data"` CSV of a
+    model-mode `train` config ("points") or the `--data` of `basis pca` ("basis");
+    returns (argv, the path the command writes)."""
+    csv = tmp / ("weights.csv" if document == "weights" else "points.csv")
+    csv.write_text(text)
+    out = tmp / {"weights": "fit.json", "basis": "pca.csv", "points": "run"}[document]
+    if document == "weights":
+        return ["schedule-fit", "--weight-csv", str(csv), "--horizon", "10", "--quad-points",
+                "101", "--knots", "4", "--out", str(out)], out
+    if document == "basis":
+        return ["basis", "pca", "--data", str(csv), "--k", "1", "--out", str(out)], out
+    config = {key: value for key, value in _cli_inputs(tmp)["config"].items() if key != "gmm"}
+    (tmp / "data_config.json").write_text(json.dumps({**config, "data": csv.name}))
+    return ["train", "--config", str(tmp / "data_config.json"), "--out", str(out)], out
+
+
+@pytest.mark.parametrize("document, text", [
+    ("weights", ""),
+    ("weights", "t,w\n0\n10,1\n"),
+    ("weights", "t,w\n0,1,9\n10,1\n"),
+    ("weights", "t,w\n0,inf\n10,1\n"),
+    ("weights", "t,w\n0,1e999\n10,1\n"),
+    ("weights", "t,w\n0,nan\n10,1\n"),
+    ("weights", "t,w\n0,1\n5,0.6\n2,0.8\n10,0.5\n"),
+    ("weights", "t,w\n0,1\n5,0.6\n5,0.6\n10,0.5\n"),
+    ("points", _csv_text(POINTS[:3] + [["nan", "0.2"]] + POINTS[4:])),
+    ("points", _csv_text(POINTS[:3] + [["0.2"]] + POINTS[4:])),
+    ("points", _csv_text(POINTS[:3] + [["0.2", "0.1", "0.4"]] + POINTS[4:])),
+    ("points", "x0,x1\n"),
+    ("basis", _csv_text(POINTS[:3] + [["0.2"]] + POINTS[4:])),
+    ("basis", _csv_text(POINTS[:3] + [["0.2", "0.1", "0.4"]] + POINTS[4:])),
+], ids=["weights-empty", "weights-one-cell", "weights-extra-cell", "weights-inf", "weights-1e999",
+        "weights-nan", "weights-swapped-t", "weights-repeated-t", "points-nan", "points-short",
+        "points-long", "points-header-only", "basis-short", "basis-long"])
+def test_a_bad_numeric_csv_exits_2_with_one_line_naming_the_file(tmp_path, capsys, document,
+                                                                  text):
+    argv, written = _csv_run(tmp_path, document, text)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert ("weights.csv" if document == "weights" else "points.csv") in err
+    assert not written.exists()
+
+
 @pytest.mark.parametrize("name_filter", ["nosuch", "Knots"])
 def test_verify_filter_without_match_exits_2(capsys, name_filter):
     assert main(["verify", "--filter", name_filter]) == 2
@@ -1044,23 +1139,55 @@ def _cli_inputs(tmp):
                                  for name in ("schedule", "model")}}
 
 
-@settings(max_examples=100, deadline=None)
+CSV_DOCUMENTS = {"points": POINTS, "weights": WEIGHTS}
+CSV_MUTATIONS = ["drop a cell", "add a cell", "empty file", "header only", "swapped rows",
+                 "x", "nan", "inf", "1e999"]  # the last four replace one cell
+
+
+def _mutated_csv(rows, mutation, i, j):
+    """CSV text of `rows` (the column line first) with one mutation at row i, cell j."""
+    rows = [list(row) for row in rows]
+    if mutation == "empty file":
+        return ""
+    if mutation == "header only":
+        rows = rows[:1]
+    elif mutation == "swapped rows":
+        rows[i], rows[i + 1] = rows[i + 1], rows[i]
+    elif mutation == "drop a cell":
+        del rows[i][j]
+    elif mutation == "add a cell":
+        rows[i].append("1")
+    else:
+        rows[i][j] = mutation
+    return _csv_text(rows)
+
+
+@settings(max_examples=160, deadline=None)
 @given(data=st.data())
 def test_a_mutated_input_exits_0_or_2_with_at_most_one_line(data):
-    # a bad config, schedule or model file is an error line with exit 2, never a traceback
+    # a bad config, schedule, model or numeric CSV file is an error line with exit 2,
+    # never a traceback
     with tempfile.TemporaryDirectory() as name:
         tmp = Path(name)
         docs = _cli_inputs(tmp)
-        kind = data.draw(st.sampled_from(sorted(docs)), label="document")
-        path = data.draw(st.sampled_from(list(_paths(docs[kind]))), label="path")
-        value = data.draw(st.sampled_from(MUTANT_VALUES), label="value")
-        # without `total_images` training runs the default 200k images: long, not a fault
-        assume(not (("train", "total_images")[:len(path)] == path and value in (DROP, {})))
-        (tmp / f"{kind}.json").write_text(json.dumps(_mutated(docs[kind], path, value)))
-        argv = (["train", "--config", str(tmp / "config.json"), "--out", str(tmp / "run")]
-                if kind == "config" else
-                ["sample", "--schedule", str(tmp / "schedule.json"), "--model",
-                 str(tmp / "model.json"), "--steps", "3", "--n", "2", "--out", str(tmp / "x.csv")])
+        kind = data.draw(st.sampled_from(sorted(docs) + sorted(CSV_DOCUMENTS)), label="document")
+        if kind in CSV_DOCUMENTS:
+            rows = CSV_DOCUMENTS[kind]
+            mutation = data.draw(st.sampled_from(CSV_MUTATIONS), label="mutation")
+            i = data.draw(st.integers(0, len(rows) - 2), label="row")
+            j = data.draw(st.integers(0, len(rows[i]) - 1), label="cell")
+            argv, _ = _csv_run(tmp, kind, _mutated_csv(rows, mutation, i, j))
+        else:
+            path = data.draw(st.sampled_from(list(_paths(docs[kind]))), label="path")
+            value = data.draw(st.sampled_from(MUTANT_VALUES), label="value")
+            # without `total_images` training runs the default 200k images: long, not a fault
+            assume(not (("train", "total_images")[:len(path)] == path and value in (DROP, {})))
+            (tmp / f"{kind}.json").write_text(json.dumps(_mutated(docs[kind], path, value)))
+            argv = (["train", "--config", str(tmp / "config.json"), "--out", str(tmp / "run")]
+                    if kind == "config" else
+                    ["sample", "--schedule", str(tmp / "schedule.json"), "--model",
+                     str(tmp / "model.json"), "--steps", "3", "--n", "2", "--out",
+                     str(tmp / "x.csv")])
         err = io.StringIO()
         with warnings.catch_warnings(record=True) as caught, redirect_stderr(err), \
                 redirect_stdout(io.StringIO()):

@@ -191,6 +191,19 @@ def test_a_new_grid_never_reads_a_kept_slice(monkeypatch, rule):
                                                      x_init=x_init).final)
 
 
+def test_a_write_into_the_passed_nodes_never_reaches_a_kept_view():
+    # as a loaded schedule file does, every knot schedule is handed one nodes array
+    _, gm, ms = random_setup(7, d_side=4)
+    nodes = schedule_mod.uniform_nodes(ms.horizon, 6)
+    ms = schedule_mod.MatrixSchedule(ms.family, tuple(
+        schedule_mod.KnotSchedule(s.theta, nodes, s.floor, s.horizon) for s in ms.per_subspace))
+    field, cfg = OracleFlowField(gm, ms), SamplerConfig(steps=8)
+    x_init = init_state(ms, 0, n=3)
+    first = sample_trajectory(ms, field, cfg, x_init=x_init).final
+    nodes[1:-1] = ms.horizon * np.array([0.05, 0.1, 0.2, 0.4])  # new interior nodes
+    assert np.array_equal(sample_trajectory(ms, field, cfg, x_init=x_init).final, first)
+
+
 def test_a_dropped_oracle_releases_its_view():
     _, gm, ms = random_setup(6)
     field = OracleFlowField(gm, ms)

@@ -155,6 +155,16 @@ def test_theta_is_a_read_only_copy():
         s.theta[0] = 1.0
 
 
+def test_nodes_are_a_read_only_copy():
+    nodes = uniform_nodes(2.0, 4)
+    s = KnotSchedule(np.array([0.3, -0.2, 0.5]), nodes, 1e-3, 2.0)
+    before = s.eval(np.array([0.5, 1.7]))[0]
+    nodes[2] = 100.0  # would undo the strictly-increasing check if it reached the schedule
+    np.testing.assert_array_equal(s.eval(np.array([0.5, 1.7]))[0], before)
+    with pytest.raises(ValueError, match="read-only"):
+        s.nodes[1] = 0.1
+
+
 def test_batched_eval_matches_scalar():
     rng = np.random.default_rng(7)
     s = random_schedule(rng)
@@ -273,6 +283,21 @@ def test_class_conditional_independence():
         ms.for_class("zebra")
     with pytest.raises(KeyError):
         eval_M(ms, 1.0)
+
+
+def test_the_class_table_is_read_only():
+    rng = np.random.default_rng(13)
+    fam = axis_family(2, 1)
+    base = matrix_schedule_for_family(fam, horizon=2.0, n_knots=4)
+    other = tuple(s.with_theta(rng.standard_normal(s.n_params)) for s in base.per_subspace)
+    table = {"a": base.per_subspace}
+    ms = MatrixSchedule(fam, base.per_subspace, class_table=table)
+    table["a"] = other  # the caller's dict is not the schedule's
+    view = ms.for_class("a")
+    with pytest.raises(TypeError):  # the cached class view and the table cannot disagree
+        ms.class_table["a"] = other
+    assert ms.class_table["a"] == base.per_subspace and ms.for_class("a") is view
+    np.testing.assert_array_equal(ms.theta_vector("a"), base.theta_vector())
 
 
 @pytest.mark.parametrize("fraction", [0.0, 1.0, -1e-4])

@@ -62,7 +62,7 @@ def test_adam_three_step_hand_reference():
     params = np.array([0.3])
     state = AdamState.zeros(1)
     for g in grads:
-        params, state = adam_step(params, np.array([g]), state, lr, b1, b2, eps)
+        params, state = adam_step(params, np.array([g]), state, lr)
     assert params[0] == pytest.approx(p, abs=1e-12)
 
 
@@ -156,7 +156,7 @@ def test_oracle_mode_reduces_H():
     h_before = estimate_H(ms, OracleFlowField(gm, ms), probe)
     h_after = estimate_H(result.ms, OracleFlowField(gm, result.ms), probe)
     assert h_after < h_before
-    assert len(result.theta_trace) == 60
+    assert len(result.schedule_steps) == 60
 
 
 def test_oracle_mode_deterministic():
@@ -189,7 +189,7 @@ def test_model_mode_deterministic_and_improves():
     assert r1.logs[-1]["loss_mean"] < r1.logs[0]["loss_mean"]
     # theta untouched when schedule training is off
     np.testing.assert_array_equal(r1.ms.theta_vector(), ms.theta_vector())
-    assert r1.theta_trace == []
+    assert r1.schedule_steps == []
 
 
 def test_class_conditional_updates_only_present_classes():
@@ -207,7 +207,7 @@ def test_class_conditional_updates_only_present_classes():
     result = train_bilevel(data, ms, None, cfg)
     np.testing.assert_array_equal(result.ms.theta_vector("b"), ms.theta_vector("b"))
     assert not np.array_equal(result.ms.theta_vector("a"), ms.theta_vector("a"))
-    assert all(label == "a" for _, label, _ in result.theta_trace)
+    assert all(label == "a" for _, label, *_ in result.schedule_steps)
 
 
 def test_grad_diagnostics_rows():
@@ -219,9 +219,10 @@ def test_grad_diagnostics_rows():
         lr_model=0.1, train_model=False, seed=0,
     )
     result = train_bilevel(gm, ms, None, cfg)
-    assert len(result.grad_diagnostics) == 3 * ms.n_params
-    for row in result.grad_diagnostics:
-        assert set(row) == {"images", "class", "coordinate", "explicit", "implicit"}
+    # one (images, class, theta, explicit, implicit) entry per theta step
+    assert sum(explicit.size for *_, explicit, _ in result.schedule_steps) == 3 * ms.n_params
+    for images, label, theta, explicit, implicit in result.schedule_steps:
+        assert theta.shape == explicit.shape == implicit.shape == (ms.n_params,)
 
 
 def test_dataset_source_model_training_runs():
