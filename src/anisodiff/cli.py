@@ -247,10 +247,17 @@ def cmd_train(args) -> int:
     train_cfg = TrainConfig(**cfg.get("train", {}))
     if labels is not None:
         data = {label: load_gmm(p) for label, p in cfg["gmm"].items()}
+        dims = {cfg["gmm"][label]: gm.dim for label, gm in data.items()}
     elif "gmm" in cfg:
         data = load_gmm(cfg["gmm"])
+        dims = {cfg["gmm"]: data.dim}
     else:
         data = load_points_csv(cfg["data"])
+        dims = {cfg["data"]: data.shape[1]}
+    for source, dim in dims.items():
+        if dim != family.ambient_dim:
+            raise ValueError(f"{source}: data dimension {dim} does not match the family's "
+                             f"dimension {family.ambient_dim}")
     model = None
     if "model" in cfg:
         with _config_section("model"):

@@ -18,16 +18,17 @@ noisy covariances afresh on every call.
 `FlowModel` satisfies this protocol directly; `OracleFlowField` adapts
 the exact mixture oracle.  `OracleScoreField`, the oracle's score, has
 only `at`: the schedule-gradient estimator reads nothing else.
-`coordinate_view(field, family, x)` is the sampler's view of a field from
-a start x: the coordinates it steps in, the field there, the start and the
-map back to ambient states.  The default view is the family's own
-coordinates; a `FlowModel` with a hidden layer is stepped on its latent
-coordinates instead whenever there are fewer of them than d.  Only the
-start and the map back depend on x.  The rest is built once per (field,
-family) and kept, outside the field, while both live: a `FlowModel`'s view
-model or an oracle's rotated mixture with its noisy covariances factored
-at the last grid's times.  Fields, mixtures, schedules and families are
-frozen, so a kept view cannot go stale.
+`coordinate_view(field, family, c)` is the sampler's view of a field from
+a start given in the family's coordinates, c = forward(x): the coordinates
+it steps in, the field there, the start and the map back to ambient
+states.  The default view is the family's own coordinates; a `FlowModel`
+with a hidden layer is stepped on its latent coordinates instead whenever
+there are fewer of them than d.  Only the start and the map back depend on
+c.  The rest is built once per (field, family) and kept, outside the
+field, while both live: a `FlowModel`'s view model or an oracle's rotated
+mixture with its noisy covariances factored at the last grid's times.
+Fields, mixtures, schedules and families are frozen, so a kept view cannot
+go stale.
 """
 
 import weakref
@@ -113,15 +114,17 @@ class OracleScoreField:
         return gmm_mod._noisy(self.gm, x, self.ms, t)
 
 
-def coordinate_view(field, family, x, times=()):
-    """The sampler's view of `field` from the start x: (coords_family, field_view, c_start, back).
+def coordinate_view(field, family, c, times=()):
+    """The sampler's view of `field` from the start c = forward(x) in the family's coordinates:
+    (coords_family, field_view, c_start, back).
 
     Steps on `coords_family` with `field_view` from `c_start` give states that `back` maps to
-    ambient ones.  The default view is the family's coordinates c = forward(x), with the field
-    c, t -> forward(field(inverse(c), t)) and back = `inverse`.  There a `FlowModel` is the model
-    with its input x-columns and head rotated, and an `OracleFlowField` on `family` is the oracle
-    of its rotated mixture on `family.coordinates`, whose `slices` keep its noisy covariances at
-    `times` (the trajectory's distinct times), each factored on its first use, and no other t.
+    ambient ones.  The default view is the family's coordinates themselves, c_start = c, with the
+    field c, t -> forward(field(inverse(c), t)) and back = `inverse`.  There a `FlowModel` is the
+    model with its input x-columns and head rotated, and an `OracleFlowField` on `family` is the
+    oracle of its rotated mixture on `family.coordinates`, whose `slices` keep its noisy
+    covariances at `times` (the trajectory's distinct times), each factored on its first use, and
+    no other t.
 
     The latent view: a rotated `FlowModel` with a hidden layer is linear in its last activation,
     f = A a_L + b_L, so every state of a trajectory is c_T + l R, where R stacks the rows
@@ -132,11 +135,10 @@ def coordinate_view(field, family, x, times=()):
     (a_L, 1) on each block's h_L + 1 coordinates.  It is taken exactly when m < d and its
     parameters are finite; back(l) = inverse(c_T + l[..., h_1:] R).
 
-    Only c, the start and `back` depend on x.  The rest, a `FlowModel`'s view model (and W_x
+    Only the start and `back` depend on c.  The rest, a `FlowModel`'s view model (and W_x
     and R) or an oracle's view, is built once per (field, family) and kept while both live; if
     a model's rotated parameters overflow, the composition is used and nothing is kept.
     """
-    c = family.forward(x)
     view = _view(field, family)
     if view is None:
         def view(y, t):

@@ -5,7 +5,11 @@ C-infinity, so the exact first and mixed-second directional derivatives
 required by the schedule-gradient estimator exist everywhere; they are
 propagated with forward-mode tangents (hyper-dual style), not finite
 differences.  Parameters live in one flat vector so optimizer state and
-snapshots stay trivial.
+snapshots stay trivial; a model is frozen, so its per-layer views are
+built once.  At a scalar t (the sampler's case) the time features are one
+row shared by every point, so they fold into the first layer's bias,
+W_t [log t, t/T] + b_1, and the input rows [x, log t, t/T] are formed
+only for a parameter gradient; an array t (training) forms them up front.
 """
 
 from dataclasses import dataclass, replace
@@ -22,6 +26,7 @@ N_TIME_FEATURES = 2
 # 1024-row passes and 23 ms as one 4096-row pass, whose temporaries also
 # add 11 MB to peak memory (1.2 MB at 512 rows).
 MIXED_PASS_ROWS = 512
+TIME_MESSAGE = "t must be positive and finite (time features use log t)"
 
 
 def layer_sizes(dim: int, widths) -> list:
@@ -97,18 +102,29 @@ class FlowModel:
     def with_params(self, params: Array) -> "FlowModel":
         return replace(self, params=params)
 
-    def layers(self):
-        """Read-only views (W, b) per layer into the flat parameter vector."""
-        return layer_views(self.params, self.dim, self.widths)
+    def layers(self) -> tuple:
+        """Read-only views (W, b) per layer into the flat parameter vector, built once."""
+        return self._layers
+
+    @cached_property
+    def _layers(self) -> tuple:
+        return tuple(layer_views(self.params, self.dim, self.widths))
 
     # -- evaluation ----------------------------------------------------------
 
-    def _inputs(self, x: Array, t) -> Array:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        t_arr = np.broadcast_to(np.asarray(t, dtype=float), (x.shape[0],))
-        if np.any(t_arr <= 0):
-            raise ValueError("t must be positive (time features use log t)")
-        feats = np.stack([np.log(t_arr), t_arr / self.horizon], axis=1)
+    def _features(self, t: Array) -> Array:
+        """(log t, t / T) along a new last axis of the float array t."""
+        if t.ndim == 0:  # the sampler's case: no array reductions
+            if not 0.0 < t < np.inf:  # NaN fails too
+                raise ValueError(TIME_MESSAGE)
+            return np.array([np.log(t), t / self.horizon])
+        if not np.all((t > 0) & (t < np.inf)):
+            raise ValueError(TIME_MESSAGE)
+        return np.stack([np.log(t), t / self.horizon], axis=-1)
+
+    def _inputs(self, x: Array, t: Array) -> Array:
+        """Input rows [x, log t, t / T] for 2-D float x and a float t, one value or one per row."""
+        feats = self._features(np.broadcast_to(t, x.shape[:1]))
         return np.concatenate([x, feats], axis=1)
 
     def at(self, x: Array, t) -> "FlowModelJet":
@@ -137,33 +153,50 @@ class FlowModelJet:
     The value, the parameter gradient and the forward-mode derivatives
     all start from the same activations a_l (and tanh slopes 1 - a_l^2,
     formed on first use), so each call runs only its own output, backward
-    or tangent recursion.
+    or tangent recursion.  A scalar t (a 0-d array included) enters the
+    first layer as the bias W_t [log t, t/T] + b_1 on x W_x^T; the input
+    rows are then formed only if `param_grad` asks for them.
     """
 
     def __init__(self, model: FlowModel, x: Array, t):
+        self.model = model
         self.dim = model.dim
-        self.scalar = np.asarray(x).ndim == 1
+        self.single = np.asarray(x).ndim == 1
         self.layers = model.layers()
-        a = model._inputs(x, t)
-        self.acts = [a]
-        for w, b in self.layers[:-1]:
-            a = np.tanh(a @ w.T + b)
-            self.acts.append(a)
+        self.x = np.atleast_2d(np.asarray(x, dtype=float))
+        self.t = np.asarray(t, dtype=float)
+        self.n = self.x.shape[0]
+        w, b = self.layers[0]
+        if self.t.ndim == 0:
+            bias = w[:, self.dim:] @ model._features(self.t) + b
+            z = self.x @ w[:, :self.dim].T + bias
+        else:
+            z = self._rows @ w.T + b
+        self.acts = []  # a_1, ..., a_{L-1}: the hidden layers' tanh activations
+        for w, b in self.layers[1:]:
+            self.acts.append(np.tanh(z))
+            z = self.acts[-1] @ w.T + b
+        self._out = z
+
+    @cached_property
+    def _rows(self) -> Array:
+        """The input rows [x, log t, t/T], the first layer's input."""
+        return self.model._inputs(self.x, self.t)
 
     def _shape(self, out: Array) -> Array:
-        return out[..., 0, :] if self.scalar else out
+        return out[..., 0, :] if self.single else out
 
     def value(self) -> Array:
-        w, b = self.layers[-1]
-        return self._shape(self.acts[-1] @ w.T + b)
+        return self._shape(self._out)
 
     def param_grad(self, cotangent: Array) -> Array:
         """Gradient over phi of sum_i <cotangent_i, flow(x_i, t_i)>."""
         delta = np.atleast_2d(np.asarray(cotangent, dtype=float))
+        inputs = [self._rows, *self.acts]
         grads = [None] * len(self.layers)
         for li in range(len(self.layers) - 1, -1, -1):
             w, _ = self.layers[li]
-            grads[li] = (delta.T @ self.acts[li], delta.sum(axis=0))
+            grads[li] = (delta.T @ inputs[li], delta.sum(axis=0))
             if li > 0:
                 delta = (delta @ w) * self._slopes[li - 1]
         return np.concatenate([np.concatenate([gw.reshape(-1), gb]) for gw, gb in grads])
@@ -171,12 +204,12 @@ class FlowModelJet:
     @cached_property
     def _slopes(self) -> list:
         """tanh'(z) = 1 - a^2 per hidden layer."""
-        return [1.0 - a**2 for a in self.acts[1:]]
+        return [1.0 - a**2 for a in self.acts]
 
     @cached_property
     def _curvatures(self) -> list:
         """tanh''(z) = -2 a (1 - a^2) per hidden layer."""
-        return [-2.0 * a * s1 for a, s1 in zip(self.acts[1:], self._slopes)]
+        return [-2.0 * a * s1 for a, s1 in zip(self.acts, self._slopes)]
 
     def _pad_tangent(self, v: Array) -> Array:
         """Tangent (..., n, dim) with zero time-feature tangents appended.
@@ -184,9 +217,8 @@ class FlowModelJet:
         `v` is (dim,), (n, dim) or a stack (..., n, dim) of tangents at the
         batch's points.
         """
-        n = self.acts[0].shape[0]
         v = np.atleast_2d(np.asarray(v, dtype=float))
-        v = np.broadcast_to(v, v.shape[:-2] + (n, self.dim))
+        v = np.broadcast_to(v, v.shape[:-2] + (self.n, self.dim))
         return np.concatenate([v, np.zeros(v.shape[:-1] + (N_TIME_FEATURES,))], axis=-1)
 
     def directional(self, v: Array) -> Array:
@@ -204,16 +236,15 @@ class FlowModelJet:
         least one tangent pair), so each matmul takes many pairs at once
         while its temporaries stay cache-sized.
         """
-        n = self.acts[0].shape[0]
         du = self._pad_tangent(u)
         dv = du if v is u else self._pad_tangent(v)
         stack = du.shape[:-2]
         du = du.reshape((-1,) + du.shape[-2:])
         dv = dv.reshape((-1,) + dv.shape[-2:])
-        step = max(1, MIXED_PASS_ROWS // n)
+        step = max(1, MIXED_PASS_ROWS // self.n)
         out = np.concatenate([self._mixed_pass(du[i : i + step], dv[i : i + step], v is u)
                               for i in range(0, du.shape[0], step)])
-        return self._shape(out.reshape(stack + (n, self.dim)))
+        return self._shape(out.reshape(stack + (self.n, self.dim)))
 
     def block_traces(self, family) -> Array:
         """T_j = sum_{i in block j} d_r d_s flow(x + r q_i + s q_i), shape (J, n, dim).
@@ -222,8 +253,7 @@ class FlowModelJet:
         tangents go through `mixed` as one stack.
         """
         q = family.basis
-        n = self.acts[0].shape[0]
-        tangents = np.broadcast_to(q.T[:, None, :], (self.dim, n, self.dim))  # [i] = q_i
+        tangents = np.broadcast_to(q.T[:, None, :], (self.dim, self.n, self.dim))  # [i] = q_i
         # the same stack in both slots does the tangent work once
         per_column = self.mixed(tangents, tangents)
         return np.stack([per_column[family.labels == j].sum(axis=0)

@@ -19,18 +19,21 @@ secondary time, on whatever family it is passed.  `sample_trajectory`
 evaluates the schedule once per trajectory: one `eval_M` call gives
 sqrt(g) at every grid time (and every midpoint, for the midpoint
 secondary); it picks each step's secondary time and rows and calls
-`heun_step` once per step.  It steps in the coordinate view that
+`heun_step` once per step.  A drawn start is formed once, in the
+family's coordinates, as forward(xi) sqrt(g_T) with the table's horizon
+row (`init_state` is its ambient form); a given `x_init` is taken there
+by `forward`.  It steps in the coordinate view that
 `fields.coordinate_view` gives for the start, where each update is a
-per-coordinate scaling, and maps `final` back once.  Only the start and
-the map back are formed per trajectory: a `FlowModel`'s view model, or an
-oracle's rotated mixture with its noisy covariances factored at the
-grid's times, is built on its first trajectory on a family (and grid)
-and reused by later ones; fields and families are frozen, so it is never
-rebuilt.  The default view is the family's coordinates c = forward(x).  A `FlowModel`
-with a hidden layer is linear in its last activation a_L, so every state
-is c_T + sum_j P_j [A b_L] l_j for latent vectors l_j of size h_L + 1;
-when m = h_1 + J (h_L + 1) < d it is stepped on those m coordinates
-instead.
+per-coordinate scaling, and maps `final` back once; `states` are mapped
+back on first access.  Only the start and the map back are formed per
+trajectory: a `FlowModel`'s view model, or an oracle's rotated mixture
+with its noisy covariances factored at the grid's times, is built on its
+first trajectory on a family (and grid) and reused by later ones; fields
+and families are frozen, so it is never rebuilt.  The default view is the
+family's coordinates c = forward(x).  A `FlowModel` with a hidden layer
+is linear in its last activation a_L, so every state is
+c_T + sum_j P_j [A b_L] l_j for latent vectors l_j of size h_L + 1; when
+m = h_1 + J (h_L + 1) < d it is stepped on those m coordinates instead.
 """
 
 import time
@@ -68,12 +71,15 @@ def time_grid(ms: MatrixSchedule, cfg: SamplerConfig) -> Array:
     return np.linspace(ms.t_min, ms.horizon, cfg.steps + 1)
 
 
+def _noise(ms: MatrixSchedule, rng, n: int | None) -> Array:
+    """xi ~ N(0, I), shape (d,) or (n, d)."""
+    d = ms.family.ambient_dim
+    return np.random.default_rng(rng).standard_normal(d if n is None else (n, d))
+
+
 def init_state(ms: MatrixSchedule, rng, n: int | None = None) -> Array:
     """Initial noise x_T = M_T^{1/2} xi with xi ~ N(0, I)."""
-    rng = np.random.default_rng(rng)
-    d = ms.family.ambient_dim
-    xi = rng.standard_normal(d if n is None else (n, d))
-    return apply_spectral(ms.family, ms.at(ms.horizon).sqrt_g, xi)
+    return apply_spectral(ms.family, ms.at(ms.horizon).sqrt_g, _noise(ms, rng, n))
 
 
 def heun_step(family, flow_field, x, t_k, u_k, u_prev, t_hat=None, u_hat=None, flow_k=None):
@@ -110,11 +116,13 @@ class TrajectoryResult:
     nfe: int  # flow-field evaluations per trajectory
     wall_time: float
     _back: object  # the coordinate view's map back to ambient states
-    _coords: list  # the start as given, then the states in the view's coordinates
+    _coords: list  # the states in the view's coordinates, the start first
+    _x_init: Array | None  # the start as given, if it was
 
     @cached_property
-    def states(self) -> list:  # x at times[K], ..., times[0]; one batched back-map
+    def states(self) -> list:  # x at times[K], ..., times[0]; one batched back-map of the inner
         start, *inner, _ = self._coords
+        start = self._back(start) if self._x_init is None else self._x_init
         return [start, *(self._back(np.stack(inner)) if inner else ()), self.final]
 
 
@@ -133,20 +141,23 @@ def sample_trajectory(ms: MatrixSchedule, flow_field, cfg: SamplerConfig,
     K >= 2 steps.
     """
     grid = time_grid(ms, cfg)
+    family = ms.family
     if x_init is None:
-        x = init_state(ms, rng, n=n)
+        xi = _noise(ms, rng, n)
     else:
-        x = np.asarray(x_init, dtype=float)
+        x_init = np.asarray(x_init, dtype=float)
     start = time.perf_counter()
     heun = cfg.solver == "heun"
     midpoint = heun and cfg.secondary == "midpoint"
     t_hats = 0.5 * (grid[:-1] + grid[1:]) if midpoint else grid[:-1]
     times = np.concatenate((grid, t_hats)) if midpoint else grid
-    coords, view, c, back = coordinate_view(flow_field, ms.family, x, times)
     table = ms.at(times).sqrt_g
     u = table[:grid.size]
     u_hats = table[grid.size:] if midpoint else u[:-1]
-    states = [x]
+    # the start in the family's coordinates; init_state's is inverse(forward(xi) sqrt(g_T))
+    c = family.forward(xi) * u[-1][family.labels] if x_init is None else family.forward(x_init)
+    coords, view, c, back = coordinate_view(flow_field, family, c, times)
+    states = [c]
     nfe = 0
     carried_flow = None
     for k in range(cfg.steps, 0, -1):
@@ -164,6 +175,7 @@ def sample_trajectory(ms: MatrixSchedule, flow_field, cfg: SamplerConfig,
         wall_time=time.perf_counter() - start,
         _back=back,
         _coords=states,
+        _x_init=x_init,
     )
 
 

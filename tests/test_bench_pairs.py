@@ -45,3 +45,42 @@ def test_one_pair_has_its_run_as_every_quartile():
     assert entry["metrics"]["items_per_s"]["change"] == {"median": 120, "q1": 120, "q3": 120,
                                                          "runs": [120]}
     assert entry["metrics"]["items_per_s"]["parent_iqr"] == 0
+
+
+def ten_pairs(parent_items, change_items):
+    return [(result(p, 1.0 / p), result(c, 1.0 / c)) for p, c in zip(parent_items, change_items)]
+
+
+def test_a_gain_won_in_every_pair_by_more_than_the_parent_iqr_is_resolved():
+    parent = [100, 102, 98, 101, 99, 100, 103, 97, 100, 101]
+    entry = bench_pairs.summarize(SPECS, range(10), ten_pairs(parent, [p + 15 for p in parent]))
+    for name in ("items_per_s", "op_mean_s"):
+        metric = entry["metrics"][name]
+        assert metric["change_better_pairs"] == 10
+        assert metric["gain_resolved"] and not metric["worse_than_bound"]
+    line = bench_pairs.verdict("w", "items_per_s", entry["metrics"]["items_per_s"])
+    assert line.startswith("w items_per_s: ") and "10/10 pairs" in line
+    assert line.endswith("gain resolved, within bound")
+
+
+def test_a_gain_won_in_8_of_10_pairs_is_not_resolved():
+    parent = [100, 102, 98, 101, 99, 100, 103, 97, 100, 101]
+    change = [p + 15 for p in parent[:8]] + [p - 1 for p in parent[8:]]
+    metric = bench_pairs.summarize(SPECS, range(10), ten_pairs(parent, change))["metrics"][
+        "items_per_s"]
+    assert metric["change_better_pairs"] == 8
+    assert metric["change"]["median"] - metric["parent"]["median"] > metric["parent_iqr"]
+    assert not metric["gain_resolved"] and not metric["worse_than_bound"]
+    assert "no resolved gain" in bench_pairs.verdict("w", "items_per_s", metric)
+
+
+def test_a_regression_past_its_bound_is_reported():
+    parent = [100, 102, 98, 101, 99, 100, 103, 97, 100, 101]
+    entry = bench_pairs.summarize(SPECS, range(10), ten_pairs(parent, [0.7 * p for p in parent]))
+    for name in ("items_per_s", "op_mean_s"):  # 30% fewer items, 43% longer ops: bound 25%
+        metric = entry["metrics"][name]
+        assert metric["worse_than_bound"] and not metric["gain_resolved"]
+    assert bench_pairs.verdict("w", "op_mean_s", entry["metrics"]["op_mean_s"]).endswith(
+        "no resolved gain, WORSE THAN BOUND")
+    within = bench_pairs.summarize(SPECS, range(10), ten_pairs(parent, [0.8 * p for p in parent]))
+    assert not within["metrics"]["items_per_s"]["worse_than_bound"]  # 20% is inside the bound

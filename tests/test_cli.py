@@ -555,6 +555,34 @@ def test_train_class_labels_must_match_the_gmm_map(tmp_path, capsys, labels, cla
     assert not (tmp_path / "rundir").exists()
 
 
+@pytest.mark.parametrize("mode", ["oracle", "model", "class-conditional"])
+def test_train_data_not_matching_the_family_exits_2_before_training(tmp_path, capsys, monkeypatch,
+                                                                    mode):
+    def no_training(*args, **kwargs):
+        raise AssertionError("train_bilevel was called")
+
+    monkeypatch.setattr(cli_mod, "train_bilevel", no_training)
+    cfg_path, config = _class_conditional_config(tmp_path)
+    wrong = cfg_path.parent / "wide.json"
+    if mode == "model":  # model mode on a "data" CSV of 3-coordinate points
+        wrong = wrong.with_suffix(".csv")
+        wrong.write_text("x0,x1,x2\n0.1,-0.4,0.3\n1.2,0.3,-0.5\n")
+        del config["gmm"], config["schedule"]["classes"]
+        config.update(data=wrong.name, model={"widths": [4], "seed": 1})
+    else:
+        save_gmm(single_gaussian(np.zeros(3), np.eye(3)), wrong)
+        if mode == "oracle":
+            config["gmm"] = wrong.name
+            del config["schedule"]["classes"]
+        else:
+            config["gmm"]["b"] = wrong.name
+    cfg_path.write_text(json.dumps(config))
+    assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "rundir")]) == 2
+    assert capsys.readouterr().err == (f"error: {wrong.resolve()}: data dimension 3 does not "
+                                       "match the family's dimension 2\n")
+    assert not (tmp_path / "rundir").exists()
+
+
 def test_train_model_mode_command(tmp_path, gmm_file):
     config = {
         "version": "1",

@@ -67,14 +67,14 @@ def assert_heun_32_factors_once_per_distinct_time(monkeypatch, ms, field):
     res = sample_trajectory(ms, field, SamplerConfig(steps=32), n=8, rng=0)
     assert res.nfe == 63
     assert len(factors) == 33
-    assert len(evals) == 35  # init_state, the sqrt(g) table, one per distinct time
+    assert len(evals) == 34  # the sqrt(g) table, with the start's row, one per distinct time
     # a second trajectory on the same oracle and family reads the kept slices
     factors.clear()
     evals.clear()
     again = sample_trajectory(ms, field, SamplerConfig(steps=32), n=8, rng=1)
     assert again.nfe == 63
     assert len(factors) == 0
-    assert len(evals) == 2  # init_state and the sqrt(g) table
+    assert len(evals) == 1  # the sqrt(g) table
 
 
 def test_heun_32_trajectory_factors_once_per_distinct_time(monkeypatch):
@@ -94,7 +94,7 @@ def test_heun_32_conditional_trajectory_factors_once_per_distinct_time(monkeypat
 def oracle_view(field, x, times):
     """The kept view of an oracle on its own family, and the start in its coordinates."""
     family = field.ms.family
-    _, view, c, _ = coordinate_view(field, family, x, times)
+    _, view, c, _ = coordinate_view(field, family, family.forward(x), times)
     return view, c
 
 

@@ -7,7 +7,7 @@ from anisodiff.fields import OracleFlowField
 from anisodiff.flow_model import FlowModel, n_params
 from anisodiff.gmm import perturb, sample_p0, score, single_gaussian
 from anisodiff.schedule import eval_M, isotropic_matrix_schedule
-from anisodiff.subspaces import apply_spectral
+from anisodiff.subspaces import apply_spectral, build_pca_projectors
 
 
 def small_model(seed=0, zero_head=False):
@@ -65,6 +65,40 @@ def test_rejects_nonpositive_time():
     m = small_model()
     with pytest.raises(ValueError):
         m(np.zeros(2), 0.0)
+    # a non-finite t, scalar or one entry of an array t, is rejected the same way
+    for t in (-1.0, float("nan"), float("inf"), np.array(np.nan), np.array([1.0, np.nan, 2.0])):
+        with pytest.raises(ValueError, match="t must be positive and finite"):
+            m(np.zeros((3, 2)), t)
+
+
+def test_layers_are_built_once_per_model():
+    m = small_model(seed=1)
+    assert m.layers() is m.layers()
+    other = m.with_params(m.params)
+    assert other.layers() is not m.layers()
+    assert all(np.array_equal(w, w_other) and np.array_equal(b, b_other)
+               for (w, b), (w_other, b_other) in zip(m.layers(), other.layers()))
+
+
+@pytest.mark.parametrize("widths", [(8,), (8, 8)])
+@pytest.mark.parametrize("batched", [True, False])
+def test_a_scalar_t_jet_agrees_with_an_array_t_jet(widths, batched):
+    # a scalar t folds the time features into the first-layer bias; an array t concatenates
+    # them onto x.  The two sum in different orders, so they agree to rounding
+    d, n = 6, 4
+    rng = np.random.default_rng(17)
+    model = FlowModel.create(d, horizon=5.0, widths=widths, seed=18, zero_head=False)
+    model = model.with_params(model.params + 0.1 * rng.standard_normal(model.params.size))
+    x, u, v = rng.standard_normal((3, n, d)) if batched else rng.standard_normal((3, d))
+    cot = rng.standard_normal(x.shape)
+    t = 1.7
+    family = build_pca_projectors(rng.standard_normal((50, d)), 2)  # a rotated basis
+    jets = model.at(x, t), model.at(x, np.full(n if batched else 1, t))
+    got, want = ([jet.value(), jet.directional(v), jet.mixed(u, v), jet.block_traces(family),
+                  jet.param_grad(cot)] for jet in jets)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape
+        assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
 
 
 def test_param_grad_matches_fd():

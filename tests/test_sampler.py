@@ -296,7 +296,7 @@ def test_one_eval_M_per_step(monkeypatch, solver):
     monkeypatch.setattr(schedule_mod, "eval_M", counting_eval_M)
     cfg = SamplerConfig(steps=8, solver=solver, secondary="endpoint")
     sample_trajectory(ms, lambda x, t: -x, cfg, n=4)
-    assert len(calls) == 2  # init_state, then the trajectory's sqrt(g) table
+    assert len(calls) == 1  # the trajectory's sqrt(g) table, which holds the start's row
 
 
 @pytest.mark.parametrize("solver, secondary, per_step", [
@@ -322,7 +322,7 @@ def test_spectral_applications_per_trajectory(monkeypatch, solver, secondary, pe
     steps = 5
     cfg = SamplerConfig(steps=steps, solver=solver, secondary=secondary)
     sample_trajectory(ms, lambda x, t: -x, cfg, n=4, rng=1)
-    assert len(calls) == 1 + per_step * steps  # init_state, then the steps
+    assert len(calls) == per_step * steps  # the steps; the start is scaled in the coordinates
     # one `heun_step` per step, from t_K down to t_1, through the module global
     assert np.array_equal(step_times, time_grid(ms, cfg)[:0:-1])
 
@@ -494,7 +494,13 @@ def test_coordinate_trajectory_equals_the_step_loop(seed, name, kind, rule, step
     cfg = SamplerConfig(steps=steps, solver=rule[0], secondary=rule[1])
     res = sample_trajectory(plain, field, cfg, n=3, rng=seed % 1000)
     if isinstance(field, OracleFlowField):
-        _, view, c, back = coordinate_view(field, ms.family, res.states[0])
+        # the trajectory's start in coordinates, forward(xi) sqrt(g_T): forward(states[0]) differs
+        # from it by rounding, which the problem can amplify as well
+        fam = ms.family
+        xi = np.random.default_rng(seed % 1000).standard_normal((3, fam.ambient_dim))
+        c_T = fam.forward(xi) * plain.at(plain.horizon).sqrt_g[fam.labels]
+        assert np.array_equal(fam.inverse(c_T), res.states[0])
+        _, view, c, back = coordinate_view(field, fam, c_T)
         want = [res.states[0], *map(back, step_loop(view.ms, view, cfg, c)[1:])]
     else:
         want = step_loop(plain, field, cfg, res.states[0])
@@ -558,6 +564,22 @@ def test_states_are_mapped_back_once_on_first_access(monkeypatch, rule):
             assert_close(got, ref)
 
 
+@pytest.mark.parametrize("name", ["dct-4", "separable-dct-16"], ids=["default", "latent"])
+@pytest.mark.parametrize("n", [None, 3])
+def test_a_drawn_start_is_init_state(name, n):
+    # the start is formed in the family's coordinates with the sqrt(g) table's horizon row, and
+    # states[0] maps it back
+    fam = COORDINATE_FAMILIES[name]
+    ms = matrix_schedule_for_family(fam, 10.0)
+    model = biased_model(fam.ambient_dim, 10.0, (8, 8), np.random.default_rng(5))
+    cfg = SamplerConfig(steps=3)
+    assert np.array_equal(ms.at(time_grid(ms, cfg)).sqrt_g[-1], ms.at(ms.horizon).sqrt_g)
+    res = sample_trajectory(ms, model, cfg, n=n, rng=11)
+    assert np.array_equal(res.states[0], init_state(ms, 11, n))
+    # given as x_init, the same start is taken to the coordinates again: equal to rounding
+    assert_close(sample_trajectory(ms, model, cfg, x_init=res.states[0]).final, res.final)
+
+
 LATENT_FAMILIES = {
     "separable-dct-16": COORDINATE_FAMILIES["separable-dct-16"],
     "pca-256": build_pca_projectors(np.random.default_rng(1).standard_normal((300, 256)), 2),
@@ -575,7 +597,7 @@ def test_latent_trajectory_equals_the_step_loop(seed, name, widths, rule, steps,
     ms = MatrixSchedule(fam, random_knots(rng, horizon))
     model = biased_model(fam.ambient_dim, horizon, widths, rng)
     x_init = init_state(ms, rng, n=3 if batched else None)
-    assert coordinate_view(model, fam, x_init)[0].ambient_dim < fam.ambient_dim
+    assert coordinate_view(model, fam, fam.forward(x_init))[0].ambient_dim < fam.ambient_dim
     cfg = SamplerConfig(steps=steps, solver=rule[0], secondary=rule[1])
     res = sample_trajectory(ms, model, cfg, x_init=x_init)
     want = step_loop(ms, model, cfg, x_init)
@@ -605,7 +627,7 @@ def test_the_latent_view_is_taken_when_smaller_and_finite(name, widths, scale, l
         model = model.with_params(params)
     x = rng.standard_normal((2, d))
     with np.errstate(over="ignore", invalid="ignore"):
-        coords, view, start, back = coordinate_view(model, fam, x)
+        coords, view, start, back = coordinate_view(model, fam, fam.forward(x))
     assert isinstance(view, FlowModel)
     if latent:
         assert coords.ambient_dim == view.dim == 26 and start.shape == (2, 26)

@@ -17,7 +17,12 @@ pairs it finished.  It holds `machine` (from the first run), `method` and
 whether every run was correct, and per metric each side's runs in seed
 order, their median and inclusive quartiles, the pairs the change won
 (ties count for neither side), the ratio of the medians and the parent's
-interquartile range.
+interquartile range.  Each metric also gets the acceptance rule's two
+verdicts: `gain_resolved` (the change won at least 9 in 10 pairs and its
+median is better than the parent's by more than the parent's interquartile
+range) and `worse_than_bound` (the change's median is worse than the
+parent's by more than the metric's `bound`, a fraction of the parent's
+median).  After each workload one verdict line per metric is printed.
 """
 
 import argparse
@@ -56,12 +61,27 @@ def summarize(specs, seeds, pairs):
                 for side, results in sides.items()}
         parent, change = side_stats(runs["parent"]), side_stats(runs["change"])
         won = sum(c < p if lower else c > p for p, c in zip(runs["parent"], runs["change"]))
+        iqr = parent["q3"] - parent["q1"]
+        gain = (parent["median"] - change["median"]) * (1 if lower else -1)  # > 0: change better
         entry["metrics"][name] = {
             "unit": spec["unit"], "better": spec["better"], "parent": parent, "change": change,
             "change_better_pairs": won, "median_ratio": change["median"] / parent["median"],
-            "parent_iqr": parent["q3"] - parent["q1"],
+            "parent_iqr": iqr,
+            "gain_resolved": 10 * won >= 9 * len(pairs) and gain > iqr,
+            "worse_than_bound": -gain > spec["bound"] * abs(parent["median"]),
         }
     return entry
+
+
+def verdict(workload, name, metric):
+    """One line: the metric's medians, pairs won and the acceptance rule's verdicts."""
+    pairs = len(metric["parent"]["runs"])
+    gap = abs(metric["change"]["median"] - metric["parent"]["median"])
+    return (f"{workload} {name}: median ratio {metric['median_ratio']:.4g}, change better in "
+            f"{metric['change_better_pairs']}/{pairs} pairs, median gap {gap:.4g} vs parent IQR "
+            f"{metric['parent_iqr']:.4g}: "
+            f"{'gain resolved' if metric['gain_resolved'] else 'no resolved gain'}, "
+            f"{'WORSE THAN BOUND' if metric['worse_than_bound'] else 'within bound'}")
 
 
 def run_once(tree, workload, seed, seconds):
@@ -112,6 +132,8 @@ def main(argv=None):
             items = record["end_to_end"][workload]["metrics"]["items_per_s"]
             print(f"{workload} seed {seed}: items_per_s parent {items['parent']['runs'][-1]:.4g}"
                   f" change {items['change']['runs'][-1]:.4g}", flush=True)
+        for name, metric in record["end_to_end"][workload]["metrics"].items():
+            print(verdict(workload, name, metric), flush=True)
     return 0
 
 
