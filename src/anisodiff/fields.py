@@ -8,7 +8,8 @@ noisy-mixture factorization and its Hessian for the oracle, the primal
 activations for `FlowModel`).  `block_traces(family)` returns, shape
 (J, n, d), the sums T_j = sum_{i in block j} mixed(q_i, q_i) over the
 columns q_i of the family's orthonormal basis; the oracle has them in
-closed form, `FlowModel` takes them from one stacked `mixed` call.  The
+closed form, `FlowModel` from its own forward pass, which carries only
+their J block sums through the layers and makes no `mixed` call.  The
 three direct methods are `at(x, t)` followed by one jet call, so callers
 that need several quantities at the same (x, t), such as the
 schedule-gradient estimator, build one jet and ask it repeatedly.

@@ -4,10 +4,13 @@ A dense tanh network on (x, time features) with a linear head.  tanh is
 C-infinity, so the exact first and mixed-second directional derivatives
 required by the schedule-gradient estimator exist everywhere; they are
 propagated with forward-mode tangents (hyper-dual style), not finite
-differences.  Parameters live in one flat vector so optimizer state and
-snapshots stay trivial; a model is frozen, so its per-layer views are
-built once.  At a scalar t (the sampler's case) the time features are one
-row shared by every point, so they fold into the first layer's bias,
+differences; a tangent in x enters at W_x, the first layer's x-columns.
+The block traces of the schedule-gradient estimator have their own
+forward pass, which carries the second-order terms as block sums.
+Parameters live in one flat vector so optimizer state and snapshots stay
+trivial; a model is frozen, so its per-layer views are built once.  At a
+scalar t (the sampler's case) the time features are one row shared by
+every point, so they fold into the first layer's bias,
 W_t [log t, t/T] + b_1, and the input rows [x, log t, t/T] are formed
 only for a parameter gradient; an array t (training) forms them up front.
 """
@@ -21,10 +24,11 @@ Array = np.ndarray
 
 DEFAULT_WIDTHS = (64, 64)
 N_TIME_FEATURES = 2
-# Rows per hyper-dual pass of a stacked `mixed` call.  A (16, 256) stack at
-# widths (64, 64), one BLAS thread, takes 8.6 ms in 512-row passes, 13 ms in
-# 1024-row passes and 23 ms as one 4096-row pass, whose temporaries also
-# add 11 MB to peak memory (1.2 MB at 512 rows).
+# Tangent rows per pass of a stacked `mixed` call or of `block_traces` (dim
+# tangents per batch row, so 32 batch rows at dim=16).  A (16, 256) `mixed`
+# stack at widths (64, 64), one BLAS thread, takes 8.6 ms in 512-row passes,
+# 13 ms in 1024-row passes and 23 ms as one 4096-row pass, whose temporaries
+# also add 11 MB to peak memory (1.2 MB at 512 rows).
 MIXED_PASS_ROWS = 512
 TIME_MESSAGE = "t must be positive and finite (time features use log t)"
 
@@ -167,9 +171,10 @@ class FlowModelJet:
         self.t = np.asarray(t, dtype=float)
         self.n = self.x.shape[0]
         w, b = self.layers[0]
+        self.w_x = w[:, :self.dim]  # where a tangent in x enters: it has no time-feature part
         if self.t.ndim == 0:
             bias = w[:, self.dim:] @ model._features(self.t) + b
-            z = self.x @ w[:, :self.dim].T + bias
+            z = self.x @ self.w_x.T + bias
         else:
             z = self._rows @ w.T + b
         self.acts = []  # a_1, ..., a_{L-1}: the hidden layers' tanh activations
@@ -211,22 +216,17 @@ class FlowModelJet:
         """tanh''(z) = -2 a (1 - a^2) per hidden layer."""
         return [-2.0 * a * s1 for a, s1 in zip(self.acts, self._slopes)]
 
-    def _pad_tangent(self, v: Array) -> Array:
-        """Tangent (..., n, dim) with zero time-feature tangents appended.
-
-        `v` is (dim,), (n, dim) or a stack (..., n, dim) of tangents at the
-        batch's points.
-        """
+    def _tangent(self, v: Array) -> Array:
+        """A tangent (dim,), (n, dim) or stack (..., n, dim) broadcast to (..., n, dim)."""
         v = np.atleast_2d(np.asarray(v, dtype=float))
-        v = np.broadcast_to(v, v.shape[:-2] + (self.n, self.dim))
-        return np.concatenate([v, np.zeros(v.shape[:-1] + (N_TIME_FEATURES,))], axis=-1)
+        return np.broadcast_to(v, v.shape[:-2] + (self.n, self.dim))
 
     def directional(self, v: Array) -> Array:
         """d/ds flow(x + s v, t) at s=0."""
-        da = self._pad_tangent(v)
-        for (w, _), s1 in zip(self.layers[:-1], self._slopes):
-            da = s1 * (da @ w.T)
-        return self._shape(da @ self.layers[-1][0].T)
+        dz = self._tangent(v) @ self.w_x.T
+        for (w, _), s1 in zip(self.layers[1:], self._slopes):
+            dz = (s1 * dz) @ w.T
+        return self._shape(dz)
 
     def mixed(self, u: Array, v: Array) -> Array:
         """d^2/(dr ds) flow(x + r u + s v, t) at r=s=0.
@@ -236,8 +236,8 @@ class FlowModelJet:
         least one tangent pair), so each matmul takes many pairs at once
         while its temporaries stay cache-sized.
         """
-        du = self._pad_tangent(u)
-        dv = du if v is u else self._pad_tangent(v)
+        du = self._tangent(u)
+        dv = du if v is u else self._tangent(v)
         stack = du.shape[:-2]
         du = du.reshape((-1,) + du.shape[-2:])
         dv = dv.reshape((-1,) + dv.shape[-2:])
@@ -246,25 +246,46 @@ class FlowModelJet:
                               for i in range(0, du.shape[0], step)])
         return self._shape(out.reshape(stack + (self.n, self.dim)))
 
+    def _mixed_pass(self, u: Array, v: Array, same: bool) -> Array:
+        if not self.acts:  # an affine model
+            return np.zeros(u.shape)
+        zu = u @ self.w_x.T
+        zv = zu if same else v @ self.w_x.T
+        duv = self._curvatures[0] * zu * zv  # the second-order tangent is 0 into layer 1
+        for (w, _), s1_in, s1, s2 in zip(self.layers[1:], self._slopes, self._slopes[1:],
+                                         self._curvatures[1:]):
+            zu, zuv = (s1_in * zu) @ w.T, duv @ w.T
+            zv = zu if same else (s1_in * zv) @ w.T
+            duv = s2 * zu * zv + s1 * zuv
+        return duv @ self.layers[-1][0].T
+
     def block_traces(self, family) -> Array:
         """T_j = sum_{i in block j} d_r d_s flow(x + r q_i + s q_i), shape (J, n, dim).
 
-        The q_i are the columns of the family's orthonormal basis; all dim
-        tangents go through `mixed` as one stack.
+        The q_i are the columns of the family's orthonormal basis.  This is
+        its own forward pass, not a `mixed` call.  The first layer's
+        tangents q_i W_x^T are the same on every row, so they are one
+        (dim, h_1) product, family.forward(W_x)^T, which forms no d x d
+        basis.  Later layers carry the dim first-order tangents per row but
+        the second-order terms only as their J block sums, which is exact
+        because each layer is linear in them.  Rows go in passes of up to
+        MIXED_PASS_ROWS tangent rows.
         """
-        q = family.basis
-        tangents = np.broadcast_to(q.T[:, None, :], (self.dim, self.n, self.dim))  # [i] = q_i
-        # the same stack in both slots does the tangent work once
-        per_column = self.mixed(tangents, tangents)
-        return np.stack([per_column[family.labels == j].sum(axis=0)
-                         for j in range(family.n_subspaces)])
-
-    def _mixed_pass(self, du: Array, dv: Array, same: bool) -> Array:
-        duv = np.zeros_like(du)
-        for (w, _), s1, s2 in zip(self.layers[:-1], self._slopes, self._curvatures):
-            zu, zuv = du @ w.T, duv @ w.T
-            zv = zu if same else dv @ w.T
-            du = s1 * zu
-            dv = du if same else s1 * zv
-            duv = s2 * zu * zv + s1 * zuv
-        return duv @ self.layers[-1][0].T
+        n_blocks = family.n_subspaces
+        out = np.zeros((n_blocks, self.n, self.dim))
+        if not self.acts:  # an affine model
+            return self._shape(out)
+        indicator = (family.labels == np.arange(n_blocks)[:, None]).astype(float)  # (J, dim)
+        z1 = family.forward(self.w_x).T  # row i: q_i W_x^T
+        sums1 = (indicator @ (z1 * z1))[:, None, :]  # (J, 1, h_1)
+        step = max(1, MIXED_PASS_ROWS // self.dim)
+        for r in range(0, self.n, step):
+            part = slice(r, r + step)
+            slopes = [s1[part] for s1 in self._slopes]
+            curvatures = [s2[part] for s2 in self._curvatures]
+            zu, duv = z1[:, None, :], curvatures[0] * sums1
+            for (w, _), s1_in, s1, s2 in zip(self.layers[1:], slopes, slopes[1:], curvatures[1:]):
+                zu = (s1_in * zu) @ w.T  # (dim, rows, h)
+                duv = s2 * np.tensordot(indicator, zu * zu, axes=1) + s1 * (duv @ w.T)
+            out[:, part] = duv @ self.layers[-1][0].T
+        return self._shape(out)

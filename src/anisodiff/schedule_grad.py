@@ -15,12 +15,13 @@ family's own basis q_i, P_j q_i is q_i inside block j and 0 outside it,
 so D q_i = delta_j q_i and the sum is sum_j delta_j T_j with the block
 traces T_j = sum_{i in block j} d_r d_s score(x + r q_i + s q_i).  They
 come from one `jet.block_traces(family)` call, part of the jet protocol
-(see `fields`): closed form for the mixture oracle, one stacked `mixed`
-pass for `FlowModel`.  The same J traces serve every D.  The exact sum
-can be replaced by Rademacher probes (unbiased since E[z z^T] = I).
-Every term is linear in D, and D = sum_j (d g_j / d theta) P_j, so the
-estimator's responses to D = P_j are computed once per batch and every
-theta-derivative is those J responses contracted with the knot Jacobian:
+(see `fields`): closed form for the mixture oracle, one forward pass of
+per-block second-order sums for `FlowModel`.  The same J traces serve
+every D.  The exact sum can be replaced by Rademacher probes (unbiased
+since E[z z^T] = I).  Every term is linear in D, and D = sum_j
+(d g_j / d theta) P_j, so the estimator's responses to D = P_j are
+computed once per batch and every theta-derivative is those J responses
+contracted with the knot Jacobian:
 `estimate_dtheta_score`/`estimate_dtheta_flow` for one parameter,
 `outer_gradient` for all of them against the loss cotangent.
 """

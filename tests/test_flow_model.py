@@ -3,11 +3,17 @@ import pytest
 
 from flow_views import ScoreFromFlow
 
+from anisodiff import flow_model
 from anisodiff.fields import OracleFlowField
 from anisodiff.flow_model import FlowModel, n_params
 from anisodiff.gmm import perturb, sample_p0, score, single_gaussian
 from anisodiff.schedule import eval_M, isotropic_matrix_schedule
-from anisodiff.subspaces import apply_spectral, build_pca_projectors
+from anisodiff.subspaces import (
+    apply_spectral,
+    build_dct_projectors,
+    build_pca_projectors,
+    isotropic_family,
+)
 
 
 def small_model(seed=0, zero_head=False):
@@ -99,6 +105,43 @@ def test_a_scalar_t_jet_agrees_with_an_array_t_jet(widths, batched):
     for a, b in zip(got, want):
         assert a.shape == b.shape
         assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
+
+
+BLOCK_FAMILIES = {
+    "dct": lambda rng: build_dct_projectors(4, low_side=2),
+    "pca": lambda rng: build_pca_projectors(
+        rng.standard_normal((64, 16)) * np.linspace(0.5, 2, 16), 5),
+    "isotropic": lambda rng: isotropic_family(16),
+    "coordinates": lambda rng: build_dct_projectors(4, low_side=2).coordinates,
+    "separable-dct": lambda rng: build_dct_projectors(16, low_side=8),  # d=256, no stored basis
+}
+
+
+@pytest.mark.parametrize("widths", [(), (8,), (8, 8), (16, 8, 12)])
+@pytest.mark.parametrize("family_kind", sorted(BLOCK_FAMILIES))
+@pytest.mark.parametrize("t_kind", ["scalar-t", "per-sample-t", "1-D x"])
+def test_block_traces_equal_the_stacked_mixed_pass(widths, family_kind, t_kind, monkeypatch):
+    rng = np.random.default_rng(23)
+    family = BLOCK_FAMILIES[family_kind](rng)
+    d, n = family.ambient_dim, 7
+    # passes of 3 batch rows (3 d tangent rows), so n=7 crosses two pass edges
+    monkeypatch.setattr(flow_model, "MIXED_PASS_ROWS", 3 * d)
+    model = FlowModel.create(d, horizon=5.0, widths=widths, seed=24, zero_head=False)
+    model = model.with_params(model.params + 0.1 * rng.standard_normal(model.params.size))
+    x = rng.standard_normal((n, d))
+    t = 1.7 if t_kind == "scalar-t" else rng.uniform(0.3, 4.0, size=n)
+    if t_kind == "1-D x":
+        x, t, n = x[0], float(t[0]), 1
+    jet = model.at(x, t)
+    # reference: the d basis tangents q_i through one stacked `mixed` call
+    tangents = np.broadcast_to(family.basis.T[:, None, :], (d, n, d))
+    per_column = jet.mixed(tangents, tangents)
+    want = np.stack([per_column[family.labels == j].sum(axis=0)
+                     for j in range(family.n_subspaces)])
+    got = jet.block_traces(family)
+    assert got.shape == want.shape == ((family.n_subspaces,) + np.shape(x))
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    assert (np.max(np.abs(want)) > 0) == bool(widths)  # only an affine model has no curvature
 
 
 def test_param_grad_matches_fd():

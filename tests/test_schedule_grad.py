@@ -434,8 +434,9 @@ def test_stacked_mixed_matches_a_loop(kind, same, monkeypatch):
 
 @pytest.mark.parametrize("kind", ["oracle", "model"])
 def test_exact_sum_outer_gradient_makes_one_mixed_call(kind, monkeypatch):
-    """One block-trace call per exact-sum gradient: closed form for the
-    oracle (no `mixed` call), one stacked `mixed` pass for the model."""
+    """One block-trace call per exact-sum gradient, and not even the one
+    stacked `mixed` pass: the oracle's traces are closed form and the model's
+    come from their own forward pass."""
     rng, gm, ms = _dct16_setup(18)
     batch = draw_loss_samples(gm, ms, 8, rng)
     if kind == "oracle":
@@ -447,7 +448,7 @@ def test_exact_sum_outer_gradient_makes_one_mixed_call(kind, monkeypatch):
     trace_calls = _count_calls(monkeypatch, jet_cls, "block_traces")
     outer_gradient(ms, field, batch, EstimatorConfig("exact-sum"))
     assert len(trace_calls) == 1
-    assert len(mixed_calls) == (0 if kind == "oracle" else 1)
+    assert len(mixed_calls) == 0
 
 
 @pytest.mark.parametrize("kind, locates", [("oracle", 8), ("model", 6)])
