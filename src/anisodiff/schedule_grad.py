@@ -17,11 +17,12 @@ traces T_j = sum_{i in block j} d_r d_s score(x + r q_i + s q_i).  They
 come from one `jet.block_traces(family)` call, part of the jet protocol
 (see `fields`): closed form for the mixture oracle, one forward pass of
 per-block second-order sums for `FlowModel`.  The same J traces serve
-every D.  The exact sum can be replaced by Rademacher probes (unbiased
-since E[z z^T] = I).  Every term is linear in D, and D = sum_j
-(d g_j / d theta) P_j, so the estimator's responses to D = P_j are
-computed once per batch and every theta-derivative is those J responses
-contracted with the knot Jacobian:
+every D.  The exact sum is the default at every d.  Rademacher probes
+(unbiased since E[z z^T] = I) are an explicit opt-in,
+`EstimatorConfig("stochastic-probe", probes, seed)`.  Every term is
+linear in D, and D = sum_j (d g_j / d theta) P_j, so the estimator's
+responses to D = P_j are computed once per batch and every
+theta-derivative is those J responses contracted with the knot Jacobian:
 `estimate_dtheta_score`/`estimate_dtheta_flow` for one parameter,
 `outer_gradient` for all of them against the loss cotangent.
 """
@@ -43,8 +44,6 @@ from .subspaces import apply_spectral
 
 Array = np.ndarray
 
-EXACT_SUM_MAX_DIM = 16
-
 
 @dataclass(frozen=True)
 class EstimatorConfig:
@@ -57,12 +56,6 @@ class EstimatorConfig:
             raise ValueError(f"unknown estimator mode {self.mode!r}")
         if self.mode == "stochastic-probe" and self.probes < 1:
             raise ValueError("need at least one probe")
-
-
-def default_estimator_config(dim: int, seed: int = 0) -> EstimatorConfig:
-    if dim <= EXACT_SUM_MAX_DIM:
-        return EstimatorConfig(mode="exact-sum", seed=seed)
-    return EstimatorConfig(mode="stochastic-probe", probes=32, seed=seed)
 
 
 def _mixed_sums(jet, family, shape, cfg: EstimatorConfig) -> Array:
@@ -119,23 +112,19 @@ def _contract(coef, responses) -> Array:
 
 
 def estimate_dtheta_score(field, ms: MatrixSchedule, x, t, theta_index: int,
-                          cfg: EstimatorConfig | None = None) -> Array:
+                          cfg: EstimatorConfig = EstimatorConfig()) -> Array:
     """Estimate d(score)/d(theta_j) from x-directional derivatives of `field`.
 
     `field` must supply at(x, t) (see `fields`); use the exact mixture
     oracle or the score view of a flow model.
     """
-    if cfg is None:
-        cfg = default_estimator_config(np.shape(x)[-1])
     responses = _score_responses(field.at(x, t), ms.family, cfg)
     return _contract(ms.at(t).jac[..., theta_index], responses)
 
 
 def estimate_dtheta_flow(flow_field, ms: MatrixSchedule, x, t, theta_index: int,
-                         cfg: EstimatorConfig | None = None) -> Array:
+                         cfg: EstimatorConfig = EstimatorConfig()) -> Array:
     """Flow-form estimate of d(flow)/d(theta_j) (three-term identity)."""
-    if cfg is None:
-        cfg = default_estimator_config(np.shape(x)[-1])
     ev = ms.at(t)
     jet = flow_field.at(x, t)
     return _contract(ev.jac[..., theta_index], _flow_responses(jet, ev, jet.value(), cfg))
@@ -162,7 +151,7 @@ def _pullback(cot, coef, responses) -> Array:
 
 
 def outer_gradient(ms: MatrixSchedule, flow_field, batch: LossSample,
-                   cfg: EstimatorConfig | None = None, class_label=None) -> OuterGradient:
+                   cfg: EstimatorConfig = EstimatorConfig(), class_label=None) -> OuterGradient:
     """Batch-mean gradient of the outer objective over the schedule parameters.
 
     Explicit part: differentiate the per-sample loss holding the field
@@ -176,8 +165,6 @@ def outer_gradient(ms: MatrixSchedule, flow_field, batch: LossSample,
     x0 = np.atleast_2d(batch.x0)
     eps = np.atleast_2d(batch.eps)
     t = np.broadcast_to(np.asarray(batch.t, dtype=float), (x0.shape[0],))
-    if cfg is None:
-        cfg = default_estimator_config(x0.shape[1])
     ms = ms.for_class(class_label if class_label is not None else batch.class_label)
 
     sample = LossSample(x0=x0, eps=eps, t=t)

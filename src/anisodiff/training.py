@@ -21,11 +21,7 @@ from .flow_model import FlowModel
 from .gmm import GaussianMixture, sample_p0
 from .loss import LossSample, loss_from_flow, loss_sample, perturbed_point
 from .schedule import MatrixSchedule
-from .schedule_grad import (
-    EstimatorConfig,
-    default_estimator_config,
-    outer_gradient,
-)
+from .schedule_grad import EstimatorConfig, outer_gradient
 
 Array = np.ndarray
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
@@ -142,6 +138,12 @@ class TrainConfig:
             raise ValueError("need at least one model step per schedule step")
         if self.total_images < 1 or self.log_every < 1:
             raise ValueError("total_images and log_every must be positive")
+        if not 0 < self.midpoint_decay <= 1:
+            raise ValueError("midpoint_decay must be in (0, 1]")
+        if self.warmup_images < 0 or self.ema_half_life_images < 0:
+            raise ValueError("warmup_images and ema_half_life_images must not be negative")
+        if self.guard_factor <= 0 or self.guard_patience < 1:
+            raise ValueError("guard_factor must be positive and guard_patience at least 1")
 
 
 def effective_lr(cfg: TrainConfig, base_lr: float, images_seen: int) -> float:
@@ -182,12 +184,14 @@ def _data_source(data, rng):
 
 
 def train_bilevel(data, ms: MatrixSchedule, model: FlowModel | None, cfg: TrainConfig,
-                  estimator_cfg: EstimatorConfig | None = None) -> TrainResult:
+                  estimator_cfg: EstimatorConfig = EstimatorConfig()) -> TrainResult:
     """Alternating schedule/model training; see the module docstring.
 
     `data` is a GaussianMixture (oracle mode available), a dict mapping
     class labels to mixtures (class-conditional schedules), or an (n, d)
-    dataset array (model mode only).
+    dataset array (model mode only).  `estimator_cfg` picks the outer
+    gradient's estimator: the exact block-trace sum by default at every d,
+    Rademacher probes only when asked for.
     """
     rng = np.random.default_rng(cfg.seed)
     mixtures, draw = _data_source(data, rng)
@@ -195,8 +199,6 @@ def train_bilevel(data, ms: MatrixSchedule, model: FlowModel | None, cfg: TrainC
         raise ValueError("oracle (schedule-only) training needs a mixture, not a dataset")
     if cfg.train_model and model is None:
         raise ValueError("model training requested but no model given")
-    if estimator_cfg is None:
-        estimator_cfg = default_estimator_config(ms.family.ambient_dim, seed=cfg.seed)
 
     if cfg.train_model:
         params = model.params.copy()

@@ -12,6 +12,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from anisodiff import cli as cli_mod
+from anisodiff import flow_model
+from anisodiff import gmm as gmm_mod
 from anisodiff.cli import load_run_config, main
 from anisodiff.gmm import GaussianMixture, single_gaussian
 from anisodiff.persistence import (
@@ -45,6 +47,7 @@ from anisodiff.subspaces import (
 from anisodiff.sampler import SamplerConfig
 from anisodiff.training import TrainConfig, train_bilevel
 from test_sampler import assert_close, biased_model, step_loop
+from test_schedule_grad import _count_calls
 
 
 @pytest.fixture
@@ -607,6 +610,38 @@ def test_train_model_mode_command(tmp_path, gmm_file):
     assert model.params.shape == ema.params.shape
 
 
+@pytest.mark.parametrize("mode", ["oracle", "model"])
+def test_train_above_d16_takes_exact_sum_schedule_steps(tmp_path, monkeypatch, mode):
+    """The exact sum is the default at every d: one block-trace call per
+    schedule step and no `mixed` call, here at d=20."""
+    d = 20
+    save_gmm(single_gaussian(np.linspace(-1.0, 1.0, d), np.eye(d)), tmp_path / "gmm.json")
+    config = {
+        "version": "1",
+        "gmm": "gmm.json",
+        "family": {"kind": "axis", "dim": d, "split": 8},
+        "schedule": {"horizon": 10.0, "knots": 4},
+        "train": {"batch_size": 8, "total_images": 32, "warmup_images": 8, "seed": 0},
+    }
+    if mode == "oracle":
+        config["train"]["train_model"] = False
+        jet_cls = gmm_mod._NoisyMixture
+    else:
+        config["model"] = {"widths": [8], "seed": 1}
+        config["train"]["model_steps_per_schedule_step"] = 2
+        jet_cls = flow_model.FlowModelJet
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(config))
+    traces = _count_calls(monkeypatch, jet_cls, "block_traces")
+    mixed = _count_calls(monkeypatch, jet_cls, "mixed")
+    out = tmp_path / "rundir"
+    assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 0
+    _, _, steps = read_csv(out / "theta_trace.csv")
+    assert len(steps) == (4 if mode == "oracle" else 2)
+    assert len(traces) == len(steps)
+    assert len(mixed) == 0
+
+
 def test_train_csvs_hold_the_runs_schedule_steps(tmp_path, gmm_file, monkeypatch):
     results = []
 
@@ -756,7 +791,10 @@ def test_train_value_of_wrong_json_type_exits_2(tmp_path, gmm_file, capsys, key,
     ("train", "total_images", 0), ("train", "log_every", 0), ("model", "widths", [0]),
     ("model", "widths", [-1]), ("model", "widths", [1.5]), ("model", "widths", ["a"]),
     ("model", "widths", [True]), ("train", "lr_schedule_scale", float("inf")),
-    ("schedule", "horizon", float("nan")),
+    ("schedule", "horizon", float("nan")), ("train", "midpoint_decay", -1),
+    ("train", "midpoint_decay", 0), ("train", "midpoint_decay", 1.5),
+    ("train", "ema_half_life_images", -1), ("train", "warmup_images", -5),
+    ("train", "guard_factor", -1), ("train", "guard_factor", 0), ("train", "guard_patience", 0),
 ])
 def test_train_bad_value_in_any_section_exits_2_naming_the_key(tmp_path, capsys, section, key,
                                                                value):

@@ -30,7 +30,6 @@ from anisodiff.schedule import (
 )
 from anisodiff.schedule_grad import (
     EstimatorConfig,
-    default_estimator_config,
     estimate_dtheta_flow,
     estimate_dtheta_score,
     estimate_H,
@@ -292,9 +291,7 @@ def test_outer_gradient_implicit_matches_analytic_oracle():
     np.testing.assert_allclose(grad.implicit, implicit, rtol=1e-5, atol=1e-9)
 
 
-def test_default_config_switches_mode():
-    assert default_estimator_config(4).mode == "exact-sum"
-    assert default_estimator_config(64).mode == "stochastic-probe"
+def test_estimator_config_rejects_a_bad_mode_or_no_probes():
     with pytest.raises(ValueError):
         EstimatorConfig(mode="bogus")
     with pytest.raises(ValueError):
@@ -394,10 +391,12 @@ def test_oracle_jets_match_the_oracle_functions(per_sample_t):
 # stacked tangents and the block-trace exact sum
 # ---------------------------------------------------------------------------
 
-def _dct16_setup(seed):
-    """Mixture, schedule and batch on the d=16 DCT family (J=2, non-axis basis)."""
+def _dct_setup(seed, fam=None):
+    """Mixture, schedule and batch on a DCT family (J=2, non-axis basis), by
+    default the d=16 one."""
     rng = np.random.default_rng(seed)
-    fam = build_dct_projectors(4, low_side=2)
+    if fam is None:
+        fam = build_dct_projectors(4, low_side=2)
     ms = matrix_schedule_for_family(fam, horizon=4.0, n_knots=4)
     ms = ms.with_theta_vector(0.5 * rng.standard_normal(ms.n_params))
     d, k = fam.ambient_dim, 3
@@ -432,21 +431,24 @@ def test_stacked_mixed_matches_a_loop(kind, same, monkeypatch):
         np.testing.assert_allclose(stacked[i], jet.mixed(u[i], v[i]), rtol=1e-12, atol=1e-14)
 
 
-@pytest.mark.parametrize("kind", ["oracle", "model"])
-def test_exact_sum_outer_gradient_makes_one_mixed_call(kind, monkeypatch):
+@pytest.mark.parametrize("kind, side", [("oracle", 4), ("model", 4), ("oracle", 8), ("model", 8)],
+                         ids=["oracle", "model", "oracle-d64-no-config", "model-d64-no-config"])
+def test_exact_sum_outer_gradient_makes_one_mixed_call(kind, side, monkeypatch):
     """One block-trace call per exact-sum gradient, and not even the one
     stacked `mixed` pass: the oracle's traces are closed form and the model's
-    come from their own forward pass."""
-    rng, gm, ms = _dct16_setup(18)
+    come from their own forward pass.  At d=64 no config is passed, since the
+    exact sum is the default at every d."""
+    rng, gm, ms = _dct_setup(18, None if side == 4 else build_dct_projectors(side))
     batch = draw_loss_samples(gm, ms, 8, rng)
     if kind == "oracle":
         field, jet_cls = OracleFlowField(gm, ms), gmm_mod._NoisyMixture
     else:
-        field = FlowModel.create(16, ms.horizon, widths=(8, 8), seed=3, zero_head=False)
+        field = FlowModel.create(side**2, ms.horizon, widths=(8, 8), seed=3, zero_head=False)
         jet_cls = flow_model.FlowModelJet
     mixed_calls = _count_calls(monkeypatch, jet_cls, "mixed")
     trace_calls = _count_calls(monkeypatch, jet_cls, "block_traces")
-    outer_gradient(ms, field, batch, EstimatorConfig("exact-sum"))
+    configs = [EstimatorConfig("exact-sum")] if side == 4 else []  # d=64: the default
+    outer_gradient(ms, field, batch, *configs)
     assert len(trace_calls) == 1
     assert len(mixed_calls) == 0
 
@@ -456,7 +458,7 @@ def test_outer_gradient_evaluates_the_schedule_once(kind, locates, monkeypatch):
     """One knot-interval search per knot schedule and schedule function at J=2:
     `eval_M`, `eval_M_dtheta` and `eval_M_dt_dtheta` once each for the batch,
     plus the oracle field's own `eval_M`."""
-    rng, gm, ms = _dct16_setup(18)
+    rng, gm, ms = _dct_setup(18)
     batch = draw_loss_samples(gm, ms, 8, rng)
     if kind == "oracle":
         field = OracleFlowField(gm, ms)
@@ -469,7 +471,7 @@ def test_outer_gradient_evaluates_the_schedule_once(kind, locates, monkeypatch):
 
 
 def test_outer_gradient_rejects_t_below_t_min():
-    rng, gm, ms = _dct16_setup(19)
+    rng, gm, ms = _dct_setup(19)
     batch = draw_loss_samples(gm, ms, 8, rng)
     t = batch.t.copy()
     t[3] = 0.1 * ms.t_min
@@ -495,7 +497,7 @@ def _assert_close_to_largest(got, want, rel=1e-12, floor=0.0):
 @pytest.mark.parametrize("family_kind", ["dct", "pca"])
 @pytest.mark.parametrize("t_kind", ["shared-t", "per-sample-t", "1-D x"])
 def test_closed_form_block_traces_equal_the_stacked_pass(family_kind, t_kind):
-    rng, gm, ms = _dct16_setup(21)
+    rng, gm, ms = _dct_setup(21)
     if family_kind == "pca":
         fam = build_pca_projectors(rng.standard_normal((64, 16)) * np.linspace(0.5, 2, 16), 5)
         ms = MatrixSchedule(fam, ms.per_subspace)
@@ -556,7 +558,7 @@ def _e_i_sum(jet, family, delta, d):
 
 @pytest.mark.parametrize("family_kind", ["dct", "pca"])
 def test_block_trace_estimates_equal_the_standard_basis_sum(family_kind):
-    rng, gm, ms = _dct16_setup(19)
+    rng, gm, ms = _dct_setup(19)
     if family_kind == "pca":
         fam = build_pca_projectors(rng.standard_normal((64, 16)) * np.linspace(0.5, 2, 16), 5)
         ms = MatrixSchedule(fam, ms.per_subspace)
