@@ -373,6 +373,8 @@ def _schedule_rows(ms, labels, points):
 
 
 def cmd_analyze_schedule(args) -> int:
+    if args.points < 1:
+        raise ValueError(f"points must be >= 1, got {args.points}")
     ms = load_schedule(args.schedule)
     labels = sorted(ms.class_table) if ms.class_table is not None else [None]
     ts, curves = _schedule_rows(ms, labels, args.points)

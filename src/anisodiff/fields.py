@@ -48,9 +48,7 @@ class SpectralJet:
     """Jet of a field left-multiplied by a spectral matrix that is constant in x.
 
     The matrix commutes with x-derivatives, so every jet quantity is the
-    matrix (per-subspace scalars `values`) applied to the inner one; a
-    stacked `mixed` result (..., n, d) is scaled row by row like an
-    unstacked one.
+    matrix (per-subspace scalars `values`) applied to the inner one.
     """
 
     def __init__(self, inner, family, values):

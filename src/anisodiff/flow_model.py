@@ -24,11 +24,10 @@ Array = np.ndarray
 
 DEFAULT_WIDTHS = (64, 64)
 N_TIME_FEATURES = 2
-# Tangent rows per pass of a stacked `mixed` call or of `block_traces` (dim
-# tangents per batch row, so 32 batch rows at dim=16).  A (16, 256) `mixed`
-# stack at widths (64, 64), one BLAS thread, takes 8.6 ms in 512-row passes,
-# 13 ms in 1024-row passes and 23 ms as one 4096-row pass, whose temporaries
-# also add 11 MB to peak memory (1.2 MB at 512 rows).
+# Tangent rows per pass of `block_traces`: dim first-order tangents per batch
+# row, so 32 batch rows at dim=16 (one row when dim > 512).  Each (dim, rows,
+# width) temporary of a pass then holds at most max(MIXED_PASS_ROWS, dim) * width
+# floats (256 KB at width 64 and dim <= 512), whatever the batch size.
 MIXED_PASS_ROWS = 512
 TIME_MESSAGE = "t must be positive and finite (time features use log t)"
 
@@ -217,9 +216,8 @@ class FlowModelJet:
         return [-2.0 * a * s1 for a, s1 in zip(self.acts, self._slopes)]
 
     def _tangent(self, v: Array) -> Array:
-        """A tangent (dim,), (n, dim) or stack (..., n, dim) broadcast to (..., n, dim)."""
-        v = np.atleast_2d(np.asarray(v, dtype=float))
-        return np.broadcast_to(v, v.shape[:-2] + (self.n, self.dim))
+        """A tangent (dim,) or (n, dim) broadcast to (n, dim)."""
+        return np.broadcast_to(np.asarray(v, dtype=float), (self.n, self.dim))
 
     def directional(self, v: Array) -> Array:
         """d/ds flow(x + s v, t) at s=0."""
@@ -229,35 +227,21 @@ class FlowModelJet:
         return self._shape(dz)
 
     def mixed(self, u: Array, v: Array) -> Array:
-        """d^2/(dr ds) flow(x + r u + s v, t) at r=s=0.
+        """d^2/(dr ds) flow(x + r u + s v, t) at r=s=0, one hyper-dual pass.
 
-        `u` and `v` may be stacks (..., n, dim) of tangent pairs.  The stack
-        runs as hyper-dual passes of up to MIXED_PASS_ROWS rows each (at
-        least one tangent pair), so each matmul takes many pairs at once
-        while its temporaries stay cache-sized.
+        `u` and `v` are one tangent pair, each (n, dim) or (dim,).
         """
-        du = self._tangent(u)
-        dv = du if v is u else self._tangent(v)
-        stack = du.shape[:-2]
-        du = du.reshape((-1,) + du.shape[-2:])
-        dv = dv.reshape((-1,) + dv.shape[-2:])
-        step = max(1, MIXED_PASS_ROWS // self.n)
-        out = np.concatenate([self._mixed_pass(du[i : i + step], dv[i : i + step], v is u)
-                              for i in range(0, du.shape[0], step)])
-        return self._shape(out.reshape(stack + (self.n, self.dim)))
-
-    def _mixed_pass(self, u: Array, v: Array, same: bool) -> Array:
         if not self.acts:  # an affine model
-            return np.zeros(u.shape)
-        zu = u @ self.w_x.T
-        zv = zu if same else v @ self.w_x.T
+            return self._shape(np.zeros((self.n, self.dim)))
+        zu = self._tangent(u) @ self.w_x.T
+        zv = self._tangent(v) @ self.w_x.T
         duv = self._curvatures[0] * zu * zv  # the second-order tangent is 0 into layer 1
         for (w, _), s1_in, s1, s2 in zip(self.layers[1:], self._slopes, self._slopes[1:],
                                          self._curvatures[1:]):
             zu, zuv = (s1_in * zu) @ w.T, duv @ w.T
-            zv = zu if same else (s1_in * zv) @ w.T
+            zv = (s1_in * zv) @ w.T
             duv = s2 * zu * zv + s1 * zuv
-        return duv @ self.layers[-1][0].T
+        return self._shape(duv @ self.layers[-1][0].T)
 
     def block_traces(self, family) -> Array:
         """T_j = sum_{i in block j} d_r d_s flow(x + r q_i + s q_i), shape (J, n, dim).

@@ -239,29 +239,27 @@ class _NoisyMixture:
     def mixed(self, u: Array, v: Array) -> Array:
         """d^2/dr ds score(x + r u + s v) at r=s=0 (third log-density derivative).
 
-        `u` and `v` are (n, d) or stacks (..., n, d) of tangent pairs at the
-        same points; a stack gives the stacked results in one pass.
+        `u` and `v` are one tangent pair at the points, each (n, d) or (d,).
         """
-        same = v is u
         u = np.atleast_2d(np.asarray(u, dtype=float))
-        v = u if same else np.atleast_2d(np.asarray(v, dtype=float))
+        v = np.atleast_2d(np.asarray(v, dtype=float))
         # H_k = -C_k^{-1}: the products with the (possibly broadcast) inverse
         # are negated, never the inverse itself, which would copy the view
         r, s, ci = self.resp, self.comp_score, self.cov_inv
         a = s - self._score_batch[:, None, :]  # s_k - score
         hess = self._hessian_batch
-        au = np.einsum("nki,...ni->...nk", a, u)
-        ci_u = np.einsum("nkij,...nj->...nki", ci, u)
-        av = au if same else np.einsum("nki,...ni->...nk", a, v)
-        ci_v = ci_u if same else np.einsum("nkij,...nj->...nki", ci, v)
-        hess_u = np.einsum("nij,...nj->...ni", hess, u)
+        au = np.einsum("nki,ni->nk", a, u)
+        ci_u = np.einsum("nkij,nj->nki", ci, u)
+        av = np.einsum("nki,ni->nk", a, v)
+        ci_v = np.einsum("nkij,nj->nki", ci, v)
+        hess_u = np.einsum("nij,nj->ni", hess, u)
         # <H_k u - Hess u, v> per component
-        cross = (-np.einsum("...nki,...ni->...nk", ci_u, v)
-                 - np.einsum("...ni,...ni->...n", hess_u, v)[..., None])
-        out = np.einsum("...nk,nki->...ni", r * (au * av + cross), s)
-        out -= np.einsum("...nk,...nki->...ni", r * av, ci_u)
-        out -= np.einsum("...nk,...nki->...ni", r * au, ci_v)
-        return out[..., 0, :] if self.scalar_input else out
+        cross = (-np.einsum("nki,ni->nk", ci_u, v)
+                 - np.einsum("ni,ni->n", hess_u, v)[:, None])
+        out = np.einsum("nk,nki->ni", r * (au * av + cross), s)
+        out -= np.einsum("nk,nki->ni", r * av, ci_u)
+        out -= np.einsum("nk,nki->ni", r * au, ci_v)
+        return self._shape(out)
 
     def block_traces(self, family) -> Array:
         """T_j = sum_{i in block j} d_r d_s score(x + r q_i + s q_i), shape (J, n, d).

@@ -438,6 +438,10 @@ def fit_knot_schedule(
     Node values are floored and re-pinned at the endpoints; the knot
     increments then reproduce the curve's log-node values exactly.
     """
+    if not 0.0 < floor < horizon:  # NaN fails too
+        raise ValueError(f"floor must satisfy 0 < floor < horizon, got {floor}")
+    if n_knots < 2:
+        raise ValueError(f"n_knots must be >= 2, got {n_knots}")
     nodes = uniform_nodes(horizon, n_knots)
     g_nodes = np.asarray(g_fn(nodes), dtype=float)
     g_nodes = np.maximum(g_nodes, floor)
@@ -483,6 +487,10 @@ def weight_to_schedule(w, horizon: float, quad_points: int = 100_001) -> Tabulat
 
     for every h.  Returns the tabulated g together with c.
     """
+    if not 0.0 < horizon < np.inf:  # NaN fails too
+        raise ValueError(f"horizon must be positive and finite, got {horizon}")
+    if quad_points < 2:
+        raise ValueError(f"quad_points must be >= 2, got {quad_points}")
     grid = np.linspace(0.0, horizon, quad_points)
     wvals = np.asarray(w(grid), dtype=float)
     if wvals.shape != grid.shape:

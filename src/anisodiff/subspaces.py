@@ -158,6 +158,8 @@ def apply_spectral(family: ProjectorFamily, values, x: Array) -> Array:
 
 def isotropic_family(d: int) -> ProjectorFamily:
     """J=1 family with P_1 = I (the scalar-schedule special case)."""
+    if d < 1:
+        raise ValueError(f"dim must be >= 1, got {d}")
     return ProjectorFamily(np.eye(d), np.zeros(d, dtype=int), meta={"kind": "isotropic"})
 
 

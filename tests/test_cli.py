@@ -1114,6 +1114,31 @@ def test_a_bad_numeric_csv_exits_2_with_one_line_naming_the_file(tmp_path, capsy
     assert not written.exists()
 
 
+@pytest.mark.parametrize("option, value", [
+    ("--horizon", "0"), ("--horizon", "-5"), ("--horizon", "inf"), ("--horizon", "nan"),
+    ("--floor", "0"), ("--floor", "10"), ("--quad-points", "0"), ("--quad-points", "1"),
+    ("--knots", "1"), ("--dim", "0"),
+], ids=["horizon-0", "horizon-negative", "horizon-inf", "horizon-nan", "floor-0",
+        "floor-at-horizon", "quad-points-0", "quad-points-1", "knots-1", "dim-0"])
+def test_schedule_fit_bad_option_exits_2_with_one_line_naming_it(tmp_path, capsys, option,
+                                                                 value):
+    argv, written = _csv_run(tmp_path, "weights", _csv_text(WEIGHTS))
+    assert main(argv + [f"{option}={value}"]) == 2  # the last --horizon etc. wins
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert option[2:].replace("-", "_") in err
+    assert not written.exists()
+
+
+@pytest.mark.parametrize("points", ["0", "-3"])
+def test_analyze_schedule_rejects_points_below_1(tmp_path, schedule_file, capsys, points):
+    out = tmp_path / "analysis"
+    assert main(["analyze", "schedule", str(schedule_file), "--out", str(out),
+                 f"--points={points}"]) == 2
+    assert capsys.readouterr().err == f"error: points must be >= 1, got {points}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("name_filter", ["nosuch", "Knots"])
 def test_verify_filter_without_match_exits_2(capsys, name_filter):
     assert main(["verify", "--filter", name_filter]) == 2

@@ -133,9 +133,8 @@ def test_block_traces_equal_the_stacked_mixed_pass(widths, family_kind, t_kind, 
     if t_kind == "1-D x":
         x, t, n = x[0], float(t[0]), 1
     jet = model.at(x, t)
-    # reference: the d basis tangents q_i through one stacked `mixed` call
-    tangents = np.broadcast_to(family.basis.T[:, None, :], (d, n, d))
-    per_column = jet.mixed(tangents, tangents)
+    # reference: one `mixed(q_i, q_i)` call per basis column q_i, summed per block
+    per_column = np.stack([jet.mixed(q, q) for q in family.basis.T])
     want = np.stack([per_column[family.labels == j].sum(axis=0)
                      for j in range(family.n_subspaces)])
     got = jet.block_traces(family)

@@ -130,23 +130,38 @@ def test_stochastic_probe_unbiased():
     assert np.all(np.abs(vals.mean(axis=0) - exact) < 3 * se + 1e-12)
 
 
+def _probe_error_slope(estimate):
+    """Slope of log mean probe error (20 seeds each) against log probe count,
+    for `estimate(cfg)` an estimate under the estimator config `cfg`."""
+    exact = estimate(EstimatorConfig("exact-sum"))
+    ms_list = [8, 64, 512]
+    errs = []
+    for m in ms_list:
+        errors = []
+        for seed in range(20):
+            est = estimate(EstimatorConfig("stochastic-probe", probes=m, seed=seed))
+            errors.append(np.linalg.norm(est - exact))
+        errs.append(np.mean(errors))
+    return np.polyfit(np.log(ms_list), np.log(errs), 1)[0]
+
+
 def test_stochastic_probe_error_scales_like_inverse_sqrt():
     rng = np.random.default_rng(4)
     gm = two_component_gmm()
     ms = random_ms(rng)
     field = OracleScoreField(gm, ms)
     t, x, p = 1.4, np.array([0.8, 0.2]), 1
-    exact = estimate_dtheta_score(field, ms, x, t, p, EstimatorConfig("exact-sum"))
-    ms_list = [8, 64, 512]
-    errs = []
-    for m in ms_list:
-        errors = []
-        for seed in range(20):
-            cfg = EstimatorConfig("stochastic-probe", probes=m, seed=seed)
-            est = estimate_dtheta_score(field, ms, x, t, p, cfg)
-            errors.append(np.linalg.norm(est - exact))
-        errs.append(np.mean(errors))
-    slope = np.polyfit(np.log(ms_list), np.log(errs), 1)[0]
+    slope = _probe_error_slope(lambda cfg: estimate_dtheta_score(field, ms, x, t, p, cfg))
+    assert slope == pytest.approx(-0.5, abs=0.25)
+
+
+def test_stochastic_probe_flow_error_scales_like_inverse_sqrt_on_a_model():
+    # the probe estimator is the one library path into a FlowModel jet's `mixed`
+    rng = np.random.default_rng(4)
+    ms = random_ms(rng)
+    model = FlowModel.create(2, ms.horizon, widths=(8, 8), seed=3, zero_head=False)
+    t, x, p = 1.4, np.array([0.8, 0.2]), 1
+    slope = _probe_error_slope(lambda cfg: estimate_dtheta_flow(model, ms, x, t, p, cfg))
     assert slope == pytest.approx(-0.5, abs=0.25)
 
 
@@ -247,14 +262,21 @@ def test_outer_gradient_zero_for_pinned_parameter():
     assert np.any(grad.total[ms.param_slices()[0]] != 0.0)
 
 
-@pytest.mark.parametrize("cfg", [EstimatorConfig("exact-sum"),
-                                 EstimatorConfig("stochastic-probe", probes=8, seed=1)],
-                         ids=["exact-sum", "stochastic-probe"])
-def test_outer_gradient_implicit_matches_direct_contraction(cfg):
+EXACT, PROBES = EstimatorConfig("exact-sum"), EstimatorConfig("stochastic-probe", probes=8, seed=1)
+
+
+@pytest.mark.parametrize("kind, cfg", [("oracle", EXACT), ("oracle", PROBES), ("model", EXACT),
+                                       ("model", PROBES)],
+                         ids=["exact-sum", "stochastic-probe", "model-exact-sum",
+                              "model-stochastic-probe"])
+def test_outer_gradient_implicit_matches_direct_contraction(kind, cfg):
     rng = np.random.default_rng(11)
     gm = two_component_gmm()
     ms = random_ms(rng, n_knots=4)
-    field = OracleFlowField(gm, ms)
+    if kind == "oracle":
+        field = OracleFlowField(gm, ms)
+    else:
+        field = FlowModel.create(2, ms.horizon, widths=(8, 8), seed=3, zero_head=False)
     batch = draw_loss_samples(gm, ms, 32, rng)
     grad = outer_gradient(ms, field, batch, cfg)
     # direct per-parameter evaluation of the implicit term
@@ -388,7 +410,7 @@ def test_oracle_jets_match_the_oracle_functions(per_sample_t):
 
 
 # ---------------------------------------------------------------------------
-# stacked tangents and the block-trace exact sum
+# the block-trace exact sum
 # ---------------------------------------------------------------------------
 
 def _dct_setup(seed, fam=None):
@@ -406,38 +428,13 @@ def _dct_setup(seed, fam=None):
     return rng, gm, ms
 
 
-@pytest.mark.parametrize("kind", ["score-shared-t", "flow-per-sample-t", "model"])
-@pytest.mark.parametrize("same", [False, True])
-def test_stacked_mixed_matches_a_loop(kind, same, monkeypatch):
-    rng = np.random.default_rng(17)
-    gm = two_component_gmm()
-    ms = random_ms(rng)
-    n, m = 7, 5
-    x = rng.standard_normal((n, 2))
-    t = rng.uniform(0.2, 3.0, size=n)
-    if kind == "score-shared-t":
-        jet = OracleScoreField(gm, ms).at(x, 1.3)
-    elif kind == "flow-per-sample-t":
-        jet = OracleFlowField(gm, ms).at(x, t)
-    else:
-        # passes of 2, 2 and 1 tangent pairs
-        monkeypatch.setattr(flow_model, "MIXED_PASS_ROWS", 2 * n)
-        jet = FlowModel.create(2, ms.horizon, widths=(8, 8), seed=3, zero_head=False).at(x, t)
-    u = rng.standard_normal((m, n, 2))
-    v = u if same else rng.standard_normal((m, n, 2))
-    stacked = jet.mixed(u, v)
-    assert stacked.shape == (m, n, 2)
-    for i in range(m):
-        np.testing.assert_allclose(stacked[i], jet.mixed(u[i], v[i]), rtol=1e-12, atol=1e-14)
-
-
 @pytest.mark.parametrize("kind, side", [("oracle", 4), ("model", 4), ("oracle", 8), ("model", 8)],
                          ids=["oracle", "model", "oracle-d64-no-config", "model-d64-no-config"])
 def test_exact_sum_outer_gradient_makes_one_mixed_call(kind, side, monkeypatch):
-    """One block-trace call per exact-sum gradient, and not even the one
-    stacked `mixed` pass: the oracle's traces are closed form and the model's
-    come from their own forward pass.  At d=64 no config is passed, since the
-    exact sum is the default at every d."""
+    """One block-trace call per exact-sum gradient and no `mixed` call: the
+    oracle's traces are closed form and the model's come from their own
+    forward pass.  At d=64 no config is passed, since the exact sum is the
+    default at every d."""
     rng, gm, ms = _dct_setup(18, None if side == 4 else build_dct_projectors(side))
     batch = draw_loss_samples(gm, ms, 8, rng)
     if kind == "oracle":
@@ -479,12 +476,9 @@ def test_outer_gradient_rejects_t_below_t_min():
         outer_gradient(ms, OracleFlowField(gm, ms), LossSample(batch.x0, batch.eps, t))
 
 
-def _stacked_block_traces(jet, family, n):
-    """Reference T_j: the d basis tangents q_i through one stacked `mixed` call."""
-    q = family.basis
-    d = q.shape[0]
-    tangents = np.broadcast_to(q.T[:, None, :], (d, n, d))
-    per_column = jet.mixed(tangents, tangents)
+def _looped_block_traces(jet, family):
+    """Reference T_j: one `mixed(q_i, q_i)` call per basis column q_i, summed per block."""
+    per_column = np.stack([jet.mixed(q, q) for q in family.basis.T])
     return np.stack([per_column[family.labels == j].sum(axis=0)
                      for j in range(family.n_subspaces)])
 
@@ -497,6 +491,7 @@ def _assert_close_to_largest(got, want, rel=1e-12, floor=0.0):
 @pytest.mark.parametrize("family_kind", ["dct", "pca"])
 @pytest.mark.parametrize("t_kind", ["shared-t", "per-sample-t", "1-D x"])
 def test_closed_form_block_traces_equal_the_stacked_pass(family_kind, t_kind):
+    """Closed-form traces against a loop of `mixed` calls over the basis."""
     rng, gm, ms = _dct_setup(21)
     if family_kind == "pca":
         fam = build_pca_projectors(rng.standard_normal((64, 16)) * np.linspace(0.5, 2, 16), 5)
@@ -508,7 +503,7 @@ def test_closed_form_block_traces_equal_the_stacked_pass(family_kind, t_kind):
         x, t, n = x[0], float(t[0]), 1
     for field in (OracleScoreField(gm, ms), OracleFlowField(gm, ms)):
         jet = field.at(x, t)
-        want = _stacked_block_traces(jet, fam, n)
+        want = _looped_block_traces(jet, fam)
         assert want.shape == ((2, 16) if t_kind == "1-D x" else (2, n, 16))
         _assert_close_to_largest(jet.block_traces(fam), want)
 
@@ -517,12 +512,12 @@ def test_closed_form_block_traces_equal_the_stacked_pass(family_kind, t_kind):
 @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 8), k=st.integers(1, 4),
        conditioning=st.floats(1e-10, 1.0))
 def test_block_traces_property_random_mixtures(seed, d, k, conditioning):
-    """Closed-form traces against the stacked pass on random d <= 8 mixtures.
+    """Closed-form traces against a loop of `mixed` calls on random d <= 8 mixtures.
 
     The smallest eigenvalue of each Sigma_k is `conditioning` times the
     largest, down to 1e-10, and t sits at the schedule's floor t_min, where
     M_t is smallest and C_k = Sigma_k + M_t is closest to singular.  The
-    traces cancel to exactly 0 for K=1, where the stacked pass leaves
+    traces cancel to exactly 0 for K=1, where the loop of `mixed` calls leaves
     rounding noise, so the tolerance is floored at the size of the terms
     they sum, (|s_k|^2 + tr C_k^{-1}) |s_k|.
     """
@@ -543,7 +538,7 @@ def test_block_traces_property_random_mixtures(seed, d, k, conditioning):
     jet = OracleScoreField(gm, ms).at(x, ms.t_min)
     s_norm = np.linalg.norm(jet.comp_score, axis=-1)
     terms = (s_norm**2 + np.trace(jet.cov_inv, axis1=-2, axis2=-1)) * s_norm
-    _assert_close_to_largest(jet.block_traces(fam), _stacked_block_traces(jet, fam, n),
+    _assert_close_to_largest(jet.block_traces(fam), _looped_block_traces(jet, fam),
                              floor=terms.max())
 
 
