@@ -132,7 +132,9 @@ class _NoisyCovariances:
 
     The noisy covariances C_k = Sigma_k + M_t, factored once by `_factor`:
     K of them for a shared t, n·K for per-sample times.  `ev` is the
-    schedule at those times.
+    schedule at those times.  `log_norm` = d log 2 pi + log det C_k, the
+    Gaussian normalizer, is formed once per factorization, so a kept
+    slice pays for it once.
     """
 
     def __init__(self, gm: GaussianMixture, ev: ScheduleEval):
@@ -142,9 +144,10 @@ class _NoisyCovariances:
         self.shared = m_dense.ndim == 2
         if self.shared:
             # shared M_t: factor the K component covariances once
-            self.logdet, self.inv = _factor(gm.covs + m_dense[None, :, :])
+            logdet, self.inv = _factor(gm.covs + m_dense[None, :, :])
         else:
-            self.logdet, self.inv = _factor(gm.covs[None, :, :, :] + m_dense[:, None, :, :])
+            logdet, self.inv = _factor(gm.covs[None, :, :, :] + m_dense[:, None, :, :])
+        self.log_norm = gm.dim * np.log(2 * np.pi) + logdet
 
 
 class _NoisyMixture:
@@ -153,7 +156,9 @@ class _NoisyMixture:
     Also the score field's local jet at (x, t): `value`, `directional`,
     `mixed` and `block_traces` share one factorization, and the Hessian is
     formed at most once.  `cov` holds the factored noisy covariances at
-    the points' times.
+    the points' times.  For a shared t the points are solved one component
+    at a time, so forming the jet makes no (K, n, d) array besides `y`;
+    `log_z` is formed only when `log_density` asks for it.
     """
 
     def __init__(self, cov: _NoisyCovariances, x: Array):
@@ -166,32 +171,37 @@ class _NoisyMixture:
             raise ValueError(f"points have dimension {d}, mixture has {gm.dim}")
         inv = cov.inv
         if cov.shared:
-            # solve for all points of a component with one (n, d) @ (d, d) product
-            logdet = np.broadcast_to(cov.logdet[None], (n, gm.n_components))
-            diff = x[None, :, :] - gm.means[:, None, :]  # (K, n, d)
-            y = diff @ inv  # inv is exactly symmetric
-            diff, y = diff.transpose(1, 0, 2), y.transpose(1, 0, 2)
+            # one (n, d) @ (d, d) product per component, into a (K, n, d) y
+            y, maha = np.empty((gm.n_components, n, d)), np.empty((gm.n_components, n))
+            for k, (mu_k, inv_k) in enumerate(zip(gm.means, inv)):
+                diff = x - mu_k
+                np.matmul(diff, inv_k, out=y[k])  # inv is exactly symmetric
+                maha[k] = np.einsum("ni,ni->n", diff, y[k])
+            y, maha = y.transpose(1, 0, 2), maha.T
         else:
             if inv.shape[0] != n:
                 raise ValueError("per-sample t must match the batch size")
-            logdet = cov.logdet
             diff = x[:, None, :] - gm.means[None, :, :]  # (n, K, d)
             y = np.einsum("nkij,nkj->nki", inv, diff)
+            maha = np.einsum("nki,nki->nk", diff, y)
         self.x = x
         self.gm = gm
         # C_k^{-1}: (K, d, d) for a shared t, (n, K, d, d) per sample; both
         # broadcast against (n, K, ...) operands
         self.inv = inv
         self.y = y  # C^{-1}(x - mu), (n, K, d)
-        maha = np.einsum("nki,nki->nk", diff, self.y)
         log_w = np.log(np.maximum(gm.weights, PROB_FLOOR))
         # finite, since the weights are floored: the max shift is safe
-        self.log_comp = log_w[None, :] - 0.5 * (d * np.log(2 * np.pi) + logdet + maha)
-        shift = self.log_comp.max(axis=1)
-        comp = np.exp(self.log_comp - shift[:, None])
-        total = comp.sum(axis=1)
-        self.log_z = shift + np.log(total)
-        self.resp = comp / total[:, None]  # (n, K)
+        log_comp = log_w[None, :] - 0.5 * (cov.log_norm + maha)
+        self._shift = log_comp.max(axis=1)
+        comp = np.exp(log_comp - self._shift[:, None])
+        self._total = comp.sum(axis=1)
+        self.resp = comp / self._total[:, None]  # (n, K)
+
+    @cached_property
+    def log_z(self) -> Array:
+        """log p_t at each point, (n,)."""
+        return self._shift + np.log(self._total)
 
     @property
     def cov_inv(self) -> Array:
@@ -199,7 +209,7 @@ class _NoisyMixture:
         n, k, d = self.y.shape
         return np.broadcast_to(self.inv, (n, k, d, d))
 
-    @property
+    @cached_property
     def comp_score(self) -> Array:
         """Per-component score s_k = -C_k^{-1}(x - mu_k), shape (n, K, d)."""
         return -self.y
@@ -212,7 +222,8 @@ class _NoisyMixture:
 
     @cached_property
     def _score_batch(self) -> Array:
-        return np.einsum("nk,nki->ni", self.resp, self.comp_score)
+        # sum_k r_k s_k with s_k = -y_k, negated once at (n, d)
+        return -np.einsum("nk,nki->ni", self.resp, self.y)
 
     def score(self) -> Array:
         return self._shape(self._score_batch)

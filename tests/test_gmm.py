@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from anisodiff import gmm as gmm_mod
-from anisodiff.fields import OracleScoreField
+from anisodiff.fields import OracleFlowField, OracleScoreField, coordinate_view
 from anisodiff.gmm import (
     GaussianMixture,
     dtheta_score_direction,
@@ -145,6 +145,42 @@ def test_shared_t_mixed_does_not_copy_the_inverse():
     finally:
         tracemalloc.stop()
     assert peak < n * k * d * d * 8
+
+
+def test_shared_t_view_call_keeps_one_stack_of_solves():
+    """On a kept slice, one oracle view call holds no (K, n, d) array besides `y`."""
+    rng = np.random.default_rng(8)
+    n, k = 256, 4
+    family = build_dct_projectors(8, low_side=4)
+    d = family.ambient_dim
+    field = OracleFlowField(random_mixture(rng, k, d), matrix_schedule_for_family(family, 4.0))
+    _, view, c, _ = coordinate_view(field, family, rng.standard_normal((n, d)), times=(1.0,))
+    view(c, 1.0)  # factors and keeps the slice at t = 1
+    tracemalloc.start()
+    try:
+        view(c, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (k + 3) * n * d * 8
+
+
+def test_shared_t_oracle_is_translation_exact():
+    """Shifting dyadic points and means by 2^14 leaves x - mu exact, so nothing may move.
+
+    Forming C_k^{-1} x - C_k^{-1} mu_k instead of C_k^{-1} (x - mu_k) loses digits in
+    proportion to |mu| / sigma and fails this.
+    """
+    rng = np.random.default_rng(9)
+    n, k, d = 32, 3, 8
+    gm = random_mixture(rng, k, d)
+    ms = matrix_schedule_for_family(axis_family(d, 4), 4.0)
+    x = np.round(rng.standard_normal((n, d)) * 2.0**20) / 2.0**20
+    means = np.round(gm.means * 2.0**20) / 2.0**20
+    jets = [OracleScoreField(GaussianMixture(gm.weights, means + shift, gm.covs), ms)
+            .at(x + shift, 1.0) for shift in (0.0, 2.0**14)]
+    assert np.array_equal(jets[0].value(), jets[1].value())
+    assert np.array_equal(jets[0].log_density(), jets[1].log_density())
 
 
 def test_sample_p0_mean_clt():
