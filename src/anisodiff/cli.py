@@ -44,6 +44,7 @@ from .schedule import (
     weight_to_schedule,
 )
 from .subspaces import (
+    GRAM_TOL,
     build_dct_basis,
     build_pca_projectors,
     classical_mds,
@@ -363,61 +364,36 @@ def cmd_verify(args) -> int:
     return 1 if n_failed else 0
 
 
-def _schedule_rows(ms, labels, points):
-    ts = np.linspace(ms.t_min, ms.horizon, points)
-    curves = {}
-    for label in labels:
-        g, _ = eval_M(ms.for_class(label), ts)
-        curves[label] = g  # (points, J)
-    return ts, curves
-
-
 def cmd_analyze_schedule(args) -> int:
     if args.points < 1:
         raise ValueError(f"points must be >= 1, got {args.points}")
     ms = load_schedule(args.schedule)
     labels = sorted(ms.class_table) if ms.class_table is not None else [None]
-    ts, curves = _schedule_rows(ms, labels, args.points)
+    ts = np.linspace(ms.t_min, ms.horizon, args.points)
     nsub = ms.family.n_subspaces
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     header = [provenance_line(vars(args), 0)]
 
-    columns = ["t"]
+    columns, blocks, curves = ["t"], [ts[:, None]], []
     for label in labels:
         tag = "" if label is None else f"_class_{label}"
-        columns += [f"g{j + 1}{tag}" for j in range(nsub)]
-        columns.append(f"geomean{tag}")
+        g, _ = eval_M(ms.for_class(label), ts)  # (points, J)
+        curves.append(g)
+        columns += [f"g{j + 1}{tag}" for j in range(nsub)] + [f"geomean{tag}"]
+        blocks += [g, np.exp(np.mean(np.log(g), axis=1, keepdims=True))]
         if nsub == 2:
             columns.append(f"ratio{tag}")
-    rows = []
-    for i, t in enumerate(ts):
-        row = [t]
-        for label in labels:
-            g = curves[label][i]
-            row += list(g)
-            row.append(float(np.exp(np.mean(np.log(g)))))
-            if nsub == 2:
-                row.append(g[0] / g[1])
-        rows.append(row)
-    write_csv(out / "schedule_curves.csv", columns, rows, header)
+            blocks.append(g[:, :1] / g[:, 1:])
+    write_csv(out / "schedule_curves.csv", columns, np.hstack(blocks), header)
 
     if ms.class_table is not None:
         # per-class schedules normalized by the geometric mean across classes
-        norm_cols = ["t"] + [
-            f"g{j + 1}_class_{label}_rel"
-            for label in labels
-            for j in range(nsub)
-        ]
-        norm_rows = []
-        stacked = np.stack([curves[label] for label in labels])  # (C, points, J)
-        gbar = np.exp(np.mean(np.log(stacked), axis=0))  # (points, J)
-        for i, t in enumerate(ts):
-            row = [t]
-            for c, label in enumerate(labels):
-                row += list(stacked[c, i] / gbar[i])
-            norm_rows.append(row)
-        write_csv(out / "class_normalized.csv", norm_cols, norm_rows, header)
+        stacked = np.stack(curves)  # (C, points, J)
+        rel = stacked / np.exp(np.mean(np.log(stacked), axis=0))
+        norm_cols = ["t"] + [f"g{j + 1}_class_{label}_rel" for label in labels for j in range(nsub)]
+        write_csv(out / "class_normalized.csv", norm_cols,
+                  np.hstack([ts[:, None], *rel]), header)
     print(f"wrote schedule analysis to {out}")
     return 0
 
@@ -425,7 +401,8 @@ def cmd_analyze_schedule(args) -> int:
 def _named_subspace(path) -> np.ndarray:
     """The (d, k) basis columns of the subspace a `basis` export names (its rows are the basis
     vectors): the first K rows under `# pca d=D k=K`, the modes (p, q) with p, q < L under
-    `# dct H=...` and `# low_side=L`, and every row of a file with neither header."""
+    `# dct H=...` and `# low_side=L`, and every row of a file with neither header.  The named
+    rows must be at least one and orthonormal, within `GRAM_TOL`."""
     header, _, vectors = read_numeric_csv(path)
     text = "\n".join(header)
     pca = re.search(r"^# pca .*\bk=(\d+)", text, re.M)
@@ -439,6 +416,8 @@ def _named_subspace(path) -> np.ndarray:
         block = vectors[np.all(modes < int(low[1]), axis=1)]
     else:
         block = vectors
+    if not len(block) or not np.allclose(block @ block.T, np.eye(len(block)), atol=GRAM_TOL):
+        raise ValueError(f"{path}: the named basis rows must be non-empty and orthonormal")
     return block.T
 
 

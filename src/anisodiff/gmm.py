@@ -87,7 +87,11 @@ def sample_p0(gm: GaussianMixture, n: int, rng_seed) -> Array:
     rng = np.random.default_rng(rng_seed)
     comps = rng.choice(gm.n_components, size=n, p=gm.weights)
     z = rng.standard_normal((n, gm.dim))
-    return gm.means[comps] + np.einsum("nij,nj->ni", gm._sampling_factors[comps], z)
+    out = np.empty((n, gm.dim))
+    for k, (mu, factor) in enumerate(zip(gm.means, gm._sampling_factors)):
+        rows = comps == k  # one component at a time: no per-point (n, d, d) factor stack
+        out[rows] = mu + np.einsum("ij,nj->ni", factor, z[rows])
+    return out
 
 
 def perturb(x0: Array, eps: Array, ev: ScheduleEval) -> Array:

@@ -77,15 +77,16 @@ def _mixed_sums(jet, family, shape, cfg: EstimatorConfig) -> Array:
     return total / cfg.probes
 
 
-def _score_responses(jet, family, cfg: EstimatorConfig) -> Array:
-    """Score-form responses to D = P_j for each block j, shape (J, n, d):
+def _responses(jet, family, v, cfg: EstimatorConfig, scale=1.0) -> Array:
+    """Responses to D = P_j for each block j of the field f whose jet is `jet`, (J, n, d):
 
-        1/2 sum_i d_r d_s score(x + r e_i + s D e_i) + d_s score(x + s D score).
+        1/2 sum_i d_r d_s f(x + r e_i + s D e_i) + d_s f(x + s D scale v);
+
+    the score form at v = score, the flow form's first two terms at v = flow, scale M^{-1/2}.
     """
-    score = jet.value()
-    out = 0.5 * _mixed_sums(jet, family, score.shape, cfg)
+    out = 0.5 * _mixed_sums(jet, family, v.shape, cfg)
     for j, unit in enumerate(np.eye(family.n_subspaces)):
-        out[j] += jet.directional(apply_spectral(family, unit, score))
+        out[j] += jet.directional(apply_spectral(family, unit * scale, v))
     return out
 
 
@@ -98,11 +99,9 @@ def _flow_responses(jet, ev, flow, cfg: EstimatorConfig) -> Array:
     with `jet` the flow field's jet at (x, t), `flow` its value and `ev`
     the schedule at t.
     """
-    family = ev.family
-    out = 0.5 * _mixed_sums(jet, family, flow.shape, cfg)
-    for j, unit in enumerate(np.eye(family.n_subspaces)):
-        out[j] += jet.directional(apply_spectral(family, unit / ev.sqrt_g, flow))
-        out[j] += 0.5 * apply_spectral(family, unit / ev.g, flow)
+    out = _responses(jet, ev.family, flow, cfg, scale=1.0 / ev.sqrt_g)
+    for j, unit in enumerate(np.eye(ev.family.n_subspaces)):
+        out[j] += 0.5 * apply_spectral(ev.family, unit / ev.g, flow)
     return out
 
 
@@ -118,7 +117,8 @@ def estimate_dtheta_score(field, ms: MatrixSchedule, x, t, theta_index: int,
     `field` must supply at(x, t) (see `fields`); use the exact mixture
     oracle or the score view of a flow model.
     """
-    responses = _score_responses(field.at(x, t), ms.family, cfg)
+    jet = field.at(x, t)
+    responses = _responses(jet, ms.family, jet.value(), cfg)
     return _contract(ms.at(t).jac[..., theta_index], responses)
 
 

@@ -111,7 +111,6 @@ class DivergenceGuard:
 @dataclass(frozen=True)
 class TrainConfig:
     batch_size: int = 128
-    micro_batches: int = 1
     lr_model: float = 1e-2
     lr_schedule_scale: float = 0.1  # schedule lr = scale * model lr
     warmup_images: int = 5_000
@@ -128,10 +127,8 @@ class TrainConfig:
     log_every: int = 50
 
     def __post_init__(self):
-        if self.batch_size < 1 or self.micro_batches < 1:
-            raise ValueError("batch and micro-batch counts must be positive")
-        if self.batch_size % self.micro_batches:
-            raise ValueError("micro_batches must divide batch_size")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be positive")
         if self.lr_model <= 0 or self.lr_schedule_scale <= 0:
             raise ValueError("learning rates must be positive")
         if self.model_steps_per_schedule_step < 1:
@@ -183,13 +180,22 @@ def _data_source(data, rng):
     return None, lambda n: (points[rng.integers(points.shape[0], size=n)], None)
 
 
+def _model_step(model: FlowModel, ms: MatrixSchedule, batch: LossSample):
+    """(loss value, summed parameter gradient) of the model step: one primal pass."""
+    ev = ms.for_class(batch.class_label).at(batch.t)
+    jet = model.at(perturbed_point(ev, batch), batch.t)
+    value = loss_from_flow(ev, batch, jet.value())
+    return value, jet.param_grad(value.cotangent)
+
+
 def train_bilevel(data, ms: MatrixSchedule, model: FlowModel | None, cfg: TrainConfig,
                   estimator_cfg: EstimatorConfig = EstimatorConfig()) -> TrainResult:
     """Alternating schedule/model training; see the module docstring.
 
     `data` is a GaussianMixture (oracle mode available), a dict mapping
     class labels to mixtures (class-conditional schedules), or an (n, d)
-    dataset array (model mode only).  `estimator_cfg` picks the outer
+    dataset array (model mode only; a `FlowModel` has no class input, so
+    model mode takes no labeled mixtures).  `estimator_cfg` picks the outer
     gradient's estimator: the exact block-trace sum by default at every d,
     Rademacher probes only when asked for.
     """
@@ -199,6 +205,8 @@ def train_bilevel(data, ms: MatrixSchedule, model: FlowModel | None, cfg: TrainC
         raise ValueError("oracle (schedule-only) training needs a mixture, not a dataset")
     if cfg.train_model and model is None:
         raise ValueError("model training requested but no model given")
+    if cfg.train_model and isinstance(data, dict):
+        raise ValueError("model training needs unlabeled data: the flow model has no class input")
 
     if cfg.train_model:
         params = model.params.copy()
@@ -214,7 +222,6 @@ def train_bilevel(data, ms: MatrixSchedule, model: FlowModel | None, cfg: TrainC
     logs, schedule_steps = [], []
     images_seen = 0
     step = 0
-    micro = cfg.batch_size // cfg.micro_batches
 
     while images_seen < cfg.total_images:
         step += 1
@@ -228,15 +235,7 @@ def train_bilevel(data, ms: MatrixSchedule, model: FlowModel | None, cfg: TrainC
 
         grad_theta = None
         if cfg.train_model:
-            grad = np.zeros_like(params)
-            values = []
-            for i in range(cfg.micro_batches):
-                sl = slice(i * micro, (i + 1) * micro)
-                sub = LossSample(batch.x0[sl], batch.eps[sl], batch.t[sl])
-                ev = ms.for_class(label).at(sub.t)
-                jet = model.at(perturbed_point(ev, sub), sub.t)
-                values.append(loss_from_flow(ev, sub, jet.value()))
-                grad += jet.param_grad(values[-1].cotangent)
+            value, grad = _model_step(model, ms, batch)
             params, model_state = adam_step(params, grad / cfg.batch_size, model_state, lr_model)
             model = model.with_params(params)
             ema = ema_update(
@@ -247,13 +246,10 @@ def train_bilevel(data, ms: MatrixSchedule, model: FlowModel | None, cfg: TrainC
             field = OracleFlowField(mixtures[label], ms, label)
             if cfg.train_schedule:  # the step's loss is the one the outer gradient differentiates
                 grad_theta = outer_gradient(ms, field, batch, estimator_cfg, label)
-                values = [grad_theta.value]
+                value = grad_theta.value
             else:
-                values = [loss_sample(ms, field, batch)]
-        losses = np.concatenate([value.loss for value in values])
-        subspace_energy = sum(ms.family.block_energies(value.residual).sum(axis=0)
-                              for value in values) / cfg.batch_size
-
+                value = loss_sample(ms, field, batch)
+        losses = value.loss
         loss_mean, loss_se = float(losses.mean()), float(losses.std() / np.sqrt(losses.size))
         guard.observe(loss_mean)
 
@@ -277,8 +273,9 @@ def train_bilevel(data, ms: MatrixSchedule, model: FlowModel | None, cfg: TrainC
                 "lr_model": lr_model,
                 "lr_schedule": lr_theta,
             }
-            for j in range(ms.family.n_subspaces):
-                row[f"residual_energy_{j + 1}"] = float(subspace_energy[j])
+            energy = ms.family.block_energies(value.residual).sum(axis=0) / cfg.batch_size
+            for j, e in enumerate(energy):
+                row[f"residual_energy_{j + 1}"] = float(e)
             logs.append(row)
 
     return TrainResult(

@@ -558,6 +558,18 @@ def test_train_class_labels_must_match_the_gmm_map(tmp_path, capsys, labels, cla
     assert not (tmp_path / "rundir").exists()
 
 
+def test_train_class_conditional_model_mode_exits_2_writing_nothing(tmp_path, capsys):
+    # a flow model has no class input, so it cannot be each class's optimal field
+    cfg_path, config = _class_conditional_config(tmp_path)
+    config["model"] = {"widths": [4], "seed": 1}
+    config["train"]["train_model"] = True
+    cfg_path.write_text(json.dumps(config))
+    assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "rundir")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "no class input" in err
+    assert not (tmp_path / "rundir").exists()
+
+
 @pytest.mark.parametrize("mode", ["oracle", "model", "class-conditional"])
 def test_train_data_not_matching_the_family_exits_2_before_training(tmp_path, capsys, monkeypatch,
                                                                     mode):
@@ -656,7 +668,7 @@ def test_train_csvs_hold_the_runs_schedule_steps(tmp_path, gmm_file, monkeypatch
         "family": {"kind": "axis", "dim": 2, "split": 1},
         "schedule": {"horizon": 10.0, "knots": 4},
         "model": {"widths": [8], "seed": 1},
-        "train": {"batch_size": 16, "micro_batches": 2, "total_images": 16 * 6,
+        "train": {"batch_size": 16, "total_images": 16 * 6,
                   "warmup_images": 32, "model_steps_per_schedule_step": 2, "seed": 4},
     }
     cfg_path = gmm_file.parent / "run_steps.json"
@@ -910,6 +922,17 @@ def test_run_config_rejects_unknown_keys(tmp_path, gmm_file):
         load_run_config(path)
 
 
+def test_train_config_with_micro_batches_exits_2(tmp_path, gmm_file, capsys):
+    # a model step is one pass over the whole batch: there is no micro-batch count to set
+    config = {"version": "1", "gmm": gmm_file.name, "family": {"kind": "isotropic", "dim": 2},
+              "schedule": {"horizon": 5.0}, "train": {"micro_batches": 2}}
+    path = gmm_file.parent / "micro.json"
+    path.write_text(json.dumps(config))
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err == "error: unknown train keys: ['micro_batches']\n"
+    assert not (tmp_path / "run").exists()
+
+
 def test_run_config_accepts_every_train_field(tmp_path, gmm_file):
     defaults = dataclasses.asdict(TrainConfig())
     config = {
@@ -1039,6 +1062,24 @@ def test_identical_subspaces_give_zero_distance(tmp_path):
     a = np.array([float(c) for c in emb_rows[0][1:]])
     b = np.array([float(c) for c in emb_rows[1][1:]])
     np.testing.assert_allclose(a, b, atol=1e-8)
+
+
+@pytest.mark.parametrize("rows, header", [
+    ([[2.0, 0.0, 0.0], [0.0, 3.0, 0.0]], []),  # spans the plane of e1, e2, but not orthonormal
+    ([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]], []),  # a duplicated row
+    (np.eye(3), ["# pca d=3 k=0"]),  # names no rows
+], ids=["scaled", "duplicated", "empty"])
+def test_analyze_subspaces_rejects_a_basis_that_is_not_orthonormal(tmp_path, capsys, rows,
+                                                                    header):
+    good = tmp_path / "good.csv"
+    write_csv(good, ["c0", "c1", "c2"], np.eye(3)[:2])
+    bad = tmp_path / "bad.csv"
+    write_csv(bad, ["c0", "c1", "c2"], rows, header)
+    out = tmp_path / "analysis"
+    assert main(["analyze", "subspaces", str(good), str(bad), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {bad}: the named basis rows must be non-empty and orthonormal\n"
+    assert not out.exists()
 
 
 def test_usage_errors_exit_2(tmp_path):
@@ -1218,7 +1259,7 @@ def _cli_inputs(tmp):
     ms = matrix_schedule_for_family(axis_family(2, 1), horizon=10.0, n_knots=4)
     save_schedule(ms.with_theta_vector(np.linspace(-0.5, 0.5, ms.n_params)), tmp / "schedule.json")
     save_model(biased_model(2, 10.0, (4,), np.random.default_rng(9)), tmp / "model.json")
-    train = {"batch_size": 16, "micro_batches": 2, "lr_model": 0.01, "lr_schedule_scale": 0.1,
+    train = {"batch_size": 16, "lr_model": 0.01, "lr_schedule_scale": 0.1,
              "warmup_images": 16, "ema_half_life_images": 64.0, "ema_rampup": True,
              "total_images": 32, "model_steps_per_schedule_step": 1, "midpoint_decay": 0.5,
              "train_model": True, "train_schedule": True, "guard_factor": 1e3,

@@ -129,6 +129,31 @@ def test_sample_p0_factors_the_covariances_once(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("k, d, n", [(1, 1, 1), (2, 3, 7), (5, 16, 64), (9, 64, 257)])
+def test_sample_p0_per_component_matches_the_gather_of_factors(k, d, n):
+    gm = random_mixture(np.random.default_rng(d), k, d)
+    draw = np.random.default_rng(11)
+    comps = draw.choice(k, size=n, p=gm.weights)
+    z = draw.standard_normal((n, d))
+    want = gm.means[comps] + np.einsum("nij,nj->ni", gm._sampling_factors[comps], z)
+    assert np.array_equal(sample_p0(gm, n, 11), want)
+
+
+def test_sample_p0_does_not_gather_a_factor_per_point():
+    """Drawing n points keeps O(n d) memory, not the (n, d, d) stack of per-point factors."""
+    rng = np.random.default_rng(12)
+    n, k, d = 256, 4, 64
+    gm = random_mixture(rng, k, d)
+    sample_p0(gm, 1, 0)  # forms the cached factors; not part of the call under test
+    tracemalloc.start()
+    try:
+        sample_p0(gm, n, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n * d * 8
+
+
 def test_shared_t_mixed_does_not_copy_the_inverse():
     """A shared-t jet holds C_k^{-1} once; `mixed` must not expand it to (n, K, d, d)."""
     rng = np.random.default_rng(7)

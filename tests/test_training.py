@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -233,7 +236,7 @@ def test_dataset_source_model_training_runs():
     ms = matrix_schedule_for_family(fam, horizon=10.0)
     model = FlowModel.create(2, horizon=10.0, widths=(16, 16), seed=2)
     cfg = TrainConfig(
-        batch_size=64, micro_batches=2, total_images=64 * 20, warmup_images=64 * 4,
+        batch_size=64, total_images=64 * 20, warmup_images=64 * 4,
         train_model=True, train_schedule=False, seed=1,
     )
     result = train_bilevel(data, ms, model, cfg)
@@ -266,13 +269,13 @@ def test_oracle_mode_factors_the_noisy_mixture_once_per_step(monkeypatch):
     assert len(built) == 4
 
 
-def test_model_mode_evaluates_each_micro_batch_once(monkeypatch):
+def test_model_mode_evaluates_each_step_once(monkeypatch):
     gm = anisotropic_gaussian()
     ms = matrix_schedule_for_family(axis_family(2, 1), horizon=10.0, n_knots=4)
     model = FlowModel.create(2, horizon=10.0, widths=(8, 8), seed=2)
-    steps, micro_batches, per_schedule_step = 4, 2, 2
+    steps, per_schedule_step = 4, 2
     cfg = TrainConfig(
-        batch_size=32, micro_batches=micro_batches, total_images=32 * steps,
+        batch_size=32, total_images=32 * steps,
         warmup_images=32, model_steps_per_schedule_step=per_schedule_step,
         train_model=True, train_schedule=True, seed=1,
     )
@@ -280,24 +283,64 @@ def test_model_mode_evaluates_each_micro_batch_once(monkeypatch):
     perturbs = [_count_calls(monkeypatch, module, "perturbed_point")
                 for module in (loss_mod, schedule_grad_mod, training_mod)]
     train_bilevel(gm, ms, model, cfg)
-    expected = steps * micro_batches + steps // per_schedule_step
+    expected = steps + steps // per_schedule_step
     assert len(passes) == expected
     assert sum(len(calls) for calls in perturbs) == expected
 
 
-def test_model_mode_evaluates_the_schedule_once_per_micro_batch(monkeypatch):
+def test_model_mode_evaluates_the_schedule_once_per_step(monkeypatch):
     gm = anisotropic_gaussian()
     ms = matrix_schedule_for_family(axis_family(2, 1), horizon=10.0, n_knots=4)
     model = FlowModel.create(2, horizon=10.0, widths=(8, 8), seed=2)
-    steps, micro_batches = 3, 2
+    steps = 3
     cfg = TrainConfig(
-        batch_size=32, micro_batches=micro_batches, total_images=32 * steps,
+        batch_size=32, total_images=32 * steps,
         warmup_images=32, train_model=True, train_schedule=False, seed=1,
     )
     locates = _count_calls(monkeypatch, KnotSchedule, "_locate")
     train_bilevel(gm, ms, model, cfg)
-    # one eval_M per micro-batch: one interval search per knot schedule
-    assert len(locates) == steps * micro_batches * ms.n_subspaces
+    # one eval_M per step: one interval search per knot schedule
+    assert len(locates) == steps * ms.n_subspaces
+
+
+def test_no_model_step_jet_is_alive_when_the_schedule_step_starts(monkeypatch):
+    gm = anisotropic_gaussian()
+    ms = matrix_schedule_for_family(axis_family(2, 1), horizon=10.0, n_knots=4)
+    model = FlowModel.create(2, horizon=10.0, widths=(8, 8), seed=2)
+    cfg = TrainConfig(
+        batch_size=32, total_images=32 * 4, warmup_images=32, model_steps_per_schedule_step=2,
+        train_model=True, train_schedule=True, seed=1,
+    )
+    jets, live = [], []
+    at, outer = FlowModel.at, training_mod.outer_gradient
+
+    def recorded_at(self, x, t):
+        jet = at(self, x, t)
+        jets.append(weakref.ref(jet))
+        return jet
+
+    def counted_outer(*args, **kwargs):
+        gc.collect()
+        live.append(sum(ref() is not None for ref in jets))
+        return outer(*args, **kwargs)
+
+    monkeypatch.setattr(FlowModel, "at", recorded_at)
+    monkeypatch.setattr(training_mod, "outer_gradient", counted_outer)
+    train_bilevel(gm, ms, model, cfg)
+    assert live == [0, 0]
+
+
+def test_model_mode_rejects_labeled_mixtures():
+    # the flow model has no class input, so it cannot stand in for each class's optimal field
+    from anisodiff.schedule import MatrixSchedule
+
+    fam = axis_family(2, 1)
+    base = matrix_schedule_for_family(fam, horizon=10.0, n_knots=4)
+    ms = MatrixSchedule(fam, base.per_subspace, class_table={"a": base.per_subspace})
+    model = FlowModel.create(2, horizon=10.0, widths=(8,), seed=2)
+    cfg = TrainConfig(batch_size=32, total_images=32 * 2, warmup_images=32, seed=1)
+    with pytest.raises(ValueError, match="no class input"):
+        train_bilevel({"a": anisotropic_gaussian()}, ms, model, cfg)
 
 
 # ---------------------------------------------------------------------------
