@@ -110,9 +110,12 @@ def _factor(cov: Array):
     and rejects a matrix that is not positive definite.  The inverse, which
     the Hessian needs, is C^{-1} = X^T X with X = L^{-1} from LAPACK's
     triangular inverse `dtrtri`, one factor at a time (no condition
-    estimate); X^T @ X of one array is evaluated as a symmetric rank-k
-    product, so the result is exactly symmetric.  SciPy is imported on
-    the first call, so importing the package loads numpy only.
+    estimate).  Each factor is inverted in place in one batched copy of the
+    transposed factors: a C-ordered L^T is a Fortran-ordered L, so f2py
+    hands LAPACK the buffer itself instead of copying it per call.  The
+    copy then holds X^T, and X^T @ X of one array is evaluated as a
+    symmetric rank-k product, so the result is exactly symmetric.  SciPy is
+    imported on the first call, so importing the package loads numpy only.
     """
     from scipy.linalg.lapack import dtrtri
 
@@ -121,14 +124,15 @@ def _factor(cov: Array):
     except np.linalg.LinAlgError:
         raise np.linalg.LinAlgError(NOT_POSITIVE_DEFINITE) from None
     logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
-    factors = chol.reshape((-1,) + chol.shape[-2:])
-    chol_inv = np.empty_like(factors)
-    for i, factor in enumerate(factors):
-        chol_inv[i], info = dtrtri(factor, lower=1)
+    inv_t = np.swapaxes(chol, -1, -2).copy()
+    for factor_t in inv_t.reshape((-1,) + chol.shape[-2:]):
+        factor = factor_t.T  # L, Fortran-ordered
+        out, info = dtrtri(factor, lower=1, overwrite_c=1)
         if info != 0:
             raise np.linalg.LinAlgError(NOT_POSITIVE_DEFINITE)
-    chol_inv = chol_inv.reshape(chol.shape)
-    return logdet, np.swapaxes(chol_inv, -1, -2) @ chol_inv
+        if out is not factor:  # f2py copied after all: keep its result
+            factor[...] = out
+    return logdet, inv_t @ np.swapaxes(inv_t, -1, -2)
 
 
 class _NoisyCovariances:

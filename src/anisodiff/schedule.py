@@ -11,8 +11,9 @@ label, and `ms.for_class(label)` is one class's plain schedule.
 `ms.at(t)` is the schedule at one batch of times: a `ScheduleEval`
 holding g and dg/dt from one `eval_M` call, and sqrt(g) and the two
 theta-Jacobians, each formed on first use from at most one
-`eval_M_dtheta` or `eval_M_dt_dtheta` call.  The training path builds one
-per batch and hands it to every consumer.
+`eval_M_dtheta` or `eval_M_dt_dtheta` call.  It locates each knot
+schedule's interval once and hands the kept segments to all three calls.
+The training path builds one per batch and hands it to every consumer.
 """
 
 from dataclasses import dataclass, field, replace
@@ -128,7 +129,7 @@ class KnotSchedule:
     def _locate(self, t: Array):
         """Enclosing interval index j (interval [nodes[j-1], nodes[j]])."""
         t = np.asarray(t, dtype=float)
-        if np.any(t < 0) or np.any(t > self.horizon * (1 + 1e-12)):
+        if not np.all((t >= 0) & (t <= self.horizon * (1 + 1e-12))):  # NaN fails too
             raise ValueError("t outside [0, horizon]")
         # right interval at interior nodes: side='right' puts t == nodes[j]
         # into interval j+1, except the terminal node which stays in the last
@@ -137,7 +138,9 @@ class KnotSchedule:
 
     def _segment(self, t: Array):
         """For 1-D t: interval index j, its width, the fraction p of t into
-        it, and g(t) = exp((1-p) ell_{j-1} + p ell_j) before endpoint pinning."""
+        it, and g(t) = exp((1-p) ell_{j-1} + p ell_j) before endpoint pinning.
+        The evaluations below take it as `segment` from a caller that kept it
+        (a `ScheduleEval`) and search for it otherwise."""
         j = self._locate(t)
         left = self.nodes[j - 1]
         width = self.nodes[j] - left
@@ -147,13 +150,15 @@ class KnotSchedule:
 
     # -- evaluation ----------------------------------------------------------
 
-    def eval(self, t):
+    def eval(self, t, segment=None):
         """Return (g(t), dg/dt) for scalar or array t."""
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
         ell = self._log_nodes[0]
-        j, width, _, g = self._segment(t_arr)
+        j, width, _, g = segment or self._segment(t_arr)
         slope = (ell[j] - ell[j - 1]) / width
-        # pin endpoints exactly (exp(log x) can be off by an ulp)
+        # pin endpoints exactly (exp(log x) can be off by an ulp), on a copy:
+        # a kept segment's g is shared with the Jacobians
+        g = g.copy()
         g[t_arr == 0.0] = self.floor
         g[t_arr == self.horizon] = self.horizon
         dg = g * slope
@@ -161,18 +166,18 @@ class KnotSchedule:
             return float(g[0]), float(dg[0])
         return g, dg
 
-    def eval_dtheta(self, t):
+    def eval_dtheta(self, t, segment=None):
         """Gradient of g(t) w.r.t. theta; shape (..., n_params)."""
         grads = self._log_node_grads
-        j, _, p, g = self._segment(np.atleast_1d(np.asarray(t, dtype=float)))
+        j, _, p, g = segment or self._segment(np.atleast_1d(np.asarray(t, dtype=float)))
         out = g[:, None] * ((1 - p)[:, None] * grads[j - 1] + p[:, None] * grads[j])
         return out[0] if np.ndim(t) == 0 else out
 
-    def eval_dt_dtheta(self, t):
+    def eval_dt_dtheta(self, t, segment=None):
         """Gradient of dg/dt w.r.t. theta; shape (..., n_params)."""
         ell = self._log_nodes[0]
         grads = self._log_node_grads
-        j, width, p, g = self._segment(np.atleast_1d(np.asarray(t, dtype=float)))
+        j, width, p, g = segment or self._segment(np.atleast_1d(np.asarray(t, dtype=float)))
         slope = (ell[j] - ell[j - 1]) / width
         dg_dtheta = g[:, None] * ((1 - p)[:, None] * grads[j - 1] + p[:, None] * grads[j])
         dslope = (grads[j] - grads[j - 1]) / width[:, None]
@@ -301,7 +306,9 @@ class MatrixSchedule:
 class ScheduleEval:
     """M_t at one batch of times t, for a plain (not class-conditional) schedule.
 
-    `g` and `dg` (g_j(t) and dg_j/dt, shape (..., J)) come from one
+    Each knot schedule's interval is located once, when the evaluation is
+    built, and the kept segments are passed to every schedule function
+    below.  `g` and `dg` (g_j(t) and dg_j/dt, shape (..., J)) come from one
     `eval_M` call; `sqrt_g`, the Jacobian `jac` = d g_j / d theta and
     `dt_jac` = d (dg_j/dt) / d theta (both (..., J, P)) are formed on
     first use, so a caller that reads neither Jacobian pays for neither.
@@ -311,7 +318,9 @@ class ScheduleEval:
         self.ms = ms
         self.family = ms.family
         self.t = t
-        self.g, self.dg = eval_M(ms, t)
+        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+        self._segments = [s._segment(t_arr) for s in ms.for_class().per_subspace]
+        self.g, self.dg = eval_M(ms, t, self._segments)
 
     @cached_property
     def sqrt_g(self) -> Array:
@@ -319,17 +328,20 @@ class ScheduleEval:
 
     @cached_property
     def jac(self) -> Array:
-        return eval_M_dtheta(self.ms, self.t)
+        return eval_M_dtheta(self.ms, self.t, self._segments)
 
     @cached_property
     def dt_jac(self) -> Array:
-        return eval_M_dt_dtheta(self.ms, self.t)
+        return eval_M_dt_dtheta(self.ms, self.t, self._segments)
 
 
-def eval_M(ms: MatrixSchedule, t):
-    """Per-subspace values (g_j(t), dg_j/dt); each of shape (..., J)."""
+def eval_M(ms: MatrixSchedule, t, segments=None):
+    """Per-subspace values (g_j(t), dg_j/dt); each of shape (..., J).  Like the
+    Jacobians, it takes one kept `KnotSchedule._segment(t)` per subspace."""
     # for_class() is ms itself, or a KeyError for a class-conditional schedule
-    pairs = [s.eval(t) for s in ms.for_class().per_subspace]
+    schedules = ms.for_class().per_subspace
+    segments = segments or [None] * len(schedules)
+    pairs = [s.eval(t, seg) for s, seg in zip(schedules, segments)]
     g = np.stack([np.atleast_1d(p[0]) for p in pairs], axis=-1)
     dg = np.stack([np.atleast_1d(p[1]) for p in pairs], axis=-1)
     if np.asarray(t).ndim == 0:
@@ -337,7 +349,7 @@ def eval_M(ms: MatrixSchedule, t):
     return g, dg
 
 
-def _block_jacobian(ms: MatrixSchedule, t, method: str):
+def _block_jacobian(ms: MatrixSchedule, t, method: str, segments=None):
     """Stack each knot schedule's `method` Jacobian into its block, shape (..., J, P).
 
     The method is looked up on each schedule at call time, so a wrapper
@@ -345,22 +357,23 @@ def _block_jacobian(ms: MatrixSchedule, t, method: str):
     """
     schedules = ms.for_class().per_subspace
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+    segments = segments or [None] * len(schedules)
     out = np.zeros((t_arr.size, len(schedules), ms.n_params))
-    for j, (s, sl) in enumerate(zip(schedules, ms.param_slices())):
-        out[:, j, sl] = getattr(s, method)(t_arr)
+    for j, (s, sl, seg) in enumerate(zip(schedules, ms.param_slices(), segments)):
+        out[:, j, sl] = getattr(s, method)(t_arr, seg)
     if np.asarray(t).ndim == 0:
         return out[0]
     return out
 
 
-def eval_M_dtheta(ms: MatrixSchedule, t):
+def eval_M_dtheta(ms: MatrixSchedule, t, segments=None):
     """Jacobian d g_j / d theta_p, shape (..., J, P); block diagonal over j."""
-    return _block_jacobian(ms, t, "eval_dtheta")
+    return _block_jacobian(ms, t, "eval_dtheta", segments)
 
 
-def eval_M_dt_dtheta(ms: MatrixSchedule, t):
+def eval_M_dt_dtheta(ms: MatrixSchedule, t, segments=None):
     """Jacobian d (dg_j/dt) / d theta_p, shape (..., J, P)."""
-    return _block_jacobian(ms, t, "eval_dt_dtheta")
+    return _block_jacobian(ms, t, "eval_dt_dtheta", segments)
 
 
 def matrix_function_theta_derivative(ev: ScheduleEval, f_prime):
@@ -420,7 +433,7 @@ class TabulatedSchedule:
 
     def eval(self, t):
         t_arr = np.asarray(t, dtype=float)
-        if np.any(t_arr < 0) or np.any(t_arr > self.horizon * (1 + 1e-12)):
+        if not np.all((t_arr >= 0) & (t_arr <= self.horizon * (1 + 1e-12))):  # NaN fails too
             raise ValueError("t outside [0, horizon]")
         g = np.interp(self.c * t_arr, self.phi, self.grid)
         dg = self.c * (1.0 + g) * self.weight_fn(g)

@@ -108,6 +108,50 @@ def test_factor_inverse_is_symmetric_and_matches_lu(shape):
     assert "\n" not in str(info.value)
 
 
+def _factor_reference(cov):
+    """One `dtrtri` call per Cholesky factor, and X^T @ X of the stacked inverses."""
+    from scipy.linalg.lapack import dtrtri
+
+    chol = np.linalg.cholesky(cov)
+    factors = chol.reshape((-1,) + chol.shape[-2:])
+    chol_inv = np.empty_like(factors)
+    for i, factor in enumerate(factors):
+        chol_inv[i], info = dtrtri(factor, lower=1)
+        assert info == 0
+    chol_inv = chol_inv.reshape(chol.shape)
+    logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
+    return logdet, np.swapaxes(chol_inv, -1, -2) @ chol_inv
+
+
+@pytest.mark.parametrize("shape", [(4, 1, 1), (4, 5, 5), (3, 16, 16),
+                                   (6, 2, 1, 1), (6, 3, 5, 5), (32, 4, 16, 16)])
+def test_factor_is_bit_identical_to_the_per_factor_loop(shape):
+    rng = np.random.default_rng(sum(shape))
+    a = rng.standard_normal(shape)
+    cov = a @ np.swapaxes(a, -1, -2) / shape[-1] + 0.1 * np.eye(shape[-1])
+    before = cov.copy()
+    logdet, inv = gmm_mod._factor(cov)
+    want_logdet, want_inv = _factor_reference(cov)
+    assert np.array_equal(cov, before)
+    assert np.array_equal(logdet, want_logdet)
+    assert np.array_equal(inv, want_inv)
+    assert np.array_equal(inv, np.swapaxes(inv, -1, -2))
+    assert inv.shape == shape and inv.flags.c_contiguous
+
+
+def test_factor_keeps_the_inverse_when_dtrtri_returns_a_copy(monkeypatch):
+    from scipy.linalg import lapack
+
+    original = lapack.dtrtri
+    monkeypatch.setattr(lapack, "dtrtri", lambda c, **kwargs: original(np.array(c), **kwargs))
+    rng = np.random.default_rng(6)
+    a = rng.standard_normal((5, 3, 4, 4))
+    cov = a @ np.swapaxes(a, -1, -2) / 4 + 0.1 * np.eye(4)
+    logdet, inv = gmm_mod._factor(cov)
+    want_logdet, want_inv = _factor_reference(cov)
+    assert np.array_equal(logdet, want_logdet) and np.array_equal(inv, want_inv)
+
+
 def test_sample_p0_factors_the_covariances_once(monkeypatch):
     rng = np.random.default_rng(5)
     gm = random_mixture(rng, 3, 4)

@@ -85,6 +85,21 @@ def test_eval_rejects_out_of_range():
         s.eval(3.5)
 
 
+@pytest.mark.parametrize("t", [np.nan, np.array([1.0, np.nan, 2.0])], ids=["scalar", "array"])
+def test_nan_time_is_rejected(t):
+    from anisodiff.loss import weight_values
+
+    ms = matrix_schedule_for_family(axis_family(2, 1), 3.0, n_knots=5)
+    tab = weight_to_schedule(lambda x: 1.0 + np.asarray(x), 3.0, quad_points=101)
+    for call in (lambda: ms.per_subspace[0].eval(t),
+                 lambda: ms.per_subspace[0].eval_dtheta(t),
+                 lambda: ms.at(np.atleast_1d(t)).jac,
+                 lambda: weight_values(ms, t),
+                 lambda: tab.eval(t)):
+        with pytest.raises(ValueError, match="t outside"):
+            call()
+
+
 def test_interior_node_uses_right_interval():
     rng = np.random.default_rng(3)
     s = random_schedule(rng, n_knots=5)

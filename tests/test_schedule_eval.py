@@ -91,6 +91,38 @@ def test_evaluation_calls_each_schedule_function_at_most_once(monkeypatch):
     assert calls == ["eval_M", "eval_M_dtheta", "eval_M_dt_dtheta"]
 
 
+def test_evaluation_locates_each_knot_interval_once(monkeypatch):
+    ms = MatrixSchedule(coordinate_family(3), tuple(
+        random_knots(np.random.default_rng(j), 8.0, 5, 1e-3) for j in range(3)))
+    located = []
+    original = KnotSchedule._locate
+
+    def counted(self, t):
+        located.append(self)
+        return original(self, t)
+
+    monkeypatch.setattr(KnotSchedule, "_locate", counted)
+    for t in (2.5, np.array([0.0, 1.0, 2.0, 8.0])):
+        located.clear()
+        ev = ms.at(t)
+        for _ in range(2):
+            for name in ("g", "dg", "sqrt_g", "jac", "dt_jac"):
+                getattr(ev, name)
+        assert located == list(ms.per_subspace)
+
+
+def test_kept_segments_are_not_pinned_by_the_values():
+    """g(0) and g(T) are pinned on a copy: the Jacobians read the unpinned g."""
+    s = KnotSchedule(np.array([0.3, -1.0, 0.5]), uniform_nodes(6.0, 4), 1e-4, 6.0)
+    ms = MatrixSchedule(coordinate_family(1), (s,))
+    t = np.array([0.0, 3.0, 6.0])
+    assert np.exp(np.log(s.floor)) != s.floor  # the pin moves g(0)
+    ev = ms.at(t)
+    assert ev.g[0, 0] == s.floor
+    assert np.array_equal(ev.dt_jac, eval_M_dt_dtheta(ms, t))
+    assert np.array_equal(ev.jac, eval_M_dtheta(ms, t))
+
+
 def _log_node_grads_loop(s: KnotSchedule):
     """The per-node loop the broadcast `_log_node_grads` replaced."""
     sp_s = softplus(s.theta)

@@ -450,11 +450,11 @@ def test_exact_sum_outer_gradient_makes_one_mixed_call(kind, side, monkeypatch):
     assert len(mixed_calls) == 0
 
 
-@pytest.mark.parametrize("kind, locates", [("oracle", 8), ("model", 6)])
+@pytest.mark.parametrize("kind, locates", [("oracle", 4), ("model", 2)])
 def test_outer_gradient_evaluates_the_schedule_once(kind, locates, monkeypatch):
-    """One knot-interval search per knot schedule and schedule function at J=2:
-    `eval_M`, `eval_M_dtheta` and `eval_M_dt_dtheta` once each for the batch,
-    plus the oracle field's own `eval_M`."""
+    """One knot-interval search per knot schedule at J=2 for the batch's
+    `ScheduleEval`, whose `eval_M`, `eval_M_dtheta` and `eval_M_dt_dtheta`
+    share it, plus one for the oracle field's own `ms.at(t)`."""
     rng, gm, ms = _dct_setup(18)
     batch = draw_loss_samples(gm, ms, 8, rng)
     if kind == "oracle":
