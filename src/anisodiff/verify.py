@@ -5,8 +5,10 @@ reports pass/fail; the command exits nonzero if anything fails.  The
 checks mirror the package's core identities: the score/posterior-mean
 identity, the plug-in schedule-gradient estimator against the analytic
 mixture derivative, the per-sample loss-form equivalence, solver
-convergence orders and reductions, knot-schedule gradients, and the
-weight-to-schedule integral identity.
+convergence orders and reductions, knot-schedule gradients, the
+weight-to-schedule integral identity, and the whole outer gradient against
+finite differences.  A NaN case, or a numerical fault raised inside a
+check, fails that check.
 """
 
 import time
@@ -15,13 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import OracleFlowField, OracleScoreField
-from .gmm import (
-    GaussianMixture,
-    dtheta_score_oracle,
-    posterior_mean,
-    score,
-    single_gaussian,
-)
+from .gmm import GaussianMixture, dtheta_score_oracle, single_gaussian
 from .loss import draw_loss_samples, loss_equivalence_check
 from .sampler import (
     SamplerConfig,
@@ -39,11 +35,12 @@ from .schedule import (
     uniform_nodes,
     weight_to_schedule,
 )
-from .schedule_grad import estimate_dtheta_score
+from .schedule_grad import estimate_dtheta_score, fd_outer_gradient, outer_gradient
 from .subspaces import (
     ProjectorFamily,
     apply_spectral,
     axis_family,
+    build_dct_projectors,
     isotropic_family,
 )
 
@@ -68,16 +65,12 @@ class CheckResult:
         )
 
 
-def _result(group, name, value, threshold, detail, start):
-    return CheckResult(
-        group=group,
-        name=name,
-        passed=bool(value <= threshold),
-        value=float(value),
-        threshold=float(threshold),
-        detail=detail,
-        seconds=time.perf_counter() - start,
-    )
+def _result(group, name, errors, threshold, detail, start):
+    """The row of a check with per-case `errors`: their `np.max`, which keeps a NaN
+    (Python's `max` drops it), against the threshold, which a NaN fails."""
+    value = float(np.max(errors))
+    return CheckResult(group, name, bool(value <= threshold), value, float(threshold), detail,
+                       time.perf_counter() - start)
 
 
 def _test_gmm(rng, d=2, n_components=3):
@@ -113,21 +106,19 @@ def check_score_identity(seed=0, cases=100, tol=1e-9):
     start = time.perf_counter()
     rng = np.random.default_rng(seed)
     gm = _test_gmm(rng)
-    worst = 0.0
+    errors = []
     for family in _three_families(rng):
         ms = _randomized_ms(rng, family)
+        field = OracleScoreField(gm, ms)
         for _ in range(cases):
             t = rng.uniform(ms.t_min * 10, ms.horizon)
             x = rng.standard_normal(2) * 2.0
             g, _ = eval_M(ms, t)
-            resid = (
-                apply_spectral(ms.family, g, score(gm, x, ms, t))
-                + x
-                - posterior_mean(gm, x, ms, t)
-            )
-            worst = max(worst, float(np.linalg.norm(resid)))
+            jet = field.at(x, t)  # one factorization for the score and the posterior mean
+            resid = apply_spectral(ms.family, g, jet.score()) + x - jet.posterior_mean()
+            errors.append(np.linalg.norm(resid))
     return _result(
-        "score", "identity", worst, tol,
+        "score", "identity", errors, tol,
         f"max residual over {cases} draws x 3 families", start,
     )
 
@@ -139,17 +130,16 @@ def check_estimator_vs_oracle(seed=1, cases=100, tol=1e-5):
     gm = _test_gmm(rng)
     ms = _randomized_ms(rng, axis_family(2, 1))
     field = OracleScoreField(gm, ms)
-    worst = 0.0
+    errors = []
     for _ in range(cases):
         t = rng.uniform(ms.t_min * 10, ms.horizon)
         x = rng.standard_normal(2) * 1.5
         p = int(rng.integers(ms.n_params))
         est = estimate_dtheta_score(field, ms, x, t, p)
         ref = dtheta_score_oracle(gm, x, ms, t, p)
-        rel = np.linalg.norm(est - ref) / (np.linalg.norm(ref) + 1e-12)
-        worst = max(worst, float(rel))
+        errors.append(np.linalg.norm(est - ref) / (np.linalg.norm(ref) + 1e-12))
     return _result(
-        "estimator", "gmm-vs-analytic", worst, tol,
+        "estimator", "gmm-vs-analytic", errors, tol,
         f"max relative error over {cases} cases", start,
     )
 
@@ -161,7 +151,7 @@ def check_estimator_gaussian_exact(seed=2, tol=1e-12):
     gm = single_gaussian(np.zeros(2), np.diag([1.3, 0.6]))
     ms = _randomized_ms(rng, axis_family(2, 1))
     field = OracleScoreField(gm, ms)
-    worst = 0.0
+    errors = []
     for _ in range(20):
         t = rng.uniform(ms.t_min * 10, ms.horizon)
         x = rng.standard_normal(2)
@@ -171,8 +161,8 @@ def check_estimator_gaussian_exact(seed=2, tol=1e-12):
         for p in range(ms.n_params):
             est = estimate_dtheta_score(field, ms, x, t, p)
             expected = np.linalg.solve(c, ms.family.dense(jac[:, p]) @ np.linalg.solve(c, x))
-            worst = max(worst, float(np.max(np.abs(est - expected))))
-    return _result("estimator", "gaussian-exact", worst, tol, "max abs deviation", start)
+            errors.append(np.abs(est - expected))
+    return _result("estimator", "gaussian-exact", errors, tol, "max abs deviation", start)
 
 
 def check_loss_equivalence(seed=3, samples=1000, schedules=5, tol=1e-10):
@@ -180,27 +170,25 @@ def check_loss_equivalence(seed=3, samples=1000, schedules=5, tol=1e-10):
     start = time.perf_counter()
     rng = np.random.default_rng(seed)
     gm = _test_gmm(rng)
-    worst = 0.0
+    errors = []
     for i in range(schedules):
         family = _three_families(rng)[i % 3]
         ms = _randomized_ms(rng, family)
         field = OracleFlowField(gm, ms)
         batch = draw_loss_samples(gm, ms, samples, rng)
         lhs, _, gap = loss_equivalence_check(ms, field, batch)
-        worst = max(worst, float(np.max(gap / (1.0 + lhs))))
+        errors.append(gap / (1.0 + lhs))
     return _result(
-        "loss", "form-equivalence", worst, tol,
+        "loss", "form-equivalence", errors, tol,
         f"max relative gap over {samples} x {schedules} draws", start,
     )
 
 
-def convergence_slope(ms, field, x_init, ks, ref_steps, solver, secondary="endpoint"):
-    """Log-log slope of terminal error vs step count, against a fine reference."""
-    ref = sample_trajectory(
-        ms, field,
-        SamplerConfig(steps=ref_steps, solver="heun", secondary="midpoint"),
-        x_init=x_init,
-    ).final
+def convergence_slope(ms, field, x_init, ks, ref, solver, secondary="endpoint"):
+    """Log-log slope of terminal error vs step count against `ref`, the final state
+    of a fine reference trajectory from the same start `x_init`."""
+    if np.shape(ref) != np.shape(x_init):
+        raise ValueError(f"reference shape {np.shape(ref)} is not the start's {np.shape(x_init)}")
     errs = []
     for k in ks:
         final = sample_trajectory(
@@ -243,19 +231,18 @@ def check_solver_orders(seed=4, ks=(8, 16, 32, 64, 128), ref_steps=4096):
     """Euler slope 1 +- 0.2; Heun slope 2 +- 0.2 for both secondary rules."""
     results = []
     ms, field, x_init = _order_setup(seed)
+    start = time.perf_counter()  # the first row is charged with the shared reference
+    cfg = SamplerConfig(steps=ref_steps, solver="heun", secondary="midpoint")
+    ref = sample_trajectory(ms, field, cfg, x_init=x_init).final
     for solver, secondary, target in (
         ("euler", "endpoint", 1.0),
         ("heun", "endpoint", 2.0),
         ("heun", "midpoint", 2.0),
     ):
+        slope, _ = convergence_slope(ms, field, x_init, ks, ref, solver, secondary)
+        results.append(_result("solver", f"order-{solver}-{secondary}", abs(slope - target),
+                               0.2, f"slope={slope:.3f} target={target}", start))
         start = time.perf_counter()
-        slope, _ = convergence_slope(ms, field, x_init, ks, ref_steps, solver, secondary)
-        results.append(
-            _result(
-                "solver", f"order-{solver}-{secondary}", abs(slope - target), 0.2,
-                f"slope={slope:.3f} target={target}", start,
-            )
-        )
     return results
 
 
@@ -268,14 +255,14 @@ def check_heun_reductions(seed=5):
     ms = _randomized_ms(rng, axis_family(2, 1), horizon=10.0)
     field = OracleFlowField(gm, ms)
     grid = time_grid(ms, SamplerConfig(steps=6))
-    worst = 0.0
+    errors = []
     for k in (1, 3, 6):
         x = rng.standard_normal(2)
         u = ms.at(grid[[k, k - 1]]).sqrt_g  # rows at t_k and t_{k-1}, also the secondary time
         new_x, f_k, f_hat = heun_step(ms.family, field, x, grid[k], *u, grid[k - 1], u[1])
         trap = x + apply_spectral(ms.family, u[0] - u[1], 0.5 * (f_k + f_hat))
-        worst = max(worst, float(np.max(np.abs(new_x - trap))))
-    out.append(_result("solver", "heun-endpoint-trapezoid", worst, 1e-12, "max abs gap", start))
+        errors.append(np.abs(new_x - trap))
+    out.append(_result("solver", "heun-endpoint-trapezoid", errors, 1e-12, "max abs gap", start))
 
     # scalar reduction: isotropic run against an inline scalar VE-Heun
     start = time.perf_counter()
@@ -294,7 +281,6 @@ def check_heun_reductions(seed=5):
         return np.sqrt(g) * (-x / (sigma2 + g))
 
     x = res.states[0].copy()
-    worst = 0.0
     carried = None
     ref_states = [x]
     for k in range(steps, 0, -1):
@@ -305,9 +291,8 @@ def check_heun_reductions(seed=5):
         if k == 2:
             carried = f_hat
         ref_states.append(x)
-    for mine, theirs in zip(res.states, ref_states):
-        worst = max(worst, float(np.max(np.abs(mine - theirs))))
-    out.append(_result("solver", "scalar-ve-reduction", worst, 1e-12, "max per-step gap", start))
+    errors = [np.max(np.abs(mine - theirs)) for mine, theirs in zip(res.states, ref_states)]
+    out.append(_result("solver", "scalar-ve-reduction", errors, 1e-12, "max per-step gap", start))
 
     start = time.perf_counter()
     nfe_err = abs(res.nfe - (2 * steps - 1))
@@ -319,7 +304,7 @@ def check_knot_gradients(seed=6, cases=100, tol=1e-4):
     """Endpoint pinning plus FD agreement of g, dg/dt and the theta gradient."""
     start = time.perf_counter()
     rng = np.random.default_rng(seed)
-    worst_pin, worst_fd = 0.0, 0.0
+    pin_errors, fd_errors = [], []
     for _ in range(cases):
         n_knots = int(rng.integers(3, 10))
         horizon = float(rng.uniform(1.0, 30.0))
@@ -329,12 +314,12 @@ def check_knot_gradients(seed=6, cases=100, tol=1e-4):
         )
         g0, _ = s.eval(0.0)
         gT, _ = s.eval(horizon)
-        worst_pin = max(worst_pin, abs(g0 - floor), abs(gT - horizon))
+        pin_errors += [abs(g0 - floor), abs(gT - horizon)]
         t = float(rng.uniform(0.05, 0.95)) * horizon
         g, dg = s.eval(t)
         h = 1e-6 * horizon
         fd_dg = (s.eval(t + h)[0] - s.eval(t - h)[0]) / (2 * h)
-        worst_fd = max(worst_fd, abs(dg - fd_dg) / (abs(fd_dg) + 1e-12))
+        fd_errors.append(abs(dg - fd_dg) / (abs(fd_dg) + 1e-12))
         grad = s.eval_dtheta(t)
         h2 = 1e-5
         for p in range(s.n_params):
@@ -343,9 +328,9 @@ def check_knot_gradients(seed=6, cases=100, tol=1e-4):
             dn[p] -= h2
             fd = (s.with_theta(up).eval(t)[0] - s.with_theta(dn).eval(t)[0]) / (2 * h2)
             denom = max(abs(fd), 1e-8 * max(abs(g), 1.0))
-            worst_fd = max(worst_fd, abs(grad[p] - fd) / denom)
-    pin = _result("knots", "endpoint-pinning", worst_pin, 0.0, f"{cases} random configs", start)
-    fd_res = _result("knots", "gradient-fd", worst_fd, tol, f"{cases} random configs", start)
+            fd_errors.append(abs(grad[p] - fd) / denom)
+    pin = _result("knots", "endpoint-pinning", pin_errors, 0.0, f"{cases} random configs", start)
+    fd_res = _result("knots", "gradient-fd", fd_errors, tol, f"{cases} random configs", start)
     return [pin, fd_res]
 
 
@@ -358,14 +343,10 @@ def check_weight_map():
     ts = np.linspace(0, horizon, 200)
     g, _ = tab.eval(ts)
     expected = (1.0 + horizon) ** (ts / horizon) - 1.0
-    out.append(
-        _result(
-            "weight-map", "constant-w-closed-form",
-            float(np.max(np.abs(g - expected))), 1e-8, "max abs error", start,
-        )
-    )
+    out.append(_result("weight-map", "constant-w-closed-form", np.abs(g - expected), 1e-8,
+                       "max abs error", start))
     start = time.perf_counter()
-    worst = 0.0
+    errors = []
     weights = [
         lambda t: np.full_like(np.asarray(t, dtype=float), 0.7),
         lambda t: 1.0 + np.asarray(t, dtype=float),
@@ -379,35 +360,62 @@ def check_weight_map():
         for h_fn in hs:
             lhs = np.trapezoid(dg**2 / (1.0 + g) * h_fn(g), ts)
             rhs = tab.c * np.trapezoid(np.asarray(w(ts), dtype=float) * h_fn(ts), ts)
-            worst = max(worst, abs(lhs - rhs) / abs(rhs))
-    out.append(
-        _result(
-            "weight-map", "integral-identity", worst, 1e-4,
-            "3 weights x 2 test functions", start,
-        )
-    )
+            errors.append(abs(lhs - rhs) / abs(rhs))
+    out.append(_result("weight-map", "integral-identity", errors, 1e-4,
+                       "3 weights x 2 test functions", start))
     return out
+
+
+def check_outer_gradient_fd(seed=7, n=1024, tol=1e-5):
+    """The whole outer gradient (explicit + implicit) on the exact oracle, per-sample t,
+    against central finite differences of the outer objective."""
+    start = time.perf_counter()
+    rng = np.random.default_rng(seed)
+    errors = []
+    for family, gm in (
+        (build_dct_projectors(4, 2), _test_gmm(rng, d=16, n_components=4)),
+        (_rotated_family(rng), _test_gmm(rng)),
+    ):
+        ms = _randomized_ms(rng, family, n_knots=4)
+        batch = draw_loss_samples(gm, ms, n, rng)
+        total = outer_gradient(ms, OracleFlowField(gm, ms), batch).total
+        fd = fd_outer_gradient(lambda m: OracleFlowField(gm, m), ms, batch)
+        errors.append(np.max(np.abs(total - fd)) / np.max(np.abs(fd)))
+    return _result(
+        "gradient", "outer-vs-fd", errors, tol,
+        f"max gap over the largest FD entry, {n} draws x 2 families", start,
+    )
 
 
 # ---------------------------------------------------------------------------
 # suite driver
 # ---------------------------------------------------------------------------
 
-def _solver_group(quick: bool) -> list:
-    # quick mode keeps every step count: without k=128 the pre-asymptotic
-    # k=8 point dominates the fit and the endpoint-Heun slope leaves 2 +- 0.2
-    orders = check_solver_orders(ref_steps=1024) if quick else check_solver_orders()
-    return orders + check_heun_reductions()
-
-
-CHECK_GROUPS = (
-    ("score", lambda quick: [check_score_identity()]),
-    ("estimator", lambda quick: [check_estimator_vs_oracle(), check_estimator_gaussian_exact()]),
-    ("loss", lambda quick: [check_loss_equivalence()]),
-    ("solver", _solver_group),
-    ("knots", lambda quick: check_knot_gradients()),
-    ("weight-map", lambda quick: check_weight_map()),
+# (group, check, its keyword arguments under --quick); quick mode keeps every
+# step count: without k=128 the pre-asymptotic k=8 point dominates the fit and
+# the endpoint-Heun slope leaves 2 +- 0.2
+CHECKS = (
+    ("score", check_score_identity, {}),
+    ("estimator", check_estimator_vs_oracle, {}),
+    ("estimator", check_estimator_gaussian_exact, {}),
+    ("loss", check_loss_equivalence, {}),
+    ("solver", check_solver_orders, {"ref_steps": 1024}),
+    ("solver", check_heun_reductions, {}),
+    ("knots", check_knot_gradients, {}),
+    ("weight-map", check_weight_map, {}),
+    ("gradient", check_outer_gradient_fd, {"n": 256}),
 )
+
+
+def _rows(group, check, kwargs) -> list:
+    """The check's report rows; a numerical fault raised inside it is one FAIL row naming it."""
+    start = time.perf_counter()
+    try:
+        rows = check(**kwargs)
+    except (FloatingPointError, np.linalg.LinAlgError) as exc:
+        rows = _result(group, check.__name__, np.nan, np.nan, f"{type(exc).__name__}: {exc}",
+                       start)
+    return rows if isinstance(rows, list) else [rows]
 
 
 def run_checks(name_filter: str | None = None, quick: bool = False) -> list:
@@ -416,9 +424,9 @@ def run_checks(name_filter: str | None = None, quick: bool = False) -> list:
     A filter that matches no group is a ValueError, so a mistyped filter
     does not read as a pass.
     """
-    groups = [(group, fn) for group, fn in CHECK_GROUPS
-              if not name_filter or name_filter in group]
-    if not groups:
-        names = ", ".join(group for group, _ in CHECK_GROUPS)
+    selected = [(group, check, kwargs if quick else {}) for group, check, kwargs in CHECKS
+                if not name_filter or name_filter in group]
+    if not selected:
+        names = ", ".join(dict.fromkeys(group for group, _, _ in CHECKS))
         raise ValueError(f"no check group matches {name_filter!r}; groups: {names}")
-    return [check for _, fn in groups for check in fn(quick)]
+    return [row for entry in selected for row in _rows(*entry)]

@@ -44,7 +44,7 @@ from anisodiff.subspaces import (
     build_pca_projectors,
     projector_distance,
 )
-from anisodiff.sampler import SamplerConfig
+from anisodiff.sampler import SamplerConfig, time_grid
 from anisodiff.training import TrainConfig, train_bilevel
 from test_sampler import assert_close, biased_model, step_loop
 from test_schedule_grad import _count_calls
@@ -403,6 +403,19 @@ def test_sample_dump_on_the_latent_path_matches_the_step_loop(tmp_path):
         assert_close(got, ref)
 
 
+def test_sample_denoise_writes_the_posterior_mean_of_the_plain_samples(tmp_path, gmm_file,
+                                                                        schedule_file):
+    args = ["sample", "--schedule", str(schedule_file), "--oracle", str(gmm_file),
+            "--steps", "8", "--n", "16", "--seed", "1"]
+    assert main(args + ["--out", str(tmp_path / "plain.csv")]) == 0
+    assert main(args + ["--out", str(tmp_path / "denoised.csv"), "--denoise"]) == 0
+    ms = load_schedule(schedule_file)
+    t_first = time_grid(ms, SamplerConfig(steps=8))[0]
+    expected = gmm_mod.posterior_mean(load_gmm(gmm_file), load_points_csv(tmp_path / "plain.csv"),
+                                      ms, t_first)
+    np.testing.assert_array_equal(load_points_csv(tmp_path / "denoised.csv"), expected)
+
+
 def test_sample_requires_exactly_one_field(tmp_path, gmm_file, schedule_file):
     code = main([
         "sample", "--schedule", str(schedule_file), "--steps", "4",
@@ -496,6 +509,30 @@ def test_train_oracle_mode_command(tmp_path, gmm_file):
     _, diag_cols, diag_rows = read_csv(out / "theta_diagnostics.csv")
     assert diag_cols == ["images", "class", "coordinate", "explicit", "implicit"]
     assert len(diag_rows) == 10 * 8  # one row per (theta step, coordinate)
+
+
+def test_train_without_a_model_section_trains_theta_only(tmp_path, gmm_file):
+    # the README's oracle-mode config: no "model" section and "train_model" at its default
+    config = {
+        "version": "1",
+        "gmm": gmm_file.name,
+        "family": {"kind": "axis", "dim": 2, "split": 1},
+        "schedule": {"horizon": 10.0, "knots": 5},
+        "train": {"batch_size": 64, "total_images": 640, "warmup_images": 128, "seed": 0},
+    }
+    runs = {}
+    for name, train_model in (("default", {}), ("explicit", {"train_model": False})):
+        cfg_path = gmm_file.parent / f"{name}.json"
+        cfg_path.write_text(json.dumps({**config, "train": {**config["train"], **train_model}}))
+        out = tmp_path / name
+        assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 0
+        runs[name] = out
+    assert sorted(p.name for p in runs["default"].iterdir()) == [
+        "logs.csv", "schedule.json", "theta_diagnostics.csv", "theta_trace.csv"]
+    theta = load_schedule(runs["default"] / "schedule.json").theta_vector()
+    assert np.any(theta != 0.0)  # the log-linear start has theta 0
+    np.testing.assert_array_equal(
+        theta, load_schedule(runs["explicit"] / "schedule.json").theta_vector())
 
 
 def _class_conditional_config(tmp_path):
@@ -1186,7 +1223,7 @@ def test_verify_filter_without_match_exits_2(capsys, name_filter):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (f"error: no check group matches '{name_filter}'; groups: "
-                            "score, estimator, loss, solver, knots, weight-map\n")
+                            "score, estimator, loss, solver, knots, weight-map, gradient\n")
 
 
 @pytest.mark.parametrize("n", ["0", "-3"])
@@ -1223,7 +1260,9 @@ def test_mutated_heun_corrector_breaks_order(monkeypatch):
     # the patch reaches the fine reference too, which the first-order mutant also approaches
     monkeypatch.setattr(sampler_mod, "heun_step", broken_step)
     ms, field, x_init = _order_setup(21)
-    slope, _ = convergence_slope(ms, field, x_init, (8, 16, 32, 64), 1024, "heun", "endpoint")
+    cfg = SamplerConfig(steps=1024, solver="heun", secondary="midpoint")
+    ref = sampler_mod.sample_trajectory(ms, field, cfg, x_init=x_init).final
+    slope, _ = convergence_slope(ms, field, x_init, (8, 16, 32, 64), ref, "heun", "endpoint")
     assert slope < 1.5  # far from second order
 
 

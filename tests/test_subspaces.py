@@ -181,16 +181,15 @@ def test_pca_recovers_top_direction():
 
 
 def test_pca_tie_flag_on_exact_degeneracy():
-    # duplicate coordinates => covariance has an exactly repeated eigenvalue
-    rng = np.random.default_rng(4)
-    a = rng.standard_normal(500)
-    samples = np.stack([a, a[::-1], a + a[::-1]], axis=1) @ np.eye(3)
-    samples = np.concatenate([samples, -samples], axis=0)
-    # simpler guaranteed tie: isotropic 2-D samples on a symmetrized cloud
-    pts = rng.standard_normal((400, 2))
-    pts = np.concatenate([pts, pts @ np.array([[0.0, 1.0], [1.0, 0.0]])], axis=0)
-    fam = build_pca_projectors(pts, 1)
-    assert "tie_at_cut" in fam.meta
+    # the samples +-(2 e1, e2, e3) have covariance diag(1.6, 0.4, 0.4): an exact tie
+    points = np.diag([2.0, 1.0, 1.0])
+    samples = np.concatenate([points, -points])
+    assert build_pca_projectors(samples, 1).meta["tie_at_cut"] is False
+    fam = build_pca_projectors(samples, 2)
+    assert fam.meta["tie_at_cut"] is True
+    np.testing.assert_allclose(fam.meta["eigenvalues"], [1.6, 0.4, 0.4], rtol=1e-15)
+    # the tied columns in lexicographic order: e3 = (0, 0, 1) before e2 = (0, 1, 0)
+    np.testing.assert_array_equal(fam.basis, np.eye(3)[:, [0, 2, 1]])
 
 
 def test_pca_sign_determinism():

@@ -55,9 +55,10 @@ def hashed_arrays(workload, output):
 def max_rel(arrays, saved):
     if len(arrays) != len(saved) or any(a.shape != b.shape for a, b in zip(arrays, saved)):
         return "shape-mismatch"
-    diff = max((float(np.max(np.abs(a - b), initial=0.0)) for a, b in zip(arrays, saved)),
-               default=0.0)
-    scale = max((float(np.max(np.abs(b), initial=0.0)) for b in saved), default=0.0)
+    # np.max, not Python's max, so a NaN entry reads as nan rather than as a smaller drift
+    diff = np.max([np.max(np.abs(a - b), initial=0.0) for a, b in zip(arrays, saved)],
+                  initial=0.0)
+    scale = np.max([np.max(np.abs(b), initial=0.0) for b in saved], initial=0.0)
     return f"{diff / scale if scale else diff:.3g}"
 
 
