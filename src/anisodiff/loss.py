@@ -10,11 +10,12 @@ quantity equals 4 ||v_learned - v_proxy||^2, the mismatch between the
 learned variance-preserving velocity and its single-sample proxy; the
 equivalence check below verifies that identity sample by sample.
 
-The batch functions (`perturbed_point`, `loss_from_flow`,
-`weight_theta_derivative`) take the schedule as one `ScheduleEval` at the
-batch's times (`ms.at(t)`), so a training step evaluates the schedule
-once however many of them it calls.  Only `loss_sample` and
-`loss_equivalence_check` read a sample's class, as `ms.for_class(label)`.
+Every function here takes a plain (not class-conditional) schedule; a
+class-conditional one raises `KeyError`, and its callers resolve a class
+with `ms.for_class(label)`.  The batch functions (`perturbed_point`,
+`loss_from_flow`, `weight_theta_derivative`) take the schedule as one
+`ScheduleEval` at the batch's times (`ms.at(t)`), so a training step
+evaluates the schedule once however many of them it calls.
 """
 
 from dataclasses import dataclass
@@ -22,12 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gmm as gmm_mod
-from .schedule import (
-    MatrixSchedule,
-    ScheduleEval,
-    eval_M,
-    matrix_function_theta_derivative,
-)
+from .schedule import MatrixSchedule, ScheduleEval, eval_M
 from .subspaces import apply_spectral
 
 Array = np.ndarray
@@ -40,7 +36,6 @@ class LossSample:
     x0: Array  # (..., d)
     eps: Array  # (..., d)
     t: Array  # scalar or (...,)
-    class_label: object = None
 
     def __post_init__(self):
         x0 = np.asarray(self.x0, dtype=float)
@@ -82,19 +77,16 @@ def weight_values(ms: MatrixSchedule, t):
 
 
 def weight_theta_derivative(ev: ScheduleEval):
-    """d w_j / d theta_p for the weight scalars w_j; shape (..., J, P).
+    """d w_j / d theta_p for the weight scalars w_j = dg_j f(g_j); shape (..., J, P).
 
     Splits into the dg/dt part and the matrix-function part
-    f(g) = (1+g)^{-1/2} g^{-1/2}, the latter via the spectral calculus.
+    f(g) = (1+g)^{-1/2} g^{-1/2}.  The family is spectral with shared
+    eigenvectors, so d f(M_t) / d theta = f'(g_j) dg_j/dtheta P_j, and f' is
+    finite on every g a knot schedule takes (g >= its floor > 0).
     """
     f = 1.0 / (np.sqrt(1.0 + ev.g) * ev.sqrt_g)
-
-    def f_prime(gv):
-        return -0.5 * (1.0 + 2.0 * gv) / ((1.0 + gv) ** 1.5 * gv**1.5)
-
-    part_matrix = ev.dg[..., None] * matrix_function_theta_derivative(ev, f_prime)
-    part_rate = f[..., None] * ev.dt_jac
-    return part_matrix + part_rate
+    fp = -0.5 * (1.0 + 2.0 * ev.g) / ((1.0 + ev.g) ** 1.5 * ev.g**1.5)
+    return ev.dg[..., None] * (fp[..., None] * ev.jac) + f[..., None] * ev.dt_jac
 
 
 def perturbed_point(ev: ScheduleEval, sample: LossSample):
@@ -113,7 +105,7 @@ def loss_from_flow(ev: ScheduleEval, sample: LossSample, flow) -> LossValue:
 
 def loss_sample(ms: MatrixSchedule, flow_field, sample: LossSample) -> LossValue:
     """Loss, weighted residual, and flow-cotangent for one sample or a batch."""
-    ev = ms.for_class(sample.class_label).at(sample.t)
+    ev = ms.at(sample.t)
     flow = flow_field(perturbed_point(ev, sample), sample.t)
     return loss_from_flow(ev, sample, flow)
 
@@ -129,17 +121,10 @@ def _velocity_scalars(ms, t):
     return g, score_coef, drift_coef
 
 
-def velocity_ideal(gm, ms: MatrixSchedule, x, t):
-    """Variance-preserving drift with the exact mixture score."""
-    _, a, b = _velocity_scalars(ms, t)
-    s = gmm_mod.score(gm, x, ms, t)
-    return apply_spectral(ms.family, a, s) + apply_spectral(ms.family, b, x)
-
-
-def velocity_learned(ms: MatrixSchedule, flow_field, x, t):
-    """Same drift with the field's score view M^{-1/2} flow."""
+def velocity_learned(ms: MatrixSchedule, flow, x, t):
+    """Variance-preserving drift with the score view M^{-1/2} flow of a flow
+    already evaluated at (x, t)."""
     g, a, b = _velocity_scalars(ms, t)
-    flow = flow_field(x, t)
     return apply_spectral(ms.family, a / np.sqrt(g), flow) + apply_spectral(ms.family, b, x)
 
 
@@ -152,11 +137,13 @@ def velocity_proxy(ms: MatrixSchedule, x_t, x0, t):
 
 
 def loss_equivalence_check(ms: MatrixSchedule, flow_field, sample: LossSample):
-    """Per sample, 4 ||v_learned - v_proxy||^2 against ||W (flow + eps)||^2."""
-    plain = ms.for_class(sample.class_label)
-    x_t = perturbed_point(plain.at(sample.t), sample)
-    v_bar = velocity_learned(plain, flow_field, x_t, sample.t)
-    v_tilde = velocity_proxy(plain, x_t, sample.x0, sample.t)
+    """Per sample, 4 ||v_learned - v_proxy||^2 against ||W (flow + eps)||^2, both
+    from one schedule evaluation and one field call at x_t."""
+    ev = ms.at(sample.t)
+    x_t = perturbed_point(ev, sample)
+    flow = flow_field(x_t, sample.t)
+    v_bar = velocity_learned(ms, flow, x_t, sample.t)
+    v_tilde = velocity_proxy(ms, x_t, sample.x0, sample.t)
     lhs = 4.0 * np.sum((v_bar - v_tilde) ** 2, axis=-1)
-    rhs = loss_sample(ms, flow_field, sample).loss
+    rhs = loss_from_flow(ev, sample, flow).loss
     return lhs, rhs, np.abs(lhs - rhs)

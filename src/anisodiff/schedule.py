@@ -104,12 +104,10 @@ class KnotSchedule:
 
     @cached_property
     def _log_nodes(self):
-        """Node log-values ell_j and the increment scale alpha."""
+        """Node log-values ell_j: log floor plus the scaled cumulative increments."""
         s = softplus(self.theta)
-        gap = np.log(self.horizon) - np.log(self.floor)
-        alpha = gap / np.sum(s)
-        ell = np.concatenate(([np.log(self.floor)], np.log(self.floor) + alpha * np.cumsum(s)))
-        return ell, alpha, s
+        alpha = (np.log(self.horizon) - np.log(self.floor)) / np.sum(s)
+        return np.concatenate(([np.log(self.floor)], np.log(self.floor) + alpha * np.cumsum(s)))
 
     @cached_property
     def _log_node_grads(self):
@@ -145,7 +143,7 @@ class KnotSchedule:
         left = self.nodes[j - 1]
         width = self.nodes[j] - left
         p = (t - left) / width
-        ell = self._log_nodes[0]
+        ell = self._log_nodes
         return j, width, p, np.exp((1 - p) * ell[j - 1] + p * ell[j])
 
     # -- evaluation ----------------------------------------------------------
@@ -153,7 +151,7 @@ class KnotSchedule:
     def eval(self, t, segment=None):
         """Return (g(t), dg/dt) for scalar or array t."""
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        ell = self._log_nodes[0]
+        ell = self._log_nodes
         j, width, _, g = segment or self._segment(t_arr)
         slope = (ell[j] - ell[j - 1]) / width
         # pin endpoints exactly (exp(log x) can be off by an ulp), on a copy:
@@ -175,7 +173,7 @@ class KnotSchedule:
 
     def eval_dt_dtheta(self, t, segment=None):
         """Gradient of dg/dt w.r.t. theta; shape (..., n_params)."""
-        ell = self._log_nodes[0]
+        ell = self._log_nodes
         grads = self._log_node_grads
         j, width, p, g = segment or self._segment(np.atleast_1d(np.asarray(t, dtype=float)))
         slope = (ell[j] - ell[j - 1]) / width
@@ -376,28 +374,6 @@ def eval_M_dt_dtheta(ms: MatrixSchedule, t, segments=None):
     return _block_jacobian(ms, t, "eval_dt_dtheta", segments)
 
 
-def matrix_function_theta_derivative(ev: ScheduleEval, f_prime):
-    """Spectral coefficients of d f(M_t) / d theta = f'(g_j) dg_j/dtheta P_j.
-
-    Valid because the family is spectral with shared eigenvectors.
-    `f_prime` maps per-subspace values g_j to f'(g_j).
-    """
-    fp = np.asarray(f_prime(ev.g), dtype=float)
-    if np.any(~np.isfinite(fp)):
-        raise ValueError("f' is singular at a schedule value")
-    return fp[..., None] * ev.jac
-
-
-def isotropic_matrix_schedule(
-    d: int,
-    horizon: float,
-    floor: float = DEFAULT_FLOOR,
-    n_knots: int = DEFAULT_KNOTS,
-) -> MatrixSchedule:
-    fam = isotropic_family(d)
-    return MatrixSchedule(fam, (log_linear_schedule(horizon, floor, n_knots),))
-
-
 def matrix_schedule_for_family(
     family: ProjectorFamily,
     horizon: float,
@@ -409,6 +385,15 @@ def matrix_schedule_for_family(
         for _ in range(family.n_subspaces)
     )
     return MatrixSchedule(family, per)
+
+
+def isotropic_matrix_schedule(
+    d: int,
+    horizon: float,
+    floor: float = DEFAULT_FLOOR,
+    n_knots: int = DEFAULT_KNOTS,
+) -> MatrixSchedule:
+    return matrix_schedule_for_family(isotropic_family(d), horizon, floor, n_knots)
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,10 @@ every D.  The exact sum is the default at every d.  Rademacher probes
 linear in D, and D = sum_j (d g_j / d theta) P_j, so the estimator's
 responses to D = P_j are computed once per batch and every
 theta-derivative is those J responses contracted with the knot Jacobian:
-`estimate_dtheta_score`/`estimate_dtheta_flow` for one parameter,
-`outer_gradient` for all of them against the loss cotangent.
+`estimate_dtheta_score` for one parameter, `outer_gradient` for all of
+them against the loss cotangent.  `outer_gradient`, `estimate_H` and
+`fd_outer_gradient` resolve their `class_label` argument, and only it,
+with `ms.for_class`; every function below them takes a plain schedule.
 """
 
 from dataclasses import dataclass
@@ -105,11 +107,6 @@ def _flow_responses(jet, ev, flow, cfg: EstimatorConfig) -> Array:
     return out
 
 
-def _contract(coef, responses) -> Array:
-    """sum_j coef[..., j] R_j: the derivative along D = sum_j coef_j P_j."""
-    return np.einsum("...j,j...d->...d", coef, responses)
-
-
 def estimate_dtheta_score(field, ms: MatrixSchedule, x, t, theta_index: int,
                           cfg: EstimatorConfig = EstimatorConfig()) -> Array:
     """Estimate d(score)/d(theta_j) from x-directional derivatives of `field`.
@@ -119,15 +116,8 @@ def estimate_dtheta_score(field, ms: MatrixSchedule, x, t, theta_index: int,
     """
     jet = field.at(x, t)
     responses = _responses(jet, ms.family, jet.value(), cfg)
-    return _contract(ms.at(t).jac[..., theta_index], responses)
-
-
-def estimate_dtheta_flow(flow_field, ms: MatrixSchedule, x, t, theta_index: int,
-                         cfg: EstimatorConfig = EstimatorConfig()) -> Array:
-    """Flow-form estimate of d(flow)/d(theta_j) (three-term identity)."""
-    ev = ms.at(t)
-    jet = flow_field.at(x, t)
-    return _contract(ev.jac[..., theta_index], _flow_responses(jet, ev, jet.value(), cfg))
+    # sum_j coef_j R_j: the derivative along D = sum_j coef_j P_j
+    return np.einsum("...j,j...d->...d", ms.at(t).jac[..., theta_index], responses)
 
 
 # ---------------------------------------------------------------------------
@@ -160,12 +150,12 @@ def outer_gradient(ms: MatrixSchedule, flow_field, batch: LossSample,
     moves by d(flow)/d(theta); estimated by the plug-in identity with
     `flow_field` standing in for the optimal field.  The loss itself comes
     from the same field evaluation and is returned as `value`.  The
-    class's schedule is resolved once and evaluated once, as `ms.at(t)`.
+    schedule of `class_label` is resolved once and evaluated once, as `ms.at(t)`.
     """
     x0 = np.atleast_2d(batch.x0)
     eps = np.atleast_2d(batch.eps)
     t = np.broadcast_to(np.asarray(batch.t, dtype=float), (x0.shape[0],))
-    ms = ms.for_class(class_label if class_label is not None else batch.class_label)
+    ms = ms.for_class(class_label)
 
     sample = LossSample(x0=x0, eps=eps, t=t)
     ev = ms.at(t)
@@ -200,9 +190,7 @@ def outer_gradient(ms: MatrixSchedule, flow_field, batch: LossSample,
 
 def estimate_H(ms: MatrixSchedule, flow_field, batch: LossSample, class_label=None) -> float:
     """Monte-Carlo value of the outer objective on a fixed batch."""
-    ms = ms.for_class(class_label if class_label is not None else batch.class_label)
-    value = loss_sample(ms, flow_field, LossSample(batch.x0, batch.eps, batch.t))
-    return float(np.mean(value.loss))
+    return float(np.mean(loss_sample(ms.for_class(class_label), flow_field, batch).loss))
 
 
 def fd_outer_gradient(make_field, ms: MatrixSchedule, batch: LossSample,

@@ -182,7 +182,7 @@ def _data_source(data, rng):
 
 def _model_step(model: FlowModel, ms: MatrixSchedule, batch: LossSample):
     """(loss value, summed parameter gradient) of the model step: one primal pass."""
-    ev = ms.for_class(batch.class_label).at(batch.t)
+    ev = ms.at(batch.t)
     jet = model.at(perturbed_point(ev, batch), batch.t)
     value = loss_from_flow(ev, batch, jet.value())
     return value, jet.param_grad(value.cotangent)
@@ -231,7 +231,7 @@ def train_bilevel(data, ms: MatrixSchedule, model: FlowModel | None, cfg: TrainC
 
         x0, label = draw(cfg.batch_size)
         eps = rng.standard_normal(x0.shape)
-        batch = LossSample(x0, eps, rng.uniform(ms.t_min, ms.horizon, size=x0.shape[0]), label)
+        batch = LossSample(x0, eps, rng.uniform(ms.t_min, ms.horizon, size=x0.shape[0]))
 
         grad_theta = None
         if cfg.train_model:
@@ -248,7 +248,7 @@ def train_bilevel(data, ms: MatrixSchedule, model: FlowModel | None, cfg: TrainC
                 grad_theta = outer_gradient(ms, field, batch, estimator_cfg, label)
                 value = grad_theta.value
             else:
-                value = loss_sample(ms, field, batch)
+                value = loss_sample(ms.for_class(label), field, batch)
         losses = value.loss
         loss_mean, loss_se = float(losses.mean()), float(losses.std() / np.sqrt(losses.size))
         guard.observe(loss_mean)

@@ -1119,6 +1119,60 @@ def test_analyze_subspaces_rejects_a_basis_that_is_not_orthonormal(tmp_path, cap
     assert not out.exists()
 
 
+def _exit_2_argv(tmp, case):
+    """Write the inputs of one command that must exit 2 at a check of its own; return its argv."""
+    if case == "dct-low-side":
+        return ["basis", "dct", "--size", "4", "--low-side", "4", "--out", str(tmp / "dct.csv")]
+    if case == "weight-not-positive":
+        return _csv_run(tmp, "weights", "t,w\n0,1\n5,0\n10,0.5\n")[0]
+    if case.startswith("config-"):
+        config = _cli_inputs(tmp)["config"]
+        if case == "config-not-an-object":
+            config = [config]
+        elif case == "config-gmm-and-data":
+            config["data"] = "points.csv"
+        elif case == "config-neither-gmm-nor-data":
+            del config["gmm"]
+        else:
+            config["family"] = {"kind": "bogus", "dim": 2}
+        (tmp / "run.json").write_text(json.dumps(config))
+        return ["train", "--config", str(tmp / "run.json"), "--out", str(tmp / "rundir")]
+    columns = [f"c{j}" for j in range(4)]
+    write_csv(tmp / "a.csv", columns, np.eye(4)[:2])
+    files = [str(tmp / "a.csv")]
+    if case == "dct-header-rows":
+        write_csv(tmp / "b.csv", columns * 4, np.eye(16)[:15],
+                  ["# dct H=4 order=zigzag", "# low_side=2 low_dim=4"])
+        files.append(str(tmp / "b.csv"))
+    elif case == "basis-shapes-differ":
+        write_csv(tmp / "b.csv", columns[:3], np.eye(3)[:2])
+        files.append(str(tmp / "b.csv"))
+    return ["analyze", "subspaces", *files, "--out", str(tmp / "analysis")]
+
+
+EXIT_2_CASES = [
+    ("dct-low-side", "low-side must satisfy 1 <= low_side < size"),
+    ("weight-not-positive", "weight samples must be positive"),
+    ("config-not-an-object", "config must be a JSON object"),
+    ("config-gmm-and-data", "config needs exactly one of 'gmm' or 'data'"),
+    ("config-neither-gmm-nor-data", "config needs exactly one of 'gmm' or 'data'"),
+    ("config-family-kind", "unknown family kind 'bogus'"),
+    ("dct-header-rows", "b.csv: 15 rows for a side-4 DCT basis"),
+    ("one-subspace-file", "need at least two projector files"),
+    ("basis-shapes-differ", "b.csv: basis shape (3, 2) differs from (4, 2)"),
+]
+
+
+@pytest.mark.parametrize("case, message", EXIT_2_CASES, ids=[case for case, _ in EXIT_2_CASES])
+def test_input_checks_exit_2_with_one_line_writing_nothing(tmp_path, capsys, case, message):
+    argv = _exit_2_argv(tmp_path, case)
+    before = sorted(tmp_path.rglob("*"))
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_usage_errors_exit_2(tmp_path):
     assert main(["gen-data", "--gmm", "missing.json", "--n", "5",
                  "--out", str(tmp_path / "x.csv")]) == 2

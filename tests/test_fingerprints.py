@@ -1,9 +1,10 @@
-"""The seed-3 benchmark outputs are pinned bit for bit in `tests/fingerprints.txt`.
+"""The seed-3 benchmark outputs and the `verify` check values are pinned bit for bit in
+`tests/fingerprints.txt`.
 
 The file's first line names the numpy, scipy and BLAS builds its hashes were taken on; the rest
 is the output of `tools/fingerprints.py`, which this test runs in a subprocess so that BLAS is
 pinned to one thread.  A change that moves output bits rewrites the file and reports the drift
-per unit (`tools/fingerprints.py --compare`).  On other builds the test fails, naming both and
+per unit (`tools/fingerprints.py --compare`) and each `verify` line it changes.  On other builds the test fails, naming both and
 the command that rewrites the file.
 """
 

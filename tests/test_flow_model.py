@@ -280,9 +280,10 @@ def scale_diagnostic(flow_field, ms, gm, n_per_t: int = 256, n_times: int = 12, 
         net = apply_spectral(ms.family, 1.0 / ev.sqrt_g, flow)
         flow_norms.append(float(np.mean(np.linalg.norm(flow, axis=1))))
         net_norms.append(float(np.mean(np.linalg.norm(net, axis=1))))
-    flow_spread = max(flow_norms) / max(min(flow_norms), 1e-300)
-    net_spread = max(net_norms) / max(min(net_norms), 1e-300)
-    return flow_spread, net_spread
+    # np.max/np.min/np.maximum carry a NaN at any one time; Python's max/min drop it
+    flow_spread = np.max(flow_norms) / np.maximum(np.min(flow_norms), 1e-300)
+    net_spread = np.max(net_norms) / np.maximum(np.min(net_norms), 1e-300)
+    return float(flow_spread), float(net_spread)
 
 
 def test_scale_diagnostic_logged():
@@ -297,3 +298,17 @@ def test_scale_diagnostic_logged():
     print(f"scale diagnostic: flow spread {flow_spread:.2f}x, net spread {net_spread:.2f}x")
     assert flow_spread < 10.0
     assert net_spread > flow_spread
+
+
+def test_scale_diagnostic_is_nan_when_the_field_is_nan_at_one_time():
+    gm = single_gaussian(np.zeros(2), np.diag([1.0, 1e-4]))
+    ms = isotropic_matrix_schedule(2, horizon=10.0)
+    field = OracleFlowField(gm, ms)
+    ts = np.geomspace(1e-3 * ms.horizon, ms.horizon, 12)
+
+    def nan_at_fifth_time(x, t):
+        flow = field(x, t)
+        return np.full_like(flow, np.nan) if t == ts[4] else flow
+
+    flow_spread, net_spread = scale_diagnostic(nan_at_fifth_time, ms, gm, seed=3)
+    assert np.isnan(flow_spread) and np.isnan(net_spread)

@@ -1,7 +1,15 @@
+import dataclasses
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy.linalg import fractional_matrix_power
 
+from test_schedule_grad import _count_calls
+
+from anisodiff import gmm as gmm_mod
+from anisodiff import loss as loss_mod
+from anisodiff import schedule as schedule_mod
 from anisodiff.fields import OracleFlowField
 from anisodiff.gmm import (
     GaussianMixture,
@@ -11,10 +19,10 @@ from anisodiff.gmm import (
 )
 from anisodiff.loss import (
     LossSample,
+    _velocity_scalars,
     draw_loss_samples,
     loss_equivalence_check,
     loss_sample,
-    velocity_ideal,
     velocity_learned,
     velocity_proxy,
     weight_theta_derivative,
@@ -52,6 +60,13 @@ def two_component_gmm():
     mu = np.array([[1.0, 0.5], [-1.0, -0.5]])
     covs = np.stack([np.diag([0.4, 0.9]), np.diag([0.7, 0.2])])
     return GaussianMixture(np.array([0.5, 0.5]), mu, covs)
+
+
+def velocity_ideal(gm, ms, x, t):
+    """Variance-preserving drift with the exact mixture score."""
+    _, a, b = _velocity_scalars(ms, t)
+    s = gmm_mod.score(gm, x, ms, t)
+    return apply_spectral(ms.family, a, s) + apply_spectral(ms.family, b, x)
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +243,7 @@ def test_oracle_flow_gives_ideal_velocity():
         x = rng.standard_normal(2) * 2
         t = rng.uniform(0.5, 3.5)
         v = velocity_ideal(gm, ms, x, t)
-        v_bar = velocity_learned(ms, field, x, t)
+        v_bar = velocity_learned(ms, field(x, t), x, t)
         np.testing.assert_allclose(v_bar, v, atol=1e-10)
 
 
@@ -292,6 +307,50 @@ def test_equivalence_zero_case():
     lhs, rhs, gap = loss_equivalence_check(ms, ConstantField(np.zeros(2)), sample)
     assert lhs == pytest.approx(0.0, abs=1e-20)
     assert rhs == pytest.approx(0.0, abs=1e-20)
+
+
+def test_loss_equivalence_check_makes_one_field_call_per_batch(monkeypatch):
+    """One schedule evaluation, one x_t and one oracle factorization per batch:
+    `eval_M` runs for the batch's `ScheduleEval`, the oracle's own `ms.at(t)` and
+    the two velocity helpers, and the right side is the loss `loss_sample` gives."""
+    rng = np.random.default_rng(19)
+    gm = two_component_gmm()
+    ms = random_ms(rng)
+    batch = draw_loss_samples(gm, ms, 8, rng)
+    want = loss_sample(ms, OracleFlowField(gm, ms), batch).loss
+    factored = _count_calls(monkeypatch, gmm_mod._NoisyCovariances, "__init__")
+    evals = [_count_calls(monkeypatch, module, "eval_M") for module in (schedule_mod, loss_mod)]
+    _, rhs, _ = loss_equivalence_check(ms, OracleFlowField(gm, ms), batch)
+    assert len(factored) == 1
+    assert [len(e) for e in evals] == [2, 2]
+    assert np.array_equal(rhs, want)
+
+
+# ---------------------------------------------------------------------------
+# one class boundary: the loss takes a plain schedule
+# ---------------------------------------------------------------------------
+
+def test_loss_sample_carries_no_class_label():
+    assert [f.name for f in dataclasses.fields(LossSample)] == ["x0", "eps", "t"]
+    with pytest.raises(TypeError):
+        LossSample(np.zeros(2), np.zeros(2), 1.0, "a")
+
+
+def test_loss_functions_reject_a_class_conditional_schedule():
+    """A label riding on the sample is not read: the caller resolves the class."""
+    rng = np.random.default_rng(20)
+    gm = two_component_gmm()
+    base = random_ms(rng)
+    ms = MatrixSchedule(base.family, base.per_subspace, class_table={"a": base.per_subspace})
+    batch = draw_loss_samples(gm, base, 4, rng)
+    labeled = SimpleNamespace(x0=batch.x0, eps=batch.eps, t=batch.t, class_label="a")
+    field = OracleFlowField(gm, ms, "a")
+    with pytest.raises(KeyError, match="requires a class label"):
+        loss_sample(ms, field, labeled)
+    with pytest.raises(KeyError, match="requires a class label"):
+        loss_equivalence_check(ms, field, labeled)
+    got = loss_sample(ms.for_class("a"), field, batch).loss
+    assert np.array_equal(got, loss_sample(base, OracleFlowField(gm, base), batch).loss)
 
 
 # ---------------------------------------------------------------------------

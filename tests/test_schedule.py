@@ -10,7 +10,6 @@ from anisodiff.schedule import (
     inverse_softplus,
     isotropic_matrix_schedule,
     log_linear_schedule,
-    matrix_function_theta_derivative,
     matrix_schedule_for_family,
     softplus,
     uniform_nodes,
@@ -367,47 +366,8 @@ def test_value_objects_compare_and_hash_by_identity():
 
 
 # ---------------------------------------------------------------------------
-# matrix-function theta derivative
+# theta-Jacobian of dg/dt
 # ---------------------------------------------------------------------------
-
-def test_matrix_function_identity_reproduces_jacobian():
-    rng = np.random.default_rng(13)
-    fam = axis_family(3, 1)
-    ms = matrix_schedule_for_family(fam, horizon=2.0, n_knots=5)
-    ms = ms.with_theta_vector(rng.standard_normal(ms.n_params))
-    t = 0.8
-    np.testing.assert_allclose(
-        matrix_function_theta_derivative(ms.at(t), lambda g: np.ones_like(g)),
-        eval_M_dtheta(ms, t),
-        rtol=1e-13,
-    )
-
-
-def test_matrix_function_sqrt_matches_fd():
-    rng = np.random.default_rng(14)
-    fam = axis_family(3, 2)
-    ms = matrix_schedule_for_family(fam, horizon=2.0, n_knots=5)
-    ms = ms.with_theta_vector(rng.standard_normal(ms.n_params))
-    t = 1.1
-    deriv = matrix_function_theta_derivative(ms.at(t), lambda g: 0.5 / np.sqrt(g))
-    theta0 = ms.theta_vector()
-    h = 1e-5
-    for p in range(ms.n_params):
-        up, dn = theta0.copy(), theta0.copy()
-        up[p] += h
-        dn[p] -= h
-        gp, _ = eval_M(ms.with_theta_vector(up), t)
-        gm, _ = eval_M(ms.with_theta_vector(dn), t)
-        fd = (np.sqrt(gp) - np.sqrt(gm)) / (2 * h)
-        np.testing.assert_allclose(deriv[:, p], fd, rtol=1e-4, atol=1e-10)
-
-
-def test_matrix_function_constant_is_zero():
-    fam = axis_family(2, 1)
-    ms = matrix_schedule_for_family(fam, horizon=2.0, n_knots=4)
-    deriv = matrix_function_theta_derivative(ms.at(0.5), lambda g: np.zeros_like(g))
-    np.testing.assert_array_equal(deriv, 0.0)
-
 
 def test_dgdt_jacobian_matches_fd_through_matrix():
     rng = np.random.default_rng(15)

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from flow_views import ScoreFromFlow
 from anisodiff import flow_model
 from anisodiff import gmm as gmm_mod
 from anisodiff import schedule as schedule_mod
+from anisodiff import schedule_grad
 from anisodiff.fields import OracleFlowField, OracleScoreField
 from anisodiff.flow_model import FlowModel
 from anisodiff.gmm import (
@@ -30,7 +33,6 @@ from anisodiff.schedule import (
 )
 from anisodiff.schedule_grad import (
     EstimatorConfig,
-    estimate_dtheta_flow,
     estimate_dtheta_score,
     estimate_H,
     fd_outer_gradient,
@@ -55,6 +57,14 @@ def random_ms(rng, d=2, horizon=4.0, n_knots=5):
     fam = axis_family(d, 1)
     ms = matrix_schedule_for_family(fam, horizon, n_knots=n_knots)
     return ms.with_theta_vector(rng.standard_normal(ms.n_params))
+
+
+def estimate_dtheta_flow(flow_field, ms, x, t, theta_index, cfg=EstimatorConfig()):
+    """Flow-form estimate of d(flow)/d(theta_j) (three-term identity), one parameter at a time."""
+    ev = ms.at(t)
+    jet = flow_field.at(x, t)
+    responses = schedule_grad._flow_responses(jet, ev, jet.value(), cfg)
+    return np.einsum("...j,j...d->...d", ev.jac[..., theta_index], responses)
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +339,27 @@ def test_estimate_H_is_batch_mean_loss():
     assert estimate_H(ms, field, batch) == pytest.approx(
         float(np.mean(loss_sample(ms, field, batch).loss))
     )
+
+
+def test_outer_gradient_and_estimate_H_follow_only_their_class_label():
+    """A label riding on the batch is not read; the `class_label` argument picks the class."""
+    rng = np.random.default_rng(17)
+    gm = two_component_gmm()
+    rows = {label: random_ms(rng).per_subspace for label in "ab"}
+    base = random_ms(rng)
+    ms = MatrixSchedule(base.family, base.per_subspace, class_table=rows)
+    batch = draw_loss_samples(gm, base, 16, rng)
+    labeled = SimpleNamespace(x0=batch.x0, eps=batch.eps, t=batch.t, class_label="a")
+    field = OracleFlowField(gm, ms, "b")
+    with pytest.raises(KeyError, match="requires a class label"):
+        outer_gradient(ms, field, labeled)
+    with pytest.raises(KeyError, match="requires a class label"):
+        estimate_H(ms, field, labeled)
+    plain = ms.for_class("b")
+    got = outer_gradient(ms, field, labeled, class_label="b")
+    assert np.array_equal(got.total, outer_gradient(plain, OracleFlowField(gm, plain), batch).total)
+    assert estimate_H(ms, field, labeled, "b") == estimate_H(plain, OracleFlowField(gm, plain),
+                                                             batch)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,15 @@
-"""Print the seed-3 output fingerprints of units 0-3 of every benchmark workload.
+"""Print the seed-3 output fingerprints of units 0-3 of every benchmark workload,
+then the value of every `anisodiff verify` check.
 
 A refactor that must leave outputs bit-identical shows it by running this
 before and after the change and comparing the printed lines:
 
     python3 tools/fingerprints.py
 
-Each line is `<workload> unit <k> <sha256 of the unit's output>`, as
-`perfbench/workloads.py` computes it.  BLAS is pinned to one thread.
+Each workload line is `<workload> unit <k> <sha256 of the unit's output>`, as
+`perfbench/workloads.py` computes it.  Each check line that follows is
+`verify <group>/<name> <repr of its value>`, one per row of a full
+`verify.run_checks()`.  BLAS is pinned to one thread.
 
 A change that may move last digits saves the arrays behind those hashes on
 one side and reports its drift on the other:
@@ -32,6 +35,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import numpy as np  # noqa: E402
 
 import workloads  # noqa: E402
+from anisodiff.verify import run_checks  # noqa: E402
 
 SEED, UNITS = 3, 4
 
@@ -82,6 +86,8 @@ def main():
             if args.save:
                 kept.update({f"{key}.{i}": a for i, a in enumerate(arrays)})
             print(line, flush=True)
+    for row in run_checks():
+        print(f"verify {row.group}/{row.name} {row.value!r}", flush=True)
     if args.save:
         np.savez(args.save, **kept)
 
