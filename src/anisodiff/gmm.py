@@ -165,8 +165,13 @@ class _NoisyMixture:
     `mixed` and `block_traces` share one factorization, and the Hessian is
     formed at most once.  `cov` holds the factored noisy covariances at
     the points' times.  For a shared t the points are solved one component
-    at a time, so forming the jet makes no (K, n, d) array besides `y`;
-    `log_z` is formed only when `log_density` asks for it.
+    at a time: x - mu_k is written into one reused (n, d) buffer, one GEMM
+    per component puts C_k^{-1}(x - mu_k) into `y`, and `vecdot` gives the
+    Mahalanobis terms, so forming the jet makes no (K, n, d) array besides
+    `y`.  The score and the Hessian are `matmul` contractions over the
+    components; sum_k r_k C_k^{-1} is one GEMM at a shared t and never
+    broadcasts the inverse to (n, K, d, d).  `log_z` is formed only when
+    `log_density` asks for it.
     """
 
     def __init__(self, cov: _NoisyCovariances, x: Array):
@@ -181,17 +186,18 @@ class _NoisyMixture:
         if cov.shared:
             # one (n, d) @ (d, d) product per component, into a (K, n, d) y
             y, maha = np.empty((gm.n_components, n, d)), np.empty((gm.n_components, n))
+            diff = np.empty((n, d))
             for k, (mu_k, inv_k) in enumerate(zip(gm.means, inv)):
-                diff = x - mu_k
+                np.subtract(x, mu_k, out=diff)
                 np.matmul(diff, inv_k, out=y[k])  # inv is exactly symmetric
-                maha[k] = np.einsum("ni,ni->n", diff, y[k])
+                np.vecdot(diff, y[k], out=maha[k])
             y, maha = y.transpose(1, 0, 2), maha.T
         else:
             if inv.shape[0] != n:
                 raise ValueError("per-sample t must match the batch size")
             diff = x[:, None, :] - gm.means[None, :, :]  # (n, K, d)
-            y = np.einsum("nkij,nkj->nki", inv, diff)
-            maha = np.einsum("nki,nki->nk", diff, y)
+            y = np.matmul(inv, diff[..., None])[..., 0]
+            maha = np.vecdot(diff, y)
         self.x = x
         self.gm = gm
         # C_k^{-1}: (K, d, d) for a shared t, (n, K, d, d) per sample; both
@@ -231,7 +237,7 @@ class _NoisyMixture:
     @cached_property
     def _score_batch(self) -> Array:
         # sum_k r_k s_k with s_k = -y_k, negated once at (n, d)
-        return -np.einsum("nk,nki->ni", self.resp, self.y)
+        return -np.matmul(self.resp[:, None, :], self.y)[:, 0]
 
     def score(self) -> Array:
         return self._shape(self._score_batch)
@@ -240,10 +246,14 @@ class _NoisyMixture:
 
     @cached_property
     def _hessian_batch(self) -> Array:
-        s, s_bar = self.comp_score, self._score_batch
-        outer = np.einsum("nk,nki,nkj->nij", self.resp, s, s)
-        h = -np.einsum("nk,nkij->nij", self.resp, self.cov_inv) + outer
-        h -= np.einsum("ni,nj->nij", s_bar, s_bar)
+        r, s, s_bar = self.resp, self.comp_score, self._score_batch
+        n, k, d = s.shape
+        h = np.matmul(np.swapaxes(r[..., None] * s, 1, 2), s)  # sum_k r_k s_k s_k^T
+        if self.inv.ndim == 3:  # shared t: sum_k r_k C_k^{-1} is one GEMM
+            h -= (r @ self.inv.reshape(k, d * d)).reshape(n, d, d)
+        else:
+            h -= np.matmul(r[:, None, :], self.inv.reshape(n, k, d * d)).reshape(n, d, d)
+        h -= s_bar[:, :, None] * s_bar[:, None, :]
         return h
 
     def hessian(self) -> Array:
@@ -252,8 +262,9 @@ class _NoisyMixture:
 
     def directional(self, v: Array) -> Array:
         """d/ds score(x + s v) at s=0, i.e. Hessian @ v."""
-        v = np.atleast_2d(np.asarray(v, dtype=float))
-        return self._shape(np.einsum("nij,nj->ni", self._hessian_batch, v))
+        hess = self._hessian_batch
+        v = np.broadcast_to(np.asarray(v, dtype=float), hess.shape[:2])
+        return self._shape(np.matmul(hess, v[..., None])[..., 0])
 
     def mixed(self, u: Array, v: Array) -> Array:
         """d^2/dr ds score(x + r u + s v) at r=s=0 (third log-density derivative).

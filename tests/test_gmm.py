@@ -408,6 +408,81 @@ def test_batched_matches_scalar_calls():
         )
 
 
+def dct_mixture_case(seed, n):
+    """The generator, a K=4 mixture on the d=16 DCT family, a schedule on it and n points."""
+    rng = np.random.default_rng(seed)
+    family = build_dct_projectors(4, low_side=2)
+    d = family.ambient_dim
+    gm = random_mixture(rng, 4, d)
+    ms = matrix_schedule_for_family(family, 4.0)
+    ms = ms.with_theta_vector(0.3 * rng.standard_normal(ms.n_params))
+    return rng, gm, ms, rng.standard_normal((n, d))
+
+
+@pytest.mark.parametrize("scalar", [False, True], ids=["batch", "scalar-x"])
+def test_shared_and_per_sample_t_jets_agree(scalar):
+    """`ms.at(t)` and `ms.at(np.full(n, t))` give the same jet on every quantity."""
+    rng, gm, ms, xs = dct_mixture_case(20, 24)
+    x = xs[0] if scalar else xs
+    n, d = 1 if scalar else len(xs), xs.shape[1]
+    t = 3.0
+    field = OracleScoreField(gm, ms)
+    shared, per_sample = field.at(x, t), field.at(x, np.full(n, t))
+    assert per_sample.inv.shape == (n, 4, d, d)  # the per-sample path, factored n times
+    u, v = rng.standard_normal((2,) + x.shape)
+    v_one = rng.standard_normal(d)
+    direction = rng.standard_normal((d, d))
+    direction += direction.T
+
+    def quantities(jet):
+        return {"value": jet.value(), "log_density": jet.log_density(),
+                "hessian": jet.hessian(), "posterior_mean": jet.posterior_mean(),
+                "directional": jet.directional(v), "directional (d,)": jet.directional(v_one),
+                "mixed": jet.mixed(u, v), "block_traces": jet.block_traces(ms.family),
+                "dtheta_score": jet.dtheta_score(direction)}
+
+    want, got = quantities(shared), quantities(per_sample)
+    for name, ref in want.items():
+        assert got[name].shape == ref.shape, name
+        # entries that cancel to ~1e-5 of the largest keep only its absolute rounding
+        np.testing.assert_allclose(got[name], ref, rtol=1e-12,
+                                   atol=1e-12 * np.max(np.abs(ref)), err_msg=name)
+
+
+def einsum_jet(jet, v):
+    """y, resp, score, Hessian and Hessian @ v of a jet by the per-point einsum contractions."""
+    gm, x, inv = jet.gm, jet.x, jet.cov_inv
+    diff = x[:, None, :] - gm.means[None, :, :]
+    y = np.einsum("nkij,nkj->nki", inv, diff)
+    maha = np.einsum("nki,nki->nk", diff, y)
+    log_norm = gm.dim * np.log(2 * np.pi) - np.linalg.slogdet(inv)[1]  # + log det C_k
+    log_comp = np.log(gm.weights)[None, :] - 0.5 * (log_norm + maha)
+    comp = np.exp(log_comp - log_comp.max(axis=1, keepdims=True))
+    resp = comp / comp.sum(axis=1, keepdims=True)
+    s = -y
+    s_bar = np.einsum("nk,nki->ni", resp, s)
+    hess = (-np.einsum("nk,nkij->nij", resp, inv)
+            + np.einsum("nk,nki,nkj->nij", resp, s, s)
+            - np.einsum("ni,nj->nij", s_bar, s_bar))
+    return {"y": y, "resp": resp, "score": s_bar, "hessian": hess,
+            "directional": np.einsum("nij,nj->ni", hess, np.broadcast_to(v, x.shape))}
+
+
+@pytest.mark.parametrize("per_sample", [False, True], ids=["shared-t", "per-sample-t"])
+@pytest.mark.parametrize("tangent", ["batch", "single"])
+def test_jet_contractions_equal_their_einsum_forms(per_sample, tangent):
+    """The BLAS contractions of a jet equal the einsum forms they replace, on both paths."""
+    rng, gm, ms, x = dct_mixture_case(21, 32)
+    n, d = x.shape
+    jet = OracleScoreField(gm, ms).at(x, np.full(n, 3.0) if per_sample else 3.0)
+    v = rng.standard_normal((n, d) if tangent == "batch" else d)
+    want = einsum_jet(jet, v)
+    got = {"y": jet.y, "resp": jet.resp, "score": jet.value(), "hessian": jet.hessian(),
+           "directional": jet.directional(v)}
+    for name, ref in want.items():
+        assert np.max(np.abs(got[name] - ref)) <= 1e-13 * np.max(np.abs(ref)), name
+
+
 # ---------------------------------------------------------------------------
 # directional derivatives
 # ---------------------------------------------------------------------------
