@@ -169,8 +169,9 @@ class _NoisyMixture:
     per component puts C_k^{-1}(x - mu_k) into `y`, and `vecdot` gives the
     Mahalanobis terms, so forming the jet makes no (K, n, d) array besides
     `y`.  The score and the Hessian are `matmul` contractions over the
-    components; sum_k r_k C_k^{-1} is one GEMM at a shared t and never
-    broadcasts the inverse to (n, K, d, d).  `log_z` is formed only when
+    components; sum_k r_k C_k^{-1} is one batched `matmul` over the
+    flattened inverses, and at a shared t those broadcast over the points,
+    so no (n, K, d, d) array is formed.  `log_z` is formed only when
     `log_density` asks for it.
     """
 
@@ -249,10 +250,8 @@ class _NoisyMixture:
         r, s, s_bar = self.resp, self.comp_score, self._score_batch
         n, k, d = s.shape
         h = np.matmul(np.swapaxes(r[..., None] * s, 1, 2), s)  # sum_k r_k s_k s_k^T
-        if self.inv.ndim == 3:  # shared t: sum_k r_k C_k^{-1} is one GEMM
-            h -= (r @ self.inv.reshape(k, d * d)).reshape(n, d, d)
-        else:
-            h -= np.matmul(r[:, None, :], self.inv.reshape(n, k, d * d)).reshape(n, d, d)
+        # sum_k r_k C_k^{-1}; a shared t's (1, K, d*d) inverse broadcasts over n uncopied
+        h -= np.matmul(r[:, None, :], self.inv.reshape(-1, k, d * d)).reshape(n, d, d)
         h -= s_bar[:, :, None] * s_bar[:, None, :]
         return h
 

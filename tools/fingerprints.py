@@ -17,12 +17,9 @@ one side and reports its drift on the other:
     python3 tools/fingerprints.py --save before.npz     # at the parent
     python3 tools/fingerprints.py --compare before.npz  # at the change
 
-`--compare` appends to each workload line `max_rel <x>`: the largest
-absolute difference over the unit's arrays, relative to the largest saved
-entry (0 when the outputs are bit-identical).  `--save` also keeps each
-check's value, and `--compare` appends to each `verify` line
-`parent <repr of the saved value>` (`parent missing` when the saved file has
-no such check).
+`--compare` appends to each line `max_rel <x>`: the largest absolute
+difference over the unit's arrays, relative to the largest saved entry
+(0 when the outputs are bit-identical).
 """
 
 import argparse
@@ -69,15 +66,6 @@ def max_rel(arrays, saved):
     return f"{diff / scale if scale else diff:.3g}"
 
 
-def verify_line(name, value, saved=None):
-    """The `verify` line of one check; with `saved` (`--compare`), the parent value beside it."""
-    line = f"verify {name} {value!r}"
-    if saved is not None:
-        key = f"verify.{name}"
-        line += f" parent {float(saved[key])!r}" if key in saved else " parent missing"
-    return line
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     group = parser.add_mutually_exclusive_group()
@@ -99,10 +87,7 @@ def main():
                 kept.update({f"{key}.{i}": a for i, a in enumerate(arrays)})
             print(line, flush=True)
     for row in run_checks():
-        name = f"{row.group}/{row.name}"
-        print(verify_line(name, row.value, saved), flush=True)
-        if args.save:
-            kept[f"verify.{name}"] = np.float64(row.value)
+        print(f"verify {row.group}/{row.name} {row.value!r}", flush=True)
     if args.save:
         np.savez(args.save, **kept)
 
