@@ -86,6 +86,96 @@ def test_layers_are_built_once_per_model():
                for (w, b), (w_other, b_other) in zip(m.layers(), other.layers()))
 
 
+def test_kept_weight_transposes_are_read_only_c_ordered_copies_built_once():
+    m = small_model(seed=2)
+    assert m.weights_t is m.weights_t
+    assert m.at(np.zeros(2), 1.0).weights_t is m.weights_t
+    for (w, _), w_t in zip(m.layers(), m.weights_t):
+        assert w_t.flags.c_contiguous and not w_t.flags.writeable
+        assert not np.shares_memory(w_t, m.params)
+        np.testing.assert_array_equal(w_t, w.T)
+        with pytest.raises(ValueError, match="read-only"):
+            w_t[0, 0] = 0.0
+
+
+def reference_jet(model, x, t, u, v, family, cot):
+    """The jet's outputs from the `@ w.T` expressions on the layer views, with no kept W^T."""
+    single, d = x.ndim == 1, model.dim
+    x, t = np.atleast_2d(x), np.asarray(t, dtype=float)
+    layers = model.layers()
+    w, b = layers[0]
+    feats = model._features(np.broadcast_to(t, x.shape[:1]))
+    rows = np.concatenate([x, feats], axis=1)
+    if t.ndim == 0:
+        z = x @ w[:, :d].T + (w[:, d:] @ model._features(t) + b)
+    else:
+        z = rows @ w.T + b
+    acts = []
+    for w, b in layers[1:]:
+        acts.append(np.tanh(z))
+        z = acts[-1] @ w.T + b
+    slopes = [1.0 - a**2 for a in acts]
+    curvs = [-2.0 * a * s1 for a, s1 in zip(acts, slopes)]
+    w_x = layers[0][0][:, :d]
+
+    def tangent(vec):
+        return np.broadcast_to(vec, x.shape) @ w_x.T
+
+    def directional(vec):
+        dz = tangent(vec)
+        for (w, _), s1 in zip(layers[1:], slopes):
+            dz = (s1 * dz) @ w.T
+        return dz
+
+    def mixed(a, c):
+        if not acts:
+            return np.zeros(x.shape)
+        za, zc = tangent(a), tangent(c)
+        duv = curvs[0] * za * zc
+        for (w, _), s1_in, s1, s2 in zip(layers[1:], slopes, slopes[1:], curvs[1:]):
+            za, zc, zac = (s1_in * za) @ w.T, (s1_in * zc) @ w.T, duv @ w.T
+            duv = s2 * za * zc + s1 * zac
+        return duv @ layers[-1][0].T
+
+    delta, grads = np.atleast_2d(cot), []
+    for li in range(len(layers) - 1, -1, -1):
+        grads[:0] = [(delta.T @ [rows, *acts][li]).reshape(-1), delta.sum(axis=0)]
+        if li > 0:
+            delta = (delta @ layers[li][0]) * slopes[li - 1]
+    per_column = np.stack([mixed(q, q) for q in family.basis.T])
+    traces = np.stack([per_column[family.labels == j].sum(axis=0)
+                       for j in range(family.n_subspaces)])
+    out = {"value": z, "directional": directional(v), "mixed": mixed(u, v),
+           "block_traces": traces, "param_grad": np.concatenate(grads)}
+    if single:
+        out = {k: val if k == "param_grad" else val[..., 0, :] for k, val in out.items()}
+    return out
+
+
+@pytest.mark.parametrize("widths", [(), (8,), (64, 64)])
+@pytest.mark.parametrize("t_kind", ["scalar-t", "array-t"])
+@pytest.mark.parametrize("batched", [True, False])
+def test_jet_products_equal_their_untransposed_weight_forms(widths, t_kind, batched):
+    """Every product by a kept C-ordered W^T equals the same product by the view `w.T`."""
+    rng = np.random.default_rng(29)
+    family = build_dct_projectors(4, low_side=2)
+    d, n = family.ambient_dim, 40  # 40 rows cross one block_traces pass edge at d=16
+    model = FlowModel.create(d, horizon=5.0, widths=widths, seed=30, zero_head=False)
+    model = model.with_params(model.params + 0.1 * rng.standard_normal(model.params.size))
+    x, u, v, cot = rng.standard_normal((4, n, d))
+    t = rng.uniform(0.3, 4.0, size=n)
+    if not batched:
+        x, u, v, cot, t = x[0], u[0], v[0], cot[0], t[:1]
+    if t_kind == "scalar-t":
+        t = 1.7
+    jet = model.at(x, t)
+    got = {"value": jet.value(), "directional": jet.directional(v), "mixed": jet.mixed(u, v),
+           "block_traces": jet.block_traces(family), "param_grad": jet.param_grad(cot)}
+    for name, ref in reference_jet(model, x, t, u, v, family, cot).items():
+        assert got[name].shape == ref.shape, name
+        assert np.max(np.abs(got[name] - ref)) <= 1e-13 * np.max(np.abs(ref)), name
+
+
 @pytest.mark.parametrize("widths", [(8,), (8, 8)])
 @pytest.mark.parametrize("batched", [True, False])
 def test_a_scalar_t_jet_agrees_with_an_array_t_jet(widths, batched):

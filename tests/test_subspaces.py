@@ -353,6 +353,30 @@ def test_a_write_into_the_passed_basis_changes_neither_the_family_nor_its_kept_v
         fam.basis[0, 0] = 0.0
 
 
+@pytest.mark.parametrize("name", ["dct16", "random16"])
+def test_the_kept_transpose_gives_the_products_of_the_basis_view(name):
+    rng = np.random.default_rng(13)
+    fam = (build_dct_projectors(4) if name == "dct16"
+           else random_family(rng, 16, (3, 5, 8)))
+    assert isinstance(fam, ProjectorFamily)
+    assert fam.basis_t.flags.c_contiguous and not fam.basis_t.flags.writeable
+    assert not np.shares_memory(fam.basis_t, fam.basis)
+    with pytest.raises(ValueError, match="read-only"):
+        fam.basis_t[0, 0] = 0.0
+    q = fam.basis
+    for shape in ((2, 16), (7, 16), (256, 16), (3, 5, 16)):  # a GEMM: bit for bit
+        coords = rng.standard_normal(shape)
+        assert np.array_equal(fam.inverse(coords), coords @ q.T)
+    n_blocks = fam.n_subspaces
+    for values in (rng.uniform(0.1, 3.0, n_blocks), rng.uniform(0.1, 3.0, (5, n_blocks))):
+        assert np.array_equal(fam.dense(values), (q * values[..., None, fam.labels]) @ q.T)
+    # one row is a matrix-vector product, whose summation order follows the layout
+    for coords in (rng.standard_normal(16), rng.standard_normal((1, 16))):
+        want = coords @ q.T
+        np.testing.assert_allclose(fam.inverse(coords), want, rtol=0,
+                                   atol=4 * np.finfo(float).eps * np.max(np.abs(want)))
+
+
 @pytest.mark.parametrize("make", [lambda labels: ProjectorFamily(np.eye(4), labels),
                                   CoordinateFamily], ids=["projector", "coordinate"])
 def test_a_write_into_the_passed_labels_changes_no_block(make):

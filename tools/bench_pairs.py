@@ -1,7 +1,16 @@
 """Benchmark a parent tree against a change tree in alternating pairs.
 
-    python3 tools/bench_pairs.py --parent ../parent --change . --pairs 10 \
+Build both sides the same way, as fresh `git archive` trees, so that a
+difference in where or how a tree was made (a warm working tree against a
+fresh copy) is not read as a difference in the code:
+
+    git archive HEAD~1 | tar -x -C ../parent    # the parent commit
+    git archive HEAD | tar -x -C ../change      # the change, once committed
+    python3 tools/bench_pairs.py --parent ../parent --change ../change --pairs 10 \
         --first-seed 20001 --workload mlp-sample --out BENCH.json
+
+(For an uncommitted change, `git add -A && git archive $(git stash create)`
+archives the staged tree without touching the working tree.)
 
 Each pair runs `perfbench/run.py --workload W --seed S --seconds T` once in
 each tree, on the same seed; the parent runs first on the first, third, ...
