@@ -23,6 +23,7 @@ from .sampler import (
     SamplerConfig,
     heun_step,
     sample_trajectory,
+    step_rows,
     time_grid,
 )
 from .schedule import (
@@ -259,7 +260,8 @@ def check_heun_reductions(seed=5):
     for k in (1, 3, 6):
         x = rng.standard_normal(2)
         u = ms.at(grid[[k, k - 1]]).sqrt_g  # rows at t_k and t_{k-1}, also the secondary time
-        new_x, f_k, f_hat = heun_step(ms.family, field, x, grid[k], *u, grid[k - 1], u[1])
+        du, _, coef = step_rows(*u, u[1])  # the endpoint predictor is the Euler update
+        new_x, f_k, f_hat = heun_step(ms.family, field, x, grid[k], du, grid[k - 1], coef=coef)
         trap = x + apply_spectral(ms.family, u[0] - u[1], 0.5 * (f_k + f_hat))
         errors.append(np.abs(new_x - trap))
     out.append(_result("solver", "heun-endpoint-trapezoid", errors, 1e-12, "max abs gap", start))

@@ -84,3 +84,19 @@ def test_a_regression_past_its_bound_is_reported():
         "no resolved gain, WORSE THAN BOUND")
     within = bench_pairs.summarize(SPECS, range(10), ten_pairs(parent, [0.8 * p for p in parent]))
     assert not within["metrics"]["items_per_s"]["worse_than_bound"]  # 20% is inside the bound
+
+
+@pytest.mark.parametrize("failed, correct, reason", [
+    (1, False, "a change run is incorrect; the change fails a larger share of operations"),
+    (0, False, "a change run is incorrect"),
+    (1, True, "the change fails a larger share of operations"),
+])
+def test_a_gain_with_failed_ops_or_an_incorrect_run_is_not_resolved(failed, correct, reason):
+    parent = [100, 102, 98, 101, 99, 100, 103, 97, 100, 101]
+    pairs = ten_pairs(parent, [p + 15 for p in parent])
+    pairs[4][1].update(failed=failed, correct=correct)
+    metric = bench_pairs.summarize(SPECS, range(10), pairs)["metrics"]["items_per_s"]
+    assert metric["change_better_pairs"] == 10
+    assert not metric["gain_resolved"] and metric["gain_blocked_by"] == reason
+    assert bench_pairs.verdict("w", "items_per_s", metric).endswith(
+        f"no resolved gain ({reason}), within bound")

@@ -17,6 +17,7 @@ from anisodiff.sampler import (
     heun_step,
     init_state,
     sample_trajectory,
+    step_rows,
     time_grid,
 )
 from anisodiff.schedule import (
@@ -126,10 +127,11 @@ def ambient_step(ms, field, x, grid, k, secondary=None, flow_k=None):
     t_k, t_prev = grid[k], grid[k - 1]
     if secondary is None:
         u_k, u_prev = ms.at(np.array([t_k, t_prev])).sqrt_g
-        return heun_step(ms.family, field, x, t_k, u_k, u_prev, flow_k=flow_k)
+        return heun_step(ms.family, field, x, t_k, u_k - u_prev, flow_k=flow_k)
     t_hat = t_prev if secondary == "endpoint" else 0.5 * (t_prev + t_k)
-    u_k, u_prev, u_hat = ms.at(np.array([t_k, t_prev, t_hat])).sqrt_g
-    return heun_step(ms.family, field, x, t_k, u_k, u_prev, t_hat, u_hat, flow_k)
+    du, lift, coef = step_rows(*ms.at(np.array([t_k, t_prev, t_hat])).sqrt_g)
+    lift = None if secondary == "endpoint" else lift  # the endpoint predictor is the Euler update
+    return heun_step(ms.family, field, x, t_k, du, t_hat, lift, coef, flow_k)
 
 
 def test_euler_zero_flow_is_identity():
@@ -325,6 +327,55 @@ def test_spectral_applications_per_trajectory(monkeypatch, solver, secondary, pe
     assert len(calls) == per_step * steps  # the steps; the start is scaled in the coordinates
     # one `heun_step` per step, from t_K down to t_1, through the module global
     assert np.array_equal(step_times, time_grid(ms, cfg)[:0:-1])
+
+
+@pytest.mark.parametrize("steps", [1, 8])
+@pytest.mark.parametrize("solver, secondary", [
+    ("euler", "endpoint"), ("heun", "endpoint"), ("heun", "midpoint"),
+])
+def test_step_rows_are_formed_once_per_trajectory(monkeypatch, solver, secondary, steps):
+    ms = matrix_schedule_for_family(axis_family(3, 1), 10.0)
+    shapes = []
+
+    def counting_step_rows(*rows):
+        shapes.append([row.shape for row in rows])
+        return step_rows(*rows)
+
+    monkeypatch.setattr(sampler, "step_rows", counting_step_rows)
+    cfg = SamplerConfig(steps=steps, solver=solver, secondary=secondary)
+    sample_trajectory(ms, lambda x, t: -x, cfg, n=4, rng=1)
+    assert shapes == [[(steps, 2)] * 3]  # one call, every step's rows at once
+
+
+def test_a_trajectory_writes_into_nothing_it_is_handed():
+    # the steps add into `apply_spectral`'s results only: never into a state, a field's
+    # output or the start, which a read-only array would refuse and a copy would show
+    rng = np.random.default_rng(7)
+    ms = matrix_schedule_for_family(build_pca_projectors(rng.standard_normal((40, 5)), 2), 8.0)
+    seen = []  # (array, a copy of it when it was handed over or returned)
+
+    def field(x, t):
+        seen.append((x, x.copy()))
+        out = np.tanh(x[..., ::-1]) / (1.0 + t) - 0.5 * x
+        out.flags.writeable = False
+        seen.append((out, out.copy()))
+        return out
+
+    x_init = rng.standard_normal((3, 5))
+    x_init.flags.writeable = False
+    seen.append((x_init, x_init.copy()))
+    for solver, secondary in [("euler", "endpoint"), ("heun", "endpoint"), ("heun", "midpoint")]:
+        cfg = SamplerConfig(steps=4, solver=solver, secondary=secondary)
+        res = sample_trajectory(ms, field, cfg, x_init=x_init)
+        assert res.states[0] is x_init
+        grid = time_grid(ms, cfg)
+        x = res.states[1].copy()
+        x.flags.writeable = False
+        seen.append((x, x.copy()))
+        ambient_step(ms, field, x, grid, 3, None if solver == "euler" else secondary)
+    assert len(seen) > 20
+    for array, copy in seen:
+        assert np.array_equal(array, copy)
 
 
 def three_application_heun_step(ms, field, x, grid, k, secondary):
@@ -836,3 +887,7 @@ def test_config_validation():
         SamplerConfig(steps=4, solver="rk4")
     with pytest.raises(ValueError):
         SamplerConfig(steps=4, secondary="thirds")
+    for steps in (2.5, 4.0, True, "4", None):
+        with pytest.raises(ValueError, match="steps"):
+            SamplerConfig(steps=steps)
+    assert SamplerConfig(steps=np.int64(4)).steps == 4  # numpy integers are integers

@@ -29,7 +29,9 @@ order, their median and inclusive quartiles, the pairs the change won
 interquartile range.  Each metric also gets the acceptance rule's two
 verdicts: `gain_resolved` (the change won at least 9 in 10 pairs and its
 median is better than the parent's by more than the parent's interquartile
-range) and `worse_than_bound` (the change's median is worse than the
+range, and no change run is incorrect or fails a larger share of its
+operations than the parent's; `gain_blocked_by` names which when one
+does) and `worse_than_bound` (the change's median is worse than the
 parent's by more than the metric's `bound`, a fraction of the parent's
 median).  After each workload one verdict line per metric is printed.
 """
@@ -64,6 +66,14 @@ def summarize(specs, seeds, pairs):
         "correct": {side: all(r["correct"] for r in results) for side, results in sides.items()},
         "metrics": {},
     }
+    share = {side: entry["failed_ops"][side] / max(entry["attempted_ops"][side], 1)
+             for side in sides}
+    reasons = []  # why a gain, however large, would not count
+    if not entry["correct"]["change"]:
+        reasons.append("a change run is incorrect")
+    if share["change"] > share["parent"]:
+        reasons.append("the change fails a larger share of operations")
+    blocked = "; ".join(reasons) or None
     for spec in specs:
         name, lower = spec["name"], spec["better"] == "lower"
         runs = {side: [r["metrics"][name]["value"] for r in results]
@@ -76,7 +86,8 @@ def summarize(specs, seeds, pairs):
             "unit": spec["unit"], "better": spec["better"], "parent": parent, "change": change,
             "change_better_pairs": won, "median_ratio": change["median"] / parent["median"],
             "parent_iqr": iqr,
-            "gain_resolved": 10 * won >= 9 * len(pairs) and gain > iqr,
+            "gain_resolved": blocked is None and 10 * won >= 9 * len(pairs) and gain > iqr,
+            "gain_blocked_by": blocked,
             "worse_than_bound": -gain > spec["bound"] * abs(parent["median"]),
         }
     return entry
@@ -89,7 +100,8 @@ def verdict(workload, name, metric):
     return (f"{workload} {name}: median ratio {metric['median_ratio']:.4g}, change better in "
             f"{metric['change_better_pairs']}/{pairs} pairs, median gap {gap:.4g} vs parent IQR "
             f"{metric['parent_iqr']:.4g}: "
-            f"{'gain resolved' if metric['gain_resolved'] else 'no resolved gain'}, "
+            f"{'gain resolved' if metric['gain_resolved'] else 'no resolved gain'}"
+            f"{f' ({blocked})' if (blocked := metric['gain_blocked_by']) else ''}, "
             f"{'WORSE THAN BOUND' if metric['worse_than_bound'] else 'within bound'}")
 
 
