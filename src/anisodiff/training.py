@@ -12,6 +12,7 @@ batches are drawn from one generator stream and reductions keep a fixed
 order.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,6 +128,11 @@ class TrainConfig:
     log_every: int = 50
 
     def __post_init__(self):
+        for name in ("batch_size", "warmup_images", "total_images", "model_steps_per_schedule_step",
+                     "guard_patience", "seed", "log_every"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be positive")
         if self.lr_model <= 0 or self.lr_schedule_scale <= 0:

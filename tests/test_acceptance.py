@@ -48,6 +48,7 @@ from anisodiff.verify import (
     check_score_identity,
     check_solver_orders,
     check_weight_map,
+    run_check,
 )
 
 
@@ -80,19 +81,22 @@ def test_criterion_01_image_scale_out_of_scope():
 
 def test_criterion_02_score_identity():
     start = time.perf_counter()
-    result = check_score_identity(cases=100, tol=1e-9)
+    (result,) = run_check(check_score_identity, cases=100)
     elapsed = time.perf_counter() - start
     assert result.passed, result.line()
+    assert result.threshold == 1e-9
     assert elapsed < 5.0
     report("score identity", f"max residual {result.value:.2e} < 1e-9, {elapsed:.1f}s")
 
 
 def test_criterion_03_plugin_estimator():
     start = time.perf_counter()
-    gmm_check = check_estimator_vs_oracle(cases=100, tol=1e-5)
+    (gmm_check,) = run_check(check_estimator_vs_oracle)
     assert gmm_check.passed, gmm_check.line()
-    gauss_check = check_estimator_gaussian_exact(tol=1e-12)
+    assert gmm_check.threshold == 1e-5
+    (gauss_check,) = run_check(check_estimator_gaussian_exact)
     assert gauss_check.passed, gauss_check.line()
+    assert gauss_check.threshold == 1e-12
     # vanishing mixed-derivative term in the Gaussian case
     rng = np.random.default_rng(3)
     gm = single_gaussian(np.zeros(2), np.diag([1.2, 0.7]))
@@ -143,19 +147,21 @@ def test_criterion_04_outer_gradient_fd():
 
 def test_criterion_05_loss_form_equivalence():
     start = time.perf_counter()
-    result = check_loss_equivalence(samples=1000, schedules=5, tol=1e-10)
+    (result,) = run_check(check_loss_equivalence)
     elapsed = time.perf_counter() - start
     assert result.passed, result.line()
+    assert result.threshold == 1e-10
     assert elapsed < 10.0
     report("loss-form equivalence", f"max rel gap {result.value:.2e} < 1e-10, {elapsed:.1f}s")
 
 
 def test_criterion_06_solver_orders():
     start = time.perf_counter()
-    results = check_solver_orders(ks=(8, 16, 32, 64, 128), ref_steps=4096)
+    results = run_check(check_solver_orders, ks=(8, 16, 32, 64, 128), ref_steps=4096)
     elapsed = time.perf_counter() - start
     for r in results:
         assert r.passed, r.line()
+    assert [r.threshold for r in results] == [0.2] * 3  # slope within 0.2 of its target
     assert elapsed < 120.0
     detail = ", ".join(r.detail.split()[0] for r in results)
     report("solver convergence orders", f"{detail}, {elapsed:.1f}s")
@@ -291,9 +297,10 @@ def test_criterion_09_schedule_learning_descends():
 
 
 def test_criterion_10_weight_to_schedule():
-    results = check_weight_map()
+    results = run_check(check_weight_map)
     for r in results:
         assert r.passed, r.line()
+    assert [r.threshold for r in results] == [1e-8, 1e-4]
     report(
         "weight-to-schedule construction",
         f"closed form {results[0].value:.2e} < 1e-8, identity {results[1].value:.2e} < 1e-4",
@@ -301,9 +308,10 @@ def test_criterion_10_weight_to_schedule():
 
 
 def test_criterion_11_knot_schedule():
-    results = check_knot_gradients(cases=100, tol=1e-4)
+    results = run_check(check_knot_gradients)
     for r in results:
         assert r.passed, r.line()
+    assert [r.threshold for r in results] == [0.0, 1e-4]  # endpoints exact
     report(
         "knot schedule",
         f"endpoints exact; worst FD rel {results[1].value:.2e} < 1e-4 over 100 configs",

@@ -228,6 +228,81 @@ def test_grad_diagnostics_rows():
         assert theta.shape == explicit.shape == implicit.shape == (ms.n_params,)
 
 
+STEPS = 6
+
+
+def _logged_run(monkeypatch, train_model):
+    """A short seeded run that logs every step.  Also returns the (schedule, field, batch) of
+    each step's loss, and of each outer-gradient call, captured from the loop."""
+    gm = anisotropic_gaussian()
+    ms = matrix_schedule_for_family(axis_family(2, 1), horizon=10.0, n_knots=4)
+    model = FlowModel.create(2, horizon=10.0, widths=(8,), seed=4) if train_model else None
+    # the warm-up ramp and the midpoint decay both fall inside the run
+    cfg = TrainConfig(
+        batch_size=32, total_images=32 * STEPS, warmup_images=32 * 4, lr_model=0.05,
+        model_steps_per_schedule_step=2, train_model=train_model, seed=5, log_every=1,
+    )
+    losses, gradients = [], []
+    original_gradient, original_step = training_mod.outer_gradient, training_mod._model_step
+
+    def gradient(ms, field, batch, *args):
+        gradients.append((ms, field, batch))
+        return original_gradient(ms, field, batch, *args)
+
+    def model_step(model, ms, batch):
+        losses.append((ms, model, batch))
+        return original_step(model, ms, batch)
+
+    monkeypatch.setattr(training_mod, "outer_gradient", gradient)
+    monkeypatch.setattr(training_mod, "_model_step", model_step)
+    result = train_bilevel(gm, ms, model, cfg)
+    return cfg, result, losses if train_model else gradients, gradients
+
+
+@pytest.mark.parametrize("train_model", [False, True], ids=["oracle", "model"])
+def test_logged_loss_and_residual_energies_are_the_steps_batch_statistics(monkeypatch,
+                                                                          train_model):
+    cfg, result, steps, _ = _logged_run(monkeypatch, train_model)
+    assert [row["step"] for row in result.logs] == list(range(1, STEPS + 1))
+    for row, (ms, field, batch) in zip(result.logs, steps, strict=True):
+        value = loss_mod.loss_sample(ms, field, batch)
+        assert value.loss.shape == (cfg.batch_size,)
+        assert row["loss_mean"] == pytest.approx(np.mean(value.loss), rel=1e-12)
+        assert row["loss_se"] == pytest.approx(
+            np.std(value.loss) / np.sqrt(cfg.batch_size), rel=1e-12)
+        for j, block in enumerate(np.eye(ms.family.n_subspaces)):
+            projected = value.residual @ ms.family.dense(block)  # P_j r_i per row
+            assert row[f"residual_energy_{j + 1}"] == pytest.approx(
+                np.mean(np.sum(projected**2, axis=1)), rel=1e-12)
+
+
+@pytest.mark.parametrize("train_model", [False, True], ids=["oracle", "model"])
+def test_logged_learning_rates_are_the_effective_rates(monkeypatch, train_model):
+    cfg, result, _, _ = _logged_run(monkeypatch, train_model)
+    for step, row in enumerate(result.logs, start=1):
+        assert row["images"] == step * cfg.batch_size
+        assert row["lr_model"] == effective_lr(cfg, cfg.lr_model, row["images"])
+        assert row["lr_schedule"] == effective_lr(
+            cfg, cfg.lr_model * cfg.lr_schedule_scale, row["images"])
+
+
+@pytest.mark.parametrize("train_model", [False, True], ids=["oracle", "model"])
+def test_schedule_steps_hold_the_parts_of_a_direct_outer_gradient(monkeypatch, train_model):
+    cfg, result, _, gradients = _logged_run(monkeypatch, train_model)
+    every = cfg.model_steps_per_schedule_step if train_model else 1
+    assert len(result.schedule_steps) == STEPS // every
+    # theta after each step is the one the next call differentiates at, or the result's
+    thetas = [ms.theta_vector() for ms, _, _ in gradients[1:]] + [result.ms.theta_vector()]
+    for k, (entry, (ms, field, batch), theta_after) in enumerate(
+            zip(result.schedule_steps, gradients, thetas, strict=True), start=1):
+        images, label, theta, explicit, implicit = entry
+        direct = schedule_grad_mod.outer_gradient(ms, field, batch)
+        assert (images, label) == (k * every * cfg.batch_size, None)
+        np.testing.assert_array_equal(theta, theta_after)
+        np.testing.assert_array_equal(explicit, direct.explicit)
+        np.testing.assert_array_equal(implicit, direct.implicit)
+
+
 def test_dataset_source_model_training_runs():
     rng = np.random.default_rng(5)
     gm = single_gaussian(np.zeros(2), np.eye(2))
@@ -372,6 +447,22 @@ def test_w2_closed_form_matches_hand_value():
 def test_train_config_rejects_a_count_below_one(field):
     with pytest.raises(ValueError, match=field):
         TrainConfig(**{field: 0})
+
+
+COUNT_FIELDS = ["batch_size", "warmup_images", "total_images", "model_steps_per_schedule_step",
+                "guard_patience", "seed", "log_every"]
+
+
+@pytest.mark.parametrize("value", [True, 2.5, 3.0, "3"], ids=["bool", "fraction", "float", "str"])
+@pytest.mark.parametrize("field", COUNT_FIELDS)
+def test_train_config_rejects_a_count_that_is_not_an_integer(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        TrainConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field", COUNT_FIELDS)
+def test_train_config_accepts_a_numpy_integer_count(field):
+    assert getattr(TrainConfig(**{field: np.int64(3)}), field) == 3
 
 
 def test_evaluate_generation_validates_input():

@@ -16,13 +16,20 @@ from anisodiff import schedule_grad
 from anisodiff import verify
 from anisodiff.cli import main
 from anisodiff.schedule import KnotSchedule, TabulatedSchedule
-from anisodiff.verify import check_outer_gradient_fd, check_score_identity, check_solver_orders
+from anisodiff.verify import (
+    check_oracle_vs_direct,
+    check_outer_gradient_fd,
+    check_score_identity,
+    check_solver_orders,
+    run_check,
+)
 from test_schedule_grad import _count_calls
 
 # (group, owner, function the group reads, the rows a NaN from it fails,
 #  the checks a 0/0 in it fails)
 FAULT_SITES = [
-    ("score", gmm_mod._NoisyMixture, "posterior_mean", ["identity"], ["check_score_identity"]),
+    ("score", gmm_mod._NoisyMixture, "posterior_mean", ["identity", "oracle-vs-direct"],
+     ["check_score_identity", "check_oracle_vs_direct"]),
     ("estimator", schedule_grad, "_responses", ["gmm-vs-analytic", "gaussian-exact"],
      ["check_estimator_vs_oracle", "check_estimator_gaussian_exact"]),
     ("loss", loss_mod, "velocity_proxy", ["form-equivalence"], ["check_loss_equivalence"]),
@@ -80,10 +87,52 @@ def test_a_numerical_fault_row_names_the_exception(monkeypatch):
         raise np.linalg.LinAlgError("matrix is not positive definite")
 
     monkeypatch.setattr(gmm_mod, "_factor", raising)
-    (row,) = verify.run_checks("score")
+    row, direct = verify.run_checks("score")  # both score checks factor through the oracle
     assert not row.passed and np.isnan(row.value)
     assert row.line().startswith("[FAIL] score/check_score_identity: value=nan")
     assert "LinAlgError: matrix is not positive definite" in row.line()
+    assert direct.line().startswith("[FAIL] score/check_oracle_vs_direct: value=nan")
+
+
+def test_every_gate_is_pinned_in_the_checks_table():
+    gates = {f"{group}/{name}": threshold
+             for group, _, thresholds, _ in verify.CHECKS for name, threshold in thresholds.items()}
+    assert gates == {
+        "score/identity": 1e-9,
+        "score/oracle-vs-direct": 1e-10,
+        "estimator/gmm-vs-analytic": 1e-5,
+        "estimator/gaussian-exact": 1e-12,
+        "loss/form-equivalence": 1e-10,
+        "solver/order-euler-endpoint": 0.2,
+        "solver/order-heun-endpoint": 0.2,
+        "solver/order-heun-midpoint": 0.2,
+        "solver/heun-endpoint-trapezoid": 1e-12,
+        "solver/scalar-ve-reduction": 1e-12,
+        "solver/heun-endpoint-nfe": 0.0,
+        "knots/endpoint-pinning": 0.0,
+        "knots/gradient-fd": 1e-4,
+        "weight-map/constant-w-closed-form": 1e-8,
+        "weight-map/integral-identity": 1e-4,
+        "gradient/outer-vs-fd": 1e-5,
+    }
+
+
+def test_oracle_vs_direct_check_passes():
+    (row,) = run_check(check_oracle_vs_direct)
+    assert row.passed, row.line()
+    assert row.threshold == 1e-10
+
+
+def test_mixture_weights_off_by_a_power_fail_only_the_direct_oracle_check(monkeypatch, capsys):
+    original = gmm_mod._NoisyCovariances.__init__
+
+    def skewed(self, gm, ev):  # the jet reads the weights w^1.01, renormalized
+        w = gm.weights**1.01
+        original(self, gmm_mod.GaussianMixture(w / w.sum(), gm.means, gm.covs), ev)
+
+    monkeypatch.setattr(gmm_mod._NoisyCovariances, "__init__", skewed)
+    assert main(["verify", "--filter", "score"]) == 1
+    assert list(_failed_rows(capsys.readouterr().out)) == ["score/oracle-vs-direct"]
 
 
 def test_solver_orders_integrate_one_reference(monkeypatch):
@@ -95,19 +144,19 @@ def test_solver_orders_integrate_one_reference(monkeypatch):
         return original(ms, field, cfg, **kwargs)
 
     monkeypatch.setattr(verify, "sample_trajectory", counted)
-    rows = check_solver_orders(ks=(8, 16), ref_steps=256)
+    rows = run_check(check_solver_orders, ks=(8, 16), ref_steps=256)
     assert steps.count(256) == 1
     assert len(rows) == 3
 
 
 def test_score_identity_factors_each_case_once(monkeypatch):
     factored = _count_calls(monkeypatch, gmm_mod, "_factor")
-    check_score_identity(cases=4)
+    run_check(check_score_identity, cases=4)
     assert len(factored) == 4 * 3  # cases x families
 
 
 def test_outer_gradient_check_passes():
-    row = check_outer_gradient_fd(n=256)
+    (row,) = run_check(check_outer_gradient_fd, n=256)
     assert row.passed, row.line()
     assert 0.0 < row.value < 1e-7
 
