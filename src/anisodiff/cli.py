@@ -20,12 +20,12 @@ from .fields import OracleFlowField
 from .flow_model import FlowModel
 from .gmm import posterior_mean, sample_p0
 from .persistence import (
-    decoding,
     family_from_json,
     fmt,
     load_gmm,
     load_model,
     load_points_csv,
+    load_run_config,
     load_schedule,
     provenance_line,
     read_numeric_csv,
@@ -140,102 +140,9 @@ def cmd_schedule_fit(args) -> int:
     return 0
 
 
-# A section's field table maps each key to its JSON type and whether the key is required.
-_SECTION_FIELDS = {
-    "schedule": {"horizon": (float, True), "floor": (float, False), "knots": (int, False),
-                 "classes": (list | None, False)},
-    "model": {"widths": (list[int], False), "seed": (int, False)},
-    "train": {f.name: (f.type, False) for f in dataclasses.fields(TrainConfig)},
-}
-_FAMILY_FIELDS = {  # by family kind, next to the `kind` key itself
-    "dct": {"side": (int, True), "low_side": (int, True)}, "isotropic": {"dim": (int, True)},
-    "axis": {"dim": (int, True), "split": (int, True)},
-    "explicit": {"dim": (int, True), "blocks": (list, True), "pca_meta": (dict, False)},
-}
-
-# the JSON values each field type accepts; a boolean is not a number
-_JSON_TYPES = {
-    bool: ("a boolean", bool), int: ("an integer", int), float: ("a number", (int, float)),
-    str: ("a string", str), list: ("a list", list), dict: ("an object", dict),
-    list | None: ("a list or null", (list, type(None))), list[int]: ("a list of integers", list),
-}
-
-
-def _is_json(value, accepted) -> bool:
-    return isinstance(value, bool) == (accepted is bool) and isinstance(value, accepted)
-
-
-def _config_section(name):
-    return decoding(f"config section '{name}'")
-
-
-def _check_section(name, section, fields: dict):
-    """Missing and unknown keys and non-finite numbers are a ValueError, a value
-    of the wrong JSON type a TypeError."""
-    if not isinstance(section, dict):
-        raise TypeError(f"section must be an object, got {json.dumps(section)}")
-    for key, (_, required) in fields.items():
-        if required and key not in section:
-            raise ValueError(f"{name} section is missing key {key!r}")
-    unknown = set(section) - fields.keys()
-    if unknown:
-        raise ValueError(f"unknown {name} keys: {sorted(unknown)}")
-    for key, value in section.items():
-        kind = fields[key][0]
-        label, accepted = _JSON_TYPES[kind]
-        if not _is_json(value, accepted) or (
-                kind == list[int] and not all(_is_json(item, int) for item in value)):
-            raise TypeError(f"{key!r} must be {label}, got {json.dumps(value)}")
-        if isinstance(value, float) and not np.isfinite(value):
-            raise ValueError(f"{name} section: {key!r} must be a finite number, "
-                             f"got {json.dumps(value)}")
-
-
-def load_run_config(path):
-    """Parse a training run config and check every section against its field table."""
-    path = Path(path)
-    cfg = json.loads(path.read_text())
-    if not isinstance(cfg, dict):
-        raise ValueError("config must be a JSON object")
-    unknown = set(cfg) - {"version", "gmm", "data", "family", *_SECTION_FIELDS}
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    if cfg.get("version") != "1":
-        raise ValueError("config must declare \"version\": \"1\"")
-    if ("gmm" in cfg) == ("data" in cfg):
-        raise ValueError("config needs exactly one of 'gmm' or 'data'")
-    with _config_section("family"):  # a missing family or schedule lacks its required keys
-        family = cfg.get("family", {})
-        kind = family.get("kind") if isinstance(family, dict) else None
-        if kind not in _FAMILY_FIELDS and isinstance(family, dict) and "kind" in family:
-            raise ValueError(f"unknown family kind {kind!r}")
-        _check_section("family", family, {"kind": (str, True), **_FAMILY_FIELDS.get(kind, {})})
-    for name, fields in _SECTION_FIELDS.items():
-        with _config_section(name):
-            _check_section(name, cfg.get(name, {}), fields)
-    classes = sorted(str(label) for label in cfg["schedule"].get("classes") or ()) or None
-    labels = sorted(cfg["gmm"]) if isinstance(cfg.get("gmm"), dict) else None
-    if labels != classes:
-        raise ValueError(f"per-class gmm labels {labels or []} do not match "
-                         f"schedule classes {classes or []}")
-    base = path.parent
-    resolved = dict(cfg)
-    with _config_section("gmm"):
-        if isinstance(cfg.get("gmm"), dict):  # one mixture file per class label
-            resolved["gmm"] = {str(label): str((base / p).resolve())
-                               for label, p in cfg["gmm"].items()}
-        elif "gmm" in cfg:
-            resolved["gmm"] = str((base / cfg["gmm"]).resolve())
-    with _config_section("data"):
-        if "data" in cfg:
-            resolved["data"] = str((base / cfg["data"]).resolve())
-    return resolved
-
-
 def cmd_train(args) -> int:
     cfg = load_run_config(args.config)
-    with _config_section("family"):
-        family = family_from_json(cfg["family"])
+    family = family_from_json(cfg["family"])
     sched = cfg["schedule"]
     horizon, floor = float(sched["horizon"]), float(sched.get("floor", DEFAULT_FLOOR))
     per = tuple(log_linear_schedule(horizon, floor, sched.get("knots", DEFAULT_KNOTS))
@@ -261,8 +168,7 @@ def cmd_train(args) -> int:
                              f"dimension {family.ambient_dim}")
     model = None
     if "model" in cfg:
-        with _config_section("model"):
-            model = FlowModel.create(family.ambient_dim, horizon, **cfg["model"])
+        model = FlowModel.create(family.ambient_dim, horizon, **cfg["model"])
     elif train_cfg.train_model:
         train_cfg = dataclasses.replace(train_cfg, train_model=False)
 

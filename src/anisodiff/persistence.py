@@ -6,6 +6,7 @@ be traced back to their configuration.  Numeric CSV cells use 17
 significant digits for exact float round-tripping.
 """
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -24,6 +25,7 @@ from .subspaces import (
     build_dct_projectors,
     isotropic_family,
 )
+from .training import TrainConfig
 
 FORMAT_VERSION = "1"
 
@@ -119,29 +121,126 @@ def decoding(source):
         raise ValueError(f"{source}: value of the wrong type ({exc})") from None
 
 
-class _SavedObject(dict):
-    """A JSON object of a saved file; a missing key is a one-line ValueError."""
+# ---------------------------------------------------------------------------
+# JSON inputs: one field table per object, one checker for all of them
+# ---------------------------------------------------------------------------
 
-    def __init__(self, kind, items):
-        super().__init__(items)
-        self.kind = kind
+# A field table maps each key to its JSON type and whether the key is required.
+FAMILY_FIELDS = {  # by family kind, next to the `kind` key itself
+    "dct": {"side": (int, True), "low_side": (int, True)}, "isotropic": {"dim": (int, True)},
+    "axis": {"dim": (int, True), "split": (int, True)},
+    "explicit": {"dim": (int, True), "blocks": (list, True), "pca_meta": (dict, False)},
+}
+RUN_CONFIG_FIELDS = {  # by section; `family` is checked by kind
+    "schedule": {"horizon": (float, True), "floor": (float, False), "knots": (int, False),
+                 "classes": (list | None, False)},
+    "model": {"widths": (list[int], False), "seed": (int, False)},
+    "train": {f.name: (f.type, False) for f in dataclasses.fields(TrainConfig)},
+}
+SAVED_FIELDS = {  # by file kind, and a schedule file's `theta`; every key is required
+    "schedule": {"format_version": (str, True), "family_kind": (str, True), "family": (dict, True),
+                 "ambient_dim": (int, True), "horizon": (float, True), "floor": (float, True),
+                 "nodes": (list, True), "t_floor_fraction": (float, True),
+                 "theta": (dict, True), "provenance": (dict, True)},
+    "theta": {"default": (list, True), "classes": (dict | None, True)},
+    "mixture": {"format_version": (str, True), "weights": (list, True), "means": (list, True),
+                "covariances": (list, True)},
+    "model": {"format_version": (str, True), "dim": (int, True), "horizon": (float, True),
+              "widths": (list[int], True), "params": (list, True)},
+}
 
-    def __missing__(self, key):
-        raise ValueError(f"{self.kind} file is missing key {key!r}")
+# the JSON values each field type accepts; a boolean is not a number
+_JSON_TYPES = {
+    bool: ("a boolean", bool), int: ("an integer", int), float: ("a number", (int, float)),
+    str: ("a string", str), list: ("a list", list), dict: ("an object", dict),
+    list | None: ("a list or null", (list, type(None))),
+    dict | None: ("an object or null", (dict, type(None))), list[int]: ("a list of integers", list),
+}
+
+
+def _is_json(value, accepted) -> bool:
+    return isinstance(value, bool) == (accepted is bool) and isinstance(value, accepted)
+
+
+def check_fields(name, obj, fields: dict, part="section"):
+    """Check `obj`, the `name` `part` ("train section"), against its field table: a missing or
+    unknown key or a non-finite number is a ValueError, a wrong JSON type a TypeError."""
+    if not isinstance(obj, dict):
+        raise TypeError(f"{name} must be an object, got {json.dumps(obj)}")
+    for key, (_, required) in fields.items():
+        if required and key not in obj:
+            raise ValueError(f"{name} {part} is missing key {key!r}")
+    unknown = set(obj) - fields.keys()
+    if unknown:
+        raise ValueError(f"unknown {name} keys: {sorted(unknown)}")
+    for key, value in obj.items():
+        kind = fields[key][0]
+        label, accepted = _JSON_TYPES[kind]
+        if not _is_json(value, accepted) or (
+                kind == list[int] and not all(_is_json(item, int) for item in value)):
+            raise TypeError(f"{key!r} must be {label}, got {json.dumps(value)}")
+        if isinstance(value, float) and not np.isfinite(value):
+            raise ValueError(f"{name} {part}: {key!r} must be a finite number, "
+                             f"got {json.dumps(value)}")
+
+
+def _check_family(payload):
+    kind = payload.get("kind") if isinstance(payload, dict) else None
+    if kind not in FAMILY_FIELDS and isinstance(payload, dict) and "kind" in payload:
+        raise ValueError(f"unknown family kind {kind!r}")
+    check_fields("family", payload, {"kind": (str, True), **FAMILY_FIELDS.get(kind, {})})
 
 
 def _read_saved(path, kind) -> dict:
-    """Parse a saved `kind` file ("schedule", "mixture", "model") of the current format."""
+    """Parse a saved `kind` file ("schedule", "mixture", "model") and check its top level."""
     def non_finite(literal):  # NaN, Infinity or -Infinity
         raise ValueError(f"{kind} file holds the non-finite number {literal}")
 
-    payload = json.loads(Path(path).read_text(), object_hook=lambda obj: _SavedObject(kind, obj),
-                         parse_constant=non_finite)
+    payload = json.loads(Path(path).read_text(), parse_constant=non_finite)
     if not isinstance(payload, dict):
         raise ValueError(f"{kind} file must hold a JSON object")
     if payload.get("format_version") != FORMAT_VERSION:
         raise ValueError(f"unsupported {kind} file version")
+    with decoding(f"{kind} file"):
+        check_fields(kind, payload, SAVED_FIELDS[kind], "file")
     return payload
+
+
+def load_run_config(path):
+    """Parse a training run config and check every section against its field table."""
+    path = Path(path)
+    cfg = json.loads(path.read_text())
+    if not isinstance(cfg, dict):
+        raise ValueError("config must be a JSON object")
+    unknown = set(cfg) - {"version", "gmm", "data", "family", *RUN_CONFIG_FIELDS}
+    if unknown:
+        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    if cfg.get("version") != "1":
+        raise ValueError("config must declare \"version\": \"1\"")
+    if ("gmm" in cfg) == ("data" in cfg):
+        raise ValueError("config needs exactly one of 'gmm' or 'data'")
+    with decoding("config section 'family'"):  # a missing family or schedule lacks its keys
+        _check_family(cfg.get("family", {}))
+    for name, fields in RUN_CONFIG_FIELDS.items():
+        with decoding(f"config section '{name}'"):
+            check_fields(name, cfg.get(name, {}), fields)
+    classes = sorted(str(label) for label in cfg["schedule"].get("classes") or ()) or None
+    labels = sorted(cfg["gmm"]) if isinstance(cfg.get("gmm"), dict) else None
+    if labels != classes:
+        raise ValueError(f"per-class gmm labels {labels or []} do not match "
+                         f"schedule classes {classes or []}")
+    base = path.parent
+    resolved = dict(cfg)
+    with decoding("config section 'gmm'"):
+        if isinstance(cfg.get("gmm"), dict):  # one mixture file per class label
+            resolved["gmm"] = {str(label): str((base / p).resolve())
+                               for label, p in cfg["gmm"].items()}
+        elif "gmm" in cfg:
+            resolved["gmm"] = str((base / cfg["gmm"]).resolve())
+    with decoding("config section 'data'"):
+        if "data" in cfg:
+            resolved["data"] = str((base / cfg["data"]).resolve())
+    return resolved
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +272,8 @@ def family_to_json(family: ProjectorFamily) -> dict:
 
 
 def family_from_json(payload: dict) -> ProjectorFamily:
+    """The family a family object describes, checked against the field table of its kind."""
+    _check_family(payload)
     kind = payload["kind"]
     if kind == "dct":
         return build_dct_projectors(payload["side"], payload["low_side"])
@@ -180,17 +281,16 @@ def family_from_json(payload: dict) -> ProjectorFamily:
         return isotropic_family(payload["dim"])
     if kind == "axis":
         return axis_family(payload["dim"], payload["split"])
-    if kind == "explicit":
-        dim = payload["dim"]
+    dim = payload["dim"]  # an explicit family
+    with decoding("family blocks"):
         blocks = [np.array(b, dtype=float) for b in payload["blocks"]]
-        if any(b.ndim != 2 or b.shape[0] != dim for b in blocks):
-            raise ValueError(f"family blocks must be arrays with {dim} rows")
-        labels = np.repeat(np.arange(len(blocks)), [b.shape[1] for b in blocks])
-        meta = {"kind": "explicit"}
-        if "pca_meta" in payload:
-            meta = {"kind": "pca", **payload["pca_meta"]}
-        return ProjectorFamily(np.concatenate(blocks, axis=1), labels, meta=meta)
-    raise ValueError(f"unknown family kind {kind!r}")
+    if any(b.ndim != 2 or b.shape[0] != dim for b in blocks):
+        raise ValueError(f"family blocks must be arrays with {dim} rows")
+    labels = np.repeat(np.arange(len(blocks)), [b.shape[1] for b in blocks])
+    meta = {"kind": "explicit"}
+    if "pca_meta" in payload:
+        meta = {"kind": "pca", **payload["pca_meta"]}
+    return ProjectorFamily(np.concatenate(blocks, axis=1), labels, meta=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -236,15 +336,12 @@ def save_schedule(ms: MatrixSchedule, path, seed=0):
 def load_schedule(path) -> MatrixSchedule:
     payload = _read_saved(path, "schedule")
     with decoding("schedule file"):
+        check_fields("theta", payload["theta"], SAVED_FIELDS["theta"], "object")
         family = family_from_json(payload["family"])
-        nodes = np.array(payload["nodes"])
-        floor = payload["floor"]
-        horizon = payload["horizon"]
+        nodes, floor, horizon = np.array(payload["nodes"]), payload["floor"], payload["horizon"]
 
         def make(theta_list):
-            return tuple(
-                KnotSchedule(np.array(th), nodes, floor, horizon) for th in theta_list
-            )
+            return tuple(KnotSchedule(np.array(th), nodes, floor, horizon) for th in theta_list)
 
         class_table = None
         if payload["theta"]["classes"] is not None:
@@ -253,7 +350,7 @@ def load_schedule(path) -> MatrixSchedule:
             family,
             make(payload["theta"]["default"]),
             class_table=class_table,
-            t_floor_fraction=payload.get("t_floor_fraction", 1e-4),
+            t_floor_fraction=payload["t_floor_fraction"],
         )
 
 

@@ -921,6 +921,7 @@ def test_saved_file_value_of_wrong_type_exits_2(tmp_path, gmm_file, schedule_fil
 
 @pytest.mark.parametrize("kind, key", [
     ("schedule", "horizon"), ("schedule", "nodes"), ("mixture", "covariances"), ("model", "widths"),
+    ("schedule", "t_floor_fraction"),
 ])
 def test_saved_file_missing_key_exits_2(tmp_path, gmm_file, schedule_file, capsys, kind, key):
     model_file = tmp_path / "model.json"
@@ -938,6 +939,41 @@ def test_saved_file_missing_key_exits_2(tmp_path, gmm_file, schedule_file, capsy
     }[kind]
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: {kind} file is missing key '{key}'\n"
+
+
+@pytest.mark.parametrize("kind, part, change, key", [
+    ("schedule", "family", {"split": 2.5}, "split"),
+    ("schedule", "family", {"split": True}, "split"),
+    ("schedule", "family", {"bogus": 1}, "bogus"),
+    ("schedule", "theta", {"bogus": 1}, "bogus"),
+    ("schedule", None, {"bogus": 1}, "bogus"),
+    ("mixture", None, {"bogus": 1}, "bogus"),
+    ("model", None, {"bogus": 1}, "bogus"),
+], ids=["family-split-float", "family-split-bool", "family-unknown-key", "theta-unknown-key",
+        "schedule-unknown-key", "mixture-unknown-key", "model-unknown-key"])
+def test_saved_file_bad_key_exits_2_naming_it(tmp_path, gmm_file, capsys, kind, part, change,
+                                               key):
+    # a saved family is checked against the same table as a run config's family
+    schedule_file = tmp_path / "schedule.json"
+    save_schedule(matrix_schedule_for_family(axis_family(2, 1), horizon=10.0, n_knots=6),
+                  schedule_file)
+    model_file = tmp_path / "model.json"
+    save_model(FlowModel.create(2, horizon=10.0, widths=(8,), seed=4), model_file)
+    broken = {"schedule": schedule_file, "mixture": gmm_file, "model": model_file}[kind]
+    payload = json.loads(broken.read_text())
+    (payload if part is None else payload[part]).update(change)
+    broken.write_text(json.dumps(payload))
+    out = tmp_path / "out"
+    argv = {
+        "schedule": ["analyze", "schedule", str(schedule_file), "--out", str(out)],
+        "mixture": ["gen-data", "--gmm", str(gmm_file), "--n", "4", "--out", str(out)],
+        "model": ["sample", "--schedule", str(schedule_file), "--model", str(model_file),
+                  "--steps", "4", "--out", str(out)],
+    }[kind]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and repr(key) in err
+    assert not out.exists()
 
 
 def test_run_config_rejects_unknown_keys(tmp_path, gmm_file):
