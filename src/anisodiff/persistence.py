@@ -170,10 +170,9 @@ def check_fields(name, obj, fields: dict, part="section"):
     for key, (_, required) in fields.items():
         if required and key not in obj:
             raise ValueError(f"{name} {part} is missing key {key!r}")
-    unknown = set(obj) - fields.keys()
-    if unknown:
-        raise ValueError(f"unknown {name} keys: {sorted(unknown)}")
     for key, value in obj.items():
+        if key not in fields:
+            continue  # reported below, after the known keys' types
         kind = fields[key][0]
         label, accepted = _JSON_TYPES[kind]
         if not _is_json(value, accepted) or (
@@ -182,13 +181,17 @@ def check_fields(name, obj, fields: dict, part="section"):
         if isinstance(value, float) and not np.isfinite(value):
             raise ValueError(f"{name} {part}: {key!r} must be a finite number, "
                              f"got {json.dumps(value)}")
+    unknown = set(obj) - fields.keys()
+    if unknown:
+        raise ValueError(f"unknown {name} keys: {sorted(unknown)}")
 
 
 def _check_family(payload):
     kind = payload.get("kind") if isinstance(payload, dict) else None
-    if kind not in FAMILY_FIELDS and isinstance(payload, dict) and "kind" in payload:
+    if isinstance(kind, str) and kind not in FAMILY_FIELDS:
         raise ValueError(f"unknown family kind {kind!r}")
-    check_fields("family", payload, {"kind": (str, True), **FAMILY_FIELDS.get(kind, {})})
+    fields = FAMILY_FIELDS[kind] if isinstance(kind, str) else {}  # check_fields types `kind`
+    check_fields("family", payload, {"kind": (str, True), **fields})
 
 
 def _read_saved(path, kind) -> dict:

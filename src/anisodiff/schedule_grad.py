@@ -29,6 +29,7 @@ them against the loss cotangent.  `outer_gradient`, `estimate_H` and
 with `ms.for_class`; every function below them takes a plain schedule.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +57,10 @@ class EstimatorConfig:
     def __post_init__(self):
         if self.mode not in ("exact-sum", "stochastic-probe"):
             raise ValueError(f"unknown estimator mode {self.mode!r}")
+        for name in ("probes", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.mode == "stochastic-probe" and self.probes < 1:
             raise ValueError("need at least one probe")
 

@@ -219,8 +219,7 @@ def convergence_slope(ms, field, x_init, ks, ref, solver, secondary="endpoint"):
         cfg = SamplerConfig(steps=int(k), solver=solver, secondary=secondary)
         final = sample_trajectory(ms, field, cfg, x_init=x_init).final
         errs.append(float(np.mean(np.linalg.norm(np.atleast_2d(final - ref), axis=1))))
-    slope = -np.polyfit(np.log(np.asarray(ks, dtype=float)), np.log(errs), 1)[0]
-    return float(slope), errs
+    return float(-np.polyfit(np.log(np.asarray(ks, dtype=float)), np.log(errs), 1)[0])
 
 
 def smooth_anisotropic_ms(horizon=20.0, floors=(1e-4, 1e-2)):
@@ -254,7 +253,7 @@ def check_solver_orders(ks=(8, 16, 32, 64, 128), ref_steps=4096):
         ("heun", "endpoint", 2.0),
         ("heun", "midpoint", 2.0),
     ):
-        slope, _ = convergence_slope(ms, field, x_init, ks, ref, solver, secondary)
+        slope = convergence_slope(ms, field, x_init, ks, ref, solver, secondary)
         detail = f"slope={slope:.3f} target={target}"
         yield f"order-{solver}-{secondary}", abs(slope - target), detail
 

@@ -836,7 +836,7 @@ def test_train_value_of_wrong_json_type_exits_2(tmp_path, gmm_file, capsys, key,
 @pytest.mark.parametrize("section, key, value", [
     ("schedule", "horizon", True), ("schedule", "horizon", "10"), ("schedule", "floor", "0.001"),
     ("schedule", "knots", 4.7), ("schedule", "classes", "ab"), ("family", "split", True),
-    ("family", "bogus", 1), ("model", "seed", True),
+    ("family", "bogus", 1), ("family", "kind", [1]), ("model", "seed", True),
     ("train", "total_images", 0), ("train", "log_every", 0), ("model", "widths", [0]),
     ("model", "widths", [-1]), ("model", "widths", [1.5]), ("model", "widths", ["a"]),
     ("model", "widths", [True]), ("train", "lr_schedule_scale", float("inf")),
@@ -945,11 +945,13 @@ def test_saved_file_missing_key_exits_2(tmp_path, gmm_file, schedule_file, capsy
     ("schedule", "family", {"split": 2.5}, "split"),
     ("schedule", "family", {"split": True}, "split"),
     ("schedule", "family", {"bogus": 1}, "bogus"),
+    ("schedule", "family", {"kind": [1]}, "kind"),
     ("schedule", "theta", {"bogus": 1}, "bogus"),
     ("schedule", None, {"bogus": 1}, "bogus"),
     ("mixture", None, {"bogus": 1}, "bogus"),
     ("model", None, {"bogus": 1}, "bogus"),
-], ids=["family-split-float", "family-split-bool", "family-unknown-key", "theta-unknown-key",
+], ids=["family-split-float", "family-split-bool", "family-unknown-key", "family-kind-list",
+        "theta-unknown-key",
         "schedule-unknown-key", "mixture-unknown-key", "model-unknown-key"])
 def test_saved_file_bad_key_exits_2_naming_it(tmp_path, gmm_file, capsys, kind, part, change,
                                                key):
@@ -1350,7 +1352,7 @@ def test_mutated_heun_corrector_breaks_order(monkeypatch):
     ms, field, x_init = _order_setup(21)
     cfg = SamplerConfig(steps=1024, solver="heun", secondary="midpoint")
     ref = sampler_mod.sample_trajectory(ms, field, cfg, x_init=x_init).final
-    slope, _ = convergence_slope(ms, field, x_init, (8, 16, 32, 64), ref, "heun", "endpoint")
+    slope = convergence_slope(ms, field, x_init, (8, 16, 32, 64), ref, "heun", "endpoint")
     assert slope < 1.5  # far from second order
 
 

@@ -77,7 +77,7 @@ def test_every_cli_output_file_starts_with_one_provenance_line(cli_chain):
     provenance = re.compile(r"# anisodiff (\S+) config=[0-9a-f]{12} seed=(-?\d+)")
     for step, name, _ in (line.split() for line in lines):
         text = (root / name).read_text().splitlines()
-        if name.endswith(".json"):  # saved schedules and models carry theirs inside
+        if name.endswith(".json"):  # JSON outputs have no provenance line
             assert not any(line.startswith("# anisodiff") for line in text), name
             continue
         first = provenance.fullmatch(text[0])

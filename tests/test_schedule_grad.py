@@ -328,6 +328,14 @@ def test_estimator_config_rejects_a_bad_mode_or_no_probes():
         EstimatorConfig(mode="bogus")
     with pytest.raises(ValueError):
         EstimatorConfig(mode="stochastic-probe", probes=0)
+    # a probe count or seed that is not an integer used to fail inside outer_gradient (2.5)
+    # or run as 1 (True)
+    for name in ("probes", "seed"):
+        for value in (2.5, 4.0, True, "4", None):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                EstimatorConfig("stochastic-probe", **{name: value})
+    cfg = EstimatorConfig("stochastic-probe", probes=np.int64(4), seed=np.int32(1))
+    assert (cfg.probes, cfg.seed) == (4, 1)
 
 
 def test_estimate_H_is_batch_mean_loss():
