@@ -836,7 +836,7 @@ def test_train_value_of_wrong_json_type_exits_2(tmp_path, gmm_file, capsys, key,
 @pytest.mark.parametrize("section, key, value", [
     ("schedule", "horizon", True), ("schedule", "horizon", "10"), ("schedule", "floor", "0.001"),
     ("schedule", "knots", 4.7), ("schedule", "classes", "ab"), ("family", "split", True),
-    ("family", "bogus", 1), ("family", "kind", [1]), ("model", "seed", True),
+    ("family", "bogus", 1), ("model", "seed", True),
     ("train", "total_images", 0), ("train", "log_every", 0), ("model", "widths", [0]),
     ("model", "widths", [-1]), ("model", "widths", [1.5]), ("model", "widths", ["a"]),
     ("model", "widths", [True]), ("train", "lr_schedule_scale", float("inf")),
@@ -844,6 +844,7 @@ def test_train_value_of_wrong_json_type_exits_2(tmp_path, gmm_file, capsys, key,
     ("train", "midpoint_decay", 0), ("train", "midpoint_decay", 1.5),
     ("train", "ema_half_life_images", -1), ("train", "warmup_images", -5),
     ("train", "guard_factor", -1), ("train", "guard_factor", 0), ("train", "guard_patience", 0),
+    ("family", "kind", [1]),
 ])
 def test_train_bad_value_in_any_section_exits_2_naming_the_key(tmp_path, capsys, section, key,
                                                                value):
