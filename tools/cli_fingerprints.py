@@ -11,10 +11,11 @@ Each line is `<step> <file> <sha256>`, one per file the step writes, where
 `train-classes`).  A file's leading provenance line `# anisodiff <version>
 config=<hash> seed=<seed>` is left out of its hash, since `train`'s hash
 covers the config's resolved absolute paths, which differ per directory.
-The steps cover oracle, model (on a CSV `"data"` file) and
-class-conditional training, sampling with each solver rule, `--denoise`,
-`--dump-trajectory`, `--class-label` and a model field, `gen-data`, both
-`basis` kinds, `schedule-fit` and both `analyze` commands.  `verify` is
+The steps cover oracle, model (on a CSV `"data"` file), class-conditional
+and explicit-family (blocks with `pca_meta`) training, sampling with each
+solver rule, `--denoise`, `--dump-trajectory`, `--class-label` and a model
+field, `gen-data`, both `basis` kinds, `schedule-fit` and both `analyze`
+commands.  `verify` is
 left out: its report rows carry wall times, and `tools/fingerprints.py`
 prints every check value.  `--keep DIR` runs the chain in DIR, which must
 not exist yet, and keeps the files.  BLAS is pinned to one thread.
@@ -66,6 +67,12 @@ INPUTS = {
                      "family": {"kind": "axis", "dim": 4, "split": 1},
                      "schedule": {"horizon": 10.0, "knots": 4, "classes": ["a", "b"]},
                      "train": TRAIN},
+    "explicit.json": {"version": "1", "gmm": "gmm.json",
+                      "family": {"kind": "explicit", "dim": 4, "blocks": [
+                          [[0.6], [0.0], [0.8], [0.0]],
+                          [[0.0, -0.8, 0.0], [0.8, 0.0, 0.6], [0.0, 0.6, 0.0], [0.6, 0.0, -0.8]]],
+                          "pca_meta": {"eigenvalues": [2.0, 1.0, 0.5, 0.25], "tie_at_cut": False}},
+                      "schedule": {"horizon": 10.0, "knots": 4}, "train": TRAIN},
 }
 WEIGHTS = "t,w\n0,1\n2,0.8\n5,0.6\n10,0.5\n"
 
@@ -85,6 +92,7 @@ STEPS = [
     ("train-oracle", ["train", "--config", "oracle.json", "--out", "oracle"]),
     ("train-model-csv", ["train", "--config", "model.json", "--out", "model"]),
     ("train-classes", ["train", "--config", "classes.json", "--out", "classes"]),
+    ("train-explicit", ["train", "--config", "explicit.json", "--out", "explicit"]),
     ("sample-heun-endpoint", [*ORACLE, "--out", "heun.csv", "--dump-trajectory", "traj"]),
     ("sample-heun-midpoint", [*ORACLE, "--secondary", "midpoint", "--out", "midpoint.csv"]),
     ("sample-euler", [*ORACLE, "--solver", "euler", "--out", "euler.csv"]),
@@ -95,10 +103,14 @@ STEPS = [
                       "--class-label", "a", "--out", "class_a.csv"]),
     ("sample-fit", [*SAMPLE, "--schedule", "fit.json", "--oracle", "gmm.json",
                     "--out", "fit.csv"]),
+    ("sample-explicit", [*SAMPLE, "--schedule", "explicit/schedule.json", "--oracle", "gmm.json",
+                         "--out", "explicit.csv"]),
     ("analyze-schedule", ["analyze", "schedule", "oracle/schedule.json", "--points", "16",
                           "--out", "analysis"]),
     ("analyze-schedule-classes", ["analyze", "schedule", "classes/schedule.json",
                                   "--points", "16", "--out", "analysis_classes"]),
+    ("analyze-schedule-explicit", ["analyze", "schedule", "explicit/schedule.json",
+                                   "--points", "16", "--out", "analysis_explicit"]),
     ("analyze-subspaces", ["analyze", "subspaces", "dct.csv", "pca.csv", "pca_a.csv",
                            "--out", "subspaces"]),
 ]
