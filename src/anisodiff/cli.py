@@ -21,6 +21,7 @@ from .flow_model import FlowModel
 from .gmm import posterior_mean, sample_p0
 from .persistence import (
     family_from_json,
+    family_to_json,
     fmt,
     load_gmm,
     load_model,
@@ -96,16 +97,7 @@ def cmd_basis(args) -> int:
     ]
     write_csv(args.out, [f"c{i}" for i in range(vectors.shape[1])], vectors, header)
     sidecar = Path(args.out).with_suffix(".meta.json")
-    sidecar.write_text(
-        json.dumps(
-            {
-                "eigenvalues": family.meta["eigenvalues"],
-                "tie_at_cut": family.meta["tie_at_cut"],
-                "k": args.k,
-            },
-            indent=2,
-        )
-    )
+    sidecar.write_text(json.dumps({**family_to_json(family)["pca_meta"], "k": args.k}, indent=2))
     print(f"wrote PCA basis to {args.out} (+ {sidecar.name})")
     return 0
 
@@ -175,7 +167,6 @@ def cmd_train(args) -> int:
     result = train_bilevel(data, ms, model, train_cfg)
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     save_schedule(result.ms, out / "schedule.json", seed=train_cfg.seed)
     if result.model is not None:
         save_model(result.model, out / "model.json")
@@ -234,7 +225,6 @@ def cmd_sample(args) -> int:
     write_csv(args.out, [f"x{i}" for i in range(final.shape[1])], final, header)
     if args.dump_trajectory:
         dump = Path(args.dump_trajectory)
-        dump.mkdir(parents=True, exist_ok=True)
         for i, state in enumerate(result.states):
             t = result.times[len(result.times) - 1 - i]
             write_csv(
@@ -255,7 +245,6 @@ def cmd_verify(args) -> int:
     n_failed = sum(not c.passed for c in checks)
     if args.out:
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
         header = [provenance_line(vars(args), 0)]
         rows = [
             [c.group, c.name, "pass" if c.passed else "fail", c.value, c.threshold, c.seconds]
@@ -278,7 +267,6 @@ def cmd_analyze_schedule(args) -> int:
     ts = np.linspace(ms.t_min, ms.horizon, args.points)
     nsub = ms.family.n_subspaces
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     header = [provenance_line(vars(args), 0)]
 
     columns, blocks, curves = ["t"], [ts[:, None]], []
@@ -343,7 +331,6 @@ def cmd_analyze_subspaces(args) -> int:
     emb = classical_mds(dist, 2)
     stress = mds_stress(dist, emb.points)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     header = [provenance_line(vars(args), 0)]
     names = [Path(p).stem for p in args.files]
     write_csv(

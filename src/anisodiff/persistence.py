@@ -43,17 +43,19 @@ def provenance_line(config_obj, seed) -> str:
     return f"# anisodiff {__version__} config={config_hash(config_obj)} seed={seed}"
 
 
-def write_csv(path, columns, rows, header_lines=()):
-    """Write a CSV with optional leading comment lines and 17-digit floats."""
+def _write_text(path, text):
+    """Write `text` to `path`, making its parent directory first: each writer owns its directory."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        for line in header_lines:
-            fh.write(line.rstrip("\n") + "\n")
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            cells = [fmt(c) if isinstance(c, (int, float, np.floating)) else str(c) for c in row]
-            fh.write(",".join(cells) + "\n")
+    path.write_text(text)
+
+
+def write_csv(path, columns, rows, header_lines=()):
+    """Write a CSV with optional leading comment lines and 17-digit floats."""
+    lines = [line.rstrip("\n") for line in header_lines] + [",".join(columns)]
+    lines += [",".join(fmt(c) if isinstance(c, (int, float, np.floating)) else str(c) for c in row)
+              for row in rows]
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def _csv_lines(path):
@@ -131,6 +133,7 @@ FAMILY_FIELDS = {  # by family kind, next to the `kind` key itself
     "axis": {"dim": (int, True), "split": (int, True)},
     "explicit": {"dim": (int, True), "blocks": (list, True), "pca_meta": (dict, False)},
 }
+PCA_META_FIELDS = {"eigenvalues": (list, True), "tie_at_cut": (bool, True)}  # family `pca_meta`
 RUN_CONFIG_FIELDS = {  # by section; `family` is checked by kind
     "schedule": {"horizon": (float, True), "floor": (float, False), "knots": (int, False),
                  "classes": (list | None, False)},
@@ -192,6 +195,8 @@ def _check_family(payload):
         raise ValueError(f"unknown family kind {kind!r}")
     fields = FAMILY_FIELDS[kind] if isinstance(kind, str) else {}  # check_fields types `kind`
     check_fields("family", payload, {"kind": (str, True), **fields})
+    if "pca_meta" in payload:
+        check_fields("pca_meta", payload["pca_meta"], PCA_META_FIELDS, "object")
 
 
 def _read_saved(path, kind) -> dict:
@@ -251,26 +256,16 @@ def load_run_config(path):
 # ---------------------------------------------------------------------------
 
 def family_to_json(family: ProjectorFamily) -> dict:
-    meta = dict(family.meta)
-    kind = meta.get("kind", "explicit")
-    if kind == "dct":
-        return {"kind": "dct", "side": meta["side"], "low_side": meta["low_side"]}
-    if kind == "isotropic":
-        return {"kind": "isotropic", "dim": family.ambient_dim}
-    if kind == "axis":
-        return {"kind": "axis", "dim": family.ambient_dim, "split": meta["split"]}
-    payload = {
-        "kind": "explicit",
-        "dim": family.ambient_dim,
-        "blocks": [
-            family.basis[:, family.labels == j].tolist() for j in range(family.n_subspaces)
-        ],
-    }
-    if kind == "pca":
-        payload["pca_meta"] = {
-            "eigenvalues": meta.get("eigenvalues"),
-            "tie_at_cut": meta.get("tie_at_cut"),
-        }
+    """The family object `family` was built from, checked against the reader's table: its
+    `meta`, or for an explicit or PCA family its basis blocks and PCA `meta` keys."""
+    payload = dict(family.meta)
+    kind = payload.get("kind", "explicit")
+    if kind in ("explicit", "pca"):
+        payload = {"kind": "explicit", "dim": family.ambient_dim, "blocks": [
+            family.basis[:, family.labels == j].tolist() for j in range(family.n_subspaces)]}
+        if kind == "pca":
+            payload["pca_meta"] = {k: v for k, v in family.meta.items() if k != "kind"}
+    _check_family(payload)
     return payload
 
 
@@ -331,9 +326,7 @@ def save_schedule(ms: MatrixSchedule, path, seed=0):
         },
         "provenance": {"tool": f"anisodiff {__version__}", "seed": seed},
     }
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2))
+    _write_text(path, json.dumps(payload, indent=2))
 
 
 def load_schedule(path) -> MatrixSchedule:
@@ -341,6 +334,11 @@ def load_schedule(path) -> MatrixSchedule:
     with decoding("schedule file"):
         check_fields("theta", payload["theta"], SAVED_FIELDS["theta"], "object")
         family = family_from_json(payload["family"])
+        for key, built in (("family_kind", family.meta["kind"]),
+                           ("ambient_dim", family.ambient_dim)):
+            if payload[key] != built:
+                raise ValueError(f"schedule file: {key!r} is {json.dumps(payload[key])}, "
+                                 f"but its family's is {json.dumps(built)}")
         nodes, floor, horizon = np.array(payload["nodes"]), payload["floor"], payload["horizon"]
 
         def make(theta_list):
@@ -368,7 +366,7 @@ def save_gmm(gm: GaussianMixture, path):
         "means": gm.means.tolist(),
         "covariances": gm.covs.tolist(),
     }
-    Path(path).write_text(json.dumps(payload, indent=2))
+    _write_text(path, json.dumps(payload, indent=2))
 
 
 def load_gmm(path) -> GaussianMixture:
@@ -389,7 +387,7 @@ def save_model(model: FlowModel, path):
         "widths": list(model.widths),
         "params": model.params.tolist(),  # row-major per layer: W then b
     }
-    Path(path).write_text(json.dumps(payload))
+    _write_text(path, json.dumps(payload))
 
 
 def load_model(path) -> FlowModel:

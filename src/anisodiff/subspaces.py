@@ -173,7 +173,7 @@ def isotropic_family(d: int) -> ProjectorFamily:
     """J=1 family with P_1 = I (the scalar-schedule special case)."""
     if d < 1:
         raise ValueError(f"dim must be >= 1, got {d}")
-    return ProjectorFamily(np.eye(d), np.zeros(d, dtype=int), meta={"kind": "isotropic"})
+    return ProjectorFamily(np.eye(d), np.zeros(d, dtype=int), meta={"kind": "isotropic", "dim": d})
 
 
 def axis_family(d: int, split: int) -> ProjectorFamily:
@@ -181,7 +181,7 @@ def axis_family(d: int, split: int) -> ProjectorFamily:
     if not 1 <= split < d:
         raise ValueError("split must satisfy 1 <= split < d")
     labels = (np.arange(d) >= split).astype(int)
-    return ProjectorFamily(np.eye(d), labels, meta={"kind": "axis", "split": split})
+    return ProjectorFamily(np.eye(d), labels, meta={"kind": "axis", "dim": d, "split": split})
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,7 @@ from anisodiff.subspaces import (
     axis_family,
     build_dct_projectors,
     build_pca_projectors,
+    isotropic_family,
     projector_distance,
 )
 from anisodiff.sampler import SamplerConfig, time_grid
@@ -114,7 +115,10 @@ def _pca_family():
     return build_pca_projectors(samples, 2)
 
 
-@pytest.mark.parametrize("make", [_explicit_family, _pca_family], ids=["explicit", "pca"])
+@pytest.mark.parametrize("make", [
+    _explicit_family, _pca_family, lambda: isotropic_family(3), lambda: axis_family(4, 1),
+    lambda: build_dct_projectors(2, 1), lambda: build_dct_projectors(16, 6),
+], ids=["explicit", "pca", "isotropic", "axis", "dct", "dct-separable"])
 def test_explicit_and_pca_family_roundtrip(make):
     fam = make()
     payload = family_to_json(fam)
@@ -125,6 +129,16 @@ def test_explicit_and_pca_family_roundtrip(make):
     assert back.meta == fam.meta
     assert json.loads(text) == payload
     assert family_to_json(back) == payload
+    if fam.meta["kind"] not in ("explicit", "pca"):  # saved as the description it was built from
+        assert payload == fam.meta
+
+
+def test_save_schedule_of_an_incomplete_family_description_writes_nothing(tmp_path):
+    family = ProjectorFamily(np.eye(2), np.array([0, 1]), meta={"kind": "axis"})
+    path = tmp_path / "schedule.json"
+    with pytest.raises(ValueError, match="^family section is missing key 'dim'$"):
+        save_schedule(matrix_schedule_for_family(family, horizon=10.0, n_knots=4), path)
+    assert not path.exists()
 
 
 def test_class_conditional_schedule_roundtrip(tmp_path):
@@ -951,9 +965,12 @@ def test_saved_file_missing_key_exits_2(tmp_path, gmm_file, schedule_file, capsy
     ("schedule", None, {"bogus": 1}, "bogus"),
     ("mixture", None, {"bogus": 1}, "bogus"),
     ("model", None, {"bogus": 1}, "bogus"),
+    ("schedule", None, {"ambient_dim": 99}, "ambient_dim"),
+    ("schedule", None, {"family_kind": "dct"}, "family_kind"),
 ], ids=["family-split-float", "family-split-bool", "family-unknown-key", "family-kind-list",
         "theta-unknown-key",
-        "schedule-unknown-key", "mixture-unknown-key", "model-unknown-key"])
+        "schedule-unknown-key", "mixture-unknown-key", "model-unknown-key",
+        "schedule-ambient-dim", "schedule-family-kind"])
 def test_saved_file_bad_key_exits_2_naming_it(tmp_path, gmm_file, capsys, kind, part, change,
                                                key):
     # a saved family is checked against the same table as a run config's family
@@ -973,6 +990,43 @@ def test_saved_file_bad_key_exits_2_naming_it(tmp_path, gmm_file, capsys, kind, 
         "model": ["sample", "--schedule", str(schedule_file), "--model", str(model_file),
                   "--steps", "4", "--out", str(out)],
     }[kind]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and repr(key) in err
+    assert not out.exists()
+
+
+PCA_META = {"eigenvalues": [2.0, 0.5], "tie_at_cut": False}
+
+
+@pytest.mark.parametrize("where", ["train", "analyze"])
+@pytest.mark.parametrize("pca_meta, key", [
+    ({"kind": "dct"}, "eigenvalues"),
+    ({**PCA_META, "kind": "dct"}, "kind"),
+    ({**PCA_META, "bogus": 1}, "bogus"),
+    ({"eigenvalues": [2.0, 0.5]}, "tie_at_cut"),
+    ({**PCA_META, "tie_at_cut": None}, "tie_at_cut"),
+    ({**PCA_META, "eigenvalues": 2.0}, "eigenvalues"),
+], ids=["kind-only", "kind-extra", "unknown-key", "missing-key", "tie-null", "eigenvalues-number"])
+def test_bad_pca_meta_exits_2_naming_the_key_writing_nothing(tmp_path, gmm_file, capsys,
+                                                             monkeypatch, where, pca_meta, key):
+    family = {"kind": "explicit", "dim": 2, "blocks": [[[0.6], [0.8]], [[-0.8], [0.6]]]}
+    out = tmp_path / "out"
+    if where == "train":  # the config is rejected before training starts
+        monkeypatch.setattr(cli_mod, "train_bilevel", lambda *args: pytest.fail("trained"))
+        config = {"version": "1", "gmm": gmm_file.name, "family": {**family, "pca_meta": pca_meta},
+                  "schedule": {"horizon": 5.0}}
+        cfg_path = gmm_file.parent / "run_pca_meta.json"
+        cfg_path.write_text(json.dumps(config))
+        argv = ["train", "--config", str(cfg_path), "--out", str(out)]
+    else:
+        saved = family_from_json({**family, "pca_meta": PCA_META})
+        schedule_file = tmp_path / "schedule.json"
+        save_schedule(matrix_schedule_for_family(saved, horizon=10.0, n_knots=4), schedule_file)
+        payload = json.loads(schedule_file.read_text())
+        payload["family"]["pca_meta"] = pca_meta
+        schedule_file.write_text(json.dumps(payload))
+        argv = ["analyze", "schedule", str(schedule_file), "--out", str(out)]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and repr(key) in err
