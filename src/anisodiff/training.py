@@ -12,6 +12,7 @@ batches are drawn from one generator stream and reductions keep a fixed
 order.
 """
 
+import dataclasses
 import numbers
 from dataclasses import dataclass
 
@@ -133,6 +134,9 @@ class TrainConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in (f.name for f in dataclasses.fields(self) if f.type is float):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be a finite number, got {getattr(self, name)!r}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be positive")
         if self.lr_model <= 0 or self.lr_schedule_scale <= 0:
@@ -290,7 +294,8 @@ def train_bilevel(data, ms: MatrixSchedule, model: FlowModel | None, cfg: TrainC
         ms=ms,
         logs=logs,
         schedule_steps=schedule_steps,
-        nonfinite_grads=model_state.nonfinite_count if cfg.train_model else 0,
+        nonfinite_grads=(model_state.nonfinite_count if cfg.train_model else 0)
+        + sum(state.nonfinite_count for state in theta_states.values()),
     )
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import weakref
 
@@ -303,6 +304,31 @@ def test_schedule_steps_hold_the_parts_of_a_direct_outer_gradient(monkeypatch, t
         np.testing.assert_array_equal(implicit, direct.implicit)
 
 
+@pytest.mark.parametrize("train_model", [False, True], ids=["oracle", "model"])
+def test_nonfinite_grads_counts_the_schedule_gradients_too(monkeypatch, train_model):
+    original = training_mod.outer_gradient
+    calls = []
+
+    def gradient(*args):  # the first outer gradient holds one NaN
+        result = original(*args)
+        if not calls:
+            result = dataclasses.replace(result, total=np.where(
+                np.arange(result.total.size) == 0, np.nan, result.total))
+        calls.append(result)
+        return result
+
+    monkeypatch.setattr(training_mod, "outer_gradient", gradient)
+    model = FlowModel.create(2, horizon=10.0, widths=(8,), seed=4) if train_model else None
+    cfg = TrainConfig(batch_size=16, total_images=16 * 4, warmup_images=16, lr_model=0.05,
+                      model_steps_per_schedule_step=2, train_model=train_model, seed=5)
+    result = train_bilevel(anisotropic_gaussian(),
+                           matrix_schedule_for_family(axis_family(2, 1), horizon=10.0, n_knots=4),
+                           model, cfg)
+    assert len(calls) == (2 if train_model else 4)
+    assert all(np.isfinite(theta).all() for _, _, theta, _, _ in result.schedule_steps)
+    assert result.nonfinite_grads == 1
+
+
 def test_dataset_source_model_training_runs():
     rng = np.random.default_rng(5)
     gm = single_gaussian(np.zeros(2), np.eye(2))
@@ -447,6 +473,15 @@ def test_w2_closed_form_matches_hand_value():
 def test_train_config_rejects_a_count_below_one(field):
     with pytest.raises(ValueError, match=field):
         TrainConfig(**{field: 0})
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", ["lr_model", "lr_schedule_scale", "ema_half_life_images",
+                                   "midpoint_decay", "guard_factor"])
+def test_train_config_rejects_a_non_finite_number(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be a finite number"):
+        TrainConfig(**{field: value})
 
 
 COUNT_FIELDS = ["batch_size", "warmup_images", "total_images", "model_steps_per_schedule_step",
