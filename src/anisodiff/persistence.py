@@ -133,7 +133,7 @@ FAMILY_FIELDS = {  # by family kind, next to the `kind` key itself
     "axis": {"dim": (int, True), "split": (int, True)},
     "explicit": {"dim": (int, True), "blocks": (list, True), "pca_meta": (dict, False)},
 }
-PCA_META_FIELDS = {"eigenvalues": (list, True), "tie_at_cut": (bool, True)}  # family `pca_meta`
+PCA_META_FIELDS = {"eigenvalues": (list[float], True), "tie_at_cut": (bool, True)}  # `pca_meta`
 RUN_CONFIG_FIELDS = {  # by section; `family` is checked by kind
     "schedule": {"horizon": (float, True), "floor": (float, False), "knots": (int, False),
                  "classes": (list | None, False)},
@@ -158,7 +158,9 @@ _JSON_TYPES = {
     str: ("a string", str), list: ("a list", list), dict: ("an object", dict),
     list | None: ("a list or null", (list, type(None))),
     dict | None: ("an object or null", (dict, type(None))), list[int]: ("a list of integers", list),
+    list[float]: ("a list of finite numbers", list),
 }
+_ITEM_TYPES = {list[int]: int, list[float]: (int, float)}  # the JSON values a list field holds
 
 
 def _is_json(value, accepted) -> bool:
@@ -167,7 +169,8 @@ def _is_json(value, accepted) -> bool:
 
 def check_fields(name, obj, fields: dict, part="section"):
     """Check `obj`, the `name` `part` ("train section"), against its field table: a missing or
-    unknown key or a non-finite number is a ValueError, a wrong JSON type a TypeError."""
+    unknown key or a non-finite number is a ValueError, a wrong JSON type a TypeError (for a
+    typed list, an item of another type or a non-finite item too)."""
     if not isinstance(obj, dict):
         raise TypeError(f"{name} must be an object, got {json.dumps(obj)}")
     for key, (_, required) in fields.items():
@@ -178,8 +181,10 @@ def check_fields(name, obj, fields: dict, part="section"):
             continue  # reported below, after the known keys' types
         kind = fields[key][0]
         label, accepted = _JSON_TYPES[kind]
-        if not _is_json(value, accepted) or (
-                kind == list[int] and not all(_is_json(item, int) for item in value)):
+        item_type = _ITEM_TYPES.get(kind)
+        if not _is_json(value, accepted) or item_type is not None and not all(
+                _is_json(item, item_type) and (not isinstance(item, float) or math.isfinite(item))
+                for item in value):
             raise TypeError(f"{key!r} must be {label}, got {json.dumps(value)}")
         if isinstance(value, float) and not np.isfinite(value):
             raise ValueError(f"{name} {part}: {key!r} must be a finite number, "

@@ -1007,7 +1007,11 @@ PCA_META = {"eigenvalues": [2.0, 0.5], "tie_at_cut": False}
     ({"eigenvalues": [2.0, 0.5]}, "tie_at_cut"),
     ({**PCA_META, "tie_at_cut": None}, "tie_at_cut"),
     ({**PCA_META, "eigenvalues": 2.0}, "eigenvalues"),
-], ids=["kind-only", "kind-extra", "unknown-key", "missing-key", "tie-null", "eigenvalues-number"])
+    ({**PCA_META, "eigenvalues": [float("nan"), 1.0]}, "eigenvalues"),
+    ({**PCA_META, "eigenvalues": ["a", None]}, "eigenvalues"),
+    ({**PCA_META, "eigenvalues": [True, 1]}, "eigenvalues"),
+], ids=["kind-only", "kind-extra", "unknown-key", "missing-key", "tie-null", "eigenvalues-number",
+        "eigenvalues-nan", "eigenvalues-string-null", "eigenvalues-bool"])
 def test_bad_pca_meta_exits_2_naming_the_key_writing_nothing(tmp_path, gmm_file, capsys,
                                                              monkeypatch, where, pca_meta, key):
     family = {"kind": "explicit", "dim": 2, "blocks": [[[0.6], [0.8]], [[-0.8], [0.6]]]}
@@ -1025,7 +1029,9 @@ def test_bad_pca_meta_exits_2_naming_the_key_writing_nothing(tmp_path, gmm_file,
         save_schedule(matrix_schedule_for_family(saved, horizon=10.0, n_knots=4), schedule_file)
         payload = json.loads(schedule_file.read_text())
         payload["family"]["pca_meta"] = pca_meta
-        schedule_file.write_text(json.dumps(payload))
+        # the reader refuses a NaN literal before any field check; the overflowing 1e999
+        # reads as inf, so a non-finite eigenvalue reaches the field table's check
+        schedule_file.write_text(json.dumps(payload).replace("NaN", "1e999"))
         argv = ["analyze", "schedule", str(schedule_file), "--out", str(out)]
     assert main(argv) == 2
     err = capsys.readouterr().err
