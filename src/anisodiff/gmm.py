@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .schedule import ScheduleEval
 from .subspaces import apply_spectral
@@ -103,36 +104,57 @@ def perturb(x0: Array, eps: Array, ev: ScheduleEval) -> Array:
 # noisy-mixture internals
 # ---------------------------------------------------------------------------
 
+def _upper_inverse(u: Array) -> None:
+    """Invert an (m, n, n) stack of upper-triangular U in place; n is a power of 2.
+
+    The recursive blocked triangular inverse, run one level at a time over the
+    whole stack: the diagonal becomes its reciprocal, then for s = 1, 2, 4, ...
+    every diagonal block [[A, B], [0, D]] of size 2s, whose A and D already
+    hold their inverses, gets the corner -A^{-1} (B D^{-1}).  The blocks of a
+    level are one strided view of `u`, so a level is two batched `matmul`s:
+    B D^{-1} into a temporary, then A^{-1} times it into B, negated in place.
+    """
+    m, n, _ = u.shape
+    s0, s1, s2 = u.strides
+    diag = as_strided(u, (m, n), (s0, s1 + s2))
+    np.reciprocal(diag, out=diag)
+    s = 1
+    while s < n:
+        # (m, block, row half, column half, s, s): [0, 0] is A, [0, 1] is B, [1, 1] is D
+        blocks = as_strided(u, (m, n // (2 * s), 2, 2, s, s),
+                            (s0, 2 * s * (s1 + s2), s * s1, s * s2, s1, s2))
+        corner = blocks[:, :, 0, 1]
+        np.matmul(blocks[:, :, 0, 0], corner @ blocks[:, :, 1, 1], out=corner)
+        np.negative(corner, out=corner)
+        s *= 2
+
+
 def _factor(cov: Array):
     """Log-determinants and inverses of a stack of noisy covariances.
 
     The batched Cholesky factor C = L L^T gives log det = 2 sum log diag L
     and rejects a matrix that is not positive definite.  The inverse, which
-    the Hessian needs, is C^{-1} = X^T X with X = L^{-1} from LAPACK's
-    triangular inverse `dtrtri`, one factor at a time (no condition
-    estimate).  Each factor is inverted in place in one batched copy of the
-    transposed factors: a C-ordered L^T is a Fortran-ordered L, so f2py
-    hands LAPACK the buffer itself instead of copying it per call.  The
-    copy then holds X^T, and X^T @ X of one array is evaluated as a
-    symmetric rank-k product, so the result is exactly symmetric.  SciPy is
-    imported on the first call, so importing the package loads numpy only.
+    the Hessian needs, is C^{-1} = X^T X with X = L^{-1}: `_upper_inverse`
+    inverts the whole stack of L^T = X^{-T} at once, level by level.  A size
+    d that is not a power of two is padded to one with an identity block
+    below and right of L^T; this is exact, since every corner product that
+    reaches the padding is exactly 0, and the padding is sliced off.  X^T @ X
+    of one array is evaluated as a symmetric rank-k product, so the result
+    is exactly symmetric.
     """
-    from scipy.linalg.lapack import dtrtri
-
     try:
         chol = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
         raise np.linalg.LinAlgError(NOT_POSITIVE_DEFINITE) from None
     logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
-    inv_t = np.swapaxes(chol, -1, -2).copy()
-    for factor_t in inv_t.reshape((-1,) + chol.shape[-2:]):
-        factor = factor_t.T  # L, Fortran-ordered
-        out, info = dtrtri(factor, lower=1, overwrite_c=1)
-        if info != 0:
-            raise np.linalg.LinAlgError(NOT_POSITIVE_DEFINITE)
-        if out is not factor:  # f2py copied after all: keep its result
-            factor[...] = out
-    return logdet, inv_t @ np.swapaxes(inv_t, -1, -2)
+    d = cov.shape[-1]
+    n = 1 << (d - 1).bit_length()  # the next power of two
+    inv_t = np.zeros((chol.size // (d * d), n, n))
+    inv_t[:, d:, d:] = np.eye(n - d)
+    inv_t[:, :d, :d] = np.swapaxes(chol, -1, -2).reshape(-1, d, d)
+    _upper_inverse(inv_t)
+    inv_t = inv_t[:, :d, :d]
+    return logdet, (inv_t @ np.swapaxes(inv_t, -1, -2)).reshape(cov.shape)
 
 
 class _NoisyCovariances:

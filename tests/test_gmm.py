@@ -92,7 +92,7 @@ def random_mixture(rng, k, d):
     return GaussianMixture(np.full(k, 1.0 / k), rng.standard_normal((k, d)), covs)
 
 
-@pytest.mark.parametrize("shape", [(3, 4, 4), (8, 3, 16, 16)])
+@pytest.mark.parametrize("shape", [(3, 4, 4), (8, 3, 16, 16), (2, 5, 5)])
 def test_factor_inverse_is_symmetric_and_matches_lu(shape):
     rng = np.random.default_rng(4)
     a = rng.standard_normal(shape)
@@ -123,33 +123,72 @@ def _factor_reference(cov):
     return logdet, np.swapaxes(chol_inv, -1, -2) @ chol_inv
 
 
-@pytest.mark.parametrize("shape", [(4, 1, 1), (4, 5, 5), (3, 16, 16),
-                                   (6, 2, 1, 1), (6, 3, 5, 5), (32, 4, 16, 16)])
+FACTOR_SHAPES = [(4, 1, 1), (4, 5, 5), (3, 16, 16), (6, 2, 1, 1), (6, 3, 5, 5),
+                 (32, 4, 16, 16), (4, 64, 64), (2, 3, 3)]
+
+
+def _well_conditioned(shape):
+    a = np.random.default_rng(sum(shape)).standard_normal(shape)
+    return a @ np.swapaxes(a, -1, -2) / shape[-1] + 0.1 * np.eye(shape[-1])
+
+
+@pytest.mark.parametrize("shape", FACTOR_SHAPES)
 def test_factor_is_bit_identical_to_the_per_factor_loop(shape):
-    rng = np.random.default_rng(sum(shape))
-    a = rng.standard_normal(shape)
-    cov = a @ np.swapaxes(a, -1, -2) / shape[-1] + 0.1 * np.eye(shape[-1])
+    # batching is exact: the stack factors bit for bit as each matrix does alone
+    cov = _well_conditioned(shape)
     before = cov.copy()
     logdet, inv = gmm_mod._factor(cov)
-    want_logdet, want_inv = _factor_reference(cov)
     assert np.array_equal(cov, before)
-    assert np.array_equal(logdet, want_logdet)
-    assert np.array_equal(inv, want_inv)
+    d = shape[-1]
+    for c, want_logdet, want_inv in zip(cov.reshape(-1, d, d), logdet.reshape(-1),
+                                        inv.reshape(-1, d, d)):
+        one_logdet, one_inv = gmm_mod._factor(c)
+        assert np.array_equal(one_logdet, want_logdet) and np.array_equal(one_inv, want_inv)
     assert np.array_equal(inv, np.swapaxes(inv, -1, -2))
     assert inv.shape == shape and inv.flags.c_contiguous
 
 
-def test_factor_keeps_the_inverse_when_dtrtri_returns_a_copy(monkeypatch):
-    from scipy.linalg import lapack
-
-    original = lapack.dtrtri
-    monkeypatch.setattr(lapack, "dtrtri", lambda c, **kwargs: original(np.array(c), **kwargs))
-    rng = np.random.default_rng(6)
-    a = rng.standard_normal((5, 3, 4, 4))
-    cov = a @ np.swapaxes(a, -1, -2) / 4 + 0.1 * np.eye(4)
+@pytest.mark.parametrize("shape", FACTOR_SHAPES)
+def test_factor_matches_the_dtrtri_reference(shape):
+    cov = _well_conditioned(shape)
     logdet, inv = gmm_mod._factor(cov)
     want_logdet, want_inv = _factor_reference(cov)
-    assert np.array_equal(logdet, want_logdet) and np.array_equal(inv, want_inv)
+    assert np.array_equal(logdet, want_logdet)
+    assert np.abs(inv - want_inv).max() <= 1e-14 * np.abs(want_inv).max()
+
+
+@pytest.mark.parametrize("d", [5, 16, 64])
+def test_factor_residual_at_condition_1e10_is_within_twice_the_reference(d):
+    rng = np.random.default_rng(d)
+    q = np.linalg.qr(rng.standard_normal((4, d, d)))[0]
+    cov = (q * np.logspace(0, -10, d)) @ np.swapaxes(q, -1, -2)
+    cov = 0.5 * (cov + np.swapaxes(cov, -1, -2))
+    eye = np.eye(d)
+    residual = np.abs(cov @ gmm_mod._factor(cov)[1] - eye).max()
+    assert residual <= 2.0 * np.abs(cov @ _factor_reference(cov)[1] - eye).max()
+
+
+def test_upper_inverse_keeps_the_identity_padding_exact():
+    # d = 5 in an 8 x 8 block: the corners that reach the padding stay exactly 0
+    u = np.zeros((3, 8, 8))
+    u[:, 5:, 5:] = np.eye(3)
+    u[:, :5, :5] = np.swapaxes(np.linalg.cholesky(_well_conditioned((3, 5, 5))), -1, -2)
+    factor = u[:, :5, :5].copy()
+    gmm_mod._upper_inverse(u)
+    assert np.array_equal(u[:, 5:, 5:], np.broadcast_to(np.eye(3), (3, 3, 3)))
+    assert not np.any(u[:, :5, 5:]) and not np.any(np.tril(u, -1))
+    assert np.abs(factor @ u[:, :5, :5] - np.eye(5)).max() <= 1e-14
+
+
+@pytest.mark.parametrize("d", [5, 16])  # padded to 8, and a power of two
+def test_factor_rejects_a_non_positive_definite_matrix_in_one_line(d):
+    cov = _well_conditioned((2, 3, d, d))
+    cov[1, 2, d - 1, d - 1] = -1.0  # the last matrix of the stack, at its last pivot
+    before = cov.copy()
+    with pytest.raises(np.linalg.LinAlgError) as info:
+        gmm_mod._factor(cov)
+    assert str(info.value) == gmm_mod.NOT_POSITIVE_DEFINITE
+    assert np.array_equal(cov, before)
 
 
 def test_sample_p0_factors_the_covariances_once(monkeypatch):
