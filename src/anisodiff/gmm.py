@@ -105,14 +105,16 @@ def perturb(x0: Array, eps: Array, ev: ScheduleEval) -> Array:
 # ---------------------------------------------------------------------------
 
 def _upper_inverse(u: Array) -> None:
-    """Invert an (m, n, n) stack of upper-triangular U in place; n is a power of 2.
+    """Invert an (m, n, n) stack of upper-triangular U in place.
 
     The recursive blocked triangular inverse, run one level at a time over the
     whole stack: the diagonal becomes its reciprocal, then for s = 1, 2, 4, ...
-    every diagonal block [[A, B], [0, D]] of size 2s, whose A and D already
-    hold their inverses, gets the corner -A^{-1} (B D^{-1}).  The blocks of a
-    level are one strided view of `u`, so a level is two batched `matmul`s:
-    B D^{-1} into a temporary, then A^{-1} times it into B, negated in place.
+    every diagonal block [[A, B], [0, D]] that starts at a multiple of 2s,
+    whose A (of size s) and D already hold their inverses, gets the corner
+    -A^{-1} (B D^{-1}).  The full blocks of a level, of size 2s, are one
+    strided view of `u`; when n is not a multiple of 2s, the last block is
+    split unevenly, D being the smaller remainder that the levels below have
+    already inverted.  So a level is two batched `matmul`s, or four.
     """
     m, n, _ = u.shape
     s0, s1, s2 = u.strides
@@ -120,13 +122,21 @@ def _upper_inverse(u: Array) -> None:
     np.reciprocal(diag, out=diag)
     s = 1
     while s < n:
+        full, tail = divmod(n, 2 * s)
         # (m, block, row half, column half, s, s): [0, 0] is A, [0, 1] is B, [1, 1] is D
-        blocks = as_strided(u, (m, n // (2 * s), 2, 2, s, s),
+        blocks = as_strided(u, (m, full, 2, 2, s, s),
                             (s0, 2 * s * (s1 + s2), s * s1, s * s2, s1, s2))
-        corner = blocks[:, :, 0, 1]
-        np.matmul(blocks[:, :, 0, 0], corner @ blocks[:, :, 1, 1], out=corner)
-        np.negative(corner, out=corner)
+        _corner(blocks[:, :, 0, 0], blocks[:, :, 0, 1], blocks[:, :, 1, 1])
+        if tail > s:
+            a, b = n - tail, n - tail + s  # the last block's A is rows a:b, its D rows b:n
+            _corner(u[:, a:b, a:b], u[:, a:b, b:], u[:, b:, b:])
         s *= 2
+
+
+def _corner(a_inv: Array, b: Array, d_inv: Array) -> None:
+    """Overwrite B with -A^{-1} (B D^{-1}); the second product reads a temporary."""
+    np.matmul(a_inv, b @ d_inv, out=b)
+    np.negative(b, out=b)
 
 
 def _factor(cov: Array):
@@ -135,12 +145,10 @@ def _factor(cov: Array):
     The batched Cholesky factor C = L L^T gives log det = 2 sum log diag L
     and rejects a matrix that is not positive definite.  The inverse, which
     the Hessian needs, is C^{-1} = X^T X with X = L^{-1}: `_upper_inverse`
-    inverts the whole stack of L^T = X^{-T} at once, level by level.  A size
-    d that is not a power of two is padded to one with an identity block
-    below and right of L^T; this is exact, since every corner product that
-    reaches the padding is exactly 0, and the padding is sliced off.  X^T @ X
-    of one array is evaluated as a symmetric rank-k product, so the result
-    is exactly symmetric.
+    inverts one C-ordered copy of the whole stack of L^T = X^{-T} at once,
+    level by level, at any d (no padding).  X^T @ X of one array is
+    evaluated as a symmetric rank-k product, so the result is exactly
+    symmetric.
     """
     try:
         chol = np.linalg.cholesky(cov)
@@ -148,12 +156,8 @@ def _factor(cov: Array):
         raise np.linalg.LinAlgError(NOT_POSITIVE_DEFINITE) from None
     logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
     d = cov.shape[-1]
-    n = 1 << (d - 1).bit_length()  # the next power of two
-    inv_t = np.zeros((chol.size // (d * d), n, n))
-    inv_t[:, d:, d:] = np.eye(n - d)
-    inv_t[:, :d, :d] = np.swapaxes(chol, -1, -2).reshape(-1, d, d)
+    inv_t = np.ascontiguousarray(np.swapaxes(chol, -1, -2).reshape(-1, d, d))
     _upper_inverse(inv_t)
-    inv_t = inv_t[:, :d, :d]
     return logdet, (inv_t @ np.swapaxes(inv_t, -1, -2)).reshape(cov.shape)
 
 

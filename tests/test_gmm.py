@@ -124,7 +124,7 @@ def _factor_reference(cov):
 
 
 FACTOR_SHAPES = [(4, 1, 1), (4, 5, 5), (3, 16, 16), (6, 2, 1, 1), (6, 3, 5, 5),
-                 (32, 4, 16, 16), (4, 64, 64), (2, 3, 3)]
+                 (32, 4, 16, 16), (4, 64, 64), (2, 3, 3), (4, 3, 17, 17), (2, 65, 65)]
 
 
 def _well_conditioned(shape):
@@ -168,19 +168,35 @@ def test_factor_residual_at_condition_1e10_is_within_twice_the_reference(d):
     assert residual <= 2.0 * np.abs(cov @ _factor_reference(cov)[1] - eye).max()
 
 
-def test_upper_inverse_keeps_the_identity_padding_exact():
-    # d = 5 in an 8 x 8 block: the corners that reach the padding stay exactly 0
-    u = np.zeros((3, 8, 8))
-    u[:, 5:, 5:] = np.eye(3)
-    u[:, :5, :5] = np.swapaxes(np.linalg.cholesky(_well_conditioned((3, 5, 5))), -1, -2)
-    factor = u[:, :5, :5].copy()
+@pytest.mark.parametrize("d", [5, 16, 17, 64, 65])
+def test_factor_residual_is_within_the_rounding_bound_at_any_size(d):
+    # max |C C^{-1} - I| <= d u cond(C), with u the unit roundoff, across seeds and conditions
+    for seed in range(3):
+        q = np.linalg.qr(np.random.default_rng([d, seed]).standard_normal((4, d, d)))[0]
+        for cond in (1e6, 1e10, 1e13):
+            cov = (q * np.logspace(0, -np.log10(cond), d)) @ np.swapaxes(q, -1, -2)
+            cov = 0.5 * (cov + np.swapaxes(cov, -1, -2))
+            residual = np.abs(cov @ gmm_mod._factor(cov)[1] - np.eye(d)).max()
+            assert residual <= d * 2.0**-53 * cond
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 6, 7, 12, 17, 33])
+def test_upper_inverse_splits_the_last_block_unevenly(n):
+    # the same factors padded with an identity block to a power of two have only full blocks
+    u = np.swapaxes(np.linalg.cholesky(_well_conditioned((3, n, n))), -1, -2).copy()
+    p = 1 << (n - 1).bit_length()
+    padded = np.zeros((3, p, p))
+    padded[:, :n, :n] = u
+    padded[:, n:, n:] = np.eye(p - n)
+    factor = u.copy()
     gmm_mod._upper_inverse(u)
-    assert np.array_equal(u[:, 5:, 5:], np.broadcast_to(np.eye(3), (3, 3, 3)))
-    assert not np.any(u[:, :5, 5:]) and not np.any(np.tril(u, -1))
-    assert np.abs(factor @ u[:, :5, :5] - np.eye(5)).max() <= 1e-14
+    gmm_mod._upper_inverse(padded)
+    assert not np.any(np.tril(u, -1))
+    assert np.abs(u - padded[:, :n, :n]).max() <= 1e-14 * np.abs(u).max()
+    assert np.abs(factor @ u - np.eye(n)).max() <= 1e-14
 
 
-@pytest.mark.parametrize("d", [5, 16])  # padded to 8, and a power of two
+@pytest.mark.parametrize("d", [5, 16])  # a split last block, and a power of two
 def test_factor_rejects_a_non_positive_definite_matrix_in_one_line(d):
     cov = _well_conditioned((2, 3, d, d))
     cov[1, 2, d - 1, d - 1] = -1.0  # the last matrix of the stack, at its last pivot

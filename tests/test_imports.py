@@ -30,7 +30,7 @@ def test_importing_the_cli_loads_no_scipy():
 
 
 def test_oracle_paths_load_no_scipy_and_generation_metrics_load_it_on_first_use():
-    # d = 3 pads the triangular inverse to 4; the oracle factors with numpy alone
+    # d = 3 splits the triangular inverse's last block unevenly; the oracle factors with numpy alone
     out = run_fresh(
         "import numpy as np\n"
         "from anisodiff.fields import OracleFlowField\n"
