@@ -164,11 +164,12 @@ def _factor(cov: Array):
 class _NoisyCovariances:
     """The part of p_t = p_0 * N(0, M_t) that does not depend on x.
 
-    The noisy covariances C_k = Sigma_k + M_t, factored once by `_factor`:
-    K of them for a shared t, n·K for per-sample times.  `ev` is the
-    schedule at those times.  `log_norm` = d log 2 pi + log det C_k, the
-    Gaussian normalizer, is formed once per factorization, so a kept
-    slice pays for it once.
+    The noisy covariances C_k = Sigma_k + M_t, one broadcast of the dense
+    M_t, (d, d) at a shared t or (n, d, d) per sample, over the Sigma_k,
+    factored once by `_factor`: K of them for a shared t (`shared`), n·K
+    for per-sample times.  `ev` is the schedule at those times.
+    `log_norm` = d log 2 pi + log det C_k, the Gaussian normalizer, is
+    formed once per factorization, so a kept slice pays for it once.
     """
 
     def __init__(self, gm: GaussianMixture, ev: ScheduleEval):
@@ -176,11 +177,7 @@ class _NoisyCovariances:
         self.ev = ev
         m_dense = ev.family.dense(ev.g)
         self.shared = m_dense.ndim == 2
-        if self.shared:
-            # shared M_t: factor the K component covariances once
-            logdet, self.inv = _factor(gm.covs + m_dense[None, :, :])
-        else:
-            logdet, self.inv = _factor(gm.covs[None, :, :, :] + m_dense[:, None, :, :])
+        logdet, self.inv = _factor(gm.covs + m_dense[..., None, :, :])
         self.log_norm = gm.dim * np.log(2 * np.pi) + logdet
 
 
