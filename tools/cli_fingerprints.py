@@ -14,8 +14,8 @@ covers the config's resolved absolute paths, which differ per directory.
 The steps cover oracle, model (on a CSV `"data"` file), class-conditional
 and explicit-family (blocks with `pca_meta`) training, sampling with each
 solver rule, `--denoise`, `--dump-trajectory`, `--class-label` and a model
-field, `gen-data`, both `basis` kinds, `schedule-fit` and both `analyze`
-commands.  `verify` is
+field, `gen-data`, both `basis` kinds, `schedule-fit` (once more with every
+default) and both `analyze` commands.  `verify` is
 left out: its report rows carry wall times, and `tools/fingerprints.py`
 prints every check value.  `--keep DIR` runs the chain in DIR, which must
 not exist yet, and keeps the files.  BLAS is pinned to one thread.
@@ -113,6 +113,8 @@ STEPS = [
                                    "--points", "16", "--out", "analysis_explicit"]),
     ("analyze-subspaces", ["analyze", "subspaces", "dct.csv", "pca.csv", "pca_a.csv",
                            "--out", "subspaces"]),
+    ("schedule-fit-defaults", ["schedule-fit", "--weight-csv", "w.csv", "--horizon", "10",
+                               "--out", "fit_defaults.json"]),
 ]
 
 
