@@ -38,10 +38,11 @@ from .sampler import SamplerConfig, sample_trajectory
 from .schedule import (
     DEFAULT_FLOOR,
     DEFAULT_KNOTS,
+    DEFAULT_QUAD_POINTS,
     MatrixSchedule,
     eval_M,
     fit_knot_schedule,
-    log_linear_schedule,
+    matrix_schedule_for_family,
     weight_to_schedule,
 )
 from .subspaces import (
@@ -136,13 +137,13 @@ def cmd_train(args) -> int:
     cfg = load_run_config(args.config)
     family = family_from_json(cfg["family"])
     sched = cfg["schedule"]
-    horizon, floor = float(sched["horizon"]), float(sched.get("floor", DEFAULT_FLOOR))
-    per = tuple(log_linear_schedule(horizon, floor, sched.get("knots", DEFAULT_KNOTS))
-                for _ in range(family.n_subspaces))
+    horizon = float(sched["horizon"])
+    ms = matrix_schedule_for_family(family, horizon, float(sched.get("floor", DEFAULT_FLOOR)),
+                                    sched.get("knots", DEFAULT_KNOTS))
     # load_run_config matched these labels to the schedule's classes
     labels = sorted(cfg["gmm"]) if isinstance(cfg.get("gmm"), dict) else None
-    class_table = {label: per for label in labels} if labels else None
-    ms = MatrixSchedule(family, per, class_table=class_table)
+    if labels:
+        ms = dataclasses.replace(ms, class_table={label: ms.per_subspace for label in labels})
 
     train_cfg = TrainConfig(**cfg.get("train", {}))
     if labels is not None:
@@ -385,9 +386,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("schedule-fit", help="build a schedule from a weight profile")
     p.add_argument("--weight-csv", required=True)
     p.add_argument("--horizon", type=float, required=True)
-    p.add_argument("--quad-points", type=int, default=100_001)
-    p.add_argument("--knots", type=int, default=16)
-    p.add_argument("--floor", type=float, default=1e-4)
+    p.add_argument("--quad-points", type=int, default=DEFAULT_QUAD_POINTS)
+    p.add_argument("--knots", type=int, default=DEFAULT_KNOTS)
+    p.add_argument("--floor", type=float, default=DEFAULT_FLOOR)
     p.add_argument("--dim", type=int, default=1)
     p.add_argument("--out", required=True)
     p.add_argument("--table", default=None)

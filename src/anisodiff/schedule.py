@@ -29,6 +29,7 @@ Array = np.ndarray
 DEFAULT_FLOOR = 1e-4
 DEFAULT_T_FLOOR_FRACTION = 1e-4
 DEFAULT_KNOTS = 16
+DEFAULT_QUAD_POINTS = 100_001
 
 
 def softplus(x):
@@ -475,7 +476,8 @@ def sinh_squared_schedule(
     )
 
 
-def weight_to_schedule(w, horizon: float, quad_points: int = 100_001) -> TabulatedSchedule:
+def weight_to_schedule(w, horizon: float,
+                       quad_points: int = DEFAULT_QUAD_POINTS) -> TabulatedSchedule:
     """Construct the schedule whose squared-speed weight profile matches w.
 
     For any positive weight w(t) there is a monotone g with g(0)=0,

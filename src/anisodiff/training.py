@@ -81,7 +81,7 @@ def ema_update(ema: Array, params: Array, half_life_images: float,
 class DivergenceGuard:
     """Aborts when the loss exceeds factor x warm-up median for `patience` steps."""
 
-    def __init__(self, warmup_steps: int, factor: float = 1e3, patience: int = 100):
+    def __init__(self, warmup_steps: int, factor: float, patience: int):
         self.warmup_steps = warmup_steps
         self.factor = factor
         self.patience = patience
