@@ -177,15 +177,16 @@ def cmd_train(args) -> int:
     write_csv(out / "logs.csv", columns, [[r[c] for c in columns] for r in result.logs], header)
     if result.schedule_steps:
         trace_rows, diag_rows = [], []
-        for images, label, theta, explicit, implicit in result.schedule_steps:
+        for images, label, theta, explicit, implicit, se in result.schedule_steps:
             label = "-" if label is None else label
             trace_rows.append([images, label, *theta])
-            diag_rows += [[images, label, p, e, i]
-                          for p, (e, i) in enumerate(zip(explicit, implicit))]
+            diag_rows += [[images, label, p, *parts]
+                          for p, parts in enumerate(zip(explicit, implicit, se))]
         theta_cols = [f"theta{i}" for i in range(result.ms.n_params)]
         write_csv(out / "theta_trace.csv", ["images", "class", *theta_cols], trace_rows, header)
         write_csv(out / "theta_diagnostics.csv",
-                  ["images", "class", "coordinate", "explicit", "implicit"], diag_rows, header)
+                  ["images", "class", "coordinate", "explicit", "implicit", "se"], diag_rows,
+                  header)
     print(f"training finished after {result.logs[-1]['images']} images; run dir: {out}")
     return 0
 

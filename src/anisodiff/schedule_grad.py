@@ -134,6 +134,7 @@ class OuterGradient:
     explicit: Array  # (P,) mean d L / d theta with the field held fixed
     implicit: Array  # (P,) mean <cotangent, d flow / d theta>
     total: Array  # explicit + implicit
+    se: Array  # (P,) batch std of the per-sample total over sqrt(n), as logs.csv loss_se
     value: LossValue  # the loss on the batch that was differentiated
 
 
@@ -185,11 +186,11 @@ def outer_gradient(ms: MatrixSchedule, flow_field, batch: LossSample,
     # in D, so the responses to D = P_j are contracted against the knot Jacobian
     implicit = _pullback(cot, jac, _flow_responses(jet, ev, flow, cfg))
 
-    explicit = (explicit_w + explicit_x).mean(axis=0)
-    implicit_mean = implicit.mean(axis=0)
+    explicit_n = explicit_w + explicit_x  # (n, P)
+    explicit, implicit_mean = explicit_n.mean(axis=0), implicit.mean(axis=0)
     return OuterGradient(
         explicit=explicit, implicit=implicit_mean, total=explicit + implicit_mean,
-        value=value,
+        se=(explicit_n + implicit).std(axis=0) / np.sqrt(x0.shape[0]), value=value,
     )
 
 

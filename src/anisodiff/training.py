@@ -167,7 +167,7 @@ class TrainResult:
     ema_model: FlowModel | None
     ms: MatrixSchedule
     logs: list  # rows: dict per logged step
-    schedule_steps: list  # per theta step: (images_seen, label, theta, explicit, implicit)
+    schedule_steps: list  # per theta step: (images_seen, label, theta, explicit, implicit, se)
     nonfinite_grads: int
 
 
@@ -271,8 +271,8 @@ def train_bilevel(data, ms: MatrixSchedule, model: FlowModel | None, cfg: TrainC
             theta, theta_states[label] = adam_step(
                 ms.theta_vector(label), grad_theta.total, theta_states[label], lr_theta)
             ms = ms.with_theta_vector(theta, label)
-            schedule_steps.append(
-                (images_seen, label, theta, grad_theta.explicit, grad_theta.implicit))
+            schedule_steps.append((images_seen, label, theta, grad_theta.explicit,
+                                   grad_theta.implicit, grad_theta.se))
 
         if step % cfg.log_every == 0 or images_seen >= cfg.total_images:
             row = {

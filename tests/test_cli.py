@@ -521,7 +521,7 @@ def test_train_oracle_mode_command(tmp_path, gmm_file):
     ]
     assert (out / "theta_trace.csv").exists()
     _, diag_cols, diag_rows = read_csv(out / "theta_diagnostics.csv")
-    assert diag_cols == ["images", "class", "coordinate", "explicit", "implicit"]
+    assert diag_cols == ["images", "class", "coordinate", "explicit", "implicit", "se"]
     assert len(diag_rows) == 10 * 8  # one row per (theta step, coordinate)
 
 
@@ -731,16 +731,16 @@ def test_train_csvs_hold_the_runs_schedule_steps(tmp_path, gmm_file, monkeypatch
     _, trace_cols, trace = read_csv(out / "theta_trace.csv")
     _, diag_cols, diag = read_csv(out / "theta_diagnostics.csv")
     assert trace_cols == ["images", "class"] + [f"theta{i}" for i in range(6)]
-    assert diag_cols == ["images", "class", "coordinate", "explicit", "implicit"]
+    assert diag_cols == ["images", "class", "coordinate", "explicit", "implicit", "se"]
     assert len(trace) == len(steps) and len(diag) == 6 * len(steps)
-    for k, (images, label, theta, explicit, implicit) in enumerate(steps):
+    for k, (images, label, theta, explicit, implicit, se) in enumerate(steps):
         assert label is None
         assert trace[k][:2] == [str(images), "-"]
         assert np.array_equal(np.array(trace[k][2:], dtype=float), theta)  # 17 digits: exact
         rows = diag[6 * k:6 * (k + 1)]
         assert [row[:3] for row in rows] == [[str(images), "-", str(p)] for p in range(6)]
         assert np.array_equal(np.array([row[3:] for row in rows], dtype=float),
-                              np.stack([explicit, implicit], axis=1))
+                              np.stack([explicit, implicit, se], axis=1))
     saved = load_schedule(out / "schedule.json").theta_vector()
     assert np.array_equal(np.array(trace[-1][2:], dtype=float), saved)
 

@@ -423,6 +423,28 @@ def test_outer_gradient_value_is_the_batch_loss(kind):
         assert np.array_equal(getattr(got, key), getattr(want, key)), key
 
 
+@pytest.mark.parametrize("kind", ["oracle", "model"])
+def test_outer_gradient_se_is_the_standard_error_of_the_one_row_gradients(kind):
+    rng = np.random.default_rng(17)
+    gm = two_component_gmm()
+    ms = random_ms(rng, n_knots=4)
+    n = 16
+    batch = draw_loss_samples(gm, ms, n, rng)  # one t per row
+    assert np.unique(batch.t).size == n
+    if kind == "oracle":
+        field = OracleFlowField(gm, ms)
+    else:
+        field = FlowModel.create(2, ms.horizon, widths=(8, 8), seed=3, zero_head=False)
+    rows = np.stack([
+        outer_gradient(ms, field, LossSample(batch.x0[i:i + 1], batch.eps[i:i + 1],
+                                             batch.t[i:i + 1])).total
+        for i in range(n)])
+    got = outer_gradient(ms, field, batch).se
+    assert got.shape == (ms.n_params,)
+    # the batch std (ddof 0, as logs.csv loss_se) of the per-sample totals over sqrt(n)
+    np.testing.assert_allclose(got, rows.std(axis=0) / np.sqrt(n), rtol=1e-10, atol=0)
+
+
 @pytest.mark.parametrize("per_sample_t", [False, True])
 def test_oracle_jets_match_the_oracle_functions(per_sample_t):
     rng = np.random.default_rng(15)

@@ -223,10 +223,11 @@ def test_grad_diagnostics_rows():
         lr_model=0.1, train_model=False, seed=0,
     )
     result = train_bilevel(gm, ms, None, cfg)
-    # one (images, class, theta, explicit, implicit) entry per theta step
-    assert sum(explicit.size for *_, explicit, _ in result.schedule_steps) == 3 * ms.n_params
-    for images, label, theta, explicit, implicit in result.schedule_steps:
-        assert theta.shape == explicit.shape == implicit.shape == (ms.n_params,)
+    # one (images, class, theta, explicit, implicit, se) entry per theta step
+    steps = result.schedule_steps
+    assert sum(explicit.size for _, _, _, explicit, _, _ in steps) == 3 * ms.n_params
+    for images, label, theta, explicit, implicit, se in steps:
+        assert theta.shape == explicit.shape == implicit.shape == se.shape == (ms.n_params,)
 
 
 STEPS = 6
@@ -296,12 +297,13 @@ def test_schedule_steps_hold_the_parts_of_a_direct_outer_gradient(monkeypatch, t
     thetas = [ms.theta_vector() for ms, _, _ in gradients[1:]] + [result.ms.theta_vector()]
     for k, (entry, (ms, field, batch), theta_after) in enumerate(
             zip(result.schedule_steps, gradients, thetas, strict=True), start=1):
-        images, label, theta, explicit, implicit = entry
+        images, label, theta, explicit, implicit, se = entry
         direct = schedule_grad_mod.outer_gradient(ms, field, batch)
         assert (images, label) == (k * every * cfg.batch_size, None)
         np.testing.assert_array_equal(theta, theta_after)
         np.testing.assert_array_equal(explicit, direct.explicit)
         np.testing.assert_array_equal(implicit, direct.implicit)
+        np.testing.assert_array_equal(se, direct.se)
 
 
 @pytest.mark.parametrize("train_model", [False, True], ids=["oracle", "model"])
@@ -325,7 +327,7 @@ def test_nonfinite_grads_counts_the_schedule_gradients_too(monkeypatch, train_mo
                            matrix_schedule_for_family(axis_family(2, 1), horizon=10.0, n_knots=4),
                            model, cfg)
     assert len(calls) == (2 if train_model else 4)
-    assert all(np.isfinite(theta).all() for _, _, theta, _, _ in result.schedule_steps)
+    assert all(np.isfinite(theta).all() for _, _, theta, _, _, _ in result.schedule_steps)
     assert result.nonfinite_grads == 1
 
 
