@@ -297,6 +297,17 @@ def test_apply_spectral_matches_member_reference(name):
         np.testing.assert_allclose(fam.block_energies(x), want, rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_coordinate_family_dense_is_the_diagonal_of_the_block_values(name):
+    rng = np.random.default_rng(14)
+    coords = FAMILIES[name](rng).coordinates
+    shared = rng.uniform(0.1, 3.0, coords.n_subspaces)
+    per_row = rng.uniform(0.1, 3.0, (3, coords.n_subspaces))
+    assert np.array_equal(coords.dense(shared), np.diag(shared[coords.labels]))
+    assert np.array_equal(coords.dense(per_row),
+                          np.stack([np.diag(row[coords.labels]) for row in per_row]))
+
+
 def test_apply_spectral_length_mismatch():
     fam = axis_family(4, 2)
     with pytest.raises(ValueError):
