@@ -20,6 +20,7 @@ from .fields import OracleFlowField
 from .flow_model import FlowModel
 from .gmm import posterior_mean, sample_p0
 from .persistence import (
+    check_label,
     family_from_json,
     family_to_json,
     fmt,
@@ -64,6 +65,8 @@ from .verify import run_checks
 # ---------------------------------------------------------------------------
 
 def cmd_gen_data(args) -> int:
+    if args.class_label is not None:
+        check_label(args.class_label)
     gm = load_gmm(args.gmm)
     points = sample_p0(gm, args.n, args.seed)
     header = [

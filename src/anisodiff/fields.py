@@ -216,7 +216,7 @@ def _latent_view(model, family):
     m = h_1 + n_blocks * (h_l + 1)
     if m >= d:
         return None
-    (w_in, b_in), *hidden, (w_head, b_head) = model.layers()
+    (w_in, b_in), *hidden, (w_head, b_head) = model.layers
     w_x = w_in[:, :d]
     masks = family.labels == np.arange(n_blocks)[:, None, None]  # (J, 1, d)
     r = (np.vstack([w_head.T, b_head]) * masks).reshape(-1, d)

@@ -22,7 +22,7 @@ GEMM.  Under one OpenBLAS thread, the NN product with a C-ordered W^T takes
 11 us against 20 us for (32, 194) rows into a width-64 layer, and 57 us
 against 95 us for the stacked (16, 32, 64) tangents of `block_traces`;
 square 64 x 64 layers cost the same either way.  The parameter gradient's
-`delta @ W` is already NN and reads the views of `layers()`.
+`delta @ W` is already NN and reads the views of `layers`.
 """
 
 from dataclasses import dataclass, field, replace
@@ -59,7 +59,9 @@ def n_params(dim: int, widths) -> int:
 
 
 def layer_views(params: Array, dim: int, widths) -> list:
-    """Views (W, b) per layer into a flat parameter vector; writing one writes `params`."""
+    """Views (W, b) per layer into a flat parameter vector; writing one writes `params`.
+
+    This is the one statement of the layout: per layer, W row-major, then b."""
     sizes = layer_sizes(dim, widths)
     out, offset = [], 0
     for i in range(len(sizes) - 1):
@@ -95,7 +97,7 @@ class FlowModel:
             raise ValueError("parameters must be finite")
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "widths", tuple(self.widths))
-        weights_t = tuple(np.ascontiguousarray(w.T) for w, _ in self.layers())
+        weights_t = tuple(np.ascontiguousarray(w.T) for w, _ in self.layers)
         for w_t in weights_t:
             w_t.flags.writeable = False
         object.__setattr__(self, "weights_t", weights_t)
@@ -103,30 +105,20 @@ class FlowModel:
     @classmethod
     def create(cls, dim, horizon, widths=DEFAULT_WIDTHS, seed=0, zero_head=True):
         """He-style random hidden layers; the output head starts at zero."""
-        _check_widths(widths)  # before the layer arrays are allocated
+        _check_widths(widths)  # before the parameter vector is allocated
         rng = np.random.default_rng(seed)
-        sizes = layer_sizes(dim, widths)
-        chunks = []
-        for i in range(len(sizes) - 1):
-            fan_in, fan_out = sizes[i], sizes[i + 1]
-            last = i == len(sizes) - 2
-            if last and zero_head:
-                w = np.zeros((fan_out, fan_in))
-            else:
-                w = rng.standard_normal((fan_out, fan_in)) / np.sqrt(fan_in)
-            chunks.append(w.reshape(-1))
-            chunks.append(np.zeros(fan_out))
-        return cls(dim=dim, horizon=horizon, widths=tuple(widths), params=np.concatenate(chunks))
+        params = np.zeros(n_params(dim, widths))
+        layers = layer_views(params, dim, widths)
+        for w, _ in (layers[:-1] if zero_head else layers):
+            w[:] = rng.standard_normal(w.shape) / np.sqrt(w.shape[1])
+        return cls(dim=dim, horizon=horizon, widths=tuple(widths), params=params)
 
     def with_params(self, params: Array) -> "FlowModel":
         return replace(self, params=params)
 
+    @cached_property
     def layers(self) -> tuple:
         """Read-only views (W, b) per layer into the flat parameter vector, built once."""
-        return self._layers
-
-    @cached_property
-    def _layers(self) -> tuple:
         return tuple(layer_views(self.params, self.dim, self.widths))
 
     # -- evaluation ----------------------------------------------------------
@@ -181,7 +173,7 @@ class FlowModelJet:
         self.model = model
         self.dim = model.dim
         self.single = np.asarray(x).ndim == 1
-        self.layers = model.layers()
+        self.layers = model.layers
         self.weights_t = model.weights_t
         self.x = np.atleast_2d(np.asarray(x, dtype=float))
         self.t = np.asarray(t, dtype=float)
@@ -215,13 +207,14 @@ class FlowModelJet:
         """Gradient over phi of sum_i <cotangent_i, flow(x_i, t_i)>."""
         delta = np.atleast_2d(np.asarray(cotangent, dtype=float))
         inputs = [self._rows, *self.acts]
-        grads = [None] * len(self.layers)
+        grad = np.empty(self.model.params.size)
+        grads = layer_views(grad, self.dim, self.model.widths)
         for li in range(len(self.layers) - 1, -1, -1):
-            w, _ = self.layers[li]
-            grads[li] = (delta.T @ inputs[li], delta.sum(axis=0))
+            np.matmul(delta.T, inputs[li], out=grads[li][0])
+            delta.sum(axis=0, out=grads[li][1])
             if li > 0:
-                delta = (delta @ w) * self._slopes[li - 1]
-        return np.concatenate([np.concatenate([gw.reshape(-1), gb]) for gw, gb in grads])
+                delta = (delta @ self.layers[li][0]) * self._slopes[li - 1]
+        return grad
 
     @cached_property
     def _slopes(self) -> list:

@@ -204,6 +204,15 @@ def _check_family(payload):
         check_fields("pca_meta", payload["pca_meta"], PCA_META_FIELDS, "object")
 
 
+def check_label(label) -> str:
+    """`label` as a string; one holding `,`, `\\n` or `\\r` fits no CSV cell, a ValueError."""
+    label = str(label)
+    if any(c in label for c in ",\n\r"):
+        raise ValueError(f"class label {json.dumps(label)} cannot be a CSV cell: it holds a comma "
+                         "or a line break")
+    return label
+
+
 def _read_saved(path, kind) -> dict:
     """Parse a saved `kind` file ("schedule", "mixture", "model") and check its top level."""
     def non_finite(literal):  # NaN, Infinity or -Infinity
@@ -237,8 +246,8 @@ def load_run_config(path):
     for name, fields in RUN_CONFIG_FIELDS.items():
         with decoding(f"config section '{name}'"):
             check_fields(name, cfg.get(name, {}), fields)
-    classes = sorted(str(label) for label in cfg["schedule"].get("classes") or ()) or None
-    labels = sorted(cfg["gmm"]) if isinstance(cfg.get("gmm"), dict) else None
+    classes = sorted(map(check_label, cfg["schedule"].get("classes") or ())) or None
+    labels = sorted(map(check_label, cfg["gmm"])) if isinstance(cfg.get("gmm"), dict) else None
     if labels != classes:
         raise ValueError(f"per-class gmm labels {labels or []} do not match "
                          f"schedule classes {classes or []}")
@@ -351,7 +360,7 @@ def load_schedule(path) -> MatrixSchedule:
 
         class_table = None
         if payload["theta"]["classes"] is not None:
-            class_table = {k: make(v) for k, v in payload["theta"]["classes"].items()}
+            class_table = {check_label(k): make(v) for k, v in payload["theta"]["classes"].items()}
         return MatrixSchedule(
             family,
             make(payload["theta"]["default"]),

@@ -22,7 +22,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .subspaces import ProjectorFamily, isotropic_family
+from .subspaces import ProjectorFamily
 
 Array = np.ndarray
 
@@ -386,15 +386,6 @@ def matrix_schedule_for_family(
         for _ in range(family.n_subspaces)
     )
     return MatrixSchedule(family, per)
-
-
-def isotropic_matrix_schedule(
-    d: int,
-    horizon: float,
-    floor: float = DEFAULT_FLOOR,
-    n_knots: int = DEFAULT_KNOTS,
-) -> MatrixSchedule:
-    return matrix_schedule_for_family(isotropic_family(d), horizon, floor, n_knots)
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,6 @@ from .schedule import (
     MatrixSchedule,
     eval_M,
     eval_M_dtheta,
-    isotropic_matrix_schedule,
     matrix_schedule_for_family,
     uniform_nodes,
     weight_to_schedule,
@@ -278,7 +277,7 @@ def check_heun_reductions():
     # scalar reduction: isotropic run against an inline scalar VE-Heun
     sigma2 = 1.1
     gm1 = single_gaussian(np.zeros(1), np.array([[sigma2]]))
-    ms1 = isotropic_matrix_schedule(1, horizon=25.0)
+    ms1 = matrix_schedule_for_family(isotropic_family(1), horizon=25.0)
     field1 = OracleFlowField(gm1, ms1)
     steps = 32
     cfg = SamplerConfig(steps=steps, solver="heun", secondary="endpoint")

@@ -28,7 +28,6 @@ from anisodiff.schedule import (
     MatrixSchedule,
     eval_M,
     eval_M_dtheta,
-    isotropic_matrix_schedule,
     matrix_schedule_for_family,
     sinh_squared_schedule,
     uniform_nodes,
@@ -38,7 +37,7 @@ from anisodiff.schedule_grad import (
     fd_outer_gradient,
     outer_gradient,
 )
-from anisodiff.subspaces import ProjectorFamily, apply_spectral
+from anisodiff.subspaces import ProjectorFamily, apply_spectral, isotropic_family
 from anisodiff.training import TrainConfig, evaluate_generation, gaussian_w2, train_bilevel
 from anisodiff.verify import (
     check_estimator_gaussian_exact,
@@ -130,7 +129,7 @@ def test_criterion_04_outer_gradient_fd():
     covs = np.stack([np.diag([0.5, 0.8]), np.diag([0.9, 0.3])])
     gm = GaussianMixture(np.array([0.45, 0.55]), mu, covs)
     # two live parameters: isotropic schedule with three knots
-    ms = isotropic_matrix_schedule(2, horizon=4.0, n_knots=3)
+    ms = matrix_schedule_for_family(isotropic_family(2), horizon=4.0, n_knots=3)
     ms = ms.with_theta_vector(np.array([0.5, -0.2]))
     batch = draw_loss_samples(gm, ms, 4096, rng)
     grad = outer_gradient(ms, OracleFlowField(gm, ms), batch)
@@ -172,7 +171,7 @@ def test_criterion_07_scalar_reduction_and_nfe():
     # sigma = sqrt(g) variable only
     sigma2 = 1.7
     gm = single_gaussian(np.zeros(1), np.array([[sigma2]]))
-    ms = isotropic_matrix_schedule(1, horizon=25.0)
+    ms = matrix_schedule_for_family(isotropic_family(1), horizon=25.0)
     field = OracleFlowField(gm, ms)
     steps = 32
     cfg = SamplerConfig(steps=steps, solver="heun", secondary="endpoint")

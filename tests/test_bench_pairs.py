@@ -100,3 +100,45 @@ def test_a_gain_with_failed_ops_or_an_incorrect_run_is_not_resolved(failed, corr
     assert not metric["gain_resolved"] and metric["gain_blocked_by"] == reason
     assert bench_pairs.verdict("w", "items_per_s", metric).endswith(
         f"no resolved gain ({reason}), within bound")
+
+
+PARENT = [100, 102, 98, 101, 99, 100, 103, 97, 100, 101]
+
+
+@pytest.mark.parametrize("change_items, worse", [(15, False), (-30, True)])
+def test_a_gain_the_control_resolves_blocks_the_change_gain_and_moves_no_bound(change_items,
+                                                                               worse):
+    change = bench_pairs.summarize(SPECS, range(10),
+                                   ten_pairs(PARENT, [p + change_items for p in PARENT]))
+    control = bench_pairs.summarize(SPECS, range(10), ten_pairs(PARENT, [p + 10 for p in PARENT]))
+    entry = bench_pairs.apply_control(change, control)
+    assert entry["control"] is control
+    for name in ("items_per_s", "op_mean_s"):
+        metric = entry["metrics"][name]
+        assert control["metrics"][name]["gain_resolved"]
+        assert not metric["gain_resolved"]
+        assert metric["gain_blocked_by"] == "the A/A control resolved a gain"
+        assert metric["worse_than_bound"] == worse
+    if not worse:
+        assert bench_pairs.verdict("w", "items_per_s", entry["metrics"]["items_per_s"]).endswith(
+            "no resolved gain (the A/A control resolved a gain), within bound")
+
+
+def test_the_control_block_follows_the_change_own_reasons():
+    pairs = ten_pairs(PARENT, [p + 15 for p in PARENT])
+    pairs[4][1].update(correct=False)
+    control = bench_pairs.summarize(SPECS, range(10), ten_pairs(PARENT, [p + 10 for p in PARENT]))
+    metric = bench_pairs.apply_control(bench_pairs.summarize(SPECS, range(10), pairs),
+                                       control)["metrics"]["items_per_s"]
+    assert metric["gain_blocked_by"] == ("a change run is incorrect; "
+                                         "the A/A control resolved a gain")
+
+
+def test_a_control_without_a_resolved_gain_leaves_the_verdict_as_summarize_gave_it():
+    pairs = ten_pairs(PARENT, [p + 15 for p in PARENT])
+    control_pairs = ten_pairs(PARENT, [p + (-1) ** i for i, p in enumerate(PARENT)])  # won 5/10
+    control = bench_pairs.summarize(SPECS, range(10), control_pairs)
+    assert not any(m["gain_resolved"] for m in control["metrics"].values())
+    entry = bench_pairs.apply_control(bench_pairs.summarize(SPECS, range(10), pairs), control)
+    assert entry == {**bench_pairs.summarize(SPECS, range(10), pairs), "control": control}
+    assert entry["metrics"]["items_per_s"]["gain_resolved"]

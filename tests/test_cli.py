@@ -332,6 +332,17 @@ def test_sample_command_oracle(tmp_path, gmm_file, schedule_file):
     np.testing.assert_array_equal(load_points_csv(out), load_points_csv(out2))
 
 
+def test_sample_dump_headers_hold_each_states_grid_time(tmp_path, gmm_file, schedule_file):
+    dump = tmp_path / "traj"
+    assert main(["sample", "--schedule", str(schedule_file), "--oracle", str(gmm_file),
+                 "--steps", "5", "--n", "4", "--seed", "1", "--out", str(tmp_path / "x.csv"),
+                 "--dump-trajectory", str(dump)]) == 0
+    times = time_grid(load_schedule(schedule_file), SamplerConfig(steps=5))
+    for i in range(6):  # step_0000.csv is the start, at the horizon t_5
+        header, _, _ = read_csv(dump / f"step_{i:04d}.csv")
+        assert header[1].startswith("# t=") and float(header[1][4:]) == times[5 - i]
+
+
 def test_identical_sample_runs_write_identical_files(tmp_path, gmm_file, schedule_file):
     # the provenance hash covers the options only, so it is the same in every process
     import subprocess
@@ -607,6 +618,43 @@ def test_train_class_labels_must_match_the_gmm_map(tmp_path, capsys, labels, cla
     assert err == (f"error: per-class gmm labels {labels or []} do not match "
                    f"schedule classes {classes or []}\n")
     assert not (tmp_path / "rundir").exists()
+
+
+def label_error(label):
+    return (f"error: class label {json.dumps(label)} cannot be a CSV cell: it holds a comma or "
+            "a line break\n")
+
+
+@pytest.mark.parametrize("bad", ["a,1", "a\n1", "a\r"])
+def test_train_class_label_that_fits_no_csv_cell_exits_2_writing_nothing(tmp_path, capsys, bad):
+    # such a label would split the rows of theta_trace.csv and theta_diagnostics.csv
+    cfg_path, config = _class_conditional_config(tmp_path)
+    config["gmm"] = {bad: "../mixtures/a.json", "b": "../mixtures/b.json"}
+    config["schedule"]["classes"] = [bad, "b"]
+    cfg_path.write_text(json.dumps(config))
+    assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "rundir")]) == 2
+    assert capsys.readouterr().err == label_error(bad)
+    assert not (tmp_path / "rundir").exists()
+
+
+def test_schedule_file_class_that_fits_no_csv_cell_exits_2_writing_nothing(tmp_path, capsys):
+    base = matrix_schedule_for_family(axis_family(2, 1), horizon=4.0, n_knots=4)
+    path = tmp_path / "s.json"
+    save_schedule(MatrixSchedule(base.family, base.per_subspace,
+                                 class_table={"a,1": base.per_subspace}), path)
+    out = tmp_path / "analysis"
+    assert main(["analyze", "schedule", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == label_error("a,1")
+    assert not out.exists()
+
+
+def test_gen_data_class_label_that_fits_no_csv_cell_exits_2_writing_nothing(tmp_path, gmm_file,
+                                                                             capsys):
+    out = tmp_path / "data.csv"
+    argv = ["gen-data", "--gmm", str(gmm_file), "--n", "5", "--class-label", "a\nb"]
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == label_error("a\nb")
+    assert not out.exists()
 
 
 def test_train_class_conditional_model_mode_exits_2_writing_nothing(tmp_path, capsys):
@@ -1108,9 +1156,8 @@ def test_analyze_schedule_with_an_overflowing_theta_exits_2(tmp_path, schedule_f
 
 
 def test_analyze_schedule_isotropic_ratio_absent(tmp_path):
-    from anisodiff.schedule import isotropic_matrix_schedule
 
-    ms = isotropic_matrix_schedule(2, horizon=4.0)
+    ms = matrix_schedule_for_family(isotropic_family(2), horizon=4.0)
     spath = tmp_path / "iso.json"
     save_schedule(ms, spath)
     out = tmp_path / "analysis"

@@ -7,7 +7,7 @@ from anisodiff import flow_model
 from anisodiff.fields import OracleFlowField
 from anisodiff.flow_model import FlowModel, n_params
 from anisodiff.gmm import perturb, sample_p0, score, single_gaussian
-from anisodiff.schedule import eval_M, isotropic_matrix_schedule
+from anisodiff.schedule import eval_M, matrix_schedule_for_family
 from anisodiff.subspaces import (
     apply_spectral,
     build_dct_projectors,
@@ -32,7 +32,7 @@ def test_parameters_are_a_read_only_copy():
     m = FlowModel(2, 4.0, (8, 8), params)
     params[0] += 1.0
     assert m.params[0] == params[0] - 1.0
-    w, b = m.layers()[1]
+    w, b = m.layers[1]
     for view, index in ((m.params, 0), (w, (0, 0)), (b, 0)):
         with pytest.raises(ValueError, match="read-only"):
             view[index] = 0.0
@@ -79,18 +79,18 @@ def test_rejects_nonpositive_time():
 
 def test_layers_are_built_once_per_model():
     m = small_model(seed=1)
-    assert m.layers() is m.layers()
+    assert m.layers is m.layers
     other = m.with_params(m.params)
-    assert other.layers() is not m.layers()
+    assert other.layers is not m.layers
     assert all(np.array_equal(w, w_other) and np.array_equal(b, b_other)
-               for (w, b), (w_other, b_other) in zip(m.layers(), other.layers()))
+               for (w, b), (w_other, b_other) in zip(m.layers, other.layers))
 
 
 def test_kept_weight_transposes_are_read_only_c_ordered_copies_built_once():
     m = small_model(seed=2)
     assert m.weights_t is m.weights_t
     assert m.at(np.zeros(2), 1.0).weights_t is m.weights_t
-    for (w, _), w_t in zip(m.layers(), m.weights_t):
+    for (w, _), w_t in zip(m.layers, m.weights_t):
         assert w_t.flags.c_contiguous and not w_t.flags.writeable
         assert not np.shares_memory(w_t, m.params)
         np.testing.assert_array_equal(w_t, w.T)
@@ -102,7 +102,7 @@ def reference_jet(model, x, t, u, v, family, cot):
     """The jet's outputs from the `@ w.T` expressions on the layer views, with no kept W^T."""
     single, d = x.ndim == 1, model.dim
     x, t = np.atleast_2d(x), np.asarray(t, dtype=float)
-    layers = model.layers()
+    layers = model.layers
     w, b = layers[0]
     feats = model._features(np.broadcast_to(t, x.shape[:1]))
     rows = np.concatenate([x, feats], axis=1)
@@ -302,7 +302,7 @@ def test_affine_model_has_zero_mixed_derivative():
     x, u, v = rng.standard_normal((3, 2))
     np.testing.assert_allclose(m.mixed(x, 1.0, u, v), 0.0, atol=1e-14)
     d = m.directional(x, 1.0, v)
-    w, _ = m.layers()[0]
+    w, _ = m.layers[0]
     np.testing.assert_allclose(d, w[:, :2] @ v, atol=1e-12)
 
 
@@ -326,7 +326,7 @@ def test_batched_derivatives_match_scalar():
 
 def test_oracle_flow_field_consistency():
     gm = single_gaussian(np.zeros(2), np.diag([2.0, 0.5]))
-    ms = isotropic_matrix_schedule(2, horizon=3.0)
+    ms = matrix_schedule_for_family(isotropic_family(2), horizon=3.0)
     field = OracleFlowField(gm, ms)
     rng = np.random.default_rng(15)
     x = rng.standard_normal(2)
@@ -341,7 +341,7 @@ def test_oracle_flow_field_consistency():
 
 def test_oracle_field_directional_matches_fd():
     gm = single_gaussian(np.zeros(2), np.diag([1.0, 0.25]))
-    ms = isotropic_matrix_schedule(2, horizon=3.0)
+    ms = matrix_schedule_for_family(isotropic_family(2), horizon=3.0)
     field = OracleFlowField(gm, ms)
     rng = np.random.default_rng(16)
     x, v = rng.standard_normal(2), rng.standard_normal(2)
@@ -382,7 +382,7 @@ def test_scale_diagnostic_logged():
     # flow scale varies far less across noise levels than the score-view
     # scale, which behaves like |M^{-1/2}|
     gm = single_gaussian(np.zeros(2), np.diag([1.0, 1e-4]))
-    ms = isotropic_matrix_schedule(2, horizon=10.0)
+    ms = matrix_schedule_for_family(isotropic_family(2), horizon=10.0)
     field = OracleFlowField(gm, ms)
     flow_spread, net_spread = scale_diagnostic(field, ms, gm, seed=3)
     print(f"scale diagnostic: flow spread {flow_spread:.2f}x, net spread {net_spread:.2f}x")
@@ -392,7 +392,7 @@ def test_scale_diagnostic_logged():
 
 def test_scale_diagnostic_is_nan_when_the_field_is_nan_at_one_time():
     gm = single_gaussian(np.zeros(2), np.diag([1.0, 1e-4]))
-    ms = isotropic_matrix_schedule(2, horizon=10.0)
+    ms = matrix_schedule_for_family(isotropic_family(2), horizon=10.0)
     field = OracleFlowField(gm, ms)
     ts = np.geomspace(1e-3 * ms.horizon, ms.horizon, 12)
 

@@ -23,11 +23,10 @@ from anisodiff.gmm import (
 from anisodiff.schedule import (
     KnotSchedule,
     eval_M,
-    isotropic_matrix_schedule,
     matrix_schedule_for_family,
     uniform_nodes,
 )
-from anisodiff.subspaces import apply_spectral, axis_family, build_dct_projectors
+from anisodiff.subspaces import apply_spectral, axis_family, build_dct_projectors, isotropic_family
 
 
 def two_component_gmm():
@@ -720,7 +719,7 @@ def test_dct_family_oracle_runs_in_higher_dim():
 
 def test_isotropic_schedule_path():
     gm = single_gaussian(np.zeros(3), np.eye(3))
-    ms = isotropic_matrix_schedule(3, horizon=2.0)
+    ms = matrix_schedule_for_family(isotropic_family(3), horizon=2.0)
     x = np.array([1.0, 2.0, -1.0])
     g, _ = eval_M(ms, 1.0)
     np.testing.assert_allclose(score(gm, x, ms, 1.0), -x / (1 + g[0]), rtol=1e-12)

@@ -31,10 +31,9 @@ from anisodiff.loss import (
 from anisodiff.schedule import (
     MatrixSchedule,
     eval_M,
-    isotropic_matrix_schedule,
     matrix_schedule_for_family,
 )
-from anisodiff.subspaces import ProjectorFamily, apply_spectral, axis_family
+from anisodiff.subspaces import ProjectorFamily, apply_spectral, axis_family, isotropic_family
 
 
 class ConstantField:
@@ -120,8 +119,17 @@ def test_weight_rejects_below_floor():
         weight_values(ms, ms.t_min / 10)
 
 
+def test_a_time_exactly_at_t_min_is_accepted():
+    rng = np.random.default_rng(4)
+    ms, gm = random_ms(rng), two_component_gmm()
+    assert np.all(np.isfinite(weight_values(ms, ms.t_min)))
+    sample = dataclasses.replace(draw_loss_samples(gm, ms, 8, rng), t=np.full(8, ms.t_min))
+    value = loss_sample(ms, OracleFlowField(gm, ms), sample)
+    assert np.all(np.isfinite(value.loss)) and np.all(np.isfinite(value.cotangent))
+
+
 def test_isotropic_weight_reduction():
-    ms = isotropic_matrix_schedule(3, horizon=2.0)
+    ms = matrix_schedule_for_family(isotropic_family(3), horizon=2.0)
     t = 1.3
     g, dg = eval_M(ms, t)
     w = weight_values(ms, t)
@@ -264,7 +272,7 @@ def test_proxy_velocity_posterior_mean_identity():
 def test_velocity_hand_formula_single_gaussian_1d():
     sigma2 = 0.8
     gm = single_gaussian(np.zeros(1), np.array([[sigma2]]))
-    ms = isotropic_matrix_schedule(1, horizon=2.0)
+    ms = matrix_schedule_for_family(isotropic_family(1), horizon=2.0)
     t = 1.4
     g, dg = eval_M(ms, t)
     x = np.array([0.9])

@@ -24,7 +24,6 @@ from anisodiff.schedule import (
     KnotSchedule,
     MatrixSchedule,
     eval_M,
-    isotropic_matrix_schedule,
     matrix_schedule_for_family,
     uniform_nodes,
 )
@@ -33,6 +32,7 @@ from anisodiff.subspaces import (
     axis_family,
     build_dct_projectors,
     build_pca_projectors,
+    isotropic_family,
 )
 
 
@@ -80,14 +80,14 @@ def random_ms(rng, horizon=20.0, n_knots=6):
 # ---------------------------------------------------------------------------
 
 def test_init_state_covariance():
-    ms = isotropic_matrix_schedule(2, horizon=9.0)
+    ms = matrix_schedule_for_family(isotropic_family(2), horizon=9.0)
     draws = init_state(ms, rng=np.random.default_rng(0), n=100_000)
     cov = draws.T @ draws / draws.shape[0]
     np.testing.assert_allclose(np.linalg.eigvalsh(cov), 9.0, rtol=0.05)
 
 
 def test_init_state_deterministic():
-    ms = isotropic_matrix_schedule(3, horizon=4.0)
+    ms = matrix_schedule_for_family(isotropic_family(3), horizon=4.0)
     a = init_state(ms, rng=7, n=5)
     b = init_state(ms, rng=7, n=5)
     np.testing.assert_array_equal(a, b)
@@ -105,7 +105,7 @@ def test_sample_trajectory_default_seed_is_zero():
 
 def test_init_state_zero_noise():
     # xi = 0 injected through the same spectral path init_state uses
-    ms = isotropic_matrix_schedule(2, horizon=4.0)
+    ms = matrix_schedule_for_family(isotropic_family(2), horizon=4.0)
     from anisodiff.subspaces import apply_spectral
 
     g, _ = eval_M(ms, ms.horizon)
@@ -152,7 +152,7 @@ def test_euler_first_order_on_gaussian():
     # global error over a fixed interval halves when steps double
     gm = single_gaussian(np.zeros(2), np.diag([1.0, 1.0]))
     rng = np.random.default_rng(2)
-    ms = isotropic_matrix_schedule(2, horizon=20.0)
+    ms = matrix_schedule_for_family(isotropic_family(2), horizon=20.0)
     field = OracleFlowField(gm, ms)
     x0 = np.array([1.3, -0.7])
 
@@ -188,7 +188,7 @@ def test_heun_endpoint_reduces_to_trapezoid():
 def test_heun_exact_on_nilpotent_affine_flow():
     # flow(x) = A x + b with A^2 = 0: the U-variable linear ODE truncates,
     # so a single Heun step reproduces the closed-form solution exactly
-    ms = isotropic_matrix_schedule(2, horizon=5.0)
+    ms = matrix_schedule_for_family(isotropic_family(2), horizon=5.0)
     a_mat = np.array([[0.0, 0.8], [0.0, 0.0]])
     b_vec = np.array([0.3, -0.5])
 
@@ -758,7 +758,7 @@ def test_a_dropped_model_releases_its_view(scale):
 def test_scalar_reduction_euler():
     # isotropic anisotropic run == scalar VE sampler, step by step
     gm = single_gaussian(np.zeros(1), np.array([[0.8]]))
-    ms = isotropic_matrix_schedule(1, horizon=15.0)
+    ms = matrix_schedule_for_family(isotropic_family(1), horizon=15.0)
     field = OracleFlowField(gm, ms)
     cfg = SamplerConfig(steps=12, solver="euler")
     res = sample_trajectory(ms, field, cfg, rng=3)
@@ -777,7 +777,7 @@ def test_scalar_reduction_euler():
 
 def test_scalar_reduction_heun_endpoint_full_trajectory():
     gm = single_gaussian(np.zeros(1), np.array([[1.7]]))
-    ms = isotropic_matrix_schedule(1, horizon=25.0)
+    ms = matrix_schedule_for_family(isotropic_family(1), horizon=25.0)
     field = OracleFlowField(gm, ms)
     cfg = SamplerConfig(steps=32, solver="heun", secondary="endpoint")
     res = sample_trajectory(ms, field, cfg, rng=11)

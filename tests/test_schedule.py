@@ -8,14 +8,13 @@ from anisodiff.schedule import (
     eval_M_dt_dtheta,
     eval_M_dtheta,
     inverse_softplus,
-    isotropic_matrix_schedule,
     log_linear_schedule,
     matrix_schedule_for_family,
     softplus,
     uniform_nodes,
     weight_to_schedule,
 )
-from anisodiff.subspaces import apply_spectral, axis_family, build_dct_projectors
+from anisodiff.subspaces import apply_spectral, axis_family, build_dct_projectors, isotropic_family
 
 
 def random_schedule(rng, horizon=5.0, n_knots=8, floor=1e-4):
@@ -202,7 +201,7 @@ def test_inverse_softplus_roundtrip():
 # ---------------------------------------------------------------------------
 
 def test_isotropic_reduces_to_scalar():
-    ms = isotropic_matrix_schedule(3, horizon=4.0)
+    ms = matrix_schedule_for_family(isotropic_family(3), horizon=4.0)
     g, dg = eval_M(ms, 1.7)
     gs, dgs = ms.per_subspace[0].eval(1.7)
     assert g.shape == (1,)

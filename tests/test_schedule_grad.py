@@ -27,7 +27,6 @@ from anisodiff.schedule import (
     MatrixSchedule,
     eval_M,
     eval_M_dtheta,
-    isotropic_matrix_schedule,
     matrix_schedule_for_family,
     uniform_nodes,
 )
@@ -236,7 +235,7 @@ def test_third_term_confined_to_perturbed_subspace():
 def test_outer_gradient_matches_fd_isotropic():
     rng = np.random.default_rng(8)
     gm = two_component_gmm()
-    ms = isotropic_matrix_schedule(2, horizon=4.0, n_knots=3)
+    ms = matrix_schedule_for_family(isotropic_family(2), horizon=4.0, n_knots=3)
     ms = ms.with_theta_vector(np.array([0.4, -0.3]))
     batch = draw_loss_samples(gm, ms, 512, rng)
     grad = outer_gradient(ms, OracleFlowField(gm, ms), batch)

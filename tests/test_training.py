@@ -134,6 +134,16 @@ def test_divergence_guard_triggers():
     guard2.observe(50.0)  # streak back to 1, no raise
 
 
+def test_divergence_guard_reference_is_the_warmup_median():
+    # a skewed warm-up: its median 1 trips the guard at 50, where its mean 34 would not
+    guard = DivergenceGuard(warmup_steps=3, factor=10.0, patience=1)
+    for loss in (1.0, 1.0, 100.0):
+        guard.observe(loss)
+    assert guard.reference == 1.0
+    with pytest.raises(TrainingDiverged):
+        guard.observe(50.0)
+
+
 # ---------------------------------------------------------------------------
 # training loops
 # ---------------------------------------------------------------------------

@@ -5,9 +5,10 @@ difference in where or how a tree was made (a warm working tree against a
 fresh copy) is not read as a difference in the code:
 
     git archive HEAD~1 | tar -x -C ../parent    # the parent commit
+    git archive HEAD~1 | tar -x -C ../control   # the parent again, an A/A control
     git archive HEAD | tar -x -C ../change      # the change, once committed
-    python3 tools/bench_pairs.py --parent ../parent --change ../change --pairs 10 \
-        --first-seed 20001 --workload mlp-sample --out BENCH.json
+    python3 tools/bench_pairs.py --parent ../parent --change ../change --control ../control \
+        --pairs 10 --first-seed 20001 --workload mlp-sample --out BENCH.json
 
 (For an uncommitted change, `git add -A && git archive $(git stash create)`
 archives the staged tree without touching the working tree.)
@@ -34,6 +35,15 @@ operations than the parent's; `gain_blocked_by` names which when one
 does) and `worse_than_bound` (the change's median is worse than the
 parent's by more than the metric's `bound`, a fraction of the parent's
 median).  After each workload one verdict line per metric is printed.
+
+`--control TREE` names a second fresh archive of the parent commit, an
+A/A control: after each workload's pairs, as many parent/control pairs run
+on the same seeds, again alternating which side runs first, and are
+summarized the same way under the workload's `control` (the control in the
+change's place).  A gain the control resolves is one that code the change
+did not touch can show, so the change's gain on that metric does not
+count: it keeps `gain_resolved` false and its `gain_blocked_by` names the
+control.  The control never grants a gain and never moves a bound.
 """
 
 import argparse
@@ -93,6 +103,21 @@ def summarize(specs, seeds, pairs):
     return entry
 
 
+CONTROL_BLOCK = "the A/A control resolved a gain"
+
+
+def apply_control(entry, control):
+    """Put `control`, the parent/control summary, under `entry["control"]`, and block the gain of
+    every metric on which the control resolves one."""
+    entry["control"] = control
+    for name, metric in entry["metrics"].items():
+        if control["metrics"][name]["gain_resolved"]:
+            blocked = metric["gain_blocked_by"]
+            metric["gain_resolved"] = False
+            metric["gain_blocked_by"] = f"{blocked}; {CONTROL_BLOCK}" if blocked else CONTROL_BLOCK
+    return entry
+
+
 def verdict(workload, name, metric):
     """One line: the metric's medians, pairs won and the acceptance rule's verdicts."""
     pairs = len(metric["parent"]["runs"])
@@ -126,6 +151,8 @@ def main(argv=None):
     parser.add_argument("--first-seed", required=True, type=int)
     parser.add_argument("--workload", action="append", help="repeat for several; default all")
     parser.add_argument("--seconds", type=float, help="default: the benchmark's run_seconds")
+    parser.add_argument("--control", type=Path,
+                        help="a second fresh tree of the parent commit, for A/A pairs")
     parser.add_argument("--out", required=True, type=Path)
     args = parser.parse_args(argv)
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
@@ -136,25 +163,41 @@ def main(argv=None):
         "method": f"perfbench/run.py --seconds {seconds:g} --trace 0, {args.pairs} pairs per "
                   f"workload on seeds {seeds[0]}-{seeds[-1]}, alternating parent/change order "
                   "per pair (the parent first on odd pairs), each side in its own tree; medians "
-                  "and inclusive quartiles over runs, runs listed in seed order",
+                  "and inclusive quartiles over runs, runs listed in seed order"
+                  + (", then as many parent/control (A/A) pairs on the same seeds"
+                     if args.control else ""),
         "end_to_end": {},
     }
+
+    def run_pair(workload, i, other):
+        """Pair i, parent against `other` on seed i; the parent runs first on even i."""
+        results = {}
+        for side in ("parent", other) if i % 2 == 0 else (other, "parent"):
+            results[side], machine = run_once(getattr(args, side), workload, seeds[i], seconds)
+            record.setdefault("machine", machine)
+        print(f"{workload} seed {seeds[i]}: items_per_s" + "".join(
+            f" {side} {results[side]['metrics']['items_per_s']['value']:.4g}"
+            for side in ("parent", other)), flush=True)
+        return results["parent"], results[other]
+
+    specs, entries = bench["end_to_end"], record["end_to_end"]
     for workload in workloads:
-        pairs = []
-        for i, seed in enumerate(seeds):
-            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            results = {}
-            for side in order:
-                results[side], machine = run_once(getattr(args, side), workload, seed, seconds)
-                record.setdefault("machine", machine)
-            pairs.append((results["parent"], results["change"]))
-            record["end_to_end"][workload] = summarize(bench["end_to_end"], seeds[:i + 1], pairs)
+        pairs, control = [], []
+        for i in range(args.pairs):
+            pairs.append(run_pair(workload, i, "change"))
+            entries[workload] = summarize(specs, seeds[:i + 1], pairs)
             args.out.write_text(json.dumps(record, indent=1) + "\n")
-            items = record["end_to_end"][workload]["metrics"]["items_per_s"]
-            print(f"{workload} seed {seed}: items_per_s parent {items['parent']['runs'][-1]:.4g}"
-                  f" change {items['change']['runs'][-1]:.4g}", flush=True)
-        for name, metric in record["end_to_end"][workload]["metrics"].items():
-            print(verdict(workload, name, metric), flush=True)
+        for i in range(args.pairs if args.control else 0):
+            control.append(run_pair(workload, i, "control"))
+            entries[workload] = apply_control(summarize(specs, seeds, pairs),
+                                              summarize(specs, seeds[:i + 1], control))
+            args.out.write_text(json.dumps(record, indent=1) + "\n")
+        shown = [(workload, entries[workload])]
+        if args.control:
+            shown.append((f"{workload} control", entries[workload]["control"]))
+        for label, summary in shown:
+            for name, metric in summary["metrics"].items():
+                print(verdict(label, name, metric), flush=True)
     return 0
 
 
